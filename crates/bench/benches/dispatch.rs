@@ -60,7 +60,9 @@ fn bench_dispatch_contended(c: &mut Criterion) {
         group.bench_function(format!("profiler_{threads}_threads"), |b| {
             b.iter(|| {
                 std::hint::black_box(lg_bench::experiments::fig7_dispatch::throughput(
-                    threads, 5_000, true,
+                    threads,
+                    5_000,
+                    lg_bench::experiments::fig7_dispatch::Pipeline::Profiler,
                 ))
             })
         });

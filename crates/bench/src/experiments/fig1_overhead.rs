@@ -3,9 +3,10 @@
 //! Measures the per-event cost of the observation pipeline as listeners
 //! are added: the disabled path, the enabled-but-empty dispatcher, and
 //! 1–4 registered listeners of increasing weight (no-op closures, then
-//! the real profiler). Expected shape: the disabled path costs a few
-//! nanoseconds (one atomic load); each listener adds tens of nanoseconds;
-//! the full profiled timer stays well under a microsecond per event.
+//! the real profiler, then the whole stock pipeline). Expected shape: the
+//! disabled path costs a few nanoseconds (one atomic load); each listener
+//! adds tens of nanoseconds; the full profiled timer stays well under a
+//! microsecond per event.
 
 use crate::report::{fmt_f, write_csv, Table};
 use lg_core::listener::FnListener;
@@ -77,6 +78,31 @@ pub fn run(fast: bool) {
     record(
         "enabled, profiler",
         ns_per_event(iters, || d.dispatch(&event)),
+    );
+
+    // The stock pipeline: everything a traced instance registers
+    // (profiler, concurrency tracker, trace ring, policy engine), fed
+    // begin/end pairs so the concurrency tracker stays balanced.
+    let lg = LookingGlass::builder().trace(4096).build();
+    let task = lg.intern("bench");
+    let begin = Event::TaskBegin {
+        task,
+        worker: 0,
+        t_ns: 1,
+    };
+    let end = Event::TaskEnd {
+        task,
+        worker: 0,
+        t_ns: 2,
+        elapsed_ns: 1,
+    };
+    let ns_pair = ns_per_event(iters / 2, || {
+        lg.emit(&begin);
+        lg.emit(&end);
+    });
+    record(
+        "enabled, stock (profiler+concurrency+trace+engine)",
+        ns_pair / 2.0,
     );
 
     // Full RAII timer through a complete instance (profiler + concurrency

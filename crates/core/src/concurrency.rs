@@ -5,28 +5,62 @@
 //! instantaneous gauges (active tasks, online workers) plus a bounded
 //! time series of the active-task count, updated on every lifecycle event.
 //!
-//! The gauges are single atomics (the RMW's return value feeds peak
-//! tracking, which striping cannot provide), but the history — previously
-//! one `Mutex<TimeSeries>` every event serialized on — is striped per
-//! emitting thread and merged by timestamp on read, so the per-event cost
-//! under many emitters is an uncontended lock plus a series push.
+//! Everything a task event writes lives in the **emitting thread's own
+//! stripe**: its `(level, peak)` pair — begins minus ends seen by that
+//! thread, and the highest value that reached — and a history of that
+//! level, all on one cache line behind one uncontended lock. No event
+//! touches a line another emitter writes. Reads rebuild the global view
+//! from the stripes that were ever touched:
+//!
+//! * [`ConcurrencyListener::active_tasks`] is the sum of the stripe
+//!   levels — exact whenever no event is in flight (a stripe's level goes
+//!   negative when tasks begin on one thread and end on another; the sum
+//!   still balances).
+//! * [`ConcurrencyListener::peak_tasks`] is the sum of the stripe *peaks*:
+//!   an upper bound on the highest instantaneous count (every count is a
+//!   sum of levels, each at most its stripe's peak), never below any one
+//!   emitter's own peak, and exact for a single emitter or whenever the
+//!   emitters peaked together (a saturated pool). The exact global peak
+//!   would need every event to observe the global count — the shared RMW
+//!   this design exists to avoid.
+//! * [`ConcurrencyListener::history`] merges the stripe histories by
+//!   timestamp and replays them as a running sum of each stripe's latest
+//!   level, which for a single emitter is its own history verbatim.
 
 use crate::event::Event;
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_index, CacheAligned, STRIPE_COUNT};
+use lg_metrics::stripe::{thread_stripe, CacheAligned, TouchedStripes, STRIPE_COUNT};
 use lg_metrics::TimeSeries;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 
+/// One emitting thread's share of the tracker.
+struct Stripe {
+    /// Begins − ends seen on this stripe. Written under `history`'s lock
+    /// (which serializes threads sharing the stripe), read without it.
+    level: AtomicI64,
+    /// Highest `level` reached.
+    peak: AtomicI64,
+    history: Mutex<StripeHistory>,
+}
+
+struct StripeHistory {
+    /// `(t_ns, level)` after each event; a full `history_len` window, so
+    /// single-threaded emission retains exactly what an unsharded series
+    /// would.
+    series: TimeSeries,
+    /// The newest point, kept even when `series` decimates it away, so
+    /// the replay always ends on the stripe's true level.
+    last: Option<(u64, f64)>,
+}
+
 /// Listener tracking instantaneous and historical concurrency.
 pub struct ConcurrencyListener {
-    active_tasks: AtomicI64,
     online_workers: AtomicI64,
-    peak_tasks: AtomicI64,
-    /// Per-thread history stripes; each keeps a full `history_len` window
-    /// so single-threaded emission retains exactly what the unsharded
-    /// implementation did. Reads merge-sort the stripes by timestamp.
-    history: Box<[CacheAligned<Mutex<TimeSeries>>]>,
+    stripes: Box<[CacheAligned<Stripe>]>,
+    /// The stripes that saw an event: reads fold only those, so their
+    /// cost follows the number of emitters, not `STRIPE_COUNT`.
+    touched: TouchedStripes,
 }
 
 impl ConcurrencyListener {
@@ -34,18 +68,33 @@ impl ConcurrencyListener {
     /// emitting-thread stripe.
     pub fn new(history_len: usize) -> Self {
         Self {
-            active_tasks: AtomicI64::new(0),
             online_workers: AtomicI64::new(0),
-            peak_tasks: AtomicI64::new(0),
-            history: (0..STRIPE_COUNT)
-                .map(|_| CacheAligned(Mutex::new(TimeSeries::new(history_len.max(4)))))
+            stripes: (0..STRIPE_COUNT)
+                .map(|_| {
+                    CacheAligned(Stripe {
+                        level: AtomicI64::new(0),
+                        peak: AtomicI64::new(0),
+                        history: Mutex::new(StripeHistory {
+                            series: TimeSeries::new(history_len.max(4)),
+                            last: None,
+                        }),
+                    })
+                })
                 .collect(),
+            touched: TouchedStripes::new(),
         }
     }
 
-    /// Tasks currently executing.
+    /// The stripes that ever saw an event, with their indexes.
+    fn touched(&self) -> impl Iterator<Item = (usize, &Stripe)> {
+        self.touched.iter().map(|i| (i, &self.stripes[i].0))
+    }
+
+    /// Tasks currently executing (exact when no event is in flight).
     pub fn active_tasks(&self) -> i64 {
-        self.active_tasks.load(Ordering::Relaxed)
+        self.touched()
+            .map(|(_, s)| s.level.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Workers currently online (started and not stopped/parked).
@@ -53,9 +102,13 @@ impl ConcurrencyListener {
         self.online_workers.load(Ordering::Relaxed)
     }
 
-    /// Highest active-task count observed.
+    /// Upper bound on the highest active-task count observed: the sum of
+    /// each emitting thread's own peak. Exact for a single emitter and
+    /// whenever the emitters peaked together (see the module docs).
     pub fn peak_tasks(&self) -> i64 {
-        self.peak_tasks.load(Ordering::Relaxed)
+        self.touched()
+            .map(|(_, s)| s.peak.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Mean active-task count over the trailing `horizon_ns` of history
@@ -80,25 +133,46 @@ impl ConcurrencyListener {
         }
     }
 
-    /// Copies the retained `(t_ns, active_tasks)` history, merged across
-    /// stripes in timestamp order (ties keep stripe order — stable, so a
-    /// single-threaded emission sequence is returned verbatim).
+    /// Copies the retained `(t_ns, active_tasks)` history: the stripes'
+    /// own-level histories merged in timestamp order (ties keep stripe
+    /// order — stable, so a single-threaded emission sequence is returned
+    /// verbatim) and replayed as the running sum of each stripe's latest
+    /// level. A stripe whose series decimated contributes its retained
+    /// points plus its exact newest one.
     pub fn history(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = Vec::new();
-        for stripe in self.history.iter() {
-            out.extend(stripe.0.lock().iter());
+        let mut points: Vec<(u64, usize, f64)> = Vec::new();
+        for (i, stripe) in self.touched() {
+            let h = stripe.history.lock();
+            points.extend(h.series.iter().map(|(t, v)| (t, i, v)));
+            if h.last != h.series.last() {
+                points.extend(h.last.map(|(t, v)| (t, i, v)));
+            }
         }
-        out.sort_by_key(|&(t, _)| t);
-        out
+        points.sort_by_key(|&(t, ..)| t);
+        let mut latest = [0.0f64; STRIPE_COUNT];
+        let mut total = 0.0;
+        points
+            .into_iter()
+            .map(|(t, i, level)| {
+                total += level - latest[i];
+                latest[i] = level;
+                (t, total)
+            })
+            .collect()
     }
 
     fn record(&self, t_ns: u64, delta: i64) {
-        let now = self.active_tasks.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.peak_tasks.fetch_max(now, Ordering::Relaxed);
-        self.history[thread_index() & (STRIPE_COUNT - 1)]
-            .0
-            .lock()
-            .push(t_ns, now as f64);
+        let i = thread_stripe();
+        self.touched.mark(i);
+        let stripe = &self.stripes[i].0;
+        let mut h = stripe.history.lock();
+        let level = stripe.level.load(Ordering::Relaxed) + delta;
+        stripe.level.store(level, Ordering::Relaxed);
+        if level > stripe.peak.load(Ordering::Relaxed) {
+            stripe.peak.store(level, Ordering::Relaxed);
+        }
+        h.series.push(t_ns, level as f64);
+        h.last = Some((t_ns, level as f64));
     }
 }
 
@@ -231,6 +305,134 @@ mod tests {
         }
         // History values are 1,2,3,4 → trailing mean over everything = 2.5.
         assert_eq!(c.mean_active_over(u64::MAX), Some(2.5));
+    }
+
+    /// Runs `f` on a thread pinned to stripe `i`, joined before returning:
+    /// the tests below fix their interleavings this way.
+    fn on_stripe(i: usize, f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                lg_metrics::stripe::set_thread_index(i);
+                f();
+            });
+        });
+    }
+
+    fn begin(c: &ConcurrencyListener, t_ns: u64) {
+        c.on_event(&Event::TaskBegin {
+            task: crate::event::TaskId(0),
+            worker: 0,
+            t_ns,
+        });
+    }
+
+    fn end(c: &ConcurrencyListener, t_ns: u64) {
+        c.on_event(&Event::TaskEnd {
+            task: crate::event::TaskId(0),
+            worker: 0,
+            t_ns,
+            elapsed_ns: 1,
+        });
+    }
+
+    #[test]
+    fn begin_on_one_thread_end_on_another_balances() {
+        let c = ConcurrencyListener::new(64);
+        on_stripe(1, || (0..5).for_each(|t| begin(&c, t)));
+        assert_eq!(c.active_tasks(), 5);
+        on_stripe(2, || (5..10).for_each(|t| end(&c, t)));
+        assert_eq!(c.active_tasks(), 0, "stripe levels +5 and -5 cancel");
+        // The replay is what one shared counter would have recorded.
+        let expect: Vec<(u64, f64)> = (0..10u64)
+            .map(|t| (t, if t < 5 { t + 1 } else { 9 - t } as f64))
+            .collect();
+        assert_eq!(c.history(), expect);
+        assert_eq!(c.peak_tasks(), 5, "the ending stripe never rose above 0");
+    }
+
+    #[test]
+    fn nested_timers_on_one_emitter_have_an_exact_peak() {
+        let c = ConcurrencyListener::new(64);
+        on_stripe(3, || {
+            begin(&c, 1);
+            begin(&c, 2);
+            begin(&c, 3);
+            end(&c, 4);
+            begin(&c, 5);
+            end(&c, 6);
+            end(&c, 7);
+            end(&c, 8);
+        });
+        assert_eq!(c.peak_tasks(), 3);
+        assert_eq!(c.active_tasks(), 0);
+        let levels: Vec<f64> = c.history().iter().map(|&(_, v)| v).collect();
+        assert_eq!(levels, vec![1.0, 2.0, 3.0, 2.0, 3.0, 2.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn interleaved_emitters_replay_to_the_shared_counter_model() {
+        // A fixed interleaving of three emitters (two with nesting, one
+        // finishing another's task), checked step by step against one
+        // sequential counter.
+        let script: &[(usize, i64)] = &[
+            (0, 1),
+            (1, 1),
+            (0, 1),
+            (2, 1),
+            (1, -1),
+            (2, -1),
+            (0, -1),
+            (1, 1),
+            (2, -1), // ends the task stripe 1 just began
+            (0, -1),
+        ];
+        let c = ConcurrencyListener::new(64);
+        let (mut level, mut peak, mut model) = (0i64, 0i64, Vec::new());
+        let mut own = [(0i64, 0i64); 3]; // (level, peak) per emitter
+        for (t, &(stripe, delta)) in script.iter().enumerate() {
+            let t = t as u64;
+            on_stripe(stripe, || if delta > 0 { begin(&c, t) } else { end(&c, t) });
+            level += delta;
+            peak = peak.max(level);
+            model.push((t, level as f64));
+            own[stripe].0 += delta;
+            own[stripe].1 = own[stripe].1.max(own[stripe].0);
+            assert_eq!(c.active_tasks(), level);
+        }
+        assert_eq!(c.history(), model);
+        assert_eq!(c.history().last(), Some(&(9, 0.0)));
+        let p = c.peak_tasks();
+        assert!(p >= peak, "bound {p} below the true peak {peak}");
+        assert!(own.iter().all(|&(_, own_peak)| p >= own_peak));
+        assert_eq!(p, own.iter().map(|o| o.1).sum::<i64>());
+    }
+
+    #[test]
+    fn decimated_stripes_still_end_on_the_true_level() {
+        // A 4-point history decimates almost at once; whatever each stripe
+        // retained, the replay must finish where the tasks did.
+        let c = ConcurrencyListener::new(4);
+        for round in 0..50u64 {
+            on_stripe(1, || begin(&c, 4 * round));
+            on_stripe(2, || begin(&c, 4 * round + 1));
+            on_stripe(2, || end(&c, 4 * round + 2));
+            on_stripe(1, || end(&c, 4 * round + 3));
+        }
+        assert_eq!(c.active_tasks(), 0);
+        let h = c.history();
+        assert!(h.len() <= 2 * 5, "two stripes, 4 points + newest each");
+        assert_eq!(h.last(), Some(&(199, 0.0)));
+        assert!(h.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(c.peak_tasks(), 2);
+    }
+
+    #[test]
+    fn reads_fold_only_stripes_that_emitted() {
+        let c = ConcurrencyListener::new(64);
+        assert_eq!(c.touched().count(), 0);
+        on_stripe(7, || begin(&c, 1));
+        on_stripe(7, || end(&c, 2));
+        assert_eq!(c.touched().map(|(i, _)| i).collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

@@ -111,14 +111,17 @@ impl LookingGlassBuilder {
         // Adaptation latency (trigger → journaled knob write) rides along
         // in every snapshot. Stamped with the engine's record counter, so
         // the gauge is only re-read after rounds that actually actuated
-        // (NaN → None until the first one).
-        let latency_engine = policy_engine.clone();
+        // (NaN → None until the first one). The engine owns the facade
+        // that owns this closure, so the closure holds the engine weakly
+        // — a strong handle would keep all three alive forever.
+        let latency_engine = Arc::downgrade(&policy_engine);
         introspection.register_gauge_stamped(
             "policy.adaptation_latency_ns",
             policy_engine.latency_stamp(),
             move || {
                 latency_engine
-                    .adaptation_latency_last_ns()
+                    .upgrade()
+                    .and_then(|engine| engine.adaptation_latency_last_ns())
                     .map_or(f64::NAN, |ns| ns as f64)
             },
         );
@@ -507,6 +510,39 @@ mod tests {
         lg.sample("power", 30.0);
         let snap = lg.snapshot();
         assert_eq!(snap.value(power), Some(20.0));
+    }
+
+    #[test]
+    fn dropping_the_instance_frees_engine_and_facade() {
+        let lg = LookingGlass::builder().trace(8).build();
+        // Used from a thread that has fully exited (a plain `join` waits
+        // for its thread-locals to be destroyed; a scope does not), so no
+        // thread-local listener snapshot outlives the instance.
+        let user = lg.clone();
+        std::thread::spawn(move || {
+            drop(user.timer("probe"));
+            user.snapshot();
+        })
+        .join()
+        .unwrap();
+        let engine = Arc::downgrade(lg.policy_engine());
+        let facade = Arc::downgrade(lg.introspection());
+        let profiles = Arc::downgrade(lg.profiles());
+        let instance = Arc::downgrade(&lg);
+        drop(lg);
+        assert!(instance.upgrade().is_none());
+        assert!(engine.upgrade().is_none(), "policy engine leaked");
+        assert!(facade.upgrade().is_none(), "introspection facade leaked");
+        assert!(profiles.upgrade().is_none(), "listeners leaked");
+    }
+
+    #[test]
+    fn latency_gauge_reads_none_once_the_engine_is_gone() {
+        let lg = LookingGlass::builder().build();
+        let facade = lg.introspection().clone();
+        drop(lg);
+        let snap = facade.capture(0);
+        assert_eq!(snap.value_by_name("policy.adaptation_latency_ns"), None);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Listener trait and fan-out dispatcher.
 //!
 //! The dispatcher is the single point every event flows through, so its
-//! hot path must not touch shared mutable cache lines. Dispatch uses a
-//! **generation-stamped thread-local snapshot**: each emitting thread
-//! caches an `Arc<Vec<ListenerEntry>>` of the listener list, revalidated
-//! per event by one atomic load of a generation counter that registration
-//! bumps. In steady state (no registrations) a dispatch is: one `enabled`
-//! load, one generation load, a thread-local lookup, and the listener
-//! calls — no lock, no shared `Arc` refcount traffic, no shared counter
-//! RMW (the dispatch counters are striped per thread and folded on read).
+//! hot path must not touch shared mutable cache lines. The listener list
+//! is an [`lg_metrics::stripe::Versioned`] value: each emitting thread
+//! caches an `Arc` of it, revalidated per event by one atomic load of a
+//! generation counter that registration bumps. In steady state (no
+//! registrations) a dispatch is: one `enabled` load, one generation load,
+//! a thread-local lookup, and the listener calls — no lock, no shared
+//! `Arc` refcount traffic, and the dispatcher's own counters are striped
+//! per thread and folded on read. What the *listeners* then write is
+//! theirs to keep off shared lines; DESIGN.md §4.1 tabulates every write
+//! a stock instance makes per event and whose line it lands on.
 //!
 //! ## Grace-period semantics of `deregister`
 //!
@@ -24,14 +26,15 @@
 //! [`Dispatcher::set_enabled`] for the same reason.
 //!
 //! Thread-local snapshots also pin the listener `Arc`s of up to
-//! [`SNAPSHOT_CACHE_MAX`] recently used dispatchers per thread (evicted
-//! FIFO), so a dropped listener's memory may outlive deregistration until
-//! the caching threads dispatch again, evict, or exit.
+//! [`SNAPSHOT_CACHE_MAX`] recently read versioned values per thread
+//! (evicted FIFO), so a dropped listener's memory may outlive
+//! deregistration until the caching threads dispatch again, evict, or
+//! exit.
 
 use crate::event::Event;
+use lg_metrics::stripe::Versioned;
+pub use lg_metrics::stripe::SNAPSHOT_CACHE_MAX;
 use lg_metrics::StripedCounter;
-use parking_lot::RwLock;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,38 +57,13 @@ pub struct ListenerHandle(u64);
 /// A registered listener with its registration id.
 type ListenerEntry = (u64, Arc<dyn Listener>);
 
-/// Max dispatchers a thread caches snapshots for (FIFO eviction beyond).
-pub const SNAPSHOT_CACHE_MAX: usize = 16;
-
-/// One thread's cached view of one dispatcher's listener list.
-struct CachedSnapshot {
-    dispatcher: u64,
-    generation: u64,
-    listeners: Arc<Vec<ListenerEntry>>,
-}
-
-thread_local! {
-    /// Per-thread snapshot cache, keyed by dispatcher id (linear scan; a
-    /// thread emits to a handful of dispatchers at most). `RefCell` so a
-    /// listener that recursively dispatches falls back to the shared-list
-    /// slow path instead of aliasing the cache.
-    static SNAPSHOTS: RefCell<Vec<CachedSnapshot>> = const { RefCell::new(Vec::new()) };
-}
-
-static NEXT_DISPATCHER_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Generation-snapshot fan-out of events to registered listeners.
 ///
-/// Registration is copy-on-write under a lock and bumps `generation`;
-/// dispatch validates a thread-local snapshot against `generation` and
+/// Registration is copy-on-write under a lock and bumps the list's
+/// generation; dispatch validates a thread-local snapshot against it and
 /// runs the listeners with no lock held and no shared-line writes.
 pub struct Dispatcher {
-    /// Process-unique id keying the thread-local snapshot cache.
-    id: u64,
-    /// Shared listener list (slow path; read under lock only on refresh).
-    listeners: RwLock<Arc<Vec<ListenerEntry>>>,
-    /// Bumped (under the write lock) by every register/deregister.
-    generation: AtomicU64,
+    listeners: Versioned<Vec<ListenerEntry>>,
     next_id: AtomicU64,
     enabled: AtomicBool,
     /// Events accepted by `dispatch` while enabled (striped per thread).
@@ -104,9 +82,7 @@ impl Dispatcher {
     /// Creates a dispatcher with no listeners, enabled.
     pub fn new() -> Self {
         Self {
-            id: NEXT_DISPATCHER_ID.fetch_add(1, Ordering::Relaxed),
-            listeners: RwLock::new(Arc::new(Vec::new())),
-            generation: AtomicU64::new(0),
+            listeners: Versioned::new(Vec::new()),
             next_id: AtomicU64::new(1),
             enabled: AtomicBool::new(true),
             events: StripedCounter::new(),
@@ -117,13 +93,11 @@ impl Dispatcher {
     /// Registers a listener; events are delivered from this call onward.
     pub fn register(&self, listener: Arc<dyn Listener>) -> ListenerHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.listeners.write();
-        let mut next = (**guard).clone();
-        next.push((id, listener));
-        *guard = Arc::new(next);
-        // Published while holding the write lock, so a refresh that reads
-        // this generation under the read lock pairs it with this list.
-        self.generation.fetch_add(1, Ordering::Release);
+        self.listeners.update(|current| {
+            let mut next = current.clone();
+            next.push((id, listener));
+            (next, ())
+        });
         ListenerHandle(id)
     }
 
@@ -134,17 +108,15 @@ impl Dispatcher {
     /// snapshot; dispatches beginning after this returns never deliver to
     /// the removed listener (see the module docs).
     pub fn deregister(&self, handle: ListenerHandle) -> bool {
-        let mut guard = self.listeners.write();
-        let before = guard.len();
-        let next: Vec<ListenerEntry> = guard
-            .iter()
-            .filter(|(id, _)| *id != handle.0)
-            .cloned()
-            .collect();
-        let removed = next.len() != before;
-        *guard = Arc::new(next);
-        self.generation.fetch_add(1, Ordering::Release);
-        removed
+        self.listeners.update(|current| {
+            let next: Vec<ListenerEntry> = current
+                .iter()
+                .filter(|(id, _)| *id != handle.0)
+                .cloned()
+                .collect();
+            let removed = next.len() != current.len();
+            (next, removed)
+        })
     }
 
     /// Globally enables or disables dispatch (the "observation off" switch;
@@ -160,7 +132,7 @@ impl Dispatcher {
 
     /// Number of registered listeners.
     pub fn listener_count(&self) -> usize {
-        self.listeners.read().len()
+        self.listeners.load().len()
     }
 
     /// Events accepted by [`Dispatcher::dispatch`] while enabled,
@@ -177,73 +149,23 @@ impl Dispatcher {
     }
 
     /// Delivers `event` to every registered listener.
+    ///
+    /// A listener that itself dispatches (to this or any other dispatcher)
+    /// is served from the shared list under its read lock instead of the
+    /// thread-local snapshot — slower, still correct.
     #[inline]
     pub fn dispatch(&self, event: &Event) {
         if !self.enabled.load(Ordering::Acquire) {
             return;
         }
         self.events.inc();
-        // Revalidate the thread-local snapshot with a single generation
-        // load. Acquire pairs with the Release bump in register/deregister
-        // so a fresh generation is never observed with a stale list.
-        let generation = self.generation.load(Ordering::Acquire);
-        let done = SNAPSHOTS.with(|cell| {
-            // A listener recursively dispatching (to this or any other
-            // dispatcher) finds the cache borrowed and takes the slow
-            // path; the outer dispatch's snapshot stays pinned meanwhile.
-            let Ok(mut cache) = cell.try_borrow_mut() else {
-                return false;
-            };
-            let entry = match cache.iter().position(|s| s.dispatcher == self.id) {
-                Some(i) => {
-                    if cache[i].generation != generation {
-                        let snap = self.load_snapshot();
-                        cache[i].generation = snap.generation;
-                        cache[i].listeners = snap.listeners;
-                    }
-                    &cache[i]
-                }
-                None => {
-                    if cache.len() == SNAPSHOT_CACHE_MAX {
-                        cache.remove(0);
-                    }
-                    let snap = self.load_snapshot();
-                    cache.push(snap);
-                    cache.last().expect("just pushed")
-                }
-            };
-            for (_, l) in entry.listeners.iter() {
+        let delivered = self.listeners.read(|listeners| {
+            for (_, l) in listeners {
                 l.on_event(event);
             }
-            self.deliveries.add(entry.listeners.len() as u64);
-            true
+            listeners.len()
         });
-        if !done {
-            self.dispatch_uncached(event);
-        }
-    }
-
-    /// Reads a consistent (generation, listener list) pair under the read
-    /// lock: registration bumps the generation while holding the write
-    /// lock, so the pair cannot interleave with an update.
-    fn load_snapshot(&self) -> CachedSnapshot {
-        let guard = self.listeners.read();
-        CachedSnapshot {
-            dispatcher: self.id,
-            generation: self.generation.load(Ordering::Acquire),
-            listeners: guard.clone(),
-        }
-    }
-
-    /// Slow path for reentrant dispatch: snapshot under the read lock,
-    /// deliver with no lock held (the pre-generation-cache protocol).
-    #[cold]
-    fn dispatch_uncached(&self, event: &Event) {
-        let snapshot = { self.listeners.read().clone() };
-        for (_, l) in snapshot.iter() {
-            l.on_event(event);
-        }
-        self.deliveries.add(snapshot.len() as u64);
+        self.deliveries.add(delivered as u64);
     }
 }
 

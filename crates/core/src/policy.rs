@@ -10,7 +10,8 @@
 //!   calls [`PolicyEngine::step`] as time advances — same policies, same
 //!   semantics, no OS dependency.
 //! * **Event-triggered** policies run inline when a matching event is
-//!   dispatched (the engine is itself a [`Listener`]).
+//!   dispatched (the engine is itself a [`Listener`]). While none is
+//!   registered, an event costs the engine one atomic load.
 //! * **Threshold-triggered** policies subscribe to a [`ThresholdWatch`] —
 //!   an edge-triggered predicate over striped counters or gauges ("queue
 //!   depth crossed N", "p99 window moved more than x%"). Each
@@ -441,6 +442,9 @@ pub struct PolicyEngine {
     scan_needed: AtomicU64,
     /// Steps that returned through the armed fast path (diagnostic).
     fast_steps: AtomicU64,
+    /// Live event-triggered policies. While zero, `on_event` — which every
+    /// dispatched event flows through — returns after loading this.
+    triggered: AtomicU64,
 }
 
 impl PolicyEngine {
@@ -472,6 +476,7 @@ impl PolicyEngine {
             armed_seen: AtomicU64::new(0),
             scan_needed: AtomicU64::new(0),
             fast_steps: AtomicU64::new(0),
+            triggered: AtomicU64::new(0),
         })
     }
 
@@ -492,20 +497,21 @@ impl PolicyEngine {
     }
 
     /// Recounts the live policies whose trigger can only be detected by
-    /// scanning under the lock. Called whenever the policy set (or a
-    /// policy's quarantine state) changes; `ps` is the already-locked
-    /// vector so the count is coherent with the change that prompted it.
-    fn recompute_scan_needed(&self, ps: &[Registered]) {
-        let n = ps
-            .iter()
-            .filter(|r| !r.quarantined)
-            .filter(|r| match &r.kind {
-                Kind::Periodic { .. } => true,
-                Kind::Threshold { watch, .. } => !watch.is_write_armed(),
-                Kind::Triggered { .. } => false,
-            })
-            .count() as u64;
-        self.scan_needed.store(n, Ordering::Release);
+    /// scanning under the lock, and the live event-triggered ones. Called
+    /// whenever the policy set (or a policy's quarantine state) changes;
+    /// `ps` is the already-locked vector so the counts are coherent with
+    /// the change that prompted them.
+    fn recount_triggers(&self, ps: &[Registered]) {
+        let (mut scan, mut triggered) = (0u64, 0u64);
+        for r in ps.iter().filter(|r| !r.quarantined) {
+            match &r.kind {
+                Kind::Periodic { .. } => scan += 1,
+                Kind::Threshold { watch, .. } => scan += u64::from(!watch.is_write_armed()),
+                Kind::Triggered { .. } => triggered += 1,
+            }
+        }
+        self.scan_needed.store(scan, Ordering::Release);
+        self.triggered.store(triggered, Ordering::Release);
     }
 
     /// Registers a periodic policy first due at `now_ns + period_ns`.
@@ -530,7 +536,7 @@ impl PolicyEngine {
             consecutive_panics: 0,
             quarantined: false,
         });
-        self.recompute_scan_needed(&ps);
+        self.recount_triggers(&ps);
         PolicyHandle(id)
     }
 
@@ -538,7 +544,8 @@ impl PolicyEngine {
     pub fn register_triggered(&self, policy: Box<dyn Policy>, filter: EventFilter) -> PolicyHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let actor = self.knobs.actor(policy.name());
-        self.policies.lock().push(Registered {
+        let mut ps = self.policies.lock();
+        ps.push(Registered {
             id,
             policy,
             actor,
@@ -546,6 +553,7 @@ impl PolicyEngine {
             consecutive_panics: 0,
             quarantined: false,
         });
+        self.recount_triggers(&ps);
         PolicyHandle(id)
     }
 
@@ -577,7 +585,7 @@ impl PolicyEngine {
             consecutive_panics: 0,
             quarantined: false,
         });
-        self.recompute_scan_needed(&ps);
+        self.recount_triggers(&ps);
         PolicyHandle(id)
     }
 
@@ -597,7 +605,7 @@ impl PolicyEngine {
         });
         let removed = ps.len() != before;
         if removed {
-            self.recompute_scan_needed(&ps);
+            self.recount_triggers(&ps);
         }
         removed
     }
@@ -877,7 +885,7 @@ impl PolicyEngine {
                     }
                 }
             }
-            self.recompute_scan_needed(&ps);
+            self.recount_triggers(&ps);
         }
         // Apply outside the policy lock: knob sets may be observed by
         // listeners that re-enter the engine.
@@ -926,13 +934,18 @@ impl Listener for PolicyEngine {
     }
 
     fn on_event(&self, event: &Event) {
+        // Every dispatched event flows through here; with no live
+        // event-triggered policy it stops at this load. Acquire pairs with
+        // the Release store in `recount_triggers`, made under the policies
+        // lock: a registration that returned is seen by the next event.
+        if self.triggered.load(Ordering::Acquire) == 0 {
+            return;
+        }
         // Evaluate matching triggered policies. Decisions are collected
         // under the lock, applied after, and retirement honored. Panics
-        // are contained exactly as in [`PolicyEngine::step`]. The
-        // snapshot is captured only when at least one filter matches, so
-        // the no-match fast path (every event flows through here) stays a
-        // filter scan.
-        let started = Instant::now();
+        // are contained exactly as in [`PolicyEngine::step`]. The clock is
+        // read and the snapshot captured only when at least one filter
+        // matches, so the no-match path stays a filter scan.
         let matches_any = {
             let ps = self.policies.lock();
             ps.iter().any(|r| {
@@ -942,6 +955,7 @@ impl Listener for PolicyEngine {
         if !matches_any {
             return;
         }
+        let started = Instant::now();
         let snapshot = self.capture_or_empty(event.t_ns());
         let threshold = self.quarantine_threshold.load(Ordering::Relaxed) as u32;
         let mut decisions: Vec<(TaskId, PolicyDecision)> = Vec::new();
@@ -976,6 +990,9 @@ impl Listener for PolicyEngine {
             if !retired.is_empty() {
                 ps.retain(|r| !retired.contains(&r.id));
             }
+            // Retirement and quarantine both end a policy's claim on
+            // events.
+            self.recount_triggers(&ps);
         }
         self.evaluations.fetch_add(fired, Ordering::Relaxed);
         let acts_before = self.actuations.load(Ordering::Relaxed);
@@ -1185,6 +1202,71 @@ mod tests {
     }
 
     #[test]
+    fn late_triggered_policy_sees_the_very_next_event() {
+        let knobs = registry_with("k", 0, 1_000, 0);
+        let engine = PolicyEngine::new(knobs.clone());
+        // A long run of events through the no-policy fast path first.
+        for t in 0..1_000 {
+            engine.on_event(&Event::PeriodicTick { t_ns: t });
+        }
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
+        engine.register_triggered(
+            FnPolicy::new("late", |now, _, _| PolicyDecision::set("k", now as i64)),
+            Box::new(|_| true),
+        );
+        engine.on_event(&Event::PeriodicTick { t_ns: 777 });
+        assert_eq!(knobs.value("k"), Some(777));
+        assert_eq!(engine.evaluations(), 1);
+    }
+
+    #[test]
+    fn last_triggered_policy_leaving_restores_the_event_fast_path() {
+        let knobs = registry_with("k", 0, 1_000, 0);
+        let engine = PolicyEngine::new(knobs);
+        let filtered = Arc::new(AtomicU64::new(0));
+        let counting_filter = |n: &Arc<AtomicU64>| -> EventFilter {
+            let n = n.clone();
+            Box::new(move |_| {
+                n.fetch_add(1, Ordering::Relaxed);
+                true
+            })
+        };
+        let tick = Event::PeriodicTick { t_ns: 1 };
+
+        // Deregistered: the count drops with it.
+        let h = engine.register_triggered(
+            FnPolicy::new("a", |_, _, _| PolicyDecision::noop()),
+            counting_filter(&filtered),
+        );
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 1);
+        assert!(engine.deregister(h));
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
+
+        // Retired by its own decision.
+        engine.register_triggered(
+            FnPolicy::new("once", |_, _, _| PolicyDecision::noop().and_retire()),
+            counting_filter(&filtered),
+        );
+        engine.on_event(&tick);
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
+
+        // Quarantined after panicking: still registered, no longer live.
+        engine.set_quarantine_threshold(1);
+        engine.register_triggered(
+            FnPolicy::new("boom", |_, _, _| panic!("contained")),
+            counting_filter(&filtered),
+        );
+        engine.on_event(&tick);
+        assert_eq!(engine.quarantined_count(), 1);
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
+
+        // On the fast path no filter runs at all.
+        let before = filtered.load(Ordering::Relaxed);
+        engine.on_event(&tick);
+        assert_eq!(filtered.load(Ordering::Relaxed), before);
+    }
+
+    #[test]
     fn deregister_by_handle() {
         let knobs = registry_with("k", 0, 10, 0);
         let engine = PolicyEngine::new(knobs);
@@ -1367,60 +1449,90 @@ mod tests {
         // and the resulting knob value. (The scan variant spends its
         // first check on a baseline of 0 — the armed variant bakes that
         // baseline in at construction — so no warm-up step is needed for
-        // either.)
-        let schedule: &[&[u64]] = &[
-            &[],     // idle step
-            &[3, 4], // accumulate 7 < 10
-            &[2, 1], // cross to 10
-            &[],     // quiet after consumption
-            &[25],   // overshoot: one latch, not two
-            &[],     // quiet
-            &[9],    // 9 above the re-baselined level
-            &[1],    // cross again
-        ];
-        let k_scan = registry_with("k", 0, 1000, 0);
-        let k_arm = registry_with("k", 0, 1000, 0);
-        let e_scan = PolicyEngine::new(k_scan.clone());
-        let e_arm = PolicyEngine::new(k_arm.clone());
-        let reg = lg_metrics::CounterRegistry::new();
-        let c_scan = reg.striped_counter("scan");
-        let c_arm = reg.striped_counter("arm");
-        e_scan.register_threshold(
-            FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
-            ThresholdWatch::counter_delta(c_scan.clone(), 10),
-        );
-        e_scan.step(0); // scan variant: baseline-recording check
-        e_arm.register_threshold(
-            FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
-            ThresholdWatch::counter_delta_armed(&c_arm, 10),
-        );
-        e_arm.step(0);
-        for (i, adds) in schedule.iter().enumerate() {
-            let now = (i + 1) as u64;
-            for &n in adds.iter() {
-                c_scan.add(n);
-                c_arm.add(n);
-            }
-            let r_scan = e_scan.step(now);
-            let r_arm = e_arm.step(now);
-            assert_eq!(r_scan, r_arm, "step {now}: rounds diverged");
-            assert_eq!(
-                k_scan.value("k"),
-                k_arm.value("k"),
-                "step {now}: knob values diverged"
+        // either.) Each add runs on its own short-lived thread, joined
+        // before the next, so consecutive adds land on different stripes
+        // and the armed side crosses its level with amounts still
+        // spread over several of them.
+        fn run(delta: u64, schedule: &[&[u64]]) {
+            let k_scan = registry_with("k", 0, 1000, 0);
+            let k_arm = registry_with("k", 0, 1000, 0);
+            let e_scan = PolicyEngine::new(k_scan.clone());
+            let e_arm = PolicyEngine::new(k_arm.clone());
+            let reg = lg_metrics::CounterRegistry::new();
+            let c_scan = reg.striped_counter("scan");
+            let c_arm = reg.striped_counter("arm");
+            e_scan.register_threshold(
+                FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
+                ThresholdWatch::counter_delta(c_scan.clone(), delta),
             );
+            e_scan.step(0); // scan variant: baseline-recording check
+            e_arm.register_threshold(
+                FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
+                ThresholdWatch::counter_delta_armed(&c_arm, delta),
+            );
+            e_arm.step(0);
+            for (i, adds) in schedule.iter().enumerate() {
+                let now = (i + 1) as u64;
+                for &n in adds.iter() {
+                    std::thread::scope(|s| {
+                        s.spawn(|| {
+                            c_scan.add(n);
+                            c_arm.add(n);
+                        });
+                    });
+                }
+                let r_scan = e_scan.step(now);
+                let r_arm = e_arm.step(now);
+                assert_eq!(r_scan, r_arm, "step {now}: rounds diverged");
+                assert_eq!(
+                    k_scan.value("k"),
+                    k_arm.value("k"),
+                    "step {now}: knob values diverged"
+                );
+            }
+            assert_eq!(e_scan.evaluations(), e_arm.evaluations());
+            assert_eq!(e_scan.actuations(), e_arm.actuations());
+            assert!(
+                e_scan.evaluations() >= 3,
+                "schedule crossed at least 3 times"
+            );
+            assert!(
+                e_arm.fast_path_steps() > 0,
+                "armed engine skipped scans on quiet steps"
+            );
+            assert_eq!(e_scan.fast_path_steps(), 0, "scan engine always scans");
         }
-        assert_eq!(e_scan.evaluations(), e_arm.evaluations());
-        assert_eq!(e_scan.actuations(), e_arm.actuations());
-        assert!(
-            e_scan.evaluations() >= 3,
-            "schedule crossed at least 3 times"
+        run(
+            10,
+            &[
+                &[],     // idle step
+                &[3, 4], // accumulate 7 < 10
+                &[2, 1], // cross to 10
+                &[],     // quiet after consumption
+                &[25],   // overshoot: one latch, not two
+                &[],     // quiet
+                &[9],    // 9 above the re-baselined level
+                &[1],    // cross again
+            ],
         );
-        assert!(
-            e_arm.fast_path_steps() > 0,
-            "armed engine skipped scans on quiet steps"
+        // A delta wide enough that stripes hold amounts back (slack 15):
+        // the crossing add is whichever one completes the level.
+        run(
+            2_000,
+            &[
+                &[14, 14, 14, 14, 14, 14], // 84, hidden in six stripes
+                &[900, 14, 14],            // 1012
+                &[14; 70],                 // 1992: eight short
+                &[7],                      // 1999
+                &[1],                      // cross exactly
+                &[],                       // quiet after consumption
+                &[1_999],                  // one short of the next level
+                &[1],                      // cross again
+                &[14; 40],                 // 560 towards the third
+                &[1_440],                  // cross exactly again
+                &[],
+            ],
         );
-        assert_eq!(e_scan.fast_path_steps(), 0, "scan engine always scans");
     }
 
     #[test]

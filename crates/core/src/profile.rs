@@ -8,11 +8,13 @@
 //! ## Sharding
 //!
 //! Events are folded into **per-thread stripes** (a fixed array of
-//! `STRIPE_COUNT` mutex-guarded cell maps, indexed by
+//! `STRIPE_COUNT` mutex-guarded cell tables, indexed by
 //! [`lg_metrics::stripe::thread_index`], with runtime workers pinned to
-//! their worker id and other threads drawing overflow indexes). In steady
-//! state each emitting thread locks only its own uncontended stripe, so
-//! the per-event cost is an uncontended lock + hash lookup + Welford
+//! their worker id and other threads drawing overflow indexes). A table
+//! is a `Vec` indexed directly by [`TaskId`] — ids are dense interning
+//! indexes, so finding a cell is a bounds check, not a hash probe. In
+//! steady state each emitting thread locks only its own uncontended
+//! stripe, so the per-event cost is an uncontended lock + index + Welford
 //! update no matter how many threads emit. Snapshots merge the stripes
 //! with the parallel-Welford (Chan et al.) combine, which is exactly
 //! equivalent (up to FP rounding) to having folded every event into one
@@ -21,7 +23,7 @@
 
 use crate::event::{Event, TaskId, TaskNames};
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_index, CacheAligned, STRIPE_COUNT};
+use lg_metrics::stripe::{thread_stripe, CacheAligned, STRIPE_COUNT};
 use lg_metrics::Welford;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -91,11 +93,40 @@ impl ProfileCell {
     }
 }
 
-/// One profile shard: its cell map plus a write-generation stamp bumped
+/// Cells indexed by `TaskId.0`; `None` for ids this table never saw.
+type CellTable = Vec<Option<ProfileCell>>;
+
+/// The cell for `task`, created (and the table grown) on first sight.
+fn cell_mut(cells: &mut CellTable, task: TaskId) -> &mut ProfileCell {
+    let i = task.0 as usize;
+    if i >= cells.len() {
+        cells.resize_with(i + 1, || None);
+    }
+    cells[i].get_or_insert_with(ProfileCell::default)
+}
+
+/// Folds `from` into `into`, cell by cell.
+fn merge_table(into: &mut CellTable, from: &CellTable) {
+    for (i, cell) in from.iter().enumerate() {
+        if let Some(cell) = cell {
+            cell_mut(into, TaskId(i as u32)).merge(cell);
+        }
+    }
+}
+
+/// The `(id, cell)` pairs a table holds.
+fn seen(cells: &CellTable) -> impl Iterator<Item = (TaskId, &ProfileCell)> {
+    cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| Some((TaskId(i as u32), c.as_ref()?)))
+}
+
+/// One profile shard: its cell table plus a write-generation stamp bumped
 /// after every mutation (the snapshot delta protocol's dirtiness signal).
 struct StripeData {
     gen: AtomicU64,
-    cells: Mutex<HashMap<TaskId, ProfileCell>>,
+    cells: Mutex<CellTable>,
 }
 
 type Stripe = CacheAligned<StripeData>;
@@ -107,7 +138,7 @@ type Stripe = CacheAligned<StripeData>;
 struct SnapCache {
     valid: bool,
     gens: [u64; STRIPE_COUNT],
-    copies: Vec<HashMap<TaskId, ProfileCell>>,
+    copies: Vec<CellTable>,
     resolved: HashMap<TaskId, String>,
     merged: Arc<ProfileSnapshot>,
     total_completed: u64,
@@ -118,7 +149,7 @@ impl SnapCache {
         Self {
             valid: false,
             gens: [0; STRIPE_COUNT],
-            copies: (0..STRIPE_COUNT).map(|_| HashMap::new()).collect(),
+            copies: vec![CellTable::new(); STRIPE_COUNT],
             resolved: HashMap::new(),
             merged: Arc::new(Vec::new()),
             total_completed: 0,
@@ -129,7 +160,7 @@ impl SnapCache {
 /// Listener that aggregates task lifecycle events into profiles.
 ///
 /// Sharded per emitting thread (see the module docs): per-event work is an
-/// uncontended stripe lock, a hash lookup, and a Welford update; queries
+/// uncontended stripe lock, a table index, and a Welford update; queries
 /// merge the stripes on demand. Each stripe carries a generation stamp
 /// bumped after every mutation, and [`snapshot_shared`] keeps a persistent
 /// merged base: a clean call returns the previous `Arc` with zero merges,
@@ -153,7 +184,7 @@ impl ProfileListener {
                 .map(|_| {
                     CacheAligned(StripeData {
                         gen: AtomicU64::new(0),
-                        cells: Mutex::new(HashMap::new()),
+                        cells: Mutex::new(CellTable::new()),
                     })
                 })
                 .collect(),
@@ -163,16 +194,15 @@ impl ProfileListener {
 
     #[inline]
     fn stripe(&self) -> &StripeData {
-        &self.stripes[thread_index() & (STRIPE_COUNT - 1)].0
+        &self.stripes[thread_stripe()].0
     }
 
-    /// Merges every stripe's cells into one map (parallel-Welford combine).
-    fn merged(&self) -> HashMap<TaskId, ProfileCell> {
-        let mut out: HashMap<TaskId, ProfileCell> = HashMap::new();
+    /// Merges every stripe's cells into one table (parallel-Welford
+    /// combine).
+    fn merged(&self) -> CellTable {
+        let mut out = CellTable::new();
         for stripe in self.stripes.iter() {
-            for (id, cell) in stripe.0.cells.lock().iter() {
-                out.entry(*id).or_default().merge(cell);
-            }
+            merge_table(&mut out, &stripe.0.cells.lock());
         }
         out
     }
@@ -206,13 +236,11 @@ impl ProfileListener {
     /// path must produce field-for-field identical output) and as the
     /// benchmark baseline.
     pub fn snapshot_uncached(&self) -> ProfileSnapshot {
-        let mut out: Vec<TaskProfile> = self
-            .merged()
-            .iter()
+        let mut out: Vec<TaskProfile> = seen(&self.merged())
             .map(|(id, c)| {
                 c.to_profile(
                     self.names
-                        .resolve(*id)
+                        .resolve(id)
                         .unwrap_or_else(|| format!("<task {}>", id.0)),
                 )
             })
@@ -247,17 +275,14 @@ impl ProfileListener {
             // Re-fold the cached copies in fixed stripe order — the same
             // per-id merge sequence as `merged()`, so the result is
             // bitwise-identical to a from-scratch recompute.
-            let mut folded: HashMap<TaskId, ProfileCell> = HashMap::new();
+            let mut folded = CellTable::new();
             for copy in cache.copies.iter() {
-                for (id, cell) in copy.iter() {
-                    folded.entry(*id).or_default().merge(cell);
-                }
+                merge_table(&mut folded, copy);
             }
-            cache.total_completed = folded.values().map(|c| c.stats.count()).sum();
-            let mut out: Vec<TaskProfile> = folded
-                .iter()
+            cache.total_completed = seen(&folded).map(|(_, c)| c.stats.count()).sum();
+            let mut out: Vec<TaskProfile> = seen(&folded)
                 .map(|(id, c)| {
-                    c.to_profile(Self::resolve_name(&self.names, &mut cache.resolved, *id))
+                    c.to_profile(Self::resolve_name(&self.names, &mut cache.resolved, id))
                 })
                 .collect();
             out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -277,7 +302,7 @@ impl ProfileListener {
         let id = self.names.lookup(name)?;
         let mut merged: Option<ProfileCell> = None;
         for stripe in self.stripes.iter() {
-            if let Some(cell) = stripe.0.cells.lock().get(&id) {
+            if let Some(Some(cell)) = stripe.0.cells.lock().get(id.0 as usize) {
                 merged.get_or_insert_with(ProfileCell::default).merge(cell);
             }
         }
@@ -292,10 +317,8 @@ impl ProfileListener {
         self.stripes
             .iter()
             .map(|s| {
-                s.0.cells
-                    .lock()
-                    .values()
-                    .map(|c| c.stats.count())
+                seen(&s.0.cells.lock())
+                    .map(|(_, c)| c.stats.count())
                     .sum::<u64>()
             })
             .sum()
@@ -324,18 +347,18 @@ impl Listener for ProfileListener {
         let stripe = self.stripe();
         match *event {
             Event::TaskBegin { task, .. } => {
-                stripe.cells.lock().entry(task).or_default().active += 1;
+                cell_mut(&mut stripe.cells.lock(), task).active += 1;
             }
             Event::TaskEnd {
                 task, elapsed_ns, ..
             } => {
                 let mut cells = stripe.cells.lock();
-                let c = cells.entry(task).or_default();
+                let c = cell_mut(&mut cells, task);
                 c.stats.update(elapsed_ns as f64);
                 c.active -= 1;
             }
             Event::TaskYield { task, .. } => {
-                stripe.cells.lock().entry(task).or_default().yields += 1;
+                cell_mut(&mut stripe.cells.lock(), task).yields += 1;
             }
             _ => return,
         }
@@ -346,7 +369,7 @@ impl Listener for ProfileListener {
 impl std::fmt::Debug for ProfileListener {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProfileListener")
-            .field("task_types", &self.merged().len())
+            .field("task_types", &seen(&self.merged()).count())
             .finish()
     }
 }

@@ -544,7 +544,9 @@ pub struct IntrospectionSnapshot {
     pub active_tasks: i64,
     /// Workers currently online.
     pub online_workers: i64,
-    /// High-water mark of concurrent tasks.
+    /// High-water mark of concurrent tasks: the sum of each emitting
+    /// thread's own peak — an upper bound, exact for a single emitter
+    /// (see [`ConcurrencyListener::peak_tasks`]).
     pub peak_tasks: i64,
     pub(crate) metric_names: Arc<Vec<String>>,
     /// Indexed by `MetricId`; `None` when a source had nothing to report

@@ -7,37 +7,43 @@
 //!
 //! ## Per-thread rings
 //!
-//! Capture — previously one `Mutex` every event serialized on — writes to
-//! a per-emitting-thread stripe: a global sequence number is stamped with
-//! one relaxed `fetch_add` (the only shared write; it is what makes the
-//! drain totally ordered) and the record lands in the calling thread's
-//! own ring under an uncontended lock. [`TraceListener::records`] merges
-//! the stripes sorted by sequence number — capture order, which is also
-//! timestamp-stable for monotone clocks. Each stripe holds a full
+//! Capture writes only the emitting thread's own stripe: the event lands
+//! in that thread's ring under an uncontended lock, and the ring counts
+//! its own captures. Nothing shared is written — in particular there is
+//! no global sequence counter. [`TraceListener::records`] establishes the
+//! order at drain time instead: it merges the rings by event timestamp
+//! (each ring's own capture order is never reordered; ties go to the lower
+//! stripe) and numbers the merged records consecutively, ending at
+//! `captured() - 1`. For one emitting thread that is exactly capture
+//! order; across threads it is timestamp order, which for a monotone clock
+//! is capture order up to the clock's resolution. Each stripe holds a full
 //! `capacity` ring, so a single-threaded emission sequence drains exactly
-//! as the unsharded tracer did; with `k` emitting threads total retention
-//! is bounded by `k × capacity` and per-stripe overwrite counting is
-//! preserved (summed by [`TraceListener::overwritten`]).
+//! as an unsharded tracer would; with `k` emitting threads total
+//! retention is bounded by `k × capacity` and per-stripe overwrite
+//! counting is preserved (summed by [`TraceListener::overwritten`]).
 
 use crate::event::Event;
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_index, CacheAligned, STRIPE_COUNT};
+use lg_metrics::stripe::{thread_stripe, CacheAligned, STRIPE_COUNT};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 /// One retained trace record.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
-    /// Monotone sequence number assigned at capture (global across
-    /// emitting threads).
+    /// Position in the merged capture order, assigned when the records
+    /// are drained: consecutive across the retained records, counting
+    /// overwritten ones before them.
     pub seq: u64,
     /// The event.
     pub event: Event,
 }
 
 struct Ring {
-    buf: Vec<Option<TraceRecord>>,
+    buf: Vec<Option<Event>>,
     head: usize,
+    /// Events this ring ever captured.
+    captured: u64,
     overwritten: u64,
 }
 
@@ -46,21 +52,30 @@ impl Ring {
         Self {
             buf: vec![None; capacity],
             head: 0,
+            captured: 0,
             overwritten: 0,
         }
     }
 
-    fn push(&mut self, rec: TraceRecord) {
+    fn push(&mut self, event: Event) {
         if self.buf[self.head].is_some() {
             self.overwritten += 1;
         }
-        self.buf[self.head] = Some(rec);
+        self.buf[self.head] = Some(event);
         self.head = (self.head + 1) % self.buf.len();
+        self.captured += 1;
+    }
+
+    /// Retained events, oldest → newest.
+    fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        let cap = self.buf.len();
+        (0..cap).filter_map(move |i| self.buf[(self.head + i) % cap])
     }
 
     fn clear(&mut self) {
         self.buf.iter_mut().for_each(|s| *s = None);
         self.head = 0;
+        self.captured = 0;
         self.overwritten = 0;
     }
 }
@@ -68,7 +83,6 @@ impl Ring {
 /// Listener retaining the most recent events in per-thread ring buffers.
 pub struct TraceListener {
     rings: Box<[CacheAligned<Mutex<Ring>>]>,
-    seq: AtomicU64,
     capacity: usize,
 }
 
@@ -84,25 +98,37 @@ impl TraceListener {
             rings: (0..STRIPE_COUNT)
                 .map(|_| CacheAligned(Mutex::new(Ring::new(capacity))))
                 .collect(),
-            seq: AtomicU64::new(0),
             capacity,
         }
     }
 
-    /// Copies the retained records oldest → newest (capture order, merged
-    /// across emitting threads).
+    /// Copies the retained records oldest → newest: the rings merged by
+    /// event timestamp without reordering any one thread's captures, and
+    /// numbered consecutively (see the module docs).
     pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.capacity);
+        let mut overwritten = 0;
+        let mut queues: Vec<VecDeque<Event>> = Vec::new();
         for ring in self.rings.iter() {
             let ring = ring.0.lock();
-            let cap = ring.buf.len();
-            for i in 0..cap {
-                if let Some(r) = ring.buf[(ring.head + i) % cap] {
-                    out.push(r);
-                }
+            overwritten += ring.overwritten;
+            if ring.captured > 0 {
+                queues.push(ring.events().collect());
             }
         }
-        out.sort_by_key(|r| r.seq);
+        let mut out = Vec::with_capacity(queues.iter().map(VecDeque::len).sum());
+        // Repeatedly take the earliest-stamped head; `min_by_key` keeps
+        // the first (lowest-stripe) queue on ties.
+        while let Some(queue) = queues
+            .iter_mut()
+            .filter(|q| !q.is_empty())
+            .min_by_key(|q| q[0].t_ns())
+        {
+            let event = queue.pop_front().expect("filtered non-empty");
+            out.push(TraceRecord {
+                seq: overwritten + out.len() as u64,
+                event,
+            });
+        }
         out
     }
 
@@ -112,20 +138,19 @@ impl TraceListener {
         self.rings.iter().map(|r| r.0.lock().overwritten).sum()
     }
 
-    /// Total events ever captured.
+    /// Total events ever captured (summed across threads).
     pub fn captured(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.rings.iter().map(|r| r.0.lock().captured).sum()
     }
 
     /// Clears the buffers and counters. Not atomic with respect to
-    /// concurrent capture: events in flight may land with pre-reset
-    /// sequence numbers — quiesce emitters before clearing between
+    /// concurrent capture: an event in flight may land in an
+    /// already-cleared ring — quiesce emitters before clearing between
     /// measurement epochs.
     pub fn clear(&self) {
         for ring in self.rings.iter() {
             ring.0.lock().clear();
         }
-        self.seq.store(0, Ordering::Relaxed);
     }
 }
 
@@ -135,11 +160,7 @@ impl Listener for TraceListener {
     }
 
     fn on_event(&self, event: &Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.rings[thread_index() & (STRIPE_COUNT - 1)]
-            .0
-            .lock()
-            .push(TraceRecord { seq, event: *event });
+        self.rings[thread_stripe()].0.lock().push(*event);
     }
 }
 
@@ -240,6 +261,67 @@ mod tests {
         assert!(recs.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         assert_eq!(recs[0].seq, 0);
         assert_eq!(tr.overwritten(), 0);
+    }
+
+    #[test]
+    fn concurrent_capture_past_capacity_drains_gapless_and_ordered() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 300;
+        const CAP: usize = 64;
+        let tr = TraceListener::new(CAP);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for w in 0..THREADS {
+                let (tr, start) = (&tr, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Each thread's stamps rise, and no two threads share
+                    // one: the merged order is fully determined.
+                    for i in 0..PER_THREAD {
+                        tr.on_event(&tick(i * THREADS + w));
+                    }
+                });
+            }
+        });
+        assert_eq!(tr.captured(), THREADS * PER_THREAD);
+        assert_eq!(tr.overwritten(), THREADS * (PER_THREAD - CAP as u64));
+        let recs = tr.records();
+        assert_eq!(recs.len(), THREADS as usize * CAP);
+        // Gapless, ending at the last capture.
+        assert_eq!(recs[0].seq, tr.overwritten());
+        assert!(recs.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        assert_eq!(recs.last().unwrap().seq, tr.captured() - 1);
+        // Totally ordered by stamp; every thread's newest CAP captures
+        // are there, in its own order.
+        assert!(recs
+            .windows(2)
+            .all(|w| w[0].event.t_ns() < w[1].event.t_ns()));
+        for w in 0..THREADS {
+            let own: Vec<u64> = recs
+                .iter()
+                .map(|r| r.event.t_ns())
+                .filter(|t| t % THREADS == w)
+                .collect();
+            let expect: Vec<u64> = (PER_THREAD - CAP as u64..PER_THREAD)
+                .map(|i| i * THREADS + w)
+                .collect();
+            assert_eq!(own, expect, "thread {w}");
+        }
+    }
+
+    #[test]
+    fn a_thread_whose_stamps_go_backwards_keeps_its_capture_order() {
+        let tr = TraceListener::new(8);
+        for t in [5, 3, 9, 1] {
+            tr.on_event(&tick(t));
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| tr.on_event(&tick(4)));
+        });
+        let stamps: Vec<u64> = tr.records().iter().map(|r| r.event.t_ns()).collect();
+        // 4 (the other thread) merges in before the first head it
+        // undercuts; 5, 3, 9, 1 never swap among themselves.
+        assert_eq!(stamps, vec![4, 5, 3, 9, 1]);
     }
 
     #[test]

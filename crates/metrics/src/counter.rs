@@ -10,11 +10,14 @@
 //! [`CounterRegistry::striped_counter`]) for counters hammered from many
 //! threads at once, where a shared cell would ping-pong its cache line.
 
-use crate::stripe::{StripedCounter, StripedVersion};
+use crate::stripe::{
+    thread_stripe, CacheAligned, StripedCounter, StripedVersion, TouchedStripes, Versioned,
+    STRIPE_COUNT,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 #[derive(Debug)]
 enum CounterStorage {
@@ -89,24 +92,29 @@ impl CounterHandle {
     /// total, not from the crossing.
     ///
     /// This is the push alternative to polling [`CounterHandle::get`]:
-    /// an idle counter costs its watchers nothing, and an armed-but-quiet
-    /// counter costs each `add` one extra relaxed load.
+    /// an idle counter costs its watchers nothing, an unarmed counter
+    /// costs each `add` one extra relaxed load, and an armed one keeps a
+    /// striped counter striped — each `add` lands on the writing thread's
+    /// own cell and only touches the arm's shared state once per `slack`
+    /// units (see [`HighWaterArm`]).
     ///
     /// # Panics
     /// Panics if `delta` is zero.
     pub fn arm_high_water(&self, delta: u64) -> HighWaterArm {
         assert!(delta > 0, "high-water delta must be positive");
         let inner = Arc::new(ArmInner {
+            cells: std::array::from_fn(|_| OnceLock::new()),
+            touched: TouchedStripes::new(),
+            slack: AtomicU64::new(slack_for(delta)),
+            publish: Mutex::new(()),
             running: AtomicU64::new(0),
             level: AtomicU64::new(delta),
             fired: AtomicBool::new(false),
             hook: Mutex::new(None),
         });
-        {
-            let mut list = self.arms.list.write();
+        self.arms.update(|list| {
             list.push(inner.clone());
-            self.arms.count.store(list.len(), Ordering::Release);
-        }
+        });
         HighWaterArm {
             set: self.arms.clone(),
             inner,
@@ -114,36 +122,79 @@ impl CounterHandle {
     }
 }
 
-/// The arms attached to one counter. `count` mirrors `list.len()` so the
-/// write hot path can skip the lock entirely while unarmed.
-#[derive(Debug, Default)]
+/// The arms attached to one counter, read on every `add` through a
+/// thread-local snapshot. `count` mirrors the list length so the write hot
+/// path skips even that while unarmed.
+#[derive(Debug)]
 struct ArmSet {
     count: AtomicUsize,
-    list: RwLock<Vec<Arc<ArmInner>>>,
+    list: Versioned<Vec<Arc<ArmInner>>>,
 }
 
-impl ArmSet {
-    #[cold]
-    fn record(&self, n: u64) {
-        for arm in self.list.read().iter() {
-            // Accumulate unconditionally (also while latched): `running`
-            // is the arm's private total, which keeps re-arm levels
-            // aligned with every add that ever happened.
-            let total = arm.running.fetch_add(n, Ordering::AcqRel) + n;
-            if total >= arm.level.load(Ordering::Acquire) && !arm.fired.swap(true, Ordering::AcqRel)
-            {
-                if let Some(hook) = &*arm.hook.lock() {
-                    hook();
-                }
-            }
+impl Default for ArmSet {
+    fn default() -> Self {
+        Self {
+            count: AtomicUsize::new(0),
+            list: Versioned::new(Vec::new()),
         }
     }
 }
 
+impl ArmSet {
+    fn record(&self, n: u64) {
+        self.list.read(|arms| {
+            for arm in arms {
+                arm.record(n);
+            }
+        });
+    }
+
+    /// Replaces the arm list with an edited copy; `count` moves under the
+    /// same lock, so the two never disagree once writers quiesce.
+    fn update(&self, edit: impl FnOnce(&mut Vec<Arc<ArmInner>>)) {
+        self.list.update(|list| {
+            let mut next = list.clone();
+            edit(&mut next);
+            self.count.store(next.len(), Ordering::Release);
+            (next, ())
+        });
+    }
+}
+
+/// How much a stripe may hold back while `remaining` units are still
+/// missing to the level: with every stripe below this, the hidden total is
+/// below `remaining / 2`, so the level cannot have been crossed unseen; at
+/// 1 (fewer than `2 * STRIPE_COUNT` units missing) every add publishes.
+fn slack_for(remaining: u64) -> u64 {
+    (remaining / (2 * STRIPE_COUNT as u64)).max(1)
+}
+
+/// One arm's accumulation state.
+///
+/// Adds smaller than `slack` accumulate in the writing thread's own stripe
+/// cell and move to the shared `running` total only when the cell reaches
+/// `slack`. A publish drains *every* cell, so right after it nothing is hidden and the new
+/// `slack` (from the then-exact remaining distance) bounds what can hide
+/// until the next one. The add that carries the true total over `level`
+/// therefore always publishes — the latch fires on exactly the add a
+/// single shared accumulator would have fired on, and never before.
 struct ArmInner {
-    /// Units added since arming (never reset; levels move instead).
+    /// Per-stripe unpublished amounts, allocated on a stripe's first add
+    /// below `slack` (an arm on a single-writer counter pays for one cell
+    /// at most, not 32).
+    cells: [OnceLock<Box<CacheAligned<AtomicU64>>>; STRIPE_COUNT],
+    /// The stripes whose cell exists; a publish visits only these.
+    touched: TouchedStripes,
+    /// Publish threshold for a cell; `u64::MAX` while latched (nothing to
+    /// detect until the re-arm, which drains). Read by every add, written
+    /// only by publishes and re-arms.
+    slack: AtomicU64,
+    /// Serializes publishes and re-arms (never taken by an add below
+    /// `slack`).
+    publish: Mutex<()>,
+    /// Units published since arming (never reset; levels move instead).
     running: AtomicU64,
-    /// Latch when `running` reaches this.
+    /// Latch when the total reaches this. Written under `publish`.
     level: AtomicU64,
     fired: AtomicBool,
     /// Run once per latch, from the crossing writer's thread. Must be
@@ -152,11 +203,101 @@ struct ArmInner {
     hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
+impl ArmInner {
+    fn touched_cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.touched
+            .iter()
+            .filter_map(|i| self.cells[i].get())
+            .map(|c| &c.0)
+    }
+
+    #[inline]
+    fn record(&self, n: u64) {
+        // An add that alone reaches the slack would publish anyway: it
+        // goes straight to the shared total and never touches a cell (so
+        // near the level, where slack is 1, and for adds in large units, a
+        // stripe's cell is not even allocated).
+        if n >= self.slack.load(Ordering::SeqCst) {
+            return self.publish(n, None);
+        }
+        let stripe = thread_stripe();
+        let cell = &self.cells[stripe].get_or_init(Box::default).0;
+        self.touched.mark(stripe);
+        // SeqCst mark-add-load against `settle`'s store-then-rescan:
+        // either this add sees the slack a racing publish just lowered, or
+        // that publish's rescan sees this add. An amount at or over the
+        // current slack is never left hidden.
+        let pending = cell.fetch_add(n, Ordering::SeqCst) + n;
+        if pending >= self.slack.load(Ordering::SeqCst) {
+            self.publish(0, None);
+        }
+    }
+
+    /// Publishes `amount` plus every stripe's amount — re-arming `delta`
+    /// above the resulting total if asked — and runs the hook if that
+    /// latched the arm.
+    #[cold]
+    fn publish(&self, amount: u64, rearm_delta: Option<u64>) {
+        let latched = {
+            let _serialized = self.publish.lock();
+            self.settle(amount, rearm_delta)
+        };
+        // Outside the lock: a hook may re-arm.
+        if latched {
+            if let Some(hook) = &*self.hook.lock() {
+                hook();
+            }
+        }
+    }
+
+    /// Moves `amount` and every stripe's amount into `running`, latches if
+    /// the level is reached, and republishes `slack` — draining again
+    /// until no stripe holds `slack` or more. Returns true if this call
+    /// latched the arm. Caller holds `publish`.
+    fn settle(&self, mut amount: u64, mut rearm_delta: Option<u64>) -> bool {
+        let mut latched = false;
+        loop {
+            let moved: u64 = self
+                .touched_cells()
+                .filter(|c| c.load(Ordering::Relaxed) != 0)
+                .map(|c| c.swap(0, Ordering::AcqRel))
+                .sum::<u64>()
+                + std::mem::take(&mut amount);
+            // `running`, `level` and `fired` only change under `publish`,
+            // which the caller holds: plain load-then-store, no RMW.
+            let total = self.running.load(Ordering::Relaxed) + moved;
+            self.running.store(total, Ordering::Release);
+            if let Some(delta) = rearm_delta.take() {
+                self.level.store(total + delta, Ordering::Release);
+                self.fired.store(false, Ordering::Release);
+            }
+            let level = self.level.load(Ordering::Relaxed);
+            let slack = if total >= level {
+                if !self.fired.load(Ordering::Relaxed) {
+                    self.fired.store(true, Ordering::Release);
+                    latched = true;
+                }
+                u64::MAX
+            } else {
+                slack_for(level - total)
+            };
+            self.slack.store(slack, Ordering::SeqCst);
+            if !self
+                .touched_cells()
+                .any(|c| c.load(Ordering::SeqCst) >= slack)
+            {
+                return latched;
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for ArmInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArmInner")
             .field("running", &self.running)
             .field("level", &self.level)
+            .field("slack", &self.slack)
             .field("fired", &self.fired)
             .finish_non_exhaustive()
     }
@@ -183,9 +324,15 @@ impl HighWaterArm {
         self.inner.fired.load(Ordering::Acquire)
     }
 
-    /// Units added since arming.
+    /// Units added since arming (published total plus what the stripes
+    /// still hold; exact once writers quiesce).
     pub fn accumulated(&self) -> u64 {
-        self.inner.running.load(Ordering::Acquire)
+        let pending: u64 = self
+            .inner
+            .touched_cells()
+            .map(|c| c.load(Ordering::Acquire))
+            .sum();
+        self.inner.running.load(Ordering::Acquire) + pending
     }
 
     /// Consumes a latch: the next latch happens `delta` units after the
@@ -196,17 +343,14 @@ impl HighWaterArm {
     /// Panics if `delta` is zero.
     pub fn rearm(&self, delta: u64) {
         assert!(delta > 0, "high-water delta must be positive");
-        let base = self.inner.running.load(Ordering::Acquire);
-        self.inner.level.store(base + delta, Ordering::Release);
-        self.inner.fired.store(false, Ordering::Release);
+        self.inner.publish(0, Some(delta));
     }
 
     /// Detaches the arm from its counter: subsequent adds no longer pay
     /// for it and the hook never runs again.
     pub fn disarm(&self) {
-        let mut list = self.set.list.write();
-        list.retain(|a| !Arc::ptr_eq(a, &self.inner));
-        self.set.count.store(list.len(), Ordering::Release);
+        self.set
+            .update(|list| list.retain(|a| !Arc::ptr_eq(a, &self.inner)));
     }
 }
 
@@ -639,6 +783,72 @@ mod tests {
         }
         assert_eq!(arm.accumulated(), 80_000);
         assert_eq!(fires.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn concurrent_random_adds_latch_iff_the_level_is_reached() {
+        // Eight writers race random-sized adds. Whatever the
+        // interleaving: the arm is latched at the end exactly when the
+        // grand total reached the level, the hook ran at most once and
+        // never before the counter itself held `level` units, and the
+        // arm's total is exact.
+        for (level, expect_fired) in [(300_000u64, true), (u64::MAX / 2, false)] {
+            let reg = StdArc::new(CounterRegistry::new());
+            let c = reg.striped_counter("shared");
+            let arm = c.arm_high_water(level);
+            let seen_at_latch = StdArc::new(std::sync::atomic::AtomicU64::new(0));
+            let (seen, counter) = (seen_at_latch.clone(), c.clone());
+            arm.set_hook(move || {
+                seen.store(counter.get(), Ordering::Relaxed);
+            });
+            let start = std::sync::Barrier::new(8);
+            let grand_total: u64 = std::thread::scope(|s| {
+                let writers: Vec<_> = (0..8u64)
+                    .map(|w| {
+                        let (c, start) = (&c, &start);
+                        s.spawn(move || {
+                            let mut x = w + 1;
+                            let mut sent = 0;
+                            start.wait();
+                            for _ in 0..5_000 {
+                                x = x
+                                    .wrapping_mul(6364136223846793005)
+                                    .wrapping_add(1442695040888963407);
+                                let n = 1 + (x >> 33) % 40;
+                                c.add(n);
+                                sent += n;
+                            }
+                            sent
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert!(grand_total >= 300_000, "schedule too short: {grand_total}");
+            assert_eq!(arm.accumulated(), grand_total);
+            assert_eq!(arm.fired(), expect_fired);
+            let seen = seen_at_latch.load(Ordering::Relaxed);
+            if expect_fired {
+                assert!(
+                    seen >= level,
+                    "latched early: counter held {seen} < {level}"
+                );
+            } else {
+                assert_eq!(seen, 0, "hook ran without a latch");
+            }
+        }
+    }
+
+    #[test]
+    fn an_arm_allocates_cells_only_for_stripes_that_write() {
+        let reg = CounterRegistry::new();
+        let c = reg.counter("single-writer");
+        let arm = c.arm_high_water(1_000);
+        c.add(500); // over the slack (7): published directly
+        assert_eq!(arm.inner.touched_cells().count(), 0);
+        c.add(1);
+        assert_eq!(arm.inner.touched_cells().count(), 1);
+        assert_eq!(arm.accumulated(), 501);
     }
 
     #[test]
