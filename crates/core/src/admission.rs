@@ -343,9 +343,7 @@ impl Brownout {
 /// Overload evidence, any of (checked per evaluation against the round's
 /// shared snapshot):
 /// * new deadline misses since the last evaluation (`missed_counter`),
-/// * the latency metric above `target_latency_ns`,
-/// * the queue-depth metric above `queue_high`,
-/// * any open circuit breaker (`breaker_metric > 0`).
+/// * the latency metric above `target_latency_ns`.
 ///
 /// The decision targets the limit knob through the registry, so every
 /// move is clamped to the knob's spec, journaled, and subject to the
@@ -355,9 +353,6 @@ pub struct AimdPolicy {
     knob: KnobTarget,
     latency: Option<MetricId>,
     target_latency_ns: f64,
-    queue: Option<MetricId>,
-    queue_high: f64,
-    breakers: Option<MetricId>,
     missed_counter: Option<String>,
     last_missed: u64,
     step: i64,
@@ -394,9 +389,6 @@ impl AimdPolicy {
             knob: knob.into(),
             latency: None,
             target_latency_ns: f64::INFINITY,
-            queue: None,
-            queue_high: f64::INFINITY,
-            breakers: None,
             missed_counter: None,
             last_missed: 0,
             step,
@@ -412,19 +404,6 @@ impl AimdPolicy {
     pub fn on_latency_above(mut self: Box<Self>, metric: MetricId, target_ns: f64) -> Box<Self> {
         self.latency = Some(metric);
         self.target_latency_ns = target_ns;
-        self
-    }
-
-    /// Decrease when `metric` (queue depth) exceeds `high`.
-    pub fn on_queue_above(mut self: Box<Self>, metric: MetricId, high: f64) -> Box<Self> {
-        self.queue = Some(metric);
-        self.queue_high = high;
-        self
-    }
-
-    /// Decrease while `metric` (open-breaker count) is positive.
-    pub fn on_breaker_open(mut self: Box<Self>, metric: MetricId) -> Box<Self> {
-        self.breakers = Some(metric);
         self
     }
 
@@ -451,16 +430,6 @@ impl AimdPolicy {
         if let Some(id) = self.latency {
             if let Some(v) = snapshot.value(id) {
                 overload |= v > self.target_latency_ns;
-            }
-        }
-        if let Some(id) = self.queue {
-            if let Some(v) = snapshot.value(id) {
-                overload |= v > self.queue_high;
-            }
-        }
-        if let Some(id) = self.breakers {
-            if let Some(v) = snapshot.value(id) {
-                overload |= v > 0.0;
             }
         }
         overload

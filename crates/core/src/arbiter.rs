@@ -208,54 +208,8 @@ impl Default for DemandProfile {
 /// and current allocation in, a [`DemandProfile`] out.
 pub type DemandProbe = Arc<dyn Fn(&IntrospectionSnapshot, i64) -> DemandProfile + Send + Sync>;
 
-/// How a tenant's [`DemandProfile`] is produced each round.
-#[derive(Default)]
-pub enum DemandSource {
-    /// No signal: the tenant always reports the default profile.
-    #[default]
-    None,
-    /// Legacy scalar path: read `metric` from the tenant's snapshot and
-    /// publish `DemandProfile::from_pressure(metric / threshold)`.
-    Pressure {
-        /// Metric name in the tenant's own introspection.
-        metric: String,
-        /// SLO threshold the metric is compared against.
-        threshold: f64,
-    },
-    /// Native publisher: called with the tenant's fresh snapshot and its
-    /// current allocation; the plane computes its own profile.
-    Probe(DemandProbe),
-}
-
-impl Clone for DemandSource {
-    fn clone(&self) -> Self {
-        match self {
-            Self::None => Self::None,
-            Self::Pressure { metric, threshold } => Self::Pressure {
-                metric: metric.clone(),
-                threshold: *threshold,
-            },
-            Self::Probe(f) => Self::Probe(f.clone()),
-        }
-    }
-}
-
-impl fmt::Debug for DemandSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::None => f.write_str("DemandSource::None"),
-            Self::Pressure { metric, threshold } => f
-                .debug_struct("DemandSource::Pressure")
-                .field("metric", metric)
-                .field("threshold", threshold)
-                .finish(),
-            Self::Probe(_) => f.write_str("DemandSource::Probe(..)"),
-        }
-    }
-}
-
 /// Declared identity and resource envelope of one tenant.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct TenantSpec {
     /// Human name for tables and traces.
     pub name: String,
@@ -267,10 +221,10 @@ pub struct TenantSpec {
     pub min_threads: i64,
     /// Thread ceiling.
     pub max_threads: i64,
-    /// How the tenant's [`DemandProfile`] is produced each round — the
-    /// legacy `metric / threshold` scalar ([`Self::with_pressure`]) or a
-    /// native plane publisher ([`Self::with_demand_probe`]).
-    pub demand: DemandSource,
+    /// How the tenant's [`DemandProfile`] is produced each round
+    /// ([`Self::with_demand_probe`], or the [`Self::with_pressure`] sugar
+    /// over it). `None`: the tenant always reports the default profile.
+    pub demand: Option<DemandProbe>,
     /// Optional power gauge (metric name in the tenant's introspection,
     /// watts) feeding the machine power envelope.
     pub power_metric: Option<String>,
@@ -292,7 +246,7 @@ impl TenantSpec {
             weight: 1,
             min_threads: 1,
             max_threads,
-            demand: DemandSource::None,
+            demand: None,
             power_metric: None,
             sampling_knob: None,
         }
@@ -311,16 +265,19 @@ impl TenantSpec {
         self
     }
 
-    /// Names the pressure metric and its SLO threshold — the legacy
-    /// scalar path, kept as a shim: the tenant publishes
-    /// `DemandProfile::from_pressure(metric / threshold)`.
-    pub fn with_pressure(mut self, metric: impl Into<String>, threshold: f64) -> Self {
+    /// Names a pressure metric (in the tenant's own introspection) and
+    /// its SLO threshold: sugar for a probe publishing the pressure-only
+    /// `DemandProfile::from_pressure(metric / threshold)`, with pressure 0
+    /// until the tenant has registered the metric.
+    ///
+    /// # Panics
+    /// Panics if `threshold` is not positive.
+    pub fn with_pressure(self, metric: impl Into<String>, threshold: f64) -> Self {
         assert!(threshold > 0.0, "pressure threshold must be positive");
-        self.demand = DemandSource::Pressure {
-            metric: metric.into(),
-            threshold,
-        };
-        self
+        let metric = metric.into();
+        self.with_demand_probe(move |snap, _alloc| {
+            DemandProfile::from_pressure(snap.value_by_name(&metric).unwrap_or(0.0) / threshold)
+        })
     }
 
     /// Installs a native demand publisher: called each round with the
@@ -329,7 +286,7 @@ impl TenantSpec {
         mut self,
         probe: impl Fn(&IntrospectionSnapshot, i64) -> DemandProfile + Send + Sync + 'static,
     ) -> Self {
-        self.demand = DemandSource::Probe(Arc::new(probe));
+        self.demand = Some(Arc::new(probe));
         self
     }
 
@@ -343,6 +300,22 @@ impl TenantSpec {
     pub fn with_sampling_knob(mut self, knob: impl Into<String>) -> Self {
         self.sampling_knob = Some(knob.into());
         self
+    }
+}
+
+impl fmt::Debug for TenantSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The probe is a closure: show only whether one is installed.
+        f.debug_struct("TenantSpec")
+            .field("name", &self.name)
+            .field("slo", &self.slo)
+            .field("weight", &self.weight)
+            .field("min_threads", &self.min_threads)
+            .field("max_threads", &self.max_threads)
+            .field("demand", &self.demand.as_ref().map(|_| "probe"))
+            .field("power_metric", &self.power_metric)
+            .field("sampling_knob", &self.sampling_knob)
+            .finish()
     }
 }
 
@@ -435,9 +408,8 @@ struct TenantState {
     watchdog_actor: TaskId,
     /// Governor-side mirror knob `"t<i>.threads"`.
     mirror_knob: KnobId,
-    /// Lazily resolved pressure/power metric ids (tenants may register
-    /// gauges after admission).
-    pressure_id: Option<MetricId>,
+    /// Lazily resolved power metric id (tenants may register gauges
+    /// after admission).
     power_id: Option<MetricId>,
     g_pressure: MirrorGauge,
     g_rate: MirrorGauge,
@@ -467,24 +439,12 @@ impl TenantState {
         }
     }
 
-    /// Re-evaluates the tenant's demand source against a fresh snapshot
-    /// (resolving late-registered pressure metrics lazily) and mirrors
-    /// the result into the governor gauges.
+    /// Re-evaluates the tenant's demand probe against a fresh snapshot
+    /// and mirrors the result into the governor gauges.
     fn refresh_demand(&mut self, snap: &IntrospectionSnapshot) {
         self.demand = match &self.spec.demand {
-            DemandSource::None => DemandProfile::default(),
-            DemandSource::Pressure { metric, threshold } => {
-                if self.pressure_id.is_none() {
-                    self.pressure_id = self.lg.introspection().metric_id(metric);
-                }
-                let p = self
-                    .pressure_id
-                    .and_then(|id| snap.value(id))
-                    .map(|v| v / threshold)
-                    .unwrap_or(0.0);
-                DemandProfile::from_pressure(p)
-            }
-            DemandSource::Probe(probe) => probe(snap, self.alloc),
+            Some(probe) => probe(snap, self.alloc),
+            None => DemandProfile::default(),
         };
         self.g_pressure.set(self.demand.pressure);
         // Width mirror: −1 encodes "unbounded" so the gauge stays still
@@ -544,11 +504,6 @@ impl Arbiter {
     /// Control rounds run so far.
     pub fn round(&self) -> u64 {
         self.round.load(Ordering::Relaxed)
-    }
-
-    /// Live tenant count.
-    pub fn tenant_count(&self) -> usize {
-        self.inner.lock().slots.iter().flatten().count()
     }
 
     /// Times any tenant has *entered* quarantine.
@@ -674,7 +629,6 @@ impl Arbiter {
             actor,
             watchdog_actor,
             mirror_knob,
-            pressure_id: None,
             power_id,
             g_pressure,
             g_rate,
@@ -749,8 +703,8 @@ impl Arbiter {
                 state.quarantine_left = state.quarantine_left.saturating_sub(1);
             }
 
-            // Re-evaluate the demand source (resolving late-registered
-            // metrics lazily) and read the power gauge.
+            // Re-evaluate the demand probe and read the power gauge
+            // (resolving a late-registered one lazily).
             state.refresh_demand(&snap);
             if state.power_id.is_none() {
                 if let Some(m) = state.spec.power_metric.as_ref() {
@@ -1472,6 +1426,37 @@ mod tests {
         // No control round has run, yet the hot tenant already preempted.
         assert_eq!(arb.allocation(ts), Some(24));
         assert_eq!(arb.allocation(tb), Some(8));
+    }
+
+    #[test]
+    fn pressure_sugar_reads_zero_until_the_metric_is_registered() {
+        let clock = Arc::new(VirtualClock::new());
+        let arb = Arbiter::with_instance(ArbiterConfig::new(32), tenant_lg(&clock));
+        let serve = tenant_lg(&clock);
+        cap_knob(&serve, 24);
+        let spec =
+            TenantSpec::new("serve", SloClass::Latency, 24).with_pressure("p99_ns", 10_000_000.0);
+        assert!(format!("{spec:?}").contains("demand: Some(\"probe\")"));
+        let ts = arb.admit(serve.clone(), spec, "thread_cap");
+        let pressure = |arb: &Arbiter| {
+            let snap = arb.lg().introspection().capture(clock.now_ns());
+            snap.value_scoped(ts, "pressure")
+        };
+        // Admitted, and one round run, before the tenant has the metric.
+        assert_eq!(pressure(&arb), Some(0.0));
+        clock.advance_by(1_000_000);
+        arb.control_round(clock.now_ns());
+        assert_eq!(pressure(&arb), Some(0.0));
+        // The metric appears: the very next round publishes metric / SLO,
+        // as a pressure-only profile (no width, so the mirror stays −1).
+        serve
+            .introspection()
+            .register_gauge("p99_ns", || 25_000_000.0);
+        clock.advance_by(1_000_000);
+        arb.control_round(clock.now_ns());
+        assert_eq!(pressure(&arb), Some(2.5));
+        let snap = arb.lg().introspection().capture(clock.now_ns());
+        assert_eq!(snap.value_scoped(ts, "width"), Some(-1.0));
     }
 
     #[test]

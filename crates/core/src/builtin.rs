@@ -11,9 +11,6 @@
 //! * [`PowerCapPolicy`] — RCR-style reactive governor: keep a sampled
 //!   power metric under a cap by stepping a knob down, with hysteresis
 //!   and a recovery watermark.
-//! * [`HighWatermarkPolicy`] — generic threshold rule mapping a metric
-//!   range to a knob value (the building block for queue-depth and
-//!   memory-pressure governors).
 
 use crate::knob::KnobTarget;
 use crate::policy::{Policy, PolicyDecision, Trigger};
@@ -99,74 +96,6 @@ impl Policy for PowerCapPolicy {
             return PolicyDecision::set(self.knob.clone(), self.current);
         }
         PolicyDecision::noop()
-    }
-}
-
-/// Maps a snapshot metric onto a knob through ordered thresholds: the
-/// knob is set to the value of the highest band whose threshold the
-/// metric meets or exceeds (bands must be sorted by threshold ascending).
-pub struct HighWatermarkPolicy {
-    metric: MetricId,
-    knob: KnobTarget,
-    /// `(threshold, knob_value)` sorted ascending by threshold.
-    bands: Vec<(f64, i64)>,
-    /// Knob value when the metric is below every threshold.
-    default: i64,
-    last_set: Option<i64>,
-}
-
-impl HighWatermarkPolicy {
-    /// Creates a banded governor.
-    ///
-    /// # Panics
-    /// Panics if `bands` is empty or not sorted ascending by threshold.
-    pub fn new(
-        metric: MetricId,
-        knob: impl Into<KnobTarget>,
-        bands: Vec<(f64, i64)>,
-        default: i64,
-    ) -> Box<Self> {
-        assert!(!bands.is_empty(), "need at least one band");
-        assert!(
-            bands.windows(2).all(|w| w[0].0 < w[1].0),
-            "bands must be sorted ascending by threshold"
-        );
-        Box::new(Self {
-            metric,
-            knob: knob.into(),
-            bands,
-            default,
-            last_set: None,
-        })
-    }
-}
-
-impl Policy for HighWatermarkPolicy {
-    fn name(&self) -> &str {
-        "high-watermark"
-    }
-
-    fn evaluate(
-        &mut self,
-        _now_ns: u64,
-        _trigger: Trigger<'_>,
-        snapshot: &IntrospectionSnapshot,
-    ) -> PolicyDecision {
-        let Some(mean) = snapshot.value(self.metric) else {
-            return PolicyDecision::noop();
-        };
-        let target = self
-            .bands
-            .iter()
-            .rev()
-            .find(|(thr, _)| mean >= *thr)
-            .map(|(_, v)| *v)
-            .unwrap_or(self.default);
-        if self.last_set == Some(target) {
-            return PolicyDecision::noop(); // no redundant actuation
-        }
-        self.last_set = Some(target);
-        PolicyDecision::set(self.knob.clone(), target)
     }
 }
 
@@ -305,32 +234,6 @@ mod tests {
         }
         rig.engine.step(1_000);
         assert_eq!(rig.knobs.value("thread_cap"), Some(16));
-    }
-
-    #[test]
-    fn watermark_bands_select_and_dedupe() {
-        let rig = setup();
-        rig.knobs
-            .register(AtomicKnob::new(KnobSpec::new("window", 1, 512), 1));
-        rig.engine.register_periodic(
-            HighWatermarkPolicy::new(rig.power, "window", vec![(50.0, 8), (100.0, 64)], 1),
-            1_000,
-            0,
-        );
-        feed(&rig.names, &rig.history, 0, 120.0);
-        rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("window"), Some(64));
-        let changes_after_first = rig.knobs.change_count();
-        // Same band again: no redundant actuation.
-        feed(&rig.names, &rig.history, 1_500, 110.0);
-        rig.engine.step(2_000);
-        assert_eq!(rig.knobs.change_count(), changes_after_first);
-        // Drop below every threshold: default band.
-        for t in [2_100u64, 2_200, 2_300, 2_400] {
-            feed(&rig.names, &rig.history, t * 1_000, 10.0);
-        }
-        rig.engine.step(3_000);
-        assert_eq!(rig.knobs.value("window"), Some(1));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct LookingGlassBuilder {
     trace_capacity: Option<usize>,
     concurrency_history: usize,
     sample_history: Option<usize>,
-    with_policy_engine: bool,
 }
 
 impl Default for LookingGlassBuilder {
@@ -46,7 +45,6 @@ impl Default for LookingGlassBuilder {
             trace_capacity: None,
             concurrency_history: 1024,
             sample_history: None,
-            with_policy_engine: true,
         }
     }
 }
@@ -75,12 +73,6 @@ impl LookingGlassBuilder {
     /// introspection facade.
     pub fn sample_history(mut self, capacity: usize) -> Self {
         self.sample_history = Some(capacity);
-        self
-    }
-
-    /// Disables the policy engine listener (observation-only instances).
-    pub fn without_policy_engine(mut self) -> Self {
-        self.with_policy_engine = false;
         self
     }
 
@@ -125,9 +117,9 @@ impl LookingGlassBuilder {
                     .map_or(f64::NAN, |ns| ns as f64)
             },
         );
-        if self.with_policy_engine {
-            dispatcher.register(policy_engine.clone());
-        }
+        // Always a listener: with no event-triggered policy registered an
+        // event costs the engine one atomic load.
+        dispatcher.register(policy_engine.clone());
         Arc::new(LookingGlass {
             clock,
             names,

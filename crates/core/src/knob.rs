@@ -8,11 +8,14 @@
 //!
 //! Registration interns the knob's name into a copyable [`KnobId`], and
 //! every steady-state operation — `get`, `set`, spec lookup — goes through
-//! the id with **no registry lock and no string hash**: the registry keeps
-//! its slot table behind the same generation-stamped thread-local snapshot
-//! the event [`Dispatcher`](crate::Dispatcher) uses, so reads revalidate
-//! with a single atomic load. Name-based accessors remain as thin shims
-//! that resolve the id first.
+//! the id with **no string hash**: one uncontended read-lock acquire clones
+//! the slot out of the table, and the knob itself runs with no registry
+//! lock held. The table deliberately has no thread-local snapshot cache:
+//! by-id traffic comes from control rounds (policy apply, arbiter
+//! rebalance, tuning sessions), never from worker threads — subsystems
+//! hold their own `Arc` to the knob they own — and measured end to end the
+//! cache bought nothing (DESIGN.md §4.1). Name-based accessors remain as
+//! thin shims that resolve the id first.
 //!
 //! Every set is clamped against the knob's declared bounds and journaled
 //! in the registry's single [`ActuationJournal`] — the same record the
@@ -27,9 +30,8 @@ use crate::event::TaskId;
 use crate::journal::{ActuationJournal, DEFAULT_JOURNAL_CAPACITY};
 use lg_tuning::{Dim, Space};
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// How a knob's value range should be enumerated when deriving a tuning
@@ -252,43 +254,20 @@ struct KnobSlot {
     write: Mutex<()>,
 }
 
-/// The registry's shared state, swapped copy-on-write under the lock.
+/// The registry's lookup tables, behind one lock.
 struct Shared {
     /// Slot table indexed by `KnobId`. Deregistered slots hold `None`;
     /// indices are never reused for a *different* name.
-    slots: Arc<Vec<Option<Arc<KnobSlot>>>>,
+    slots: Vec<Option<Arc<KnobSlot>>>,
     /// Name → slot index. Bindings survive deregistration so a stale
     /// `KnobId` re-resolves to the replacement knob.
     by_name: HashMap<String, u32>,
 }
 
-/// Max registries a thread caches slot tables for (FIFO eviction beyond).
-const KNOB_CACHE_MAX: usize = 16;
-
-struct CachedKnobs {
-    registry: u64,
-    generation: u64,
-    slots: Arc<Vec<Option<Arc<KnobSlot>>>>,
-}
-
-thread_local! {
-    /// Per-thread slot-table cache, keyed by registry id. Mirrors the
-    /// Dispatcher's listener-snapshot cache: revalidated with one Acquire
-    /// load of the registry generation; reentrant access (a knob's `set`
-    /// reading another knob) falls back to the shared table.
-    static KNOB_SNAPSHOTS: RefCell<Vec<CachedKnobs>> = const { RefCell::new(Vec::new()) };
-}
-
-static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Registry of knobs with interned ids, bounds checking, and a single
 /// journaled actuation trail.
 pub struct KnobRegistry {
-    /// Process-unique id keying the thread-local snapshot cache.
-    id: u64,
     shared: RwLock<Shared>,
-    /// Bumped (under the write lock) by every register/deregister.
-    generation: AtomicU64,
     /// The one actuation journal: audit, rollback, and the watchdog all
     /// read these records.
     journal: Arc<ActuationJournal>,
@@ -323,12 +302,10 @@ impl KnobRegistry {
         let actor_direct = journal.intern("direct");
         let actor_rollback = journal.intern("rollback");
         Self {
-            id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
             shared: RwLock::new(Shared {
-                slots: Arc::new(Vec::new()),
+                slots: Vec::new(),
                 by_name: HashMap::new(),
             }),
-            generation: AtomicU64::new(0),
             journal,
             clock: OnceLock::new(),
             actor_direct,
@@ -365,26 +342,21 @@ impl KnobRegistry {
         let spec = knob.spec();
         let jname = self.journal.intern(&spec.name);
         let mut shared = self.shared.write();
-        let mut next = (*shared.slots).clone();
         let idx = match shared.by_name.get(&spec.name).copied() {
             Some(i) => i,
             None => {
-                let i = next.len() as u32;
+                let i = shared.slots.len() as u32;
                 shared.by_name.insert(spec.name.clone(), i);
-                next.push(None);
+                shared.slots.push(None);
                 i
             }
         };
-        next[idx as usize] = Some(Arc::new(KnobSlot {
+        shared.slots[idx as usize] = Some(Arc::new(KnobSlot {
             spec,
             jname,
             knob,
             write: Mutex::new(()),
         }));
-        shared.slots = Arc::new(next);
-        // Published while holding the write lock, so a refresh that reads
-        // this generation under the read lock pairs it with this table.
-        self.generation.fetch_add(1, Ordering::Release);
         KnobId(idx)
     }
 
@@ -396,14 +368,7 @@ impl KnobRegistry {
         let Some(i) = shared.by_name.get(name).copied() else {
             return false;
         };
-        if shared.slots[i as usize].is_none() {
-            return false;
-        }
-        let mut next = (*shared.slots).clone();
-        next[i as usize] = None;
-        shared.slots = Arc::new(next);
-        self.generation.fetch_add(1, Ordering::Release);
-        true
+        shared.slots[i as usize].take().is_some()
     }
 
     /// Resolves a name to its id, if a knob is currently registered.
@@ -416,70 +381,15 @@ impl KnobRegistry {
 
     /// Resolves an id back to the knob's name.
     pub fn name(&self, id: KnobId) -> Option<String> {
-        self.with_slot(id, |s| s.spec.name.clone())
+        self.slot(id).map(|s| s.spec.name.clone())
     }
 
-    /// Resolves a tenant-scoped name (`tenant` + `"thread_cap"` →
-    /// `"t3.thread_cap"`) to its id, if registered.
-    pub fn id_scoped(&self, tenant: crate::tenant::TenantId, name: &str) -> Option<KnobId> {
-        self.id(&tenant.scoped(name))
-    }
-
-    /// Runs `f` against the slot for `id`, resolving through the
-    /// thread-local snapshot: one generation load in steady state, no
-    /// registry lock, no string hash.
-    fn with_slot<R>(&self, id: KnobId, f: impl FnOnce(&KnobSlot) -> R) -> Option<R> {
-        let generation = self.generation.load(Ordering::Acquire);
-        let mut f = Some(f);
-        let cached = KNOB_SNAPSHOTS.with(|cell| {
-            // Reentrant access (a knob's set reading the registry) finds
-            // the cache borrowed and takes the shared-table slow path.
-            let Ok(mut cache) = cell.try_borrow_mut() else {
-                return None;
-            };
-            let entry = match cache.iter().position(|c| c.registry == self.id) {
-                Some(i) => {
-                    if cache[i].generation != generation {
-                        let (generation, slots) = self.load_shared();
-                        cache[i].generation = generation;
-                        cache[i].slots = slots;
-                    }
-                    &cache[i]
-                }
-                None => {
-                    if cache.len() == KNOB_CACHE_MAX {
-                        cache.remove(0);
-                    }
-                    let (generation, slots) = self.load_shared();
-                    cache.push(CachedKnobs {
-                        registry: self.id,
-                        generation,
-                        slots,
-                    });
-                    cache.last().expect("just pushed")
-                }
-            };
-            let slot = entry.slots.get(id.0 as usize).and_then(|s| s.as_ref());
-            Some(slot.map(|s| (f.take().expect("not yet called"))(s)))
-        });
-        match cached {
-            Some(result) => result,
-            None => {
-                let slots = self.shared.read().slots.clone();
-                let slot = slots.get(id.0 as usize).and_then(|s| s.as_ref());
-                slot.map(|s| (f.take().expect("not yet called"))(s))
-            }
-        }
-    }
-
-    /// Reads a consistent (generation, slot table) pair under the read
-    /// lock (registration bumps the generation under the write lock).
-    fn load_shared(&self) -> (u64, Arc<Vec<Option<Arc<KnobSlot>>>>) {
-        let shared = self.shared.read();
-        (
-            self.generation.load(Ordering::Acquire),
-            shared.slots.clone(),
-        )
+    /// Clones the slot for `id` out under the registry's read lock, so the
+    /// caller runs the knob's own `get`/`set` with no registry lock held —
+    /// a knob may re-enter the registry (read, set or even register other
+    /// knobs) or emit events from either.
+    fn slot(&self, id: KnobId) -> Option<Arc<KnobSlot>> {
+        self.shared.read().slots.get(id.0 as usize)?.clone()
     }
 
     /// Looks up a knob by name (shim over [`KnobRegistry::id`]).
@@ -489,7 +399,7 @@ impl KnobRegistry {
 
     /// Looks up a knob by id.
     pub fn get_id(&self, id: KnobId) -> Option<Arc<dyn Knob>> {
-        self.with_slot(id, |s| s.knob.clone())
+        self.slot(id).map(|s| s.knob.clone())
     }
 
     /// Current value of a knob, if registered (name shim).
@@ -497,20 +407,20 @@ impl KnobRegistry {
         self.value_id(self.id(name)?)
     }
 
-    /// Current value by id — lock-free in steady state.
+    /// Current value by id.
     pub fn value_id(&self, id: KnobId) -> Option<i64> {
-        self.with_slot(id, |s| s.knob.get())
+        self.slot(id).map(|s| s.knob.get())
     }
 
     /// The spec of a registered knob, by id.
     pub fn spec(&self, id: KnobId) -> Option<KnobSpec> {
-        self.with_slot(id, |s| s.spec.clone())
+        self.slot(id).map(|s| s.spec.clone())
     }
 
     /// The atomic write path: clamp, read `from`, set, journal — all under
     /// the per-knob lock, so concurrent writers serialize per knob and the
     /// journal's `from` chain is exact. Writers to different knobs never
-    /// contend, and the registry itself is not locked.
+    /// contend, and the registry lock is released before the knob runs.
     fn set_inner(
         &self,
         id: KnobId,
@@ -519,15 +429,14 @@ impl KnobRegistry {
         t_ns: u64,
         rollback_of: Option<u64>,
     ) -> Option<i64> {
-        self.with_slot(id, |slot| {
-            let clamped = value.clamp(slot.spec.min, slot.spec.max);
-            let _write = slot.write.lock();
-            let from = slot.knob.get();
-            slot.knob.set(clamped);
-            self.journal
-                .record_interned(t_ns, actor, slot.jname, from, clamped, rollback_of);
-            clamped
-        })
+        let slot = self.slot(id)?;
+        let clamped = value.clamp(slot.spec.min, slot.spec.max);
+        let _write = slot.write.lock();
+        let from = slot.knob.get();
+        slot.knob.set(clamped);
+        self.journal
+            .record_interned(t_ns, actor, slot.jname, from, clamped, rollback_of);
+        Some(clamped)
     }
 
     /// Sets a knob by id after clamping to its bounds. Returns the applied
@@ -550,11 +459,6 @@ impl KnobRegistry {
         self.set_id(self.id(name)?, value)
     }
 
-    /// Name-shim over [`KnobRegistry::set_id_as`].
-    pub fn set_as(&self, name: &str, value: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
-        self.set_id_as(self.id(name)?, value, actor, t_ns)
-    }
-
     /// Undoes the most recent journaled write to `name` that is neither a
     /// rollback itself nor already rolled back: restores the recorded
     /// `from` value (journaled as a `rollback_of` record) and marks the
@@ -570,10 +474,13 @@ impl KnobRegistry {
 
     /// Every registered knob's spec, sorted by name.
     pub fn specs(&self) -> Vec<KnobSpec> {
-        let slots = self.shared.read().slots.clone();
-        let mut v: Vec<KnobSpec> = slots
+        let mut v: Vec<KnobSpec> = self
+            .shared
+            .read()
+            .slots
             .iter()
-            .filter_map(|s| s.as_ref().map(|s| s.spec.clone()))
+            .flatten()
+            .map(|s| s.spec.clone())
             .collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
@@ -621,9 +528,9 @@ impl KnobRegistry {
 
 impl std::fmt::Debug for KnobRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slots = self.shared.read().slots.clone();
+        let knobs = self.shared.read().slots.iter().flatten().count();
         f.debug_struct("KnobRegistry")
-            .field("knobs", &slots.iter().filter(|s| s.is_some()).count())
+            .field("knobs", &knobs)
             .field("changes", &self.change_count())
             .finish()
     }
@@ -736,6 +643,96 @@ mod tests {
         let id2 = reg.register(knob("k", 0, 100, 50));
         assert_eq!(id, id2, "the name keeps its slot index");
         assert_eq!(reg.value_id(id), Some(50), "stale id sees the new knob");
+    }
+
+    #[test]
+    fn knob_whose_set_reenters_the_registry_does_not_deadlock() {
+        /// Clamps a sibling knob to its own value and registers a third
+        /// knob from inside `set` — legal because the registry runs a
+        /// knob with no registry lock held.
+        struct Cascading {
+            reg: std::sync::Weak<KnobRegistry>,
+            sibling: KnobId,
+            value: AtomicI64,
+        }
+        impl Knob for Cascading {
+            fn spec(&self) -> KnobSpec {
+                KnobSpec::new("lead", 0, 100)
+            }
+            fn get(&self) -> i64 {
+                let reg = self.reg.upgrade().expect("registry alive");
+                // A read that re-enters the registry.
+                reg.value_id(self.sibling).expect("sibling registered");
+                self.value.load(Ordering::Acquire)
+            }
+            fn set(&self, value: i64) {
+                let reg = self.reg.upgrade().expect("registry alive");
+                self.value.store(value, Ordering::Release);
+                reg.set_id(self.sibling, value);
+                reg.register(knob("spawned", 0, 100, value));
+            }
+        }
+        let reg = Arc::new(KnobRegistry::new());
+        let sibling = reg.register(knob("follow", 0, 100, 0));
+        let lead = reg.register(Arc::new(Cascading {
+            reg: Arc::downgrade(&reg),
+            sibling,
+            value: AtomicI64::new(0),
+        }));
+        assert_eq!(reg.set_id(lead, 42), Some(42));
+        assert_eq!(reg.value_id(lead), Some(42));
+        assert_eq!(reg.value_id(sibling), Some(42));
+        assert_eq!(reg.value("spawned"), Some(42));
+        let chain: Vec<_> = reg.changes().into_iter().map(|c| c.name).collect();
+        assert_eq!(chain, ["follow", "lead"], "inner set journals first");
+    }
+
+    #[test]
+    fn reads_racing_registration_never_see_a_torn_table() {
+        // One thread grows the table and swaps knob 0 back and forth
+        // between two knobs; readers resolve ids the whole time. Every
+        // read must land on a whole slot: knob 0 is one of its two
+        // incarnations (value and spec agree), and an id handed out by
+        // `register` resolves from the moment another thread can see it.
+        const GROWTH: u32 = 400;
+        let reg = Arc::new(KnobRegistry::new());
+        let first = reg.register(knob("k0", 0, 10, 3));
+        let published = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (reg, published, start) = (reg.clone(), published.clone(), start.clone());
+                s.spawn(move || {
+                    start.wait();
+                    loop {
+                        let top = published.load(Ordering::Acquire);
+                        let (v, spec) = (reg.value_id(first), reg.spec(first));
+                        assert!(matches!(v, Some(3) | Some(50)), "torn knob 0: {v:?}");
+                        assert!(matches!(spec.map(|s| s.max), Some(10) | Some(100)));
+                        if top > 0 {
+                            let id = KnobId(top);
+                            assert_eq!(reg.value_id(id), Some(i64::from(top)));
+                            assert_eq!(reg.name(id), Some(format!("k{top}")));
+                        }
+                        if top == GROWTH {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for i in 1..=GROWTH {
+                let id = reg.register(knob(&format!("k{i}"), 0, 1_000, i64::from(i)));
+                assert_eq!(id, KnobId(i), "ids are dense in registration order");
+                published.store(i, Ordering::Release);
+                let swap = if i % 2 == 0 {
+                    knob("k0", 0, 10, 3)
+                } else {
+                    knob("k0", 0, 100, 50)
+                };
+                assert_eq!(reg.register(swap), first, "the name keeps its slot");
+            }
+        });
     }
 
     #[test]

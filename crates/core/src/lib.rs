@@ -29,9 +29,11 @@
 //! * [`concurrency`] — active task/worker tracking over time.
 //! * [`trace`] — bounded per-thread ring-buffer event trace with drop
 //!   accounting, merged in capture order on read.
-//! * [`policy`] — periodic and event-triggered policies; the engine runs
-//!   on a wall-clock thread or is stepped manually under virtual time.
-//!   Policy panics are contained, and repeat offenders are quarantined.
+//! * [`policy`] — event-triggered and watch-triggered policies (a
+//!   periodic policy is a watch on the clock) sharing one evaluation
+//!   round; the engine runs on a wall-clock thread or is stepped manually
+//!   under virtual time. Policy panics are contained, and repeat offenders
+//!   are quarantined.
 //! * [`snapshot`] — the read side of adaptation: a coherent point-in-time
 //!   [`snapshot::IntrospectionSnapshot`] (profiles, concurrency, gauges,
 //!   window rates, counters) addressed by interned
@@ -39,9 +41,9 @@
 //!   and report writers all measure through it.
 //! * [`knob`] — typed integer actuators with bounds, units, steps and
 //!   defaults; names intern to copyable [`knob::KnobId`] handles at
-//!   registration, and steady-state get/set is lock-free on the read
-//!   side (generation-stamped registry snapshots) with one per-knob
-//!   mutex on the write side.
+//!   registration, and steady-state get/set by id takes one uncontended
+//!   registry read lock to find the knob, then runs it with no registry
+//!   lock held (one per-knob mutex on the write side).
 //! * [`journal`] — THE actuation history: a single bounded lock-free
 //!   ring every [`knob::KnobRegistry::set`] appends to atomically (who
 //!   wrote which knob, from what, to what). Audit, rollback, and the
@@ -81,10 +83,10 @@ pub use admission::{
     AdmissionGate, AimdPolicy, Brownout, BrownoutPolicy, Bulkhead, BulkheadPermit, RequestClass,
 };
 pub use arbiter::{
-    Arbiter, ArbiterConfig, DemandClass, DemandProbe, DemandProfile, DemandSource, RoundReport,
-    TenantObs, TenantSpec,
+    Arbiter, ArbiterConfig, DemandClass, DemandProbe, DemandProfile, RoundReport, TenantObs,
+    TenantSpec,
 };
-pub use builtin::{HighWatermarkPolicy, PowerCapPolicy};
+pub use builtin::PowerCapPolicy;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use concurrency::ConcurrencyListener;
 pub use dag::{CriticalPathPolicy, DagStats};

@@ -1,30 +1,31 @@
 //! The policy engine: periodic and event-triggered policies.
 //!
 //! A [`Policy`] inspects the [`IntrospectionSnapshot`] the engine hands it
-//! and returns a [`PolicyDecision`] — typically a set of knob writes. The
-//! engine supports two trigger styles, mirroring the
+//! and returns a [`PolicyDecision`] — typically a set of knob writes. A
+//! policy is registered behind one of two trigger kinds, mirroring the
 //! synchronous/asynchronous split in the observation layer:
 //!
-//! * **Periodic** policies run every `period_ns`. Under a wall clock the
-//!   engine owns a ticker thread; under a virtual clock the simulator
-//!   calls [`PolicyEngine::step`] as time advances — same policies, same
-//!   semantics, no OS dependency.
 //! * **Event-triggered** policies run inline when a matching event is
 //!   dispatched (the engine is itself a [`Listener`]). While none is
 //!   registered, an event costs the engine one atomic load.
-//! * **Threshold-triggered** policies subscribe to a [`ThresholdWatch`] —
-//!   an edge-triggered predicate over striped counters or gauges ("queue
-//!   depth crossed N", "p99 window moved more than x%"). Each
-//!   [`PolicyEngine::step`] starts with a cheap watch scan (a handful of
-//!   atomic folds, no snapshot); only when a watch fires (or a periodic
-//!   policy is due) does the engine pay for a capture and run a round.
-//!   This is the event-driven alternative to polling: the driver can call
-//!   `step` at a high rate and rounds still only happen on activity.
+//! * **Watch-triggered** policies subscribe to a [`ThresholdWatch`] — an
+//!   edge-triggered predicate ("`n` more units counted", "p99 window
+//!   moved more than x%"). A **periodic** policy is the degenerate watch
+//!   that crosses every `period_ns` of the clock reading handed to
+//!   [`PolicyEngine::step`]: under a wall clock a ticker thread steps the
+//!   engine, under a virtual clock the simulator does as time advances —
+//!   same policies, same semantics, no OS dependency. Each `step` starts
+//!   with a cheap watch scan (due dates, a gauge read or an atomic load
+//!   apiece, no snapshot); only when a watch fires does the engine pay
+//!   for a capture and run a round, so a driver can step at a high rate
+//!   and rounds still only happen on activity.
 //!
-//! Each evaluation round captures **one** snapshot from the attached
-//! [`Introspection`] facade and shares it across every policy that fires,
-//! so all decisions in a round see the same coherent state. Decisions are
-//! applied through the [`KnobRegistry`], so every actuation is
+//! Both kinds share one round ([`PolicyEngine`]'s private `run_round`):
+//! it captures **one** snapshot from the attached
+//! [`Introspection`] facade and shares it across every policy that fires
+//! (in registration order), so all decisions in a round see the same
+//! coherent state. Decisions are applied through the [`KnobRegistry`]
+//! after the round's evaluations, so every actuation is
 //! bounds-checked and journaled in the registry's single
 //! [`ActuationJournal`] — there is no second, engine-private log.
 //!
@@ -77,13 +78,6 @@ impl PolicyDecision {
         self.retire = true;
         self
     }
-
-    /// A decision setting one knob in a tenant's namespace: governor
-    /// policies write `set_scoped(t3, "thread_cap", 8)` to address the
-    /// mirror knob `"t3.thread_cap"` without hand-building the name.
-    pub fn set_scoped(tenant: crate::tenant::TenantId, knob: &str, value: i64) -> Self {
-        Self::set(tenant.scoped(knob), value)
-    }
 }
 
 /// A reactive adaptation rule.
@@ -116,35 +110,20 @@ pub enum Trigger<'a> {
 /// An edge-triggered crossing predicate a policy can subscribe to instead
 /// of polling (see [`PolicyEngine::register_threshold`]).
 ///
-/// Checks are cheap — an atomic fold or a gauge closure, no snapshot — so
-/// the engine scans every watch on every [`PolicyEngine::step`] and only
-/// captures when one fires. All variants are edge-triggered: a watch fires
-/// once per crossing, not continuously while the condition holds.
+/// Checks are cheap — a due-date compare, a gauge closure or one atomic
+/// load, no snapshot — so the engine scans on [`PolicyEngine::step`] and
+/// only captures when a watch fires. Every kind is edge-triggered: a watch
+/// fires once per crossing, not continuously while the condition holds.
 pub struct ThresholdWatch {
     kind: WatchKind,
 }
 
 enum WatchKind {
-    /// Fires when the reading rises above `threshold`; re-arms once it
-    /// falls back to or below (hysteresis by edge, not by band).
-    GaugeAbove {
-        read: Box<dyn Fn() -> f64 + Send>,
-        threshold: f64,
-        armed: bool,
-    },
-    /// Mirror image: fires on falling below, re-arms at or above.
-    GaugeBelow {
-        read: Box<dyn Fn() -> f64 + Send>,
-        threshold: f64,
-        armed: bool,
-    },
-    /// Fires when a (typically striped) counter advanced by at least
-    /// `delta` since the last firing.
-    CounterDelta {
-        counter: CounterHandle,
-        delta: u64,
-        last: Option<u64>,
-    },
+    /// The periodic trigger: crosses when the clock reading reaches
+    /// `next_due_ns`. A watch checked several periods late fires once and
+    /// is rescheduled from the reading it was checked at (no catch-up
+    /// burst).
+    Every { period_ns: u64, next_due_ns: u64 },
     /// Fires when the reading moved by more than `frac` (relative) since
     /// the last firing — "p99 window moved >10%".
     RelChange {
@@ -152,66 +131,38 @@ enum WatchKind {
         frac: f64,
         last: Option<f64>,
     },
-    /// Write-side variant of [`WatchKind::CounterDelta`]: the counter's
-    /// *writers* arm the crossing (a [`HighWaterArm`] latched from
+    /// Fires every `delta` units added to a counter. The counter's
+    /// *writers* detect the crossing (a [`HighWaterArm`] latched from
     /// `CounterHandle::add`), so the engine's scan is a single `Acquire`
-    /// load instead of a striped fold — and when every threshold policy
-    /// uses this kind, idle [`PolicyEngine::step`]s skip the scan (and the
-    /// policies lock) entirely.
+    /// load — and when every watch policy uses this kind, idle
+    /// [`PolicyEngine::step`]s skip the scan (and the policies lock)
+    /// entirely.
     CounterArmed { arm: HighWaterArm, delta: u64 },
 }
 
 impl ThresholdWatch {
-    /// Fires when `read()` rises above `threshold` (re-arms on falling
-    /// back). Non-finite readings never fire and never re-arm.
-    pub fn gauge_above(read: impl Fn() -> f64 + Send + 'static, threshold: f64) -> Self {
+    /// The periodic trigger, first due one period after `now_ns`. Only the
+    /// engine builds these ([`PolicyEngine::register_periodic`]): they
+    /// need the clock reading `step` is called with.
+    fn every(period_ns: u64, now_ns: u64) -> Self {
+        assert!(period_ns > 0, "period must be positive");
         Self {
-            kind: WatchKind::GaugeAbove {
-                read: Box::new(read),
-                threshold,
-                armed: true,
-            },
-        }
-    }
-
-    /// Fires when `read()` falls below `threshold` (re-arms on rising
-    /// back).
-    pub fn gauge_below(read: impl Fn() -> f64 + Send + 'static, threshold: f64) -> Self {
-        Self {
-            kind: WatchKind::GaugeBelow {
-                read: Box::new(read),
-                threshold,
-                armed: true,
+            kind: WatchKind::Every {
+                period_ns,
+                next_due_ns: now_ns + period_ns,
             },
         }
     }
 
     /// Fires when `counter` advanced by at least `delta` since the watch
-    /// last fired (the first check only records the baseline).
-    ///
-    /// # Panics
-    /// Panics if `delta` is zero.
-    pub fn counter_delta(counter: CounterHandle, delta: u64) -> Self {
-        assert!(delta > 0, "counter delta must be positive");
-        Self {
-            kind: WatchKind::CounterDelta {
-                counter,
-                delta,
-                last: None,
-            },
-        }
-    }
-
-    /// Write-side equivalent of [`ThresholdWatch::counter_delta`]: arms a
-    /// [`HighWaterArm`] on `counter` **immediately** (so unlike the scan
-    /// variant, which spends its first check recording a baseline, the
-    /// first `delta` increments from *now* fire the watch — matching the
-    /// scan variant checked once at registration time). Crossings are
-    /// detected by the counter's writers, not by the engine's scan: an
-    /// idle engine whose threshold policies all use armed watches steps
+    /// last fired. Arms a [`HighWaterArm`] on `counter` **immediately**:
+    /// the first `delta` increments from *now* fire the watch. Crossings
+    /// are detected by the counter's writers, not by the engine's scan: an
+    /// idle engine whose watch policies all use armed watches steps
     /// without touching the counter at all. Each firing re-arms `delta`
-    /// above the total accumulated at consumption time — the same
-    /// re-baselining (`last = cur`) the scan variant performs.
+    /// above the total accumulated at consumption time — exactly what a
+    /// single accumulator re-baselining (`last = cur`) at its firing check
+    /// would do.
     ///
     /// # Panics
     /// Panics if `delta` is zero.
@@ -248,57 +199,23 @@ impl ThresholdWatch {
     /// stepping a simulation) can poll this directly instead of
     /// registering the watch on a [`PolicyEngine`].
     pub fn poll(&mut self) -> bool {
-        self.check()
+        // No publicly constructible kind reads the clock.
+        self.check(0)
     }
 
-    /// Edge-check: returns true exactly once per crossing.
-    fn check(&mut self) -> bool {
+    /// Edge-check at clock reading `now_ns`: returns true exactly once
+    /// per crossing.
+    fn check(&mut self, now_ns: u64) -> bool {
         match &mut self.kind {
-            WatchKind::GaugeAbove {
-                read,
-                threshold,
-                armed,
+            WatchKind::Every {
+                period_ns,
+                next_due_ns,
             } => {
-                let v = read();
-                if !v.is_finite() {
-                    return false;
+                let due = now_ns >= *next_due_ns;
+                if due {
+                    *next_due_ns = now_ns + *period_ns;
                 }
-                let above = v > *threshold;
-                let fire = above && *armed;
-                *armed = !above;
-                fire
-            }
-            WatchKind::GaugeBelow {
-                read,
-                threshold,
-                armed,
-            } => {
-                let v = read();
-                if !v.is_finite() {
-                    return false;
-                }
-                let below = v < *threshold;
-                let fire = below && *armed;
-                *armed = !below;
-                fire
-            }
-            WatchKind::CounterDelta {
-                counter,
-                delta,
-                last,
-            } => {
-                let cur = counter.get();
-                match last {
-                    None => {
-                        *last = Some(cur);
-                        false
-                    }
-                    Some(l) if cur.saturating_sub(*l) >= *delta => {
-                        *last = Some(cur);
-                        true
-                    }
-                    Some(_) => false,
-                }
+                due
             }
             WatchKind::RelChange { read, frac, last } => {
                 let v = read();
@@ -330,6 +247,14 @@ impl ThresholdWatch {
         }
     }
 
+    /// What a policy behind this watch is told fired it.
+    fn trigger(&self) -> Trigger<'static> {
+        match self.kind {
+            WatchKind::Every { .. } => Trigger::Periodic,
+            _ => Trigger::Threshold,
+        }
+    }
+
     /// True when crossings are detected by the counter's writers, so the
     /// engine need not scan this watch while no arm has latched.
     fn is_write_armed(&self) -> bool {
@@ -337,7 +262,7 @@ impl ThresholdWatch {
     }
 
     /// Routes latch notifications to `stamp` (bumped from the writing
-    /// thread, once per latch). No-op for scan-based kinds.
+    /// thread, once per latch). No-op for scanned kinds.
     fn route_latches_to(&self, stamp: Arc<AtomicU64>) {
         if let WatchKind::CounterArmed { arm, .. } = &self.kind {
             arm.set_hook(move || {
@@ -359,9 +284,7 @@ impl ThresholdWatch {
 impl std::fmt::Debug for ThresholdWatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match &self.kind {
-            WatchKind::GaugeAbove { threshold, .. } => format!("gauge_above({threshold})"),
-            WatchKind::GaugeBelow { threshold, .. } => format!("gauge_below({threshold})"),
-            WatchKind::CounterDelta { delta, .. } => format!("counter_delta({delta})"),
+            WatchKind::Every { period_ns, .. } => format!("every({period_ns})"),
             WatchKind::RelChange { frac, .. } => format!("relative_change({frac})"),
             WatchKind::CounterArmed { delta, .. } => format!("counter_delta_armed({delta})"),
         };
@@ -383,32 +306,35 @@ struct Registered {
     /// actuations journal allocation-free.
     actor: TaskId,
     kind: Kind,
+    /// The policy's watch crossed in the scan at the top of `step`;
+    /// consumed by the round that scan starts.
+    fired: bool,
     consecutive_panics: u32,
     quarantined: bool,
 }
 
+/// What fires a policy: an event passing a filter, or a watch crossing.
 enum Kind {
-    Periodic {
-        period_ns: u64,
-        next_due_ns: u64,
-    },
-    Triggered {
-        filter: EventFilter,
-    },
-    Threshold {
-        watch: ThresholdWatch,
-        /// Set by the cheap scan at the top of `step`, consumed by the
-        /// evaluation pass of the same round.
-        fired: bool,
-    },
+    Event(EventFilter),
+    Watch(ThresholdWatch),
+}
+
+impl Kind {
+    /// Ends the kind's claim on shared write paths (a write-side arm on a
+    /// counter); called once, when its policy leaves the live set.
+    fn detach(&self) {
+        if let Kind::Watch(watch) = self {
+            watch.detach();
+        }
+    }
 }
 
 /// The policy engine.
 ///
 /// Owns registered policies; applies their decisions through the knob
-/// registry. Use [`PolicyEngine::step`] to advance periodic policies under
-/// an explicit clock reading, or [`PolicyEngine::spawn_ticker`] to drive
-/// them from a wall-clock thread.
+/// registry. Use [`PolicyEngine::step`] to advance watch-triggered
+/// (periodic included) policies under an explicit clock reading, or
+/// [`PolicyEngine::spawn_ticker`] to drive them from a wall-clock thread.
 pub struct PolicyEngine {
     policies: Mutex<Vec<Registered>>,
     knobs: Arc<KnobRegistry>,
@@ -437,7 +363,7 @@ pub struct PolicyEngine {
     /// The `armed_stamp` value the last full scan started from.
     armed_seen: AtomicU64,
     /// Live policies that *require* a per-step scan (periodic due dates,
-    /// scan-based threshold watches). When zero, a step with a clean
+    /// gauge-reading watches). When zero, a step with a clean
     /// `armed_stamp` returns without taking the policies lock.
     scan_needed: AtomicU64,
     /// Steps that returned through the armed fast path (diagnostic).
@@ -505,34 +431,30 @@ impl PolicyEngine {
         let (mut scan, mut triggered) = (0u64, 0u64);
         for r in ps.iter().filter(|r| !r.quarantined) {
             match &r.kind {
-                Kind::Periodic { .. } => scan += 1,
-                Kind::Threshold { watch, .. } => scan += u64::from(!watch.is_write_armed()),
-                Kind::Triggered { .. } => triggered += 1,
+                Kind::Watch(watch) => scan += u64::from(!watch.is_write_armed()),
+                Kind::Event(_) => triggered += 1,
             }
         }
         self.scan_needed.store(scan, Ordering::Release);
         self.triggered.store(triggered, Ordering::Release);
     }
 
-    /// Registers a periodic policy first due at `now_ns + period_ns`.
-    pub fn register_periodic(
-        &self,
-        policy: Box<dyn Policy>,
-        period_ns: u64,
-        now_ns: u64,
-    ) -> PolicyHandle {
-        assert!(period_ns > 0, "period must be positive");
+    /// The one registration path: interns the actor, routes a write-side
+    /// arm's latches to the armed stamp (so idle steps need not even
+    /// glance at it), and publishes the new trigger counts.
+    fn register(&self, policy: Box<dyn Policy>, kind: Kind) -> PolicyHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let actor = self.knobs.actor(policy.name());
+        if let Kind::Watch(watch) = &kind {
+            watch.route_latches_to(self.armed_stamp.clone());
+        }
         let mut ps = self.policies.lock();
         ps.push(Registered {
             id,
             policy,
             actor,
-            kind: Kind::Periodic {
-                period_ns,
-                next_due_ns: now_ns + period_ns,
-            },
+            kind,
+            fired: false,
             consecutive_panics: 0,
             quarantined: false,
         });
@@ -540,21 +462,26 @@ impl PolicyEngine {
         PolicyHandle(id)
     }
 
+    /// Registers a periodic policy first due at `now_ns + period_ns`; it
+    /// evaluates with [`Trigger::Periodic`].
+    ///
+    /// # Panics
+    /// Panics if `period_ns` is zero.
+    pub fn register_periodic(
+        &self,
+        policy: Box<dyn Policy>,
+        period_ns: u64,
+        now_ns: u64,
+    ) -> PolicyHandle {
+        self.register(
+            policy,
+            Kind::Watch(ThresholdWatch::every(period_ns, now_ns)),
+        )
+    }
+
     /// Registers an event-triggered policy with a filter.
     pub fn register_triggered(&self, policy: Box<dyn Policy>, filter: EventFilter) -> PolicyHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let actor = self.knobs.actor(policy.name());
-        let mut ps = self.policies.lock();
-        ps.push(Registered {
-            id,
-            policy,
-            actor,
-            kind: Kind::Triggered { filter },
-            consecutive_panics: 0,
-            quarantined: false,
-        });
-        self.recount_triggers(&ps);
-        PolicyHandle(id)
+        self.register(policy, Kind::Event(filter))
     }
 
     /// Registers a threshold-triggered policy: it evaluates (with
@@ -568,25 +495,7 @@ impl PolicyEngine {
         policy: Box<dyn Policy>,
         watch: ThresholdWatch,
     ) -> PolicyHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let actor = self.knobs.actor(policy.name());
-        // Write-side armed watches notify the engine through the armed
-        // stamp, so idle steps need not even glance at them.
-        watch.route_latches_to(self.armed_stamp.clone());
-        let mut ps = self.policies.lock();
-        ps.push(Registered {
-            id,
-            policy,
-            actor,
-            kind: Kind::Threshold {
-                watch,
-                fired: false,
-            },
-            consecutive_panics: 0,
-            quarantined: false,
-        });
-        self.recount_triggers(&ps);
-        PolicyHandle(id)
+        self.register(policy, Kind::Watch(watch))
     }
 
     /// Deregisters a policy; returns true if it was present. A write-side
@@ -595,13 +504,10 @@ impl PolicyEngine {
         let mut ps = self.policies.lock();
         let before = ps.len();
         ps.retain(|r| {
-            if r.id != handle.0 {
-                return true;
+            if r.id == handle.0 {
+                r.kind.detach();
             }
-            if let Kind::Threshold { watch, .. } = &r.kind {
-                watch.detach();
-            }
-            false
+            r.id != handle.0
         });
         let removed = ps.len() != before;
         if removed {
@@ -762,131 +668,51 @@ impl PolicyEngine {
         }
     }
 
-    /// True if any live periodic policy is due at `now_ns`.
-    fn any_periodic_due(&self, now_ns: u64) -> bool {
-        self.policies.lock().iter().any(|r| {
-            !r.quarantined
-                && matches!(&r.kind, Kind::Periodic { next_due_ns, .. } if now_ns >= *next_due_ns)
-        })
-    }
-
-    /// Runs one control round at `now_ns`: every due periodic policy plus
-    /// every threshold policy whose watch fired.
-    ///
-    /// Starts with a cheap scan — threshold watch checks (atomic folds /
-    /// gauge reads) and periodic due dates — and returns without capturing
-    /// a snapshot when nothing fired, so drivers may call `step` at a high
-    /// rate and idle steps stay near-free. A periodic policy that fell
-    /// multiple periods behind fires once and is rescheduled from `now_ns`
-    /// (no catch-up bursts). A policy whose evaluation panics is contained
-    /// (the panic does not escape), and after
-    /// [`PolicyEngine::set_quarantine_threshold`] consecutive panics it is
-    /// quarantined: registered but never evaluated again. Rounds that
-    /// actuate a knob record their adaptation latency (see
-    /// [`PolicyEngine::adaptation_latency_last_ns`]). Returns the number
-    /// of evaluations (panicked evaluations included).
-    pub fn step(&self, now_ns: u64) -> usize {
-        let started = Instant::now();
-        // Armed fast path: when every live policy's trigger is pushed to
-        // the engine (write-side armed watches, event-triggered policies)
-        // and no arm has latched since the last scan, the step is two
-        // atomic loads — no lock, no watch scan. The stamp is sampled
-        // *before* deciding, and recorded before scanning, so a latch
-        // racing the scan at worst costs one redundant scan next step.
-        let stamp = self.armed_stamp.load(Ordering::Acquire);
-        if self.scan_needed.load(Ordering::Acquire) == 0
-            && stamp == self.armed_seen.load(Ordering::Relaxed)
-        {
-            self.fast_steps.fetch_add(1, Ordering::Relaxed);
-            return 0;
-        }
-        self.armed_seen.store(stamp, Ordering::Relaxed);
-        // Cheap scan: edge-check every threshold watch. Watches must be
-        // checked even when no periodic policy is due — crossings are the
-        // whole point of not polling.
-        let mut any_threshold = false;
-        {
-            let mut ps = self.policies.lock();
-            for r in ps.iter_mut() {
-                if r.quarantined {
-                    continue;
-                }
-                if let Kind::Threshold { watch, fired } = &mut r.kind {
-                    if watch.check() {
-                        *fired = true;
-                    }
-                    any_threshold |= *fired;
-                }
-            }
-        }
-        if !any_threshold && !self.any_periodic_due(now_ns) {
-            return 0;
-        }
-        // One snapshot per round, captured outside the policies lock.
+    /// The round `step` and `on_event` share: one snapshot, then every
+    /// live policy `select` yields a trigger for evaluates against it in
+    /// registration order; decisions apply after the lock is released.
+    /// `started` is when the trigger was detected, for the latency record.
+    /// Returns the number of evaluations (panicked ones included).
+    fn run_round<'e>(
+        &self,
+        now_ns: u64,
+        started: Instant,
+        mut select: impl FnMut(&mut Registered) -> Option<Trigger<'e>>,
+    ) -> usize {
         let snapshot = self.capture_or_empty(now_ns);
         let threshold = self.quarantine_threshold.load(Ordering::Relaxed) as u32;
         let mut decisions: Vec<(TaskId, PolicyDecision)> = Vec::new();
-        let mut fired_count = 0usize;
+        let mut evaluated = 0usize;
         {
             let mut ps = self.policies.lock();
-            let mut retired: Vec<u64> = Vec::new();
-            for r in ps.iter_mut() {
+            let mut left_live_set = false;
+            ps.retain_mut(|r| {
                 if r.quarantined {
-                    continue;
+                    return true;
                 }
-                let trigger = match &mut r.kind {
-                    Kind::Periodic {
-                        period_ns,
-                        next_due_ns,
-                    } => {
-                        if now_ns < *next_due_ns {
-                            continue;
-                        }
-                        *next_due_ns = now_ns + *period_ns;
-                        Trigger::Periodic
-                    }
-                    Kind::Threshold { fired, .. } => {
-                        if !*fired {
-                            continue;
-                        }
-                        *fired = false;
-                        Trigger::Threshold
-                    }
-                    Kind::Triggered { .. } => continue,
+                let Some(trigger) = select(r) else {
+                    return true;
                 };
-                fired_count += 1;
-                let d =
+                evaluated += 1;
+                let decision =
                     Self::evaluate_guarded(r, now_ns, trigger, &snapshot, &self.panics, threshold);
-                if let Some(d) = d {
-                    if d.retire {
-                        retired.push(r.id);
-                    }
-                    decisions.push((r.actor, d));
+                let retire = decision.as_ref().is_some_and(|d| d.retire);
+                // Retirement and quarantine both end the policy's claim on
+                // its trigger: detach here, once, so an abandoned arm
+                // stops taxing the counter's writers.
+                if retire || r.quarantined {
+                    r.kind.detach();
+                    left_live_set = true;
                 }
+                decisions.extend(decision.map(|d| (r.actor, d)));
+                !retire
+            });
+            if left_live_set {
+                self.recount_triggers(&ps);
             }
-            if !retired.is_empty() {
-                ps.retain(|r| {
-                    if !retired.contains(&r.id) {
-                        return true;
-                    }
-                    if let Kind::Threshold { watch, .. } = &r.kind {
-                        watch.detach();
-                    }
-                    false
-                });
-            }
-            // Quarantined policies are skipped forever; detach their arms
-            // so abandoned watches stop taxing the counter's writers
-            // (disarm is idempotent — repeat detaches are no-ops).
-            for r in ps.iter() {
-                if r.quarantined {
-                    if let Kind::Threshold { watch, .. } = &r.kind {
-                        watch.detach();
-                    }
-                }
-            }
-            self.recount_triggers(&ps);
         }
+        self.evaluations
+            .fetch_add(evaluated as u64, Ordering::Relaxed);
         // Apply outside the policy lock: knob sets may be observed by
         // listeners that re-enter the engine.
         let acts_before = self.actuations.load(Ordering::Relaxed);
@@ -896,9 +722,57 @@ impl PolicyEngine {
         if self.actuations.load(Ordering::Relaxed) > acts_before {
             self.record_latency(started);
         }
-        self.evaluations
-            .fetch_add(fired_count as u64, Ordering::Relaxed);
-        fired_count
+        evaluated
+    }
+
+    /// Runs one control round at `now_ns`: every watch-triggered policy
+    /// whose watch fired — periodic policies that are due included.
+    ///
+    /// Starts with a cheap scan of the watches (due dates, gauge reads,
+    /// latched arms) and returns without capturing a snapshot when nothing
+    /// fired, so drivers may call `step` at a high rate and idle steps
+    /// stay near-free. A periodic policy that fell multiple periods behind
+    /// fires once and is rescheduled from `now_ns` (no catch-up bursts). A
+    /// policy whose evaluation panics is contained (the panic does not
+    /// escape), and after [`PolicyEngine::set_quarantine_threshold`]
+    /// consecutive panics it is quarantined: registered but never
+    /// evaluated again. Rounds that actuate a knob record their adaptation
+    /// latency (see [`PolicyEngine::adaptation_latency_last_ns`]). Returns
+    /// the number of evaluations (panicked evaluations included).
+    pub fn step(&self, now_ns: u64) -> usize {
+        // Armed fast path: when every live policy's trigger is pushed to
+        // the engine (write-side armed watches, event-triggered policies)
+        // and no arm has latched since the last scan, the step is two
+        // atomic loads — no lock, no watch scan, no clock read. The stamp
+        // is sampled *before* deciding, and recorded before scanning, so a
+        // latch racing the scan at worst costs one redundant scan next
+        // step.
+        let stamp = self.armed_stamp.load(Ordering::Acquire);
+        if self.scan_needed.load(Ordering::Acquire) == 0
+            && stamp == self.armed_seen.load(Ordering::Relaxed)
+        {
+            self.fast_steps.fetch_add(1, Ordering::Relaxed);
+            return 0;
+        }
+        self.armed_seen.store(stamp, Ordering::Relaxed);
+        let started = Instant::now();
+        // Cheap scan: edge-check every live watch. A crossing is consumed
+        // by the check, so it is parked in `fired` until the round below
+        // (which captures first, outside this lock) evaluates it.
+        let mut any_fired = false;
+        for r in self.policies.lock().iter_mut().filter(|r| !r.quarantined) {
+            if let Kind::Watch(watch) = &mut r.kind {
+                r.fired |= watch.check(now_ns);
+                any_fired |= r.fired;
+            }
+        }
+        if !any_fired {
+            return 0;
+        }
+        self.run_round(now_ns, started, |r| match &r.kind {
+            Kind::Watch(watch) if std::mem::take(&mut r.fired) => Some(watch.trigger()),
+            _ => None,
+        })
     }
 
     /// Spawns a wall-clock ticker driving [`PolicyEngine::step`] every
@@ -941,67 +815,20 @@ impl Listener for PolicyEngine {
         if self.triggered.load(Ordering::Acquire) == 0 {
             return;
         }
-        // Evaluate matching triggered policies. Decisions are collected
-        // under the lock, applied after, and retirement honored. Panics
-        // are contained exactly as in [`PolicyEngine::step`]. The clock is
-        // read and the snapshot captured only when at least one filter
-        // matches, so the no-match path stays a filter scan.
+        // The clock is read and the snapshot captured only when at least
+        // one filter matches, so the no-match path stays a filter scan.
         let matches_any = {
             let ps = self.policies.lock();
-            ps.iter().any(|r| {
-                !r.quarantined && matches!(&r.kind, Kind::Triggered { filter } if filter(event))
-            })
+            ps.iter()
+                .any(|r| !r.quarantined && matches!(&r.kind, Kind::Event(filter) if filter(event)))
         };
         if !matches_any {
             return;
         }
-        let started = Instant::now();
-        let snapshot = self.capture_or_empty(event.t_ns());
-        let threshold = self.quarantine_threshold.load(Ordering::Relaxed) as u32;
-        let mut decisions: Vec<(TaskId, PolicyDecision)> = Vec::new();
-        let mut fired = 0u64;
-        {
-            let mut ps = self.policies.lock();
-            let mut retired: Vec<u64> = Vec::new();
-            for r in ps.iter_mut() {
-                if r.quarantined {
-                    continue;
-                }
-                if let Kind::Triggered { filter } = &r.kind {
-                    if filter(event) {
-                        fired += 1;
-                        let d = Self::evaluate_guarded(
-                            r,
-                            event.t_ns(),
-                            Trigger::Event(event),
-                            &snapshot,
-                            &self.panics,
-                            threshold,
-                        );
-                        if let Some(d) = d {
-                            if d.retire {
-                                retired.push(r.id);
-                            }
-                            decisions.push((r.actor, d));
-                        }
-                    }
-                }
-            }
-            if !retired.is_empty() {
-                ps.retain(|r| !retired.contains(&r.id));
-            }
-            // Retirement and quarantine both end a policy's claim on
-            // events.
-            self.recount_triggers(&ps);
-        }
-        self.evaluations.fetch_add(fired, Ordering::Relaxed);
-        let acts_before = self.actuations.load(Ordering::Relaxed);
-        for (actor, d) in &decisions {
-            self.apply(event.t_ns(), *actor, d);
-        }
-        if self.actuations.load(Ordering::Relaxed) > acts_before {
-            self.record_latency(started);
-        }
+        self.run_round(event.t_ns(), Instant::now(), |r| match &r.kind {
+            Kind::Event(filter) if filter(event) => Some(Trigger::Event(event)),
+            _ => None,
+        });
     }
 }
 
@@ -1356,61 +1183,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_policy_fires_on_crossing_only() {
-        let knobs = registry_with("cap", 1, 32, 32);
-        let engine = PolicyEngine::new(knobs.clone());
-        let level = Arc::new(AtomicU64::new(0));
-        let l = level.clone();
-        let fired = Arc::new(AtomicU64::new(0));
-        let f = fired.clone();
-        engine.register_threshold(
-            FnPolicy::new("on-depth", move |_, trigger, _| {
-                assert!(matches!(trigger, Trigger::Threshold));
-                f.fetch_add(1, Ordering::Relaxed);
-                PolicyDecision::set("cap", 4)
-            }),
-            ThresholdWatch::gauge_above(move || l.load(Ordering::Relaxed) as f64, 10.0),
-        );
-        assert_eq!(engine.step(0), 0, "below threshold: no round, no capture");
-        level.store(20, Ordering::Relaxed);
-        assert_eq!(engine.step(1), 1, "crossing fires");
-        assert_eq!(knobs.value("cap"), Some(4));
-        assert_eq!(engine.step(2), 0, "still above: edge-triggered, no refire");
-        level.store(5, Ordering::Relaxed);
-        assert_eq!(engine.step(3), 0, "falling back re-arms silently");
-        level.store(30, Ordering::Relaxed);
-        assert_eq!(engine.step(4), 1, "fires again after re-arm");
-        assert_eq!(fired.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn counter_delta_watch_fires_every_n_increments() {
-        let knobs = registry_with("k", 0, 100, 0);
-        let engine = PolicyEngine::new(knobs);
-        let reg = lg_metrics::CounterRegistry::new();
-        let c = reg.striped_counter("events");
-        let fires = Arc::new(AtomicU64::new(0));
-        let f = fires.clone();
-        engine.register_threshold(
-            FnPolicy::new("batch", move |_, _, _| {
-                f.fetch_add(1, Ordering::Relaxed);
-                PolicyDecision::noop()
-            }),
-            ThresholdWatch::counter_delta(c.clone(), 10),
-        );
-        engine.step(0); // first check records the baseline
-        c.add(9);
-        engine.step(1);
-        assert_eq!(fires.load(Ordering::Relaxed), 0, "below delta");
-        c.add(1);
-        engine.step(2);
-        assert_eq!(fires.load(Ordering::Relaxed), 1, "accumulated to delta");
-        c.add(10);
-        engine.step(3);
-        assert_eq!(fires.load(Ordering::Relaxed), 2, "next batch");
-    }
-
-    #[test]
     fn armed_watch_fires_without_engine_scanning() {
         let knobs = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
@@ -1441,66 +1213,71 @@ mod tests {
         assert_eq!(engine.step(5), 1, "re-armed delta above consumption point");
     }
 
+    /// The reference an armed watch is held to: one plain accumulator,
+    /// checked against the counter's true total, that re-baselines
+    /// (`last = cur`) whenever it fires.
+    struct Accumulator {
+        delta: u64,
+        last: u64,
+    }
+
+    impl Accumulator {
+        fn check(&mut self, cur: u64) -> bool {
+            let crossed = cur.saturating_sub(self.last) >= self.delta;
+            if crossed {
+                self.last = cur;
+            }
+            crossed
+        }
+    }
+
     #[test]
-    fn armed_and_scanned_counter_watches_are_equivalent() {
-        // Drive the exact same add/step schedule through a scan-based
-        // counter_delta engine and a write-side armed engine; every
-        // step must agree on rounds fired, total evaluations, actuations,
-        // and the resulting knob value. (The scan variant spends its
-        // first check on a baseline of 0 — the armed variant bakes that
-        // baseline in at construction — so no warm-up step is needed for
-        // either.) Each add runs on its own short-lived thread, joined
+    fn armed_counter_watch_fires_exactly_when_a_plain_accumulator_does() {
+        // Drive an add/step schedule through a write-side armed engine
+        // and check every step against the accumulator oracle: rounds
+        // fired, the resulting knob value, and the evaluation/actuation
+        // totals. Each add runs on its own short-lived thread, joined
         // before the next, so consecutive adds land on different stripes
-        // and the armed side crosses its level with amounts still
-        // spread over several of them.
+        // and the armed side crosses its level with amounts still spread
+        // over several of them.
         fn run(delta: u64, schedule: &[&[u64]]) {
-            let k_scan = registry_with("k", 0, 1000, 0);
-            let k_arm = registry_with("k", 0, 1000, 0);
-            let e_scan = PolicyEngine::new(k_scan.clone());
-            let e_arm = PolicyEngine::new(k_arm.clone());
+            let knobs = registry_with("k", 0, 1000, 0);
+            let engine = PolicyEngine::new(knobs.clone());
             let reg = lg_metrics::CounterRegistry::new();
-            let c_scan = reg.striped_counter("scan");
-            let c_arm = reg.striped_counter("arm");
-            e_scan.register_threshold(
+            let c = reg.striped_counter("arm");
+            engine.register_threshold(
                 FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
-                ThresholdWatch::counter_delta(c_scan.clone(), delta),
+                ThresholdWatch::counter_delta_armed(&c, delta),
             );
-            e_scan.step(0); // scan variant: baseline-recording check
-            e_arm.register_threshold(
-                FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
-                ThresholdWatch::counter_delta_armed(&c_arm, delta),
-            );
-            e_arm.step(0);
+            let mut oracle = Accumulator { delta, last: 0 };
+            assert_eq!(engine.step(0), 0);
+            let (mut fires, mut knob_value) = (0u64, 0i64);
             for (i, adds) in schedule.iter().enumerate() {
                 let now = (i + 1) as u64;
                 for &n in adds.iter() {
                     std::thread::scope(|s| {
-                        s.spawn(|| {
-                            c_scan.add(n);
-                            c_arm.add(n);
-                        });
+                        s.spawn(|| c.add(n));
                     });
                 }
-                let r_scan = e_scan.step(now);
-                let r_arm = e_arm.step(now);
-                assert_eq!(r_scan, r_arm, "step {now}: rounds diverged");
+                let expected = oracle.check(c.get());
+                if expected {
+                    fires += 1;
+                    knob_value = now as i64;
+                }
                 assert_eq!(
-                    k_scan.value("k"),
-                    k_arm.value("k"),
-                    "step {now}: knob values diverged"
+                    engine.step(now),
+                    usize::from(expected),
+                    "step {now}: rounds diverged from the accumulator"
                 );
+                assert_eq!(knobs.value("k"), Some(knob_value), "step {now}");
             }
-            assert_eq!(e_scan.evaluations(), e_arm.evaluations());
-            assert_eq!(e_scan.actuations(), e_arm.actuations());
+            assert_eq!(engine.evaluations(), fires);
+            assert_eq!(engine.actuations(), fires);
+            assert!(fires >= 3, "schedule crossed at least 3 times");
             assert!(
-                e_scan.evaluations() >= 3,
-                "schedule crossed at least 3 times"
-            );
-            assert!(
-                e_arm.fast_path_steps() > 0,
+                engine.fast_path_steps() > 0,
                 "armed engine skipped scans on quiet steps"
             );
-            assert_eq!(e_scan.fast_path_steps(), 0, "scan engine always scans");
         }
         run(
             10,
@@ -1640,6 +1417,108 @@ mod tests {
             1,
             "stamp moves with the record"
         );
+    }
+
+    #[test]
+    fn one_round_serves_periodic_armed_and_event_policies() {
+        use crate::concurrency::ConcurrencyListener;
+        use crate::event::TaskNames;
+        use crate::profile::ProfileListener;
+
+        let knobs = registry_with("k", 0, 100, 0);
+        let engine = PolicyEngine::new(knobs);
+        engine.set_quarantine_threshold(1);
+        engine.attach_introspection(Arc::new(Introspection::new(
+            Arc::new(ProfileListener::new(TaskNames::new())),
+            Arc::new(ConcurrencyListener::new(16)),
+        )));
+        let reg = lg_metrics::CounterRegistry::new();
+        let c = reg.striped_counter("events");
+        // (policy, trigger kind it was handed, capture it was handed).
+        let log = Arc::new(Mutex::new(Vec::<(&str, &str, u64)>::new()));
+        let logging = |name: &'static str, retire_on: u64, panic_on: u64| {
+            let (log, mut calls) = (log.clone(), 0u64);
+            FnPolicy::new(name, move |_, trigger, snap: &IntrospectionSnapshot| {
+                let kind = match trigger {
+                    Trigger::Periodic => "periodic",
+                    Trigger::Event(_) => "event",
+                    Trigger::Threshold => "threshold",
+                };
+                log.lock().push((name, kind, snap.seq));
+                calls += 1;
+                assert!(calls != panic_on, "contained");
+                let d = PolicyDecision::noop();
+                if calls == retire_on {
+                    d.and_retire()
+                } else {
+                    d
+                }
+            })
+        };
+        let drain = || std::mem::take(&mut *log.lock());
+        // Registration order interleaves the kinds on purpose.
+        engine.register_threshold(
+            logging("armed", 2, 0),
+            ThresholdWatch::counter_delta_armed(&c, 10),
+        );
+        engine.register_triggered(logging("ev-a", 1, 0), Box::new(|_| true));
+        let periodic = engine.register_periodic(logging("tick", 0, 0), 100, 0);
+        engine.register_triggered(logging("ev-b", 0, 1), Box::new(|_| true));
+        engine.register_threshold(
+            logging("armed-boom", 0, 1),
+            ThresholdWatch::counter_delta_armed(&c, 10),
+        );
+
+        // One step, three watches crossed: registration order, one capture,
+        // the trigger variant of each kind; the event policies stay out.
+        c.add(10);
+        assert_eq!(engine.step(100), 3);
+        assert_eq!(
+            drain(),
+            [
+                ("armed", "threshold", 1),
+                ("tick", "periodic", 1),
+                ("armed-boom", "threshold", 1)
+            ]
+        );
+        assert_eq!(engine.quarantined(), ["armed-boom"]);
+        // One event, both event policies: same round shape, next capture.
+        engine.on_event(&Event::PeriodicTick { t_ns: 101 });
+        assert_eq!(drain(), [("ev-a", "event", 2), ("ev-b", "event", 2)]);
+        assert_eq!(engine.policy_count(), 4, "ev-a retired itself");
+        assert_eq!(engine.quarantined_count(), 2, "ev-b quarantined");
+        assert_eq!(engine.panics(), 2);
+        assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
+        engine.on_event(&Event::PeriodicTick { t_ns: 102 });
+        assert_eq!(drain(), [], "event fast path: nobody left to ask");
+
+        // Five periods late: one firing, rescheduled from the late reading.
+        assert_eq!(engine.step(650), 1);
+        assert_eq!(engine.step(700), 0, "next due at 750, not 200..=700");
+        assert_eq!(engine.step(750), 1);
+        assert_eq!(drain().len(), 2);
+
+        // The quarantined policy's arm was detached when it was
+        // quarantined: only `armed` latches on the next crossing, and by
+        // retiring on it `armed` detaches its own.
+        let latches = engine.armed_stamp.load(Ordering::Relaxed);
+        c.add(10);
+        assert_eq!(engine.armed_stamp.load(Ordering::Relaxed), latches + 1);
+        assert_eq!(engine.step(760), 1);
+        assert_eq!(drain(), [("armed", "threshold", 5)]);
+        assert_eq!(engine.policy_count(), 3);
+        c.add(1_000);
+        assert_eq!(
+            engine.armed_stamp.load(Ordering::Relaxed),
+            latches + 1,
+            "no arm is left on the counter's write path"
+        );
+        // With the periodic gone too, nothing live needs a scan: the step
+        // fast path is back although two quarantined policies remain.
+        assert!(engine.deregister(periodic));
+        let fast = engine.fast_path_steps();
+        assert_eq!(engine.step(10_000), 0);
+        assert_eq!(engine.fast_path_steps(), fast + 1);
     }
 
     #[test]

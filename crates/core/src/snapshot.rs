@@ -297,17 +297,6 @@ impl Introspection {
         self.inner.read().by_name.get(name).copied().map(MetricId)
     }
 
-    /// Resolves a tenant-scoped metric name (`tenant` + `"rate"` →
-    /// `"t3.rate"`) to its id, if registered. The arbiter registers its
-    /// per-tenant mirror gauges under this scheme.
-    pub fn metric_id_scoped(
-        &self,
-        tenant: crate::tenant::TenantId,
-        name: &str,
-    ) -> Option<MetricId> {
-        self.metric_id(&tenant.scoped(name))
-    }
-
     /// Names of all registered metrics, in id order.
     pub fn metric_names(&self) -> Vec<String> {
         (*self.inner.read().names).clone()

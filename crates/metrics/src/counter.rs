@@ -519,26 +519,9 @@ impl CounterRegistry {
         cached.handles.clone()
     }
 
-    /// Snapshot of every gauge as `(name, value)`, sorted by name.
-    pub fn snapshot_gauges(&self) -> Vec<(String, i64)> {
-        let mut v: Vec<(String, i64)> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, h)| (k.clone(), h.get()))
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Number of distinct counters registered.
     pub fn counter_count(&self) -> usize {
         self.counters.read().len()
-    }
-
-    /// Number of distinct gauges registered.
-    pub fn gauge_count(&self) -> usize {
-        self.gauges.read().len()
     }
 }
 

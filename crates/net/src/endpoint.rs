@@ -120,11 +120,6 @@ impl Endpoint {
     pub fn received(&self) -> u64 {
         self.received.load(Ordering::Relaxed)
     }
-
-    /// Access to the coalescer (e.g. to register its window knob).
-    pub fn with_coalescer<R>(&self, f: impl FnOnce(&mut Coalescer) -> R) -> R {
-        f(&mut self.coalescer.lock())
-    }
 }
 
 impl std::fmt::Debug for Endpoint {

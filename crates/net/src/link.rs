@@ -105,16 +105,6 @@ impl SimLink {
         link
     }
 
-    /// Installs (or replaces) the fault plan on a live link.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// The cost model.
     pub fn cost(&self) -> &TransportCost {
         &self.cost

@@ -172,17 +172,6 @@ impl ReliableReport {
             self.retransmissions as f64 / self.offered_parcels as f64
         }
     }
-
-    /// Fraction of wire-offered parcels lost to *faults* (abandoned after
-    /// `max_attempts`), excluding deadline expiry — the fault-loss signal
-    /// an admission policy should not confuse with overload shedding.
-    pub fn fault_loss_frac(&self) -> f64 {
-        if self.offered_parcels == 0 {
-            0.0
-        } else {
-            self.abandoned_parcels as f64 / self.offered_parcels as f64
-        }
-    }
 }
 
 /// Live recovery-state gauges of a [`ReliableLink`], shared via `Arc` so
@@ -517,16 +506,6 @@ impl ReliableLink {
         });
         let g = self.gauges.clone();
         intro.register_gauge("net.reliable.budget_fill", move || g.budget_fill());
-    }
-
-    /// Whether `dest`'s circuit breaker is currently open (sends to it
-    /// would park). Admission layers use this to fail fast instead of
-    /// queueing doomed work behind a dead destination.
-    pub fn breaker_is_open(&self, dest: LocalityId) -> bool {
-        matches!(
-            self.breakers.get(&dest).map(|b| b.state),
-            Some(BreakerState::Open { .. })
-        )
     }
 
     /// Publishes the layer's counters into `reg` under `net.reliable.*`.

@@ -15,9 +15,6 @@
 //! | 1-D heat stencil | [`stencil1d`] | memory-bound, iterative |
 //! | 2-D heat stencil | [`stencil2d`] | memory-bound, blocked |
 //! | transcendental kernel | [`compute`] | compute-bound |
-//! | fib / divide-conquer | [`fib`] | task-graph recursion, tiny tasks |
-//! | unbalanced tree search | [`uts`] | irregular task graph |
-//! | phase alternator | [`phased`] | alternates memory/compute phases |
 //! | parcel storm | [`parcel_storm`] | offered-load generator for lg-net |
 //! | serving scenario | [`serve`] | open-loop arrivals, admission control, saturation |
 //! | two-tenant colocation | [`tenants`] | serve + batch tenants under one arbiter |
@@ -26,19 +23,15 @@
 
 pub mod compute;
 pub mod dag;
-pub mod fib;
 pub mod parcel_storm;
-pub mod phased;
 pub mod serve;
 pub mod stencil1d;
 pub mod stencil2d;
 pub mod tenants;
-pub mod uts;
 
 pub use compute::ComputeKernel;
 pub use dag::{CostModel, DagConfig, DagPattern, DagSched, DagSpec};
 pub use parcel_storm::ParcelStorm;
-pub use phased::PhasedWorkload;
 pub use serve::{ArrivalGen, ArrivalPattern, ServeConfig, ServeEngine, ServeReport};
 pub use stencil1d::Stencil1d;
 pub use stencil2d::Stencil2d;

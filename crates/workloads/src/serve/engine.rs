@@ -156,15 +156,6 @@ impl ServeReport {
             self.deadline_missed as f64 / self.offered as f64
         }
     }
-
-    /// Goodput in responses per second over the makespan.
-    pub fn goodput_per_sec(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.goodput as f64 * 1e9 / self.makespan_ns as f64
-        }
-    }
 }
 
 enum Phase {
