@@ -11,6 +11,10 @@
 //! * **Real**: `parallel_for` chunk-size sweep over the compute kernel on
 //!   this host, plus an online hill-climbing session on the chunk knob
 //!   that should land on the flat bottom of the measured curve.
+//!
+//! The run ends with two gates on the real pool: task accounting, and
+//! [`scaling_gate`] — at the finest grain the ledger measures, a second
+//! worker must not make a pass slower.
 
 use crate::report::{fmt_f, write_csv, Table};
 use lg_core::Knob;
@@ -19,6 +23,7 @@ use lg_runtime::{PoolConfig, ThreadPool};
 use lg_sim::{MachineSpec, SimRuntime, SimTask};
 use lg_tuning::{Dim, HillClimb, Space};
 use lg_workloads::ComputeKernel;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// Simulated completion time for one step of fixed work split `ntasks`
@@ -37,8 +42,88 @@ pub fn real_time_for_chunk(pool: &ThreadPool, kernel: &mut ComputeKernel, chunk:
     t0.elapsed().as_secs_f64()
 }
 
-/// Runs the experiment.
+/// One fine-grain fork-join pass, the shape of the perf ledger's
+/// `taskflood`: a `parallel_for` over 100 000 elements at chunk 64 (1 563
+/// tasks of ~40 ns) plus a scope of 1 000 loose spawns. Returns its wall
+/// time in seconds; panics if any element or task was missed.
+pub fn flood_pass(pool: &ThreadPool, out: &[AtomicU32], pass: u32) -> f64 {
+    const LOOSE: usize = 1_000;
+    let (elements, loose) = out.split_at(out.len() - LOOSE);
+    let element = |i: usize| (i as u32).wrapping_mul(0x9E37_79B1) ^ pass;
+    let t0 = Instant::now();
+    pool.parallel_for("flood", 0..elements.len(), 64, |i| {
+        elements[i].store(element(i), Ordering::Relaxed);
+    });
+    pool.scope(|s| {
+        for (k, slot) in loose.iter().enumerate() {
+            s.spawn_named("loose", move || {
+                slot.store(k as u32 ^ pass, Ordering::Relaxed)
+            });
+        }
+    });
+    let elapsed = t0.elapsed().as_secs_f64();
+    let stored = |o: &AtomicU32| o.load(Ordering::Relaxed);
+    let ok = (elements.iter().enumerate()).all(|(i, o)| stored(o) == element(i))
+        && (loose.iter().enumerate()).all(|(k, o)| stored(o) == k as u32 ^ pass);
+    assert!(ok, "flood pass {pass} lost work");
+    elapsed
+}
+
+/// Fastest of `reps` [`flood_pass`]es on 1 and on 2 workers, observation
+/// disabled, alternating so drift hits both alike: `(t1, t2)` seconds.
+pub fn flood_scaling(reps: u32) -> (f64, f64) {
+    let pools = [1, 2].map(|workers| {
+        let lg = lg_core::LookingGlass::builder().build();
+        lg.dispatcher().set_enabled(false);
+        ThreadPool::new(lg, PoolConfig::with_workers(workers))
+    });
+    let out: Vec<AtomicU32> = (0..101_000).map(|_| AtomicU32::new(0)).collect();
+    let mut best = [f64::MAX; 2];
+    for pass in 0..reps + 5 {
+        for (pool, best) in pools.iter().zip(&mut best) {
+            let t = flood_pass(pool, &out, pass);
+            // The first passes warm the pools up.
+            if pass >= 5 {
+                *best = best.min(t);
+            }
+        }
+    }
+    (best[0], best[1])
+}
+
+/// The scaling gate: with tasks this fine the pool is all overhead, and
+/// overhead that lands on shared cache lines makes two workers *slower*
+/// than one (1.4–2.0× before the per-task path stopped writing shared
+/// lines). Two workers may cost at most 1.25× one worker's pass time.
+/// Skipped on a single-CPU host, where the second worker only time-slices.
+pub fn scaling_gate() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cpus < 2 {
+        println!("scaling gate: skipped ({cpus} CPU)");
+        return;
+    }
+    let (one, two) = flood_scaling(15);
+    println!(
+        "scaling gate: flood pass {} us on 1 worker, {} us on 2 workers ({}x, limit 1.25x, {cpus} CPUs)",
+        fmt_f(one * 1e6),
+        fmt_f(two * 1e6),
+        fmt_f(two / one)
+    );
+    assert!(
+        two <= one * 1.25,
+        "scaling gate: a fine-grain pass takes {:.0} us on 2 workers vs {:.0} us on 1",
+        two * 1e6,
+        one * 1e6
+    );
+}
+
+/// Runs the experiment and its gates.
 pub fn run(fast: bool) {
+    figure(fast);
+    scaling_gate();
+}
+
+fn figure(fast: bool) {
     // --- Simulated sweep ---
     let spec = MachineSpec::server32();
     let total_ops = if fast { 1e8 } else { 1e9 };
@@ -131,7 +216,7 @@ pub fn run(fast: bool) {
         "accounting gate: parallel_for must use batched submission"
     );
     println!(
-        "accounting gate: spawned == executed == {spawned}, boxed = 0, batch_spawns = {batches}"
+        "accounting gate: spawned == executed == {spawned}, boxed = 0, batch_spawns = {batches}\n"
     );
 }
 
@@ -157,6 +242,14 @@ mod tests {
 
     #[test]
     fn runs_fast() {
-        run(true);
+        // Without the scaling gate: its limit is for a release build on
+        // otherwise idle CPUs (CI runs it through `experiments fig4`).
+        figure(true);
+    }
+
+    #[test]
+    fn flood_passes_verify_on_one_and_two_workers() {
+        let (one, two) = flood_scaling(2);
+        assert!(one > 0.0 && two > 0.0);
     }
 }

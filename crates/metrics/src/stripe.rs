@@ -12,11 +12,14 @@
 //!
 //! The stripe index is assigned lazily from a process-wide counter the
 //! first time a thread touches a striped structure, so every thread gets a
-//! unique index (dense from 0). Runtime workers may instead pin their
-//! index to their worker id via [`set_thread_index`] so worker → stripe
-//! mapping is deterministic; a pinned index can collide with another
-//! thread's (e.g. worker 0 of two pools) — that is benign: colliding
-//! threads share a stripe and pay some line sharing, never lose updates.
+//! unique index — counted **down from `usize::MAX`**, so the stripes go
+//! `STRIPE_COUNT - 1`, `STRIPE_COUNT - 2`, …. Runtime workers instead pin
+//! their index to their worker id via [`set_thread_index`] (0, 1, 2, …) so
+//! the worker → stripe mapping is deterministic; the two ranges meet only
+//! once pinned plus unpinned threads exceed [`STRIPE_COUNT`], so a driver
+//! thread never shares worker 0's cells. Collisions past that point (or
+//! between worker 0 of two pools) are benign: colliding threads share a
+//! stripe and pay some line sharing, never lose updates.
 
 use parking_lot::RwLock;
 use std::any::Any;
@@ -45,14 +48,16 @@ thread_local! {
 
 /// Stable, cheap per-thread index used to pick a stripe.
 ///
-/// Assigned on first use from a process-wide counter (unique per thread)
-/// unless the thread pinned one with [`set_thread_index`].
+/// Assigned on first use from a process-wide counter (unique per thread,
+/// handed out from `usize::MAX` downwards so it stays clear of the small
+/// indexes workers pin) unless the thread pinned one with
+/// [`set_thread_index`].
 #[inline]
 pub fn thread_index() -> usize {
     THREAD_INDEX.with(|c| match c.get() {
         Some(i) => i,
         None => {
-            let i = NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed);
+            let i = usize::MAX - NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed);
             c.set(Some(i));
             i
         }
@@ -551,6 +556,23 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn unpinned_threads_stay_clear_of_the_worker_stripes() {
+        // Workers pin 0, 1, 2, …; auto-assigned indexes come from the top.
+        // Every unpinned thread of this test binary draws from the same
+        // counter, so which draw a thread gets is not ours to choose: the
+        // k-th is `usize::MAX - k`, and the first `STRIPE_COUNT - 8` of
+        // them land outside the stripes of workers 0..8.
+        for _ in 0..8 {
+            let i = std::thread::spawn(thread_index).join().unwrap();
+            let k = usize::MAX - i;
+            assert!(k < 1 << 32, "index {i:#x} was not counted down from MAX");
+            if k < STRIPE_COUNT - 8 {
+                assert!(!(0..8).contains(&(i & (STRIPE_COUNT - 1))), "draw {k}");
+            }
+        }
     }
 
     #[test]

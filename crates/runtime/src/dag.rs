@@ -40,13 +40,17 @@
 //! ## Safety
 //!
 //! Bodies may borrow from the enclosing stack frame (`'scope`), with the
-//! same barrier argument as [`crate::scope`]: `dag_scope` does not return
-//! until every node's completion has dropped, and a completion drops only
-//! after the worker is done with the body. The task cell inside a node is
-//! written once by the spawning thread while the wiring guard (counter
-//! ≥ 1) makes the node unreleasable, and taken once by the unique thread
-//! that observes the `1 → 0` transition; the `AcqRel` counter chain
-//! orders the write before the take.
+//! same barrier — the same [`Barrier`] type, batched arrivals and
+//! wait-from-a-drop-guard included — as [`crate::scope`]: `dag_scope` does
+//! not return or unwind until every node's completion has arrived, and a
+//! completion arrives only after the worker is done with the body. The
+//! scope's shared state lives on `dag_scope`'s stack frame and each
+//! node's completion holds a plain pointer to it; successor release is
+//! immediate, only the barrier arrival is batched. The task cell inside a
+//! node is written once by the spawning thread while the wiring guard
+//! (counter ≥ 1) makes the node unreleasable, and taken once by the unique
+//! thread that observes the `1 → 0` transition; the `AcqRel` counter
+//! chain orders the write before the take.
 //!
 //! Panic semantics match `scope`: a panicking node still releases its
 //! successors (the DAG keeps draining — crashed-node successors must not
@@ -54,10 +58,10 @@
 //! `dag_scope` re-throws after the barrier.
 
 use crate::pool::ThreadPool;
-use crate::scope::Completion;
+use crate::scope::{Barrier, Completion, WaitOnDrop};
 use crate::task::{Task, TaskBody};
 use lg_core::dag::DagStats;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -128,14 +132,11 @@ unsafe impl Send for NodeState {}
 pub(crate) struct DagInner {
     pool: Arc<crate::pool::PoolShared>,
     nodes: RwLock<Vec<NodeState>>,
-    /// Nodes spawned and not yet completed (the scope barrier).
-    remaining_nodes: AtomicUsize,
-    panicked: AtomicUsize,
+    /// Nodes spawned and not yet completed.
+    barrier: Barrier,
     /// Nodes whose dependency count reached zero and whose task was
     /// enqueued (diagnostics; equals the node count once drained).
     released: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
     stats: Option<Arc<DagStats>>,
 }
 
@@ -163,56 +164,60 @@ impl DagInner {
     }
 
     /// Called (via [`DagCompletion`]) when a node's body has run or been
-    /// discarded: releases its successors, then drops the scope barrier.
+    /// discarded: releases its successors. The barrier arrival follows.
     fn complete_node(&self, node: u32) {
-        {
-            let nodes = self.nodes.read();
-            let me = &nodes[node as usize];
-            if let Some(st) = &self.stats {
-                st.on_complete(me.height_ns);
-            }
-            let succs = {
-                let mut sl = me.succs.lock();
-                sl.done = true;
-                std::mem::take(&mut sl.list)
-            };
-            for s in succs {
-                self.complete_dep(&nodes, s);
-            }
+        let nodes = self.nodes.read();
+        let me = &nodes[node as usize];
+        if let Some(st) = &self.stats {
+            st.on_complete(me.height_ns);
         }
-        if self.remaining_nodes.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.lock.lock();
-            self.cv.notify_all();
+        let succs = {
+            let mut sl = me.succs.lock();
+            sl.done = true;
+            std::mem::take(&mut sl.list)
+        };
+        for s in succs {
+            self.complete_dep(&nodes, s);
         }
     }
 }
 
-/// A DAG task's completion hook: releases successors and decrements the
-/// scope barrier from `Drop`, so a task discarded at shutdown still
+/// A DAG task's completion hook: releases successors from `Drop`, then
+/// arrives at the scope barrier, so a task discarded at shutdown still
 /// unblocks its scope.
 pub(crate) struct DagCompletion {
-    dag: Arc<DagInner>,
+    /// Valid until this completion's arrival has been published: the
+    /// node was counted by `Barrier::add` before its task was built, and
+    /// `dag_scope` does not pop the frame holding the `DagInner` (and its
+    /// barrier) while the count is non-zero.
+    dag: *const DagInner,
     node: u32,
 }
 
+// SAFETY: the pointer is only dereferenced as `&DagInner`, which is `Sync`
+// (node cells: see `NodeState`); validity is the field's invariant.
+unsafe impl Send for DagCompletion {}
+
 impl DagCompletion {
-    pub(crate) fn run(self, panicked: bool) {
-        if panicked {
-            self.dag.panicked.fetch_add(1, Ordering::AcqRel);
-        }
+    pub(crate) fn barrier(&self) -> *const Barrier {
+        // SAFETY: not yet arrived — see the `dag` field.
+        unsafe { &(*self.dag).barrier }
     }
 }
 
 impl Drop for DagCompletion {
     fn drop(&mut self) {
-        self.dag.complete_node(self.node);
+        // SAFETY: not yet arrived — see the `dag` field.
+        let dag = unsafe { &*self.dag };
+        dag.complete_node(self.node);
+        dag.barrier.task_done();
     }
 }
 
 /// Spawn surface handed to the [`ThreadPool::dag_scope`] closure.
 pub struct DagScope<'scope, 'pool> {
     pool: &'pool ThreadPool,
-    inner: Arc<DagInner>,
+    inner: &'pool DagInner,
     _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
 }
 
@@ -240,8 +245,8 @@ impl<'scope> DagScope<'scope, '_> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        let dag = &self.inner;
-        dag.remaining_nodes.fetch_add(1, Ordering::AcqRel);
+        let dag = self.inner;
+        dag.barrier.add(1);
         let id = {
             let mut nodes = dag.nodes.write();
             let id = u32::try_from(nodes.len()).expect("dag node count fits u32");
@@ -261,14 +266,8 @@ impl<'scope> DagScope<'scope, '_> {
         // SAFETY: the dag barrier — `dag_scope()` blocks until this
         // node's completion has dropped; see module docs.
         let body = unsafe { TaskBody::new_unchecked(body) };
-        let task = Task::with_completion(
-            tid,
-            body,
-            Completion::Dag(DagCompletion {
-                dag: dag.clone(),
-                node: id,
-            }),
-        );
+        let task =
+            Task::with_completion(tid, body, Completion::Dag(DagCompletion { dag, node: id }));
         let nodes = dag.nodes.read();
         let me = &nodes[id as usize];
         // SAFETY: sole writer — the wiring guard keeps `remaining` ≥ 1,
@@ -331,36 +330,28 @@ impl ThreadPool {
         stats: Option<Arc<DagStats>>,
         f: impl FnOnce(&DagScope<'scope, '_>) -> R,
     ) -> R {
-        let inner = Arc::new(DagInner {
+        let inner = DagInner {
             pool: self.shared().clone(),
             nodes: RwLock::new(Vec::new()),
-            remaining_nodes: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
+            barrier: Barrier::new(),
             released: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
             stats,
-        });
+        };
         let scope = DagScope {
             pool: self,
-            inner: inner.clone(),
+            inner: &inner,
             _marker: std::marker::PhantomData,
         };
+        // Same helping barrier as `ThreadPool::scope`, and like there run
+        // from a guard declared last: an unwinding `f` still waits before
+        // `inner` (nodes, unreleased tasks, barrier) is freed.
+        let wait = WaitOnDrop {
+            barrier: &inner.barrier,
+            pool: self.shared(),
+        };
         let result = f(&scope);
-        // Same helping barrier as `ThreadPool::scope`.
-        while inner.remaining_nodes.load(Ordering::Acquire) != 0 {
-            if self.shared().try_help() {
-                continue;
-            }
-            let mut g = inner.lock.lock();
-            if inner.remaining_nodes.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            inner
-                .cv
-                .wait_for(&mut g, std::time::Duration::from_millis(1));
-        }
-        let panics = inner.panicked.load(Ordering::Acquire);
+        drop(wait);
+        let panics = inner.barrier.panics();
         if panics > 0 {
             panic!("{panics} dag node(s) panicked");
         }

@@ -8,16 +8,18 @@
 //! rather than a constant, and why the granularity experiment (Fig 4)
 //! tunes it online.
 //!
-//! Since the batched-spawn rework, one `parallel_for` call issues **one**
-//! injector batch push and **one** worker wake wave, and every chunk task
-//! captures `(Arc<body>, start, end)` — within the inline budget, so the
-//! per-chunk cost contains no allocation and no condvar round-trip. That
-//! shrinks the per-task α the small-chunk penalty region of Fig 4
-//! measures; see [`crate::Scope::spawn_batch`].
+//! One `parallel_for` call issues **one** injector batch push, **one**
+//! worker wake wave and **one** charge to the scope barrier, and every
+//! chunk task captures `(&body, start, end)` — a pointer to the scope's
+//! single copy of the body, within the inline budget — so the per-chunk
+//! cost contains no allocation, no reference count and no condvar
+//! round-trip, and the workers publish their completions in batches. That
+//! is the per-task α the small-chunk penalty region of Fig 4 measures;
+//! see [`crate::Scope::spawn_batch`] and the flush rules in
+//! [`crate::scope`].
 
 use crate::pool::ThreadPool;
 use lg_core::knob::{AtomicKnob, KnobSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Statistics returned by [`ThreadPool::parallel_for`].
@@ -67,21 +69,21 @@ impl ThreadPool {
         F: Fn(usize) + Send + Sync,
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let executed = AtomicU64::new(0);
+        let iterations = range.end.saturating_sub(range.start) as u64;
         let chunks = self.scope(|s| {
             let body = &body;
-            let executed = &executed;
             s.spawn_batch(name, range, chunk, move |start, end| {
                 for i in start..end {
                     body(i);
                 }
-                executed.fetch_add((end - start) as u64, Ordering::Relaxed);
             })
         });
+        // The barrier passed without a panic (`scope` re-throws one), so
+        // every chunk ran to its end: the whole range was executed.
         ParallelForStats {
             chunks,
             chunk_size: chunk,
-            iterations: executed.load(Ordering::Relaxed),
+            iterations,
         }
     }
 
@@ -141,6 +143,7 @@ mod tests {
     use super::*;
     use crate::pool::PoolConfig;
     use lg_core::LookingGlass;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn pool(workers: usize) -> ThreadPool {
         let lg = LookingGlass::builder().build();
@@ -181,7 +184,7 @@ mod tests {
                 "each parallel_for must issue exactly one batch push"
             );
         }
-        // Chunk tasks capture (Arc, start, end): inline, never boxed.
+        // Chunk tasks capture (&body, start, end): inline, never boxed.
         assert_eq!(p.counters().counter("rt.boxed_tasks").get(), 0);
         assert_eq!(
             p.counters().counter("rt.inline_tasks").get() as usize,

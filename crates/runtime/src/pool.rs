@@ -22,6 +22,13 @@
 //! [`crate::task`]). Batch spawns wake `min(batch, idle)` workers in one
 //! wave instead of notify-one per task.
 //!
+//! The per-task path writes only cache lines the acting thread owns:
+//! there is no shared count of unfinished tasks — [`ThreadPool::pending`]
+//! and [`ThreadPool::wait_idle`] fold the striped `rt.spawned` /
+//! `rt.executed` counters every task bumps anyway — and a worker publishes
+//! its scope-barrier arrivals in batches, when it runs dry (the flush
+//! rules are in [`crate::scope`]).
+//!
 //! Task bodies run under `catch_unwind`: a panicking task increments a
 //! counter and (for [`ThreadPool::spawn`]) surfaces through the
 //! [`JoinHandle`]; it never takes a worker down.
@@ -34,6 +41,7 @@
 
 use crate::budget::ThreadBudget;
 use crate::fault::{FaultConfig, FaultState, TaskFault};
+use crate::scope::{flush_arrivals, flush_arrivals_unless};
 use crate::task::{join_pair, BodyKind, JoinHandle, Task, TaskBody};
 use crate::throttle::ThreadCap;
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
@@ -100,6 +108,12 @@ thread_local! {
 
 static POOL_IDS: AtomicUsize = AtomicUsize::new(1);
 
+/// True on a worker thread of any pool, while its loop is alive — the
+/// threads that batch barrier arrivals (see [`crate::scope`]).
+pub(crate) fn on_worker_thread() -> bool {
+    CURRENT_WORKER.with(|cw| cw.get().is_some())
+}
+
 /// A worker's LIFO slot: one task, owner-thread-only access.
 ///
 /// The slot is only ever touched by the worker thread that owns it — it
@@ -144,14 +158,15 @@ pub(crate) struct PoolShared {
     /// detach).
     handles: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
     shutdown: AtomicBool,
-    /// Tasks submitted and not yet finished (for `wait_idle`).
-    pending: AtomicUsize,
     /// Workers currently parked on `idle_cv`. Spawns skip the condvar
     /// entirely while this is zero — the no-condvar fast path.
     idle_workers: AtomicUsize,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
-    /// Waiters blocked in `wait_idle`.
+    /// Threads blocked in `wait_idle`. Written only by them; a worker
+    /// that runs dry reads it and, if non-zero, has them re-fold
+    /// `pending`.
+    idle_waiters: AtomicUsize,
     idle_waiters_lock: Mutex<()>,
     idle_waiters_cv: Condvar,
     panics: AtomicUsize,
@@ -229,10 +244,10 @@ impl ThreadPool {
             parked_cv: Condvar::new(),
             handles: Mutex::new((0..config.workers).map(|_| None).collect()),
             shutdown: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
             idle_workers: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
+            idle_waiters: AtomicUsize::new(0),
             idle_waiters_lock: Mutex::new(()),
             idle_waiters_cv: Condvar::new(),
             panics: AtomicUsize::new(0),
@@ -346,9 +361,12 @@ impl ThreadPool {
             .map_or(0, |f| f.injected_stragglers())
     }
 
-    /// Tasks submitted and not yet finished.
+    /// Tasks submitted and not yet finished: `rt.spawned − rt.executed`,
+    /// folded from the striped counters (no shared count is kept per
+    /// task). Zero proves a quiescent instant, and every effect of the
+    /// tasks finished by then is visible to the caller.
     pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
+        self.shared.pending()
     }
 
     /// Spawns a fire-and-forget named task.
@@ -382,11 +400,12 @@ impl ThreadPool {
     }
 
     /// Spawns one fire-and-forget task per `chunk`-sized slice of `range`,
-    /// sharing a single `Arc` of `body` across all chunks (each task
-    /// captures `(Arc, start, end)` — exactly the inline budget, so no
-    /// per-chunk boxing). The whole set enters the injector in one batch
-    /// push and wakes `min(chunks, idle)` workers in one wave. Returns the
-    /// number of chunk tasks spawned.
+    /// all pointing at one heap copy of `body` that frees itself after the
+    /// last chunk (each task captures `(&body, start, end)` — exactly the
+    /// inline budget, so no per-chunk boxing and no per-chunk reference
+    /// count). The whole set enters the injector in one batch push and
+    /// wakes `min(chunks, idle)` workers in one wave. Returns the number
+    /// of chunk tasks spawned.
     ///
     /// For the blocking/borrowing form used by
     /// [`ThreadPool::parallel_for`], see [`crate::Scope::spawn_batch`].
@@ -404,34 +423,26 @@ impl ThreadPool {
         F: Fn(usize, usize) + Send + Sync + 'static,
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return 0;
-        }
-        let chunks = len.div_ceil(chunk);
         let id = self.shared.lg.intern(name);
-        let shared_body = Arc::new(body);
-        let mut tasks = Vec::with_capacity(chunks);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + chunk).min(range.end);
-            let b = shared_body.clone();
-            tasks.push(Task::new(id, TaskBody::new(move || b(start, end))));
-            start = end;
-        }
-        self.shared.push_batch(tasks);
-        chunks
+        self.shared
+            .push_batch(crate::scope::detached_batch_tasks(id, range, chunk, body))
     }
 
     /// Blocks until no tasks are pending. Concurrent spawns can of course
     /// re-arm the pool; this is a quiescence point, not a barrier.
     pub fn wait_idle(&self) {
-        let mut g = self.shared.idle_waiters_lock.lock();
-        while self.shared.pending.load(Ordering::Acquire) != 0 {
-            self.shared
+        let shared = &self.shared;
+        let mut g = shared.idle_waiters_lock.lock();
+        // SeqCst against `notify_idle_waiters`: either the worker that
+        // finishes the last task sees this registration (and notifies, once
+        // the wait below has released the lock), or the fold sees its task.
+        shared.idle_waiters.fetch_add(1, Ordering::SeqCst);
+        while shared.pending() != 0 {
+            shared
                 .idle_waiters_cv
                 .wait_for(&mut g, std::time::Duration::from_millis(50));
         }
+        shared.idle_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     pub(crate) fn shared(&self) -> &Arc<PoolShared> {
@@ -443,9 +454,22 @@ impl ThreadPool {
 pub(crate) struct ContainedPanic;
 
 impl PoolShared {
+    /// `rt.spawned − rt.executed`. `executed` is folded first: it can
+    /// only have grown by the time `spawned` is read and never exceeds it,
+    /// so a zero difference means the two were equal when the first fold
+    /// ended — a quiescent instant, not a torn read.
+    fn pending(&self) -> usize {
+        let executed = self.c_executed.get();
+        // Pairs with the Release fence before `rt.executed` is bumped in
+        // `run_task`: the counters are Relaxed, the fences make a task
+        // counted here happen-before the caller.
+        fence(Ordering::Acquire);
+        self.c_spawned.get().saturating_sub(executed) as usize
+    }
+
     /// Applies any drawn fault and records the per-task accounting every
-    /// submission path shares (pending, spawn counter, representation
-    /// counters).
+    /// submission path shares (spawn counter — which is also what makes
+    /// the task pending — and representation counters).
     fn admit(&self, mut task: Task) -> Task {
         if let Some(fs) = &self.faults {
             match fs.decide() {
@@ -471,7 +495,6 @@ impl PoolShared {
                 None => {}
             }
         }
-        self.pending.fetch_add(1, Ordering::AcqRel);
         self.c_spawned.inc();
         match task.body.kind() {
             BodyKind::Inline => self.c_inline_tasks.inc(),
@@ -559,16 +582,17 @@ impl PoolShared {
     }
 
     /// Pushes a pre-built chunk set into the injector in one operation and
-    /// wakes `min(batch, idle)` workers in a single wave.
-    pub(crate) fn push_batch(&self, tasks: Vec<Task>) {
+    /// wakes `min(batch, idle)` workers in a single wave. Returns the
+    /// set's size; an empty set is not a batch.
+    pub(crate) fn push_batch(&self, tasks: Vec<Task>) -> usize {
         let n = tasks.len();
-        if n == 0 {
-            return;
+        if n > 0 {
+            self.c_batch_spawns.inc();
+            self.injector
+                .push_batch(tasks.into_iter().map(|t| self.admit(t)));
+            self.wake_workers(n);
         }
-        self.c_batch_spawns.inc();
-        self.injector
-            .push_batch(tasks.into_iter().map(|t| self.admit(t)));
-        self.wake_workers(n);
+        n
     }
 
     /// Wakes up to `n` parked workers — nothing at all on the fast path
@@ -647,8 +671,14 @@ impl PoolShared {
         }
     }
 
-    fn finish_task(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+    /// Called by a worker that ran tasks and then found nothing: has any
+    /// `wait_idle` caller re-fold `pending`. One load of a line only
+    /// waiters write, on the idle path.
+    fn notify_idle_waiters(&self) {
+        // Orders this worker's `rt.executed` bumps before the load; pairs
+        // with the SeqCst registration in `wait_idle`.
+        fence(Ordering::SeqCst);
+        if self.idle_waiters.load(Ordering::SeqCst) != 0 {
             let _g = self.idle_waiters_lock.lock();
             self.idle_waiters_cv.notify_all();
         }
@@ -706,7 +736,8 @@ impl PoolShared {
     /// one pending task (work-stealing join support: a worker blocked in a
     /// scope barrier helps instead of sleeping, which is what makes nested
     /// scopes and fork-join recursion deadlock-free). Returns true if a
-    /// task was run.
+    /// task was run. Flush rule (d): the helped task's arrival is
+    /// published before returning to whatever long task is helping.
     pub(crate) fn try_help(self: &Arc<Self>) -> bool {
         let found = CURRENT_WORKER.with(|cw| match cw.get() {
             Some((pool_id, idx, deque)) if pool_id == self.id => {
@@ -721,6 +752,7 @@ impl PoolShared {
         match found {
             Some((task, idx)) => {
                 run_task(self, task, idx);
+                flush_arrivals();
                 true
             }
             None => false,
@@ -740,6 +772,18 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
     let mut online = true;
     let mut park_timeout = PARK_MIN;
     let mut released = false;
+    // Tasks were run since `wait_idle` callers were last notified.
+    let mut ran = false;
+    // Before this worker stops looking at its own queues — to search
+    // elsewhere, park under the cap, or exit (shutdown, budget release) —
+    // it publishes its batched arrivals (flush rules a and c) and has
+    // `wait_idle` callers re-fold.
+    let quiesce = |ran: &mut bool| {
+        flush_arrivals();
+        if std::mem::take(ran) {
+            shared.notify_idle_waiters();
+        }
+    };
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
@@ -765,6 +809,7 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
         // slot first — a throttled worker must never sit on a task.
         if !shared.cap.allows(index) {
             shared.drain_slot(index);
+            quiesce(&mut ran);
             if online {
                 shared.lg.emit(&Event::WorkerStop {
                     worker: index,
@@ -795,8 +840,10 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
             if let Some(task) = shared.find_task(&local, index) {
                 run_task(&shared, task, index);
                 found = true;
+                ran = true;
                 break;
             }
+            quiesce(&mut ran);
             if round < spin_rounds.max(1) {
                 std::hint::spin_loop();
             } else {
@@ -825,6 +872,7 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
     // the slot is dropped with the pool's other pending tasks (drop
     // guards resolve joins); on release it re-enters the injector below.
     shared.drain_slot(index);
+    quiesce(&mut ran);
     if online {
         shared.lg.emit(&Event::WorkerStop {
             worker: index,
@@ -832,6 +880,8 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
         });
     }
     // Cleared before the deque moves: it holds a raw pointer to `local`.
+    // From here on this thread publishes arrivals at once (rule f), so a
+    // completion dropped with the deque cannot strand in a batch.
     CURRENT_WORKER.with(|cw| cw.set(None));
     if released {
         // Hand queued work back to siblings, then shelve the deque (its
@@ -856,6 +906,13 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
         body,
         completion,
     } = task;
+    // Flush rule (b): arrivals batched for another barrier do not wait
+    // behind this task.
+    flush_arrivals_unless(
+        completion
+            .as_ref()
+            .map_or(std::ptr::null(), |c| c.barrier()),
+    );
     let t0 = shared.lg.now_ns();
     shared.lg.emit(&Event::TaskBegin {
         task: name,
@@ -870,12 +927,15 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
         t_ns: t1,
         elapsed_ns: t1.saturating_sub(t0),
     });
-    shared.c_executed.inc();
     let panicked = result.is_err();
     if panicked {
         shared.panics.fetch_add(1, Ordering::Relaxed);
     }
-    shared.finish_task();
+    // `rt.executed` is what takes the task out of `pending()`, so it moves
+    // after everything `wait_idle` promises; the fence pairs with the
+    // Acquire fence in `PoolShared::pending`.
+    fence(Ordering::Release);
+    shared.c_executed.inc();
     // Completion hooks run last, after the task is fully observable.
     if let Some(c) = completion {
         c.run(panicked);
@@ -1050,7 +1110,7 @@ mod tests {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
         assert_eq!(p.counters().counter("rt.batch_spawns").get(), 1);
-        // (Arc, start, end) captures fit the inline budget exactly.
+        // (&body, start, end) captures fit the inline budget exactly.
         assert_eq!(
             p.counters().counter("rt.inline_tasks").get() as usize,
             chunks

@@ -10,7 +10,7 @@
 //! put one allocator round-trip on every spawn — exactly the per-task α
 //! cost the granularity experiments try to isolate. [`TaskBody`] instead
 //! stores the closure **in place** when it fits [`INLINE_BODY_BYTES`]
-//! (three pointers — enough for the `(Arc<body>, start, end)` triple a
+//! (three pointers — enough for the `(&body, start, end)` triple a
 //! `parallel_for` chunk captures, or a small user capture plus a join
 //! sender). Closures that exceed the inline budget but fit a fixed slab
 //! block are allocated from a per-thread freelist that recycles blocks
