@@ -1,23 +1,25 @@
-//! In-process locality endpoints over crossbeam channels.
+//! In-process locality endpoints over `std::sync::mpsc` channels.
 //!
 //! The real-runtime face of the parcel layer: two localities in one
 //! process exchanging parcels through unbounded channels, with a coalescer
-//! on the send side. Used by the parcel-storm workload and the wall-clock
-//! examples; the virtual-time experiments use [`crate::link::SimLink`]
-//! instead.
+//! on the send side. No figure, example or ledger workload drives it:
+//! the parcel-storm workload and every experiment run in virtual time
+//! over [`crate::link::SimLink`].
 
 use crate::coalesce::{Coalescer, WireMessage};
 use crate::parcel::{LocalityId, Parcel};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// One locality's parcel endpoint.
 pub struct Endpoint {
     id: LocalityId,
     tx: Sender<WireMessage>,
-    rx: Receiver<WireMessage>,
+    /// Behind a lock because a `Receiver` is not `Sync` and endpoints are
+    /// shared across threads.
+    rx: Mutex<Receiver<WireMessage>>,
     coalescer: Mutex<Coalescer>,
     next_seq: AtomicU64,
     sent: AtomicU64,
@@ -36,12 +38,12 @@ impl EndpointPair {
     /// Creates a connected pair with the given coalescer settings on each
     /// side.
     pub fn new(window: usize, window_max: usize, max_delay_ns: u64) -> Self {
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
+        let (tx_ab, rx_ab) = channel();
+        let (tx_ba, rx_ba) = channel();
         let a = Arc::new(Endpoint {
             id: 0,
             tx: tx_ab,
-            rx: rx_ba,
+            rx: Mutex::new(rx_ba),
             coalescer: Mutex::new(Coalescer::new(window, window_max, max_delay_ns)),
             next_seq: AtomicU64::new(0),
             sent: AtomicU64::new(0),
@@ -50,7 +52,7 @@ impl EndpointPair {
         let b = Arc::new(Endpoint {
             id: 1,
             tx: tx_ba,
-            rx: rx_ab,
+            rx: Mutex::new(rx_ab),
             coalescer: Mutex::new(Coalescer::new(window, window_max, max_delay_ns)),
             next_seq: AtomicU64::new(0),
             sent: AtomicU64::new(0),
@@ -104,7 +106,8 @@ impl Endpoint {
     /// Receives every currently available parcel, in wire order.
     pub fn drain(&self) -> Vec<Parcel> {
         let mut out = Vec::new();
-        while let Ok(msg) = self.rx.try_recv() {
+        let rx = self.rx.lock();
+        while let Ok(msg) = rx.try_recv() {
             out.extend(msg.parcels);
         }
         self.received.fetch_add(out.len() as u64, Ordering::Relaxed);

@@ -18,7 +18,8 @@
 //!   computes departure/arrival times, tracks per-parcel latency and
 //!   achieved throughput.
 //! * [`endpoint::Endpoint`] — in-process locality endpoints for the real
-//!   runtime (crossbeam channels), used by the parcel-storm workload.
+//!   runtime (`std::sync::mpsc` channels); the parcel-storm workload and
+//!   the experiments use the virtual-time link instead.
 //! * [`fault::FaultPlan`] — seeded, virtual-time fault injection for the
 //!   link: random drops, duplicates, delay jitter, and link flaps.
 //! * [`reliable::ReliableLink`] — ack/timeout retransmission with

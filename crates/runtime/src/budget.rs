@@ -3,11 +3,14 @@
 //! [`crate::ThreadCap`] *throttles* — an excluded worker parks on a
 //! condvar, but its OS thread stays resident, so the capacity it gives up
 //! cannot be handed to a sibling pool. [`ThreadBudget`] *releases*: a
-//! worker whose index falls outside the budget drains its LIFO slot and
-//! local deque back into the injector, hands its deque to the pool's
-//! parking shelf, and lets its OS thread exit. Raising the budget
-//! re-spawns workers onto their shelved deques (the stealers stay valid
-//! throughout because the deque object itself is reused).
+//! worker whose index falls outside the budget hands its LIFO slot and
+//! its queue's contents back to the injector and lets its OS thread
+//! exit. The queues themselves belong to the pool, one per worker index,
+//! so raising the budget just spawns a new thread for each index that
+//! has none. An index never has two threads: the outgoing one clears the
+//! index's `live` flag as the last thing it does with the index, after
+//! re-checking the budget under the flag's lock — if the budget grew
+//! back first, that same thread carries on instead.
 //!
 //! This is what makes cross-tenant thread reallocation by the
 //! [`lg_core::Arbiter`] real: shrinking one tenant's budget returns
@@ -18,9 +21,9 @@
 //! the pool through the same journaled write path as every other
 //! actuation. A budget write is asynchronous on the shrink side (workers
 //! exit at their next scheduling decision; tasks are never interrupted
-//! mid-body) and synchronous-best-effort on the grow side (the setter
-//! re-spawns workers whose deques are already shelved and waits briefly
-//! for stragglers).
+//! mid-body) and synchronous on the grow side: when the setter returns,
+//! every index inside the budget has a thread — a new one, or the old
+//! one that had not let go yet. The setter never waits.
 
 use crate::pool::PoolShared;
 use lg_core::{Knob, KnobSpec};

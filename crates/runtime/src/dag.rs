@@ -9,16 +9,18 @@
 //! exactly once per dependency edge plus once to enqueue — and the
 //! release path performs **no allocation**: the task record was built at
 //! `spawn_after` time (inline-body rules from [`crate::task`] apply
-//! unchanged), so promotion is a pointer move into the LIFO slot, deque,
-//! or injector.
+//! unchanged), so promotion is a pointer move into the LIFO slot, the
+//! worker's queue, or the injector.
 //!
 //! ## Two-level priority
 //!
 //! A node spawned with [`DagHint::critical`] takes the **priority lane**
 //! when released: on a worker it lands in that worker's LIFO slot (runs
-//! next, caches hot; a displaced occupant moves to the *front* of the
-//! local deque), from outside it enters the injector at the steal end.
-//! Off-path nodes take the normal steal path. The lane is gated by the
+//! next, caches hot; a displaced occupant moves to the *front* of that
+//! worker's queue, the end its owner pops), from outside it enters the
+//! injector at the front, the end batch takes come from. Every queue is
+//! the pool's one mutex-guarded `Lane` type, so a front push is an
+//! ordinary operation on it. Off-path nodes go to the back. The lane is gated by the
 //! pool's `dag.critical_bias` knob, so a policy
 //! ([`lg_core::dag::CriticalPathPolicy`]) can turn the bias off when the
 //! DAG offers abundant width.

@@ -4,18 +4,19 @@
 //! *observed and adapted*: every scheduling decision emits `lg-core`
 //! events, and the runtime exposes its control parameters as knobs.
 //!
-//! * [`pool::ThreadPool`] — N workers with Chase–Lev work-stealing deques
-//!   (`crossbeam-deque`), a per-worker LIFO slot, and a global injector
-//!   with batched pushes/steals; idle workers back off through
+//! * [`pool::ThreadPool`] — N workers, each with a LIFO slot and a
+//!   stealable queue, plus a global injector with batched pushes/takes.
+//!   Every queue is the same in-tree type, a mutex-guarded `VecDeque` on
+//!   its own cache line, owned by the pool; idle workers back off through
 //!   spin → yield → park with an escalating timeout, and spawns touch the
 //!   park condvar only when a worker is actually parked.
 //! * [`throttle`] — the **thread cap**: workers whose index is ≥ the cap
 //!   park at task boundaries and resume when the cap rises. This is the
 //!   concurrency-throttling actuator the energy experiments drive.
 //! * [`budget`] — the **thread budget**: unlike the cap, shrinking the
-//!   budget releases worker OS threads (their deques are shelved and
-//!   reused on re-spawn), so a machine-wide arbiter can actually move
-//!   thread capacity between tenant pools.
+//!   budget releases worker OS threads (growing it spawns new ones onto
+//!   the same pool-owned queues), so a machine-wide arbiter can actually
+//!   move thread capacity between tenant pools.
 //! * [`task`] — named tasks and [`task::JoinHandle`]s. Task bodies use
 //!   inline small-closure storage ([`task::INLINE_BODY_BYTES`]), so the
 //!   steady-state spawn/execute path performs **no heap allocation**.
@@ -37,7 +38,7 @@
 //! | `TaskBegin`/`TaskEnd` | around every task body |
 //! | counter `rt.spawned` / `rt.executed` / `rt.steals` / `rt.parks` | scheduling |
 //! | counter `rt.inline_tasks` / `rt.boxed_tasks` | task-body representation (inline vs. heap) |
-//! | counter `rt.batch_spawns` / `rt.lifo_hits` | batched submission / LIFO-slot fast path |
+//! | counter `rt.batch_spawns` / `rt.lifo_hits` / `rt.priority_pushes` | batched submission / LIFO-slot fast path / DAG priority lane |
 //! | counter `rt.injected_panics` / `rt.injected_stragglers` | fault injection |
 
 #![warn(missing_docs)]
@@ -45,6 +46,7 @@
 pub mod budget;
 pub mod dag;
 pub mod fault;
+mod lane;
 pub mod par_iter;
 pub mod pool;
 pub mod scope;

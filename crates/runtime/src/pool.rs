@@ -4,15 +4,20 @@
 //!
 //! 1. **LIFO slot** — each worker owns a single-task slot; a task spawned
 //!    *by* a running worker lands there and executes next, with hot
-//!    caches. The previous occupant is displaced to the local deque.
-//! 2. **Local deque** — each worker owns a Chase–Lev deque; slot
-//!    displacements go there (FIFO pop for fairness).
-//! 3. **Global injector** — tasks spawned from outside land in an MPMC
-//!    injector; workers batch-steal from it (`steal_batch_and_pop`), and
-//!    [`ThreadPool::spawn_batch`] pushes whole chunk sets in one
-//!    operation.
-//! 4. **Stealing** — an idle worker scans the other workers' deques
-//!    (FIFO steal) starting from a per-worker rotation point.
+//!    caches. The previous occupant is displaced to the worker's lane.
+//! 2. **Local lane** — one `Lane` (a mutex-guarded `VecDeque`, see
+//!    `lane.rs`) per worker index; slot displacements go to the back,
+//!    the owner pops the front (FIFO, for fairness).
+//! 3. **Global injector** — one more lane. Tasks spawned from outside
+//!    land there; a worker takes the first task plus up to
+//!    min(half, 16) more into its own lane in one operation, and
+//!    [`ThreadPool::spawn_batch`] pushes whole chunk sets in one.
+//! 4. **Other workers' lanes** — an idle worker scans them, starting at
+//!    its right-hand neighbour, and steals from the back.
+//!
+//! The pool owns every queue for its whole life: the lanes sit next to
+//! the LIFO slots in `PoolShared`, indexed by worker, whether or not
+//! that index has an OS thread right now (see [`crate::budget`]).
 //!
 //! Idle workers back off adaptively — bounded spin, then yields, then a
 //! park with an escalating timeout. Parks are counted in an idle-worker
@@ -41,16 +46,15 @@
 
 use crate::budget::ThreadBudget;
 use crate::fault::{FaultConfig, FaultState, TaskFault};
+use crate::lane::Lane;
 use crate::scope::{flush_arrivals, flush_arrivals_unless};
 use crate::task::{join_pair, BodyKind, JoinHandle, Task, TaskBody};
 use crate::throttle::ThreadCap;
-use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use lg_core::knob::{AtomicKnob, KnobSpec};
 use lg_core::{Event, LookingGlass};
 use lg_metrics::{CounterHandle, CounterRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
-use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -98,12 +102,8 @@ const PARK_MIN: std::time::Duration = std::time::Duration::from_millis(1);
 const PARK_MAX: std::time::Duration = std::time::Duration::from_millis(10);
 
 thread_local! {
-    /// (pool id, worker index, pointer to the worker's local deque).
-    ///
-    /// The pointer is only dereferenced by the owning thread while the
-    /// worker loop is alive; it is cleared before the loop exits.
-    static CURRENT_WORKER: Cell<Option<(usize, usize, *const Deque<Task>)>> =
-        const { Cell::new(None) };
+    /// (pool id, worker index) while this thread serves that index.
+    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 static POOL_IDS: AtomicUsize = AtomicUsize::new(1);
@@ -111,7 +111,7 @@ static POOL_IDS: AtomicUsize = AtomicUsize::new(1);
 /// True on a worker thread of any pool, while its loop is alive — the
 /// threads that batch barrier arrivals (see [`crate::scope`]).
 pub(crate) fn on_worker_thread() -> bool {
-    CURRENT_WORKER.with(|cw| cw.get().is_some())
+    CURRENT_WORKER.get().is_some()
 }
 
 /// A worker's LIFO slot: one task, owner-thread-only access.
@@ -131,31 +131,26 @@ struct LifoSlot {
 // access.
 unsafe impl Sync for LifoSlot {}
 
-/// Residency bookkeeping for budget-released workers: the deque of a
-/// released worker is shelved here (still referenced by its stealer, so
-/// the object must survive) until a grow re-spawns a thread onto it.
-struct ParkedWorkers {
-    deques: HashMap<usize, Deque<Task>>,
-    /// `live[i]` — worker `i` has a resident OS thread. Flipped under the
-    /// `parked` lock by the releasing worker itself (the commit point of
-    /// a release) and by the re-spawner.
-    live: Vec<bool>,
-}
-
 pub(crate) struct PoolShared {
     pub(crate) id: usize,
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
+    injector: Lane,
+    /// `lanes[i]` and `slots[i]` belong to worker index `i`.
+    lanes: Vec<Lane>,
     slots: Vec<LifoSlot>,
     lg: Arc<LookingGlass>,
     cap: ThreadCap,
     budget: ThreadBudget,
     spin_rounds: usize,
-    parked: Mutex<ParkedWorkers>,
-    parked_cv: Condvar,
-    /// Join handles, indexed by worker; re-spawns replace their slot (the
-    /// old thread has exited by then, so dropping its handle is a no-op
-    /// detach).
+    /// `live[i]` — a thread serves worker index `i`. Set by
+    /// `apply_budget` just before it spawns that thread; cleared by the
+    /// thread itself as its last act on the index (see `worker_loop`).
+    /// At most one thread per index follows, which is what the
+    /// owner-only [`LifoSlot`] needs. `shutdown` is raised under this
+    /// lock, so no thread is spawned behind `drop`'s back.
+    live: Mutex<Vec<bool>>,
+    /// Join handles, indexed by worker; a re-spawn replaces the handle of
+    /// a thread that already cleared its `live` flag and is returning
+    /// (dropping that handle detaches it).
     handles: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
     shutdown: AtomicBool,
     /// Workers currently parked on `idle_cv`. Spawns skip the condvar
@@ -205,8 +200,6 @@ impl ThreadPool {
     pub fn new(lg: Arc<LookingGlass>, config: PoolConfig) -> Self {
         assert!(config.workers > 0, "pool needs at least one worker");
         let counters = Arc::new(CounterRegistry::new());
-        let deques: Vec<Deque<Task>> = (0..config.workers).map(|_| Deque::new_fifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let slots = (0..config.workers)
             .map(|_| LifoSlot {
                 cell: UnsafeCell::new(None),
@@ -230,18 +223,14 @@ impl ThreadPool {
         }
         let shared = Arc::new(PoolShared {
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            injector: Injector::new(),
-            stealers,
+            injector: Lane::new(),
+            lanes: (0..config.workers).map(|_| Lane::new()).collect(),
             slots,
             lg,
             cap,
             budget: budget.clone(),
             spin_rounds: config.spin_rounds,
-            parked: Mutex::new(ParkedWorkers {
-                deques: HashMap::new(),
-                live: vec![true; config.workers],
-            }),
-            parked_cv: Condvar::new(),
+            live: Mutex::new(vec![false; config.workers]),
             handles: Mutex::new((0..config.workers).map(|_| None).collect()),
             shutdown: AtomicBool::new(false),
             idle_workers: AtomicUsize::new(0),
@@ -274,19 +263,9 @@ impl ThreadPool {
             c_injected_stragglers: counters.counter("rt.injected_stragglers"),
         });
         budget.attach(&shared);
-        {
-            let mut handles = shared.handles.lock();
-            for (index, deque) in deques.into_iter().enumerate() {
-                let shared = shared.clone();
-                let spin_rounds = config.spin_rounds;
-                handles[index] = Some(
-                    std::thread::Builder::new()
-                        .name(format!("lg-worker-{index}"))
-                        .spawn(move || worker_loop(shared, deque, index, spin_rounds))
-                        .expect("failed to spawn worker"),
-                );
-            }
-        }
+        // No index is live yet and the budget allows them all: this
+        // spawns every worker.
+        shared.apply_budget();
         Self { shared, counters }
     }
 
@@ -319,25 +298,20 @@ impl ThreadPool {
     /// budget drops this (workers exit at their next scheduling
     /// decision); growing it restores it.
     pub fn resident_workers(&self) -> usize {
-        self.shared
-            .parked
-            .lock()
-            .live
-            .iter()
-            .filter(|l| **l)
-            .count()
+        self.shared.live.lock().iter().filter(|l| **l).count()
     }
 
     /// Scheduling counters (`rt.spawned`, `rt.executed`, `rt.steals`,
     /// `rt.parks`, `rt.inline_tasks`, `rt.boxed_tasks`, `rt.batch_spawns`,
-    /// `rt.lifo_hits`).
+    /// `rt.lifo_hits`, `rt.priority_pushes`) and the fault-injection pair
+    /// (`rt.injected_panics`, `rt.injected_stragglers`).
     pub fn counters(&self) -> &Arc<CounterRegistry> {
         &self.counters
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.stealers.len()
+        self.shared.lanes.len()
     }
 
     /// Panics contained so far.
@@ -504,72 +478,47 @@ impl PoolShared {
     }
 
     pub(crate) fn push(&self, task: Task) {
-        let task = self.admit(task);
-        let mut task = Some(task);
-        CURRENT_WORKER.with(|cw| {
-            if let Some((pool_id, idx, deque)) = cw.get() {
-                if pool_id == self.id {
-                    // LIFO slot: the freshly spawned task runs next on this
-                    // worker, caches hot. The previous occupant moves to
-                    // the local deque, where it stays stealable.
-                    // SAFETY: this thread is worker `idx` of this pool —
-                    // the only thread that touches `slots[idx]` — and the
-                    // deque pointer refers to the deque owned by this
-                    // thread's worker loop, which is alive for the
-                    // duration of any task body (including this call).
-                    let displaced = unsafe {
-                        (*self.slots[idx].cell.get()).replace(task.take().expect("task present"))
-                    };
-                    if let Some(displaced) = displaced {
-                        unsafe { (*deque).push(displaced) };
-                        // The displaced task is claimable by others.
-                        self.wake_workers(1);
-                    }
-                    // No wake for the slot occupant itself: this worker
-                    // runs it as soon as the current body returns.
-                }
-            }
-        });
-        if let Some(task) = task {
-            self.injector.push(task);
-            self.wake_workers(1);
-        }
+        self.submit(task, false);
     }
 
-    /// Priority push for critical-path DAG tasks: on a worker of this
-    /// pool, the task takes the LIFO slot (runs next, caches hot) and any
-    /// displaced occupant goes to the *front* of the local deque so it
-    /// stays ahead of older queued work; from outside, the task enters
-    /// the injector at the steal end so the next batch-steal returns it
-    /// first. With the `dag.critical_bias` knob at 0 this degrades to a
-    /// normal [`PoolShared::push`].
+    /// Priority push for critical-path DAG tasks: as [`PoolShared::push`],
+    /// but whatever the task displaces from the LIFO slot goes to the
+    /// *front* of the worker's lane, ahead of older queued work, and from
+    /// outside the pool the task enters the injector at the front, so the
+    /// next batch take returns it first. With the `dag.critical_bias`
+    /// knob at 0 this is a normal push.
     pub(crate) fn push_priority(&self, task: Task) {
-        if !self.dag_bias_enabled() {
-            self.push(task);
-            return;
-        }
+        self.submit(task, self.dag_bias_enabled());
+    }
+
+    /// The one submission path for single tasks. On a worker of this
+    /// pool the task takes the LIFO slot — it runs next on this worker,
+    /// caches hot — and the previous occupant moves to the worker's lane,
+    /// where it stays stealable. From any other thread it enters the
+    /// injector. `priority` picks the lane end: front instead of back.
+    fn submit(&self, task: Task, priority: bool) {
         let task = self.admit(task);
-        self.c_priority_pushes.inc();
-        let mut task = Some(task);
-        CURRENT_WORKER.with(|cw| {
-            if let Some((pool_id, idx, deque)) = cw.get() {
-                if pool_id == self.id {
-                    // SAFETY: same argument as `push` — this thread is
-                    // worker `idx` of this pool, sole owner of its slot,
-                    // and the deque pointer is live for the duration of
-                    // any task body.
-                    let displaced = unsafe {
-                        (*self.slots[idx].cell.get()).replace(task.take().expect("task present"))
-                    };
-                    if let Some(displaced) = displaced {
-                        unsafe { (*deque).push_front(displaced) };
-                        self.wake_workers(1);
-                    }
-                }
+        if priority {
+            self.c_priority_pushes.inc();
+        }
+        let (lane, queued) = match self.current_worker() {
+            Some(idx) => {
+                // SAFETY: this thread serves worker index `idx` of this
+                // pool (`CURRENT_WORKER` says so only while it does), which
+                // makes it the only thread that touches `slots[idx]`.
+                let displaced = unsafe { (*self.slots[idx].cell.get()).replace(task) };
+                (&self.lanes[idx], displaced)
             }
-        });
-        if let Some(task) = task {
-            self.injector.push_front(task);
+            None => (&self.injector, Some(task)),
+        };
+        // No wake for a slot occupant: this worker runs it as soon as the
+        // current body returns. A queued task is claimable by others.
+        if let Some(queued) = queued {
+            if priority {
+                lane.push_front(queued);
+            } else {
+                lane.push_back(queued);
+            }
             self.wake_workers(1);
         }
     }
@@ -589,7 +538,7 @@ impl PoolShared {
         if n > 0 {
             self.c_batch_spawns.inc();
             self.injector
-                .push_batch(tasks.into_iter().map(|t| self.admit(t)));
+                .extend(tasks.into_iter().map(|t| self.admit(t)));
             self.wake_workers(n);
         }
         n
@@ -620,53 +569,39 @@ impl PoolShared {
 
     /// True if any queue a parking worker could serve holds work.
     fn has_stealable_work(&self) -> bool {
-        if !self.injector.is_empty() {
-            return true;
-        }
-        self.stealers.iter().any(|s| !s.is_empty())
+        !self.injector.is_empty() || self.lanes.iter().any(|l| !l.is_empty())
     }
 
-    fn find_task(&self, local: &Deque<Task>, index: usize) -> Option<Task> {
-        // SAFETY: only worker `index` (this thread) calls `find_task` with
-        // its own index — see the callers in `worker_loop` and `try_help`.
+    /// Worker `index`'s search: its slot, its lane, a batch from the
+    /// injector, then one task from the back of each other lane in turn.
+    fn find_task(&self, index: usize) -> Option<Task> {
+        // SAFETY: only the thread serving worker `index` calls this with
+        // that index — see `worker_loop` and `try_help`.
         if let Some(t) = unsafe { (*self.slots[index].cell.get()).take() } {
             self.c_lifo_hits.inc();
             return Some(t);
         }
-        if let Some(t) = local.pop() {
+        let local = &self.lanes[index];
+        if let Some(t) = local
+            .pop_front()
+            .or_else(|| self.injector.take_batch(local))
+        {
             return Some(t);
         }
-        loop {
-            match self.injector.steal_batch_and_pop(local) {
-                crossbeam::deque::Steal::Success(t) => return Some(t),
-                crossbeam::deque::Steal::Retry => continue,
-                crossbeam::deque::Steal::Empty => break,
-            }
-        }
-        let n = self.stealers.len();
-        for off in 1..n {
-            let victim = (index + off) % n;
-            loop {
-                match self.stealers[victim].steal() {
-                    crossbeam::deque::Steal::Success(t) => {
-                        self.c_steals.inc();
-                        return Some(t);
-                    }
-                    crossbeam::deque::Steal::Retry => continue,
-                    crossbeam::deque::Steal::Empty => break,
-                }
-            }
-        }
-        None
+        let n = self.lanes.len();
+        let stolen = (1..n).find_map(|off| self.lanes[(index + off) % n].pop_back())?;
+        self.c_steals.inc();
+        Some(stolen)
     }
 
     /// Throttle drain rule: a worker about to park under the thread cap
     /// first evicts its LIFO slot into the injector, so no task strands on
-    /// a parked worker (the slot, unlike the deque, is not stealable).
+    /// a parked worker (the slot, unlike the lane, is not stealable).
     fn drain_slot(&self, index: usize) {
-        // SAFETY: called only by worker `index` on its own slot.
+        // SAFETY: called only by the thread serving worker `index`, on
+        // its own slot.
         if let Some(t) = unsafe { (*self.slots[index].cell.get()).take() } {
-            self.injector.push(t);
+            self.injector.push_back(t);
             self.wake_workers(1);
         }
     }
@@ -685,51 +620,41 @@ impl PoolShared {
     }
 
     /// Reacts to a thread-budget write: wakes every parked or throttled
-    /// worker so over-budget ones release promptly, then re-spawns
-    /// workers whose indices came back inside the budget onto their
-    /// shelved deques. Waits (bounded) for an outgoing worker that has
-    /// committed to release but not yet shelved its deque.
+    /// worker so over-budget ones release promptly, then spawns a thread
+    /// for every index inside the budget that has none. It never waits:
+    /// an index whose thread is still on its way out is `live`, and that
+    /// thread re-checks the budget before it lets go (see `worker_loop`).
     pub(crate) fn apply_budget(self: &Arc<Self>) {
         self.cap.wake_all();
         {
             let _g = self.idle_lock.lock();
             self.idle_cv.notify_all();
         }
-        let n = self.stealers.len();
-        for index in 0..n {
-            loop {
-                if self.shutdown.load(Ordering::Acquire) || !self.budget.allows(index) {
-                    break;
-                }
-                let mut parked = self.parked.lock();
-                if parked.live[index] {
-                    break;
-                }
-                if let Some(deque) = parked.deques.remove(&index) {
-                    parked.live[index] = true;
-                    drop(parked);
-                    let shared = self.clone();
-                    let spin_rounds = self.spin_rounds;
-                    let h = std::thread::Builder::new()
-                        .name(format!("lg-worker-{index}"))
-                        .spawn(move || worker_loop(shared, deque, index, spin_rounds))
-                        .expect("failed to respawn worker");
-                    // The old thread exited when it shelved this deque;
-                    // dropping its handle just detaches it.
-                    self.handles.lock()[index] = Some(h);
-                    break;
-                }
-                // Release committed but the deque is not shelved yet:
-                // wait for the outgoing worker (bounded, re-checked).
-                self.parked_cv
-                    .wait_for(&mut parked, std::time::Duration::from_millis(50));
+        let mut live = self.live.lock();
+        for index in 0..live.len() {
+            if !live[index] && self.budget.allows(index) && !self.shutdown.load(Ordering::Acquire) {
+                live[index] = true;
+                let shared = self.clone();
+                let handle = std::thread::Builder::new()
+                    .name(format!("lg-worker-{index}"))
+                    .spawn(move || worker_loop(shared, index))
+                    .expect("failed to spawn worker");
+                self.handles.lock()[index] = Some(handle);
             }
+        }
+    }
+
+    /// The worker index the calling thread serves in this pool, if any.
+    fn current_worker(&self) -> Option<usize> {
+        match CURRENT_WORKER.get() {
+            Some((pool_id, index)) if pool_id == self.id => Some(index),
+            _ => None,
         }
     }
 
     /// True if the calling thread is one of this pool's workers.
     pub(crate) fn is_current_worker(&self) -> bool {
-        CURRENT_WORKER.with(|cw| matches!(cw.get(), Some((pool_id, ..)) if pool_id == self.id))
+        self.current_worker().is_some()
     }
 
     /// If the calling thread is one of this pool's workers, pops and runs
@@ -739,39 +664,55 @@ impl PoolShared {
     /// task was run. Flush rule (d): the helped task's arrival is
     /// published before returning to whatever long task is helping.
     pub(crate) fn try_help(self: &Arc<Self>) -> bool {
-        let found = CURRENT_WORKER.with(|cw| match cw.get() {
-            Some((pool_id, idx, deque)) if pool_id == self.id => {
-                // SAFETY: we are the thread that owns `deque`; the worker
-                // loop (and therefore the deque) is alive because this call
-                // happens inside a task body it is executing.
-                let local = unsafe { &*deque };
-                self.find_task(local, idx).map(|t| (t, idx))
-            }
-            _ => None,
-        });
-        match found {
-            Some((task, idx)) => {
-                run_task(self, task, idx);
-                flush_arrivals();
-                true
-            }
-            None => false,
+        let Some(index) = self.current_worker() else {
+            return false;
+        };
+        let Some(task) = self.find_task(index) else {
+            return false;
+        };
+        run_task(self, task, index);
+        flush_arrivals();
+        true
+    }
+}
+
+/// The body of a worker thread: serves `index` until shutdown or until
+/// the budget excludes it, then gives the index up.
+///
+/// Release rule: clearing `live[index]` is this thread's *last* act on
+/// anything the index owns (slot, lane, `CURRENT_WORKER`), done under the
+/// `live` lock after re-checking the budget. If the budget grew back in
+/// the meantime, `apply_budget` saw the flag still set and spawned
+/// nothing, so this same thread goes round again.
+fn worker_loop(shared: Arc<PoolShared>, index: usize) {
+    // Pin this worker's stripe index to its worker id so striped counters
+    // and sharded listeners get a dense, deterministic worker → stripe map.
+    lg_metrics::stripe::set_thread_index(index);
+    loop {
+        CURRENT_WORKER.set(Some((shared.id, index)));
+        serve(&shared, index);
+        // From here on this thread publishes arrivals at once (rule f), so
+        // a completion dropped with the pool's queues cannot strand in a
+        // batch.
+        CURRENT_WORKER.set(None);
+        let mut live = shared.live.lock();
+        if shared.shutdown.load(Ordering::Acquire) || !shared.budget.allows(index) {
+            live[index] = false;
+            return;
         }
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_rounds: usize) {
-    // Pin this worker's stripe index to its worker id so striped counters
-    // and sharded listeners get a dense, deterministic worker → stripe map.
-    lg_metrics::stripe::set_thread_index(index);
-    CURRENT_WORKER.with(|cw| cw.set(Some((shared.id, index, &local as *const Deque<Task>))));
+/// One residency of a worker: `WorkerStart` … `WorkerStop`. Returns on
+/// shutdown or budget release, with the slot and the lane handed back.
+fn serve(shared: &Arc<PoolShared>, index: usize) {
     shared.lg.emit(&Event::WorkerStart {
         worker: index,
         t_ns: shared.lg.now_ns(),
     });
+    let spin_rounds = shared.spin_rounds.max(1);
     let mut online = true;
     let mut park_timeout = PARK_MIN;
-    let mut released = false;
     // Tasks were run since `wait_idle` callers were last notified.
     let mut ran = false;
     // Before this worker stops looking at its own queues — to search
@@ -784,27 +725,8 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
             shared.notify_idle_waiters();
         }
     };
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // Budget: a worker outside the budget gives its OS thread back.
-        // The flip of `live` under the parked lock is the commit point —
-        // a concurrent grow either sees `live == true` (we stay, because
-        // we re-check the budget under the same lock) or waits for the
-        // deque we shelve on the way out.
-        if !shared.budget.allows(index) {
-            let mut parked = shared.parked.lock();
-            if !shared.budget.allows(index) {
-                parked.live[index] = false;
-                released = true;
-            }
-            drop(parked);
-            if released {
-                break;
-            }
-            continue;
-        }
+    // Budget: a worker outside the budget gives its OS thread back.
+    while !shared.shutdown.load(Ordering::Acquire) && shared.budget.allows(index) {
         // Throttling: park if the cap excludes this worker. Drain the LIFO
         // slot first — a throttled worker must never sit on a task.
         if !shared.cap.allows(index) {
@@ -817,13 +739,11 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
                 });
                 online = false;
             }
-            let allowed = shared.cap.wait_until_allowed(index, || {
+            // Allowed again, shutdown or budget release: the loop head
+            // decides which.
+            shared.cap.wait_until_allowed(index, || {
                 shared.shutdown.load(Ordering::Acquire) || !shared.budget.allows(index)
             });
-            if !allowed {
-                // Shutdown or budget release: the loop head decides which.
-                continue;
-            }
             continue;
         }
         if !online {
@@ -836,15 +756,15 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
         // Adaptive idle backoff: spin (cheap, latency-optimal), then yield
         // the timeslice, then park with an escalating timeout.
         let mut found = false;
-        for round in 0..(spin_rounds.max(1) + YIELD_ROUNDS) {
-            if let Some(task) = shared.find_task(&local, index) {
-                run_task(&shared, task, index);
+        for round in 0..(spin_rounds + YIELD_ROUNDS) {
+            if let Some(task) = shared.find_task(index) {
+                run_task(shared, task, index);
                 found = true;
                 ran = true;
                 break;
             }
             quiesce(&mut ran);
-            if round < spin_rounds.max(1) {
+            if round < spin_rounds {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
@@ -868,35 +788,24 @@ fn worker_loop(shared: Arc<PoolShared>, local: Deque<Task>, index: usize, spin_r
         }
         shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
     }
-    // Exit (shutdown or budget release). On shutdown, anything still in
-    // the slot is dropped with the pool's other pending tasks (drop
-    // guards resolve joins); on release it re-enters the injector below.
+    // Exit. Slot and lane go back to the injector for the siblings (on
+    // shutdown they are dropped with the pool's other pending tasks; drop
+    // guards resolve joins).
     shared.drain_slot(index);
+    let mut handed_back = 0;
+    while let Some(t) = shared.lanes[index].pop_front() {
+        shared.injector.push_back(t);
+        handed_back += 1;
+    }
+    if handed_back > 0 {
+        shared.wake_workers(handed_back);
+    }
     quiesce(&mut ran);
     if online {
         shared.lg.emit(&Event::WorkerStop {
             worker: index,
             t_ns: shared.lg.now_ns(),
         });
-    }
-    // Cleared before the deque moves: it holds a raw pointer to `local`.
-    // From here on this thread publishes arrivals at once (rule f), so a
-    // completion dropped with the deque cannot strand in a batch.
-    CURRENT_WORKER.with(|cw| cw.set(None));
-    if released {
-        // Hand queued work back to siblings, then shelve the deque (its
-        // stealer stays valid — the object is reused on re-spawn).
-        let mut n = 0;
-        while let Some(t) = local.pop() {
-            shared.injector.push(t);
-            n += 1;
-        }
-        if n > 0 {
-            shared.wake_workers(n);
-        }
-        let mut parked = shared.parked.lock();
-        parked.deques.insert(index, local);
-        shared.parked_cv.notify_all();
     }
 }
 
@@ -944,15 +853,16 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Under the `live` lock: after this no `apply_budget` spawns,
+            // and every thread spawned before it has its handle stored.
+            let _live = self.shared.live.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cap.wake_all();
         {
             let _g = self.shared.idle_lock.lock();
             self.shared.idle_cv.notify_all();
-        }
-        {
-            let _g = self.shared.parked.lock();
-            self.shared.parked_cv.notify_all();
         }
         let handles: Vec<_> = self
             .shared
@@ -983,7 +893,10 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     fn pool(workers: usize) -> ThreadPool {
-        let lg = LookingGlass::builder().build();
+        pool_on(LookingGlass::builder().build(), workers)
+    }
+
+    fn pool_on(lg: Arc<LookingGlass>, workers: usize) -> ThreadPool {
         ThreadPool::new(
             lg,
             PoolConfig {
@@ -1238,17 +1151,20 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 500);
     }
 
-    /// Spin until `resident_workers()` reaches `want` (bounded).
-    fn wait_resident(p: &ThreadPool, want: usize) {
+    /// Spin until `cond` holds (bounded).
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while p.resident_workers() != want && std::time::Instant::now() < deadline {
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
             std::thread::yield_now();
         }
-        assert_eq!(
-            p.resident_workers(),
-            want,
-            "resident worker count did not converge"
-        );
+    }
+
+    /// Spin until `resident_workers()` reaches `want` (bounded).
+    fn wait_resident(p: &ThreadPool, want: usize) {
+        eventually("resident worker count did not converge", || {
+            p.resident_workers() == want
+        });
     }
 
     #[test]
@@ -1302,6 +1218,165 @@ mod tests {
         p.spawn_named("x", || {});
         p.wait_idle();
         drop(p); // must not hang with two workers released
+    }
+
+    /// `WorkerStart`/`WorkerStop` per worker index, in emission order.
+    struct Residencies(Mutex<Vec<(usize, bool)>>);
+
+    impl lg_core::Listener for Residencies {
+        fn name(&self) -> &str {
+            "residencies"
+        }
+        fn on_event(&self, event: &Event) {
+            match *event {
+                Event::WorkerStart { worker, .. } => self.0.lock().push((worker, true)),
+                Event::WorkerStop { worker, .. } => self.0.lock().push((worker, false)),
+                _ => {}
+            }
+        }
+    }
+
+    impl Residencies {
+        /// Panics unless every index reads start, stop, start, stop, …
+        /// Returns how many residencies are still open.
+        fn open_after_strict_alternation(&self, workers: usize) -> usize {
+            let log = self.0.lock();
+            (0..workers)
+                .filter(|&index| {
+                    let mut resident = false;
+                    for &(_, start) in log.iter().filter(|(w, _)| *w == index) {
+                        assert_ne!(start, resident, "index {index}: two threads, or none");
+                        resident = start;
+                    }
+                    resident
+                })
+                .count()
+        }
+    }
+
+    #[test]
+    fn a_release_that_loses_to_a_grow_goes_round_again() {
+        /// Grows the budget back from inside the first releasing worker:
+        /// after its `WorkerStop`, before it gives the index up.
+        #[derive(Default)]
+        struct GrowOnStop {
+            budget: Mutex<Option<ThreadBudget>>,
+            grower: Mutex<Option<(usize, std::thread::ThreadId)>>,
+            restarted: AtomicBool,
+        }
+        impl lg_core::Listener for GrowOnStop {
+            fn name(&self) -> &str {
+                "grow-on-stop"
+            }
+            fn on_event(&self, event: &Event) {
+                let me = std::thread::current().id();
+                match *event {
+                    Event::WorkerStop { worker, .. } => {
+                        let budget = self.budget.lock().take();
+                        if let Some(budget) = budget {
+                            *self.grower.lock() = Some((worker, me));
+                            budget.set_target(budget.max());
+                        }
+                    }
+                    Event::WorkerStart { worker, .. }
+                        if *self.grower.lock() == Some((worker, me)) =>
+                    {
+                        self.restarted.store(true, Ordering::Release)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let lg = LookingGlass::builder().build();
+        let listener = Arc::new(GrowOnStop::default());
+        lg.add_listener(listener.clone());
+        let p = pool_on(lg, 4);
+        *listener.budget.lock() = Some(p.thread_budget());
+        p.thread_budget().set_target(1);
+        // The grow ran while the grower was still live, so it spawned
+        // nothing for that index: only the grower's own re-check keeps the
+        // index served, and nothing else would ever notice it missing.
+        eventually("the releasing thread did not go round again", || {
+            listener.restarted.load(Ordering::Acquire)
+        });
+        assert_eq!(p.resident_workers(), 4);
+    }
+
+    #[test]
+    fn budget_flaps_keep_one_thread_per_worker_index() {
+        const WORKERS: usize = 4;
+        const ROOTS: usize = 300;
+        const CHILDREN: usize = 3;
+        let lg = LookingGlass::builder().build();
+        let residencies = Arc::new(Residencies(Mutex::new(Vec::new())));
+        lg.add_listener(residencies.clone());
+        let p = pool_on(lg.clone(), WORKERS);
+        let budget = p.thread_budget();
+        let name = lg.intern("flap");
+        let hits: Arc<Vec<AtomicU64>> = Arc::new(
+            (0..ROOTS * (1 + CHILDREN))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        );
+        for root in 0..ROOTS {
+            budget.set_target(if root % 2 == 0 { 1 } else { WORKERS });
+            // Every other shrink settles, so threads really exit and the
+            // next grow spawns new ones; the rest race that grow.
+            if root % 4 == 0 {
+                wait_resident(&p, 1);
+            }
+            let (hits, shared) = (hits.clone(), p.shared().clone());
+            p.spawn_named("flap", move || {
+                hits[root * (1 + CHILDREN)].fetch_add(1, Ordering::Relaxed);
+                // Spawned on a worker: each child takes that worker's
+                // LIFO slot and displaces the one before it.
+                for child in 1..=CHILDREN {
+                    let hits = hits.clone();
+                    shared.push(Task::new(
+                        name,
+                        TaskBody::new(move || {
+                            hits[root * (1 + CHILDREN) + child].fetch_add(1, Ordering::Relaxed);
+                        }),
+                    ));
+                }
+            });
+        }
+        budget.set_target(3);
+        p.wait_idle();
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "task {i}");
+        }
+        wait_resident(&p, 3);
+        // An index goes live a moment before its new thread reports in.
+        eventually("three residencies open", || {
+            residencies.open_after_strict_alternation(WORKERS) == 3
+        });
+        let settled_shrinks = ROOTS / 4;
+        assert!(residencies.0.lock().len() >= settled_shrinks * 2 * (WORKERS - 1));
+
+        // Drop while another thread keeps writing the budget: every thread
+        // ever started for an index has stopped by the time `drop` returns.
+        let dropped = AtomicBool::new(false);
+        let events = std::thread::scope(|s| {
+            s.spawn(|| {
+                for flap in 0.. {
+                    if dropped.load(Ordering::Acquire) {
+                        break;
+                    }
+                    budget.set_target(if flap % 2 == 0 { 1 } else { WORKERS });
+                }
+            });
+            // Let a few flaps land first.
+            while budget.generation() < ROOTS + 20 {
+                std::thread::yield_now();
+            }
+            drop(p);
+            let events = residencies.0.lock().len();
+            dropped.store(true, Ordering::Release);
+            events
+        });
+        assert_eq!(residencies.open_after_strict_alternation(WORKERS), 0);
+        assert_eq!(residencies.0.lock().len(), events, "a worker outlived drop");
     }
 
     #[test]

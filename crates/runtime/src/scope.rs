@@ -32,7 +32,7 @@
 //! pointer in the batch is always live. The flush rules (each is a hang or
 //! a latency bug if missed):
 //!
-//! * **(a)** a worker publishes when a search — LIFO slot, local deque,
+//! * **(a)** a worker publishes when a search — LIFO slot, local queue,
 //!   injector, steal — comes up empty, before it spins or parks;
 //! * **(b)** `run_task` publishes before running a task whose completion
 //!   targets a different barrier, or none — a scope never waits on

@@ -7,8 +7,8 @@
 //! tuning sessions drive it without knowing about the pool.
 //!
 //! **Drain rule:** a worker parking under the cap first evicts its LIFO
-//! slot into the global injector (the slot, unlike the deque, is not
-//! stealable), so lowering the cap can never strand a queued task behind a
+//! slot into the global injector (the slot, unlike the worker's queue, is
+//! not stealable), so lowering the cap can never strand a queued task behind a
 //! parked worker. See the pool's worker loop.
 
 use lg_core::{Knob, KnobSpec};

@@ -1,10 +1,9 @@
 //! Parcel storm: an offered-load generator for the coalescing experiments.
 //!
 //! Generates parcel send events with a configurable mean rate and payload
-//! size, in three regimes (steady, bursty, trickle). For virtual-time
-//! experiments the storm yields deterministic `(t_ns, payload_size)`
-//! schedules; for wall-clock runs it drives an
-//! [`lg_net::Endpoint`] directly.
+//! size, in three regimes (steady, bursty, trickle). The storm yields
+//! deterministic `(t_ns, payload_size)` schedules for the virtual-time
+//! experiments to replay; it sends nothing itself.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
