@@ -72,9 +72,13 @@ pub fn run(fast: bool) {
         );
     }
 
-    // Real profiler listener (hash lookup + Welford).
+    // Real profiler listener (table index + Welford), on the dispatcher's
+    // stripes as in a built instance: delivered inside its one stripe lock.
     let d = Dispatcher::new();
-    d.register(Arc::new(ProfileListener::new(names.clone())));
+    d.register(Arc::new(ProfileListener::on(
+        names.clone(),
+        d.stripes().clone(),
+    )));
     record(
         "enabled, profiler",
         ns_per_event(iters, || d.dispatch(&event)),

@@ -56,7 +56,12 @@ impl Pipeline {
         let names = TaskNames::new();
         let d = Arc::new(Dispatcher::new());
         if self == Pipeline::Profiler {
-            d.register(Arc::new(ProfileListener::new(names.clone())));
+            // On the dispatcher's stripes, the delivery path of a built
+            // instance: inside the one stripe lock.
+            d.register(Arc::new(ProfileListener::on(
+                names.clone(),
+                d.stripes().clone(),
+            )));
         }
         let listeners = d.listener_count() as u64;
         (d, names.intern("contended"), listeners)

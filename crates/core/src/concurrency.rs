@@ -6,11 +6,15 @@
 //! time series of the active-task count, updated on every lifecycle event.
 //!
 //! Everything a task event writes lives in the **emitting thread's own
-//! stripe**: its `(level, peak)` pair — begins minus ends seen by that
-//! thread, and the highest value that reached — and a history of that
-//! level, all on one cache line behind one uncontended lock. No event
-//! touches a line another emitter writes. Reads rebuild the global view
-//! from the stripes that were ever touched:
+//! stripe** (the private `stripe` module): its `(level, peak)` pair —
+//! begins minus ends seen by that thread, and the highest value that
+//! reached — as atomics only the stripe-lock holder writes, and a history
+//! of that level in the locked state, allocated by the stripe's first task
+//! event. A tracker the instance builder made sits on its dispatcher's
+//! stripes and runs under the lock the dispatcher already took; one from
+//! [`ConcurrencyListener::new`] locks its own. No event touches a line
+//! another emitter writes. Reads rebuild the global view from the stripes
+//! that were ever touched:
 //!
 //! * [`ConcurrencyListener::active_tasks`] is the sum of the stripe
 //!   levels — exact whenever no event is in flight (a stripe's level goes
@@ -29,22 +33,14 @@
 
 use crate::event::Event;
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_stripe, CacheAligned, TouchedStripes, STRIPE_COUNT};
+use crate::stripe::{Stripe, StripeState, Stripes};
+use lg_metrics::stripe::{thread_stripe, TouchedStripes, STRIPE_COUNT};
 use lg_metrics::TimeSeries;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 
-/// One emitting thread's share of the tracker.
-struct Stripe {
-    /// Begins − ends seen on this stripe. Written under `history`'s lock
-    /// (which serializes threads sharing the stripe), read without it.
-    level: AtomicI64,
-    /// Highest `level` reached.
-    peak: AtomicI64,
-    history: Mutex<StripeHistory>,
-}
-
-struct StripeHistory {
+/// The history of one stripe's own level.
+pub(crate) struct StripeHistory {
     /// `(t_ns, level)` after each event; a full `history_len` window, so
     /// single-threaded emission retains exactly what an unsharded series
     /// would.
@@ -57,7 +53,8 @@ struct StripeHistory {
 /// Listener tracking instantaneous and historical concurrency.
 pub struct ConcurrencyListener {
     online_workers: AtomicI64,
-    stripes: Box<[CacheAligned<Stripe>]>,
+    history_len: usize,
+    stripes: Arc<Stripes>,
     /// The stripes that saw an event: reads fold only those, so their
     /// cost follows the number of emitters, not `STRIPE_COUNT`.
     touched: TouchedStripes,
@@ -67,27 +64,24 @@ impl ConcurrencyListener {
     /// Creates a tracker whose history retains ~`history_len` points per
     /// emitting-thread stripe.
     pub fn new(history_len: usize) -> Self {
+        Self::on(history_len, Stripes::new())
+    }
+
+    /// Creates a tracker that keeps its levels and histories in `stripes`
+    /// (the instance builder passes its dispatcher's). At most one tracker
+    /// per stripe set.
+    pub(crate) fn on(history_len: usize, stripes: Arc<Stripes>) -> Self {
         Self {
             online_workers: AtomicI64::new(0),
-            stripes: (0..STRIPE_COUNT)
-                .map(|_| {
-                    CacheAligned(Stripe {
-                        level: AtomicI64::new(0),
-                        peak: AtomicI64::new(0),
-                        history: Mutex::new(StripeHistory {
-                            series: TimeSeries::new(history_len.max(4)),
-                            last: None,
-                        }),
-                    })
-                })
-                .collect(),
+            history_len: history_len.max(4),
+            stripes,
             touched: TouchedStripes::new(),
         }
     }
 
     /// The stripes that ever saw an event, with their indexes.
     fn touched(&self) -> impl Iterator<Item = (usize, &Stripe)> {
-        self.touched.iter().map(|i| (i, &self.stripes[i].0))
+        self.touched.iter().map(|i| (i, self.stripes.get(i)))
     }
 
     /// Tasks currently executing (exact when no event is in flight).
@@ -142,7 +136,8 @@ impl ConcurrencyListener {
     pub fn history(&self) -> Vec<(u64, f64)> {
         let mut points: Vec<(u64, usize, f64)> = Vec::new();
         for (i, stripe) in self.touched() {
-            let h = stripe.history.lock();
+            let state = stripe.lock();
+            let Some(h) = &state.history else { continue };
             points.extend(h.series.iter().map(|(t, v)| (t, i, v)));
             if h.last != h.series.last() {
                 points.extend(h.last.map(|(t, v)| (t, i, v)));
@@ -161,11 +156,18 @@ impl ConcurrencyListener {
             .collect()
     }
 
-    fn record(&self, t_ns: u64, delta: i64) {
-        let i = thread_stripe();
-        self.touched.mark(i);
-        let stripe = &self.stripes[i].0;
-        let mut h = stripe.history.lock();
+    /// Moves the calling thread's stripe level by `delta`; the caller
+    /// holds the stripe lock `state` came from.
+    fn record(&self, stripe: &Stripe, state: &mut StripeState, t_ns: u64, delta: i64) {
+        // A stripe is marked touched by the event that creates its
+        // history: one shared-word access per stripe, not per event.
+        let h = state.history.get_or_insert_with(|| {
+            self.touched.mark(thread_stripe());
+            StripeHistory {
+                series: TimeSeries::new(self.history_len),
+                last: None,
+            }
+        });
         let level = stripe.level.load(Ordering::Relaxed) + delta;
         stripe.level.store(level, Ordering::Relaxed);
         if level > stripe.peak.load(Ordering::Relaxed) {
@@ -182,9 +184,21 @@ impl Listener for ConcurrencyListener {
     }
 
     fn on_event(&self, event: &Event) {
+        self.stripes.deliver(self, event);
+    }
+
+    fn stripes(&self) -> Option<&Arc<Stripes>> {
+        Some(&self.stripes)
+    }
+
+    fn on_event_locked(&self, event: &Event, stripe: &Stripe, state: &mut StripeState) {
         match *event {
-            Event::TaskBegin { t_ns, .. } | Event::TaskResume { t_ns, .. } => self.record(t_ns, 1),
-            Event::TaskEnd { t_ns, .. } | Event::TaskYield { t_ns, .. } => self.record(t_ns, -1),
+            Event::TaskBegin { t_ns, .. } | Event::TaskResume { t_ns, .. } => {
+                self.record(stripe, state, t_ns, 1)
+            }
+            Event::TaskEnd { t_ns, .. } | Event::TaskYield { t_ns, .. } => {
+                self.record(stripe, state, t_ns, -1)
+            }
             Event::WorkerStart { .. } => {
                 self.online_workers.fetch_add(1, Ordering::Relaxed);
             }

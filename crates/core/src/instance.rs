@@ -81,12 +81,18 @@ impl LookingGlassBuilder {
         let clock: Arc<dyn Clock> = self.clock.unwrap_or_else(|| Arc::new(WallClock::new()));
         let names = TaskNames::new();
         let dispatcher = Arc::new(Dispatcher::new());
-        let profiles = Arc::new(ProfileListener::new(names.clone()));
+        // The stock listeners keep their per-stripe state in the
+        // dispatcher's stripes, so one lock per event covers all of them.
+        let stripes = dispatcher.stripes();
+        let profiles = Arc::new(ProfileListener::on(names.clone(), stripes.clone()));
         dispatcher.register(profiles.clone());
-        let concurrency = Arc::new(ConcurrencyListener::new(self.concurrency_history));
+        let concurrency = Arc::new(ConcurrencyListener::on(
+            self.concurrency_history,
+            stripes.clone(),
+        ));
         dispatcher.register(concurrency.clone());
         let trace = self.trace_capacity.map(|cap| {
-            let t = Arc::new(TraceListener::new(cap));
+            let t = Arc::new(TraceListener::on(cap, stripes.clone()));
             dispatcher.register(t.clone());
             t
         });

@@ -22,8 +22,11 @@
 //!   worker lifecycle, phases, custom).
 //! * [`listener::Listener`] + [`listener::Dispatcher`] — the fan-out
 //!   pipeline; registration is dynamic, dispatch revalidates a
-//!   generation-stamped thread-local snapshot with one atomic load (no
-//!   lock, no shared-cache-line write while listeners run).
+//!   generation-stamped thread-local snapshot with one atomic load and
+//!   takes **one lock per event**: the emitting thread's own stripe of the
+//!   state the profiler, concurrency tracker and tracer of an instance
+//!   share. Everything else — the policy engine, custom listeners — runs
+//!   after that lock is released (no shared-cache-line write either way).
 //! * [`profile`] — per-task-name streaming profiles (Welford), sharded
 //!   per emitting thread and merged on snapshot.
 //! * [`concurrency`] — active task/worker tracking over time.
@@ -58,6 +61,7 @@
 //!   the RAII [`instance::Timer`] used to instrument application code.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod arbiter;
@@ -75,6 +79,7 @@ pub mod profile;
 pub mod samples;
 pub mod session;
 pub mod snapshot;
+mod stripe;
 pub mod tenant;
 pub mod trace;
 pub mod watchdog;

@@ -6,11 +6,35 @@
 //! caches an `Arc` of it, revalidated per event by one atomic load of a
 //! generation counter that registration bumps. In steady state (no
 //! registrations) a dispatch is: one `enabled` load, one generation load,
-//! a thread-local lookup, and the listener calls — no lock, no shared
-//! `Arc` refcount traffic, and the dispatcher's own counters are striped
-//! per thread and folded on read. What the *listeners* then write is
-//! theirs to keep off shared lines; DESIGN.md §4.1 tabulates every write
-//! a stock instance makes per event and whose line it lands on.
+//! a thread-local lookup, **one lock of the emitting thread's own stripe**,
+//! and the listener calls — no shared `Arc` refcount traffic, no write to
+//! a line another emitter writes.
+//!
+//! ## One lock, two phases
+//!
+//! The dispatcher owns one set of per-stripe state (the private `stripe`
+//! module). Its own `events` / `deliveries` counters are plain integers in
+//! it, and the stock listeners a [`crate::LookingGlass`] builds
+//! ([`crate::ProfileListener`], [`crate::ConcurrencyListener`],
+//! [`crate::TraceListener`]) keep their per-stripe state in the same
+//! struct. `dispatch` delivers in two phases:
+//!
+//! 1. lock the emitter's stripe, bump the counters, and run every listener
+//!    built on these stripes against the already-locked state — two locked
+//!    instructions (acquire, release) cover all of them;
+//! 2. **release the lock**, then call every other listener's `on_event`:
+//!    the policy engine, the sample history, custom listeners, and a stock
+//!    listener built on stripes of its own (which locks those itself).
+//!
+//! Phase 2 is outside the lock because a triggered policy captures a
+//! snapshot, and a capture locks every stripe: an emitter capturing under
+//! its own stripe lock would deadlock with itself, and two emitters with
+//! each other. The invariant — *no listener runs user code or locks a
+//! second stripe while a stripe lock is held* — is held by construction:
+//! the types a listener needs to name to ask for phase 1 are not nameable
+//! outside this crate. Within a phase listeners run in registration
+//! order. DESIGN.md §4.1 tabulates every write a stock instance makes per
+//! event, whose line it lands on and which lock covers it.
 //!
 //! ## Grace-period semantics of `deregister`
 //!
@@ -32,9 +56,9 @@
 //! exit.
 
 use crate::event::Event;
-use lg_metrics::stripe::Versioned;
+use crate::stripe::{Stripe, StripeState, Stripes};
 pub use lg_metrics::stripe::SNAPSHOT_CACHE_MAX;
-use lg_metrics::StripedCounter;
+use lg_metrics::stripe::{thread_stripe, Versioned};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,6 +71,23 @@ pub trait Listener: Send + Sync {
     fn name(&self) -> &str;
     /// Handles one event.
     fn on_event(&self, event: &Event);
+
+    /// The per-stripe state this listener is a view over, if it is one of
+    /// the stock listeners. A dispatcher that owns the same stripes
+    /// delivers through [`Listener::on_event_locked`] inside its one
+    /// stripe lock; everyone else gets [`Listener::on_event`] after it.
+    #[doc(hidden)]
+    fn stripes(&self) -> Option<&Arc<Stripes>> {
+        None
+    }
+
+    /// Handles one event with the calling thread's stripe of
+    /// [`Listener::stripes`] already locked. Must not run user code or
+    /// lock another stripe.
+    #[doc(hidden)]
+    fn on_event_locked(&self, _event: &Event, _stripe: &Stripe, _state: &mut StripeState) {
+        unreachable!("a listener that names its stripes handles events under their lock")
+    }
 }
 
 /// Handle returned by [`Dispatcher::register`]; pass to
@@ -57,19 +98,36 @@ pub struct ListenerHandle(u64);
 /// A registered listener with its registration id.
 type ListenerEntry = (u64, Arc<dyn Listener>);
 
+/// The registered listeners, split by delivery phase (module docs), each
+/// half in registration order.
+#[derive(Clone, Default)]
+struct Listeners {
+    /// Built on the dispatcher's stripes: run inside the stripe lock.
+    inside: Vec<ListenerEntry>,
+    /// Everyone else: run after it is released.
+    outside: Vec<ListenerEntry>,
+}
+
+impl Listeners {
+    fn len(&self) -> usize {
+        self.inside.len() + self.outside.len()
+    }
+}
+
 /// Generation-snapshot fan-out of events to registered listeners.
 ///
 /// Registration is copy-on-write under a lock and bumps the list's
-/// generation; dispatch validates a thread-local snapshot against it and
-/// runs the listeners with no lock held and no shared-line writes.
+/// generation; dispatch validates a thread-local snapshot against it,
+/// takes the emitting thread's stripe lock once for its counters and the
+/// listeners that share its stripes, and runs every other listener with
+/// no lock held.
 pub struct Dispatcher {
-    listeners: Versioned<Vec<ListenerEntry>>,
+    listeners: Versioned<Listeners>,
     next_id: AtomicU64,
     enabled: AtomicBool,
-    /// Events accepted by `dispatch` while enabled (striped per thread).
-    events: StripedCounter,
-    /// Listener invocations, i.e. events × listeners (striped per thread).
-    deliveries: StripedCounter,
+    /// Per-stripe state: the `events` / `deliveries` counters, and the
+    /// state of every listener built on it.
+    stripes: Arc<Stripes>,
 }
 
 impl Default for Dispatcher {
@@ -82,20 +140,33 @@ impl Dispatcher {
     /// Creates a dispatcher with no listeners, enabled.
     pub fn new() -> Self {
         Self {
-            listeners: Versioned::new(Vec::new()),
+            listeners: Versioned::new(Listeners::default()),
             next_id: AtomicU64::new(1),
             enabled: AtomicBool::new(true),
-            events: StripedCounter::new(),
-            deliveries: StripedCounter::new(),
+            stripes: Stripes::new(),
         }
+    }
+
+    /// The dispatcher's per-stripe state; a stock listener built `on` it
+    /// is delivered to inside the dispatcher's one stripe lock.
+    #[doc(hidden)]
+    pub fn stripes(&self) -> &Arc<Stripes> {
+        &self.stripes
     }
 
     /// Registers a listener; events are delivered from this call onward.
     pub fn register(&self, listener: Arc<dyn Listener>) -> ListenerHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let inside = listener
+            .stripes()
+            .is_some_and(|s| Arc::ptr_eq(s, &self.stripes));
         self.listeners.update(|current| {
             let mut next = current.clone();
-            next.push((id, listener));
+            if inside {
+                next.inside.push((id, listener));
+            } else {
+                next.outside.push((id, listener));
+            }
             (next, ())
         });
         ListenerHandle(id)
@@ -109,11 +180,9 @@ impl Dispatcher {
     /// the removed listener (see the module docs).
     pub fn deregister(&self, handle: ListenerHandle) -> bool {
         self.listeners.update(|current| {
-            let next: Vec<ListenerEntry> = current
-                .iter()
-                .filter(|(id, _)| *id != handle.0)
-                .cloned()
-                .collect();
+            let mut next = current.clone();
+            next.inside.retain(|(id, _)| *id != handle.0);
+            next.outside.retain(|(id, _)| *id != handle.0);
             let removed = next.len() != current.len();
             (next, removed)
         })
@@ -137,18 +206,21 @@ impl Dispatcher {
 
     /// Events accepted by [`Dispatcher::dispatch`] while enabled,
     /// regardless of how many listeners (possibly zero) received them.
+    /// Folds the stripes under their locks: exact once emitters quiesce.
     pub fn events_dispatched(&self) -> u64 {
-        self.events.sum()
+        self.stripes.iter().map(|s| s.lock().events).sum()
     }
 
     /// Listener invocations: each event counts once per listener it was
     /// delivered to. With `L` listeners registered throughout,
     /// `deliveries == events_dispatched × L`.
     pub fn deliveries(&self) -> u64 {
-        self.deliveries.sum()
+        self.stripes.iter().map(|s| s.lock().deliveries).sum()
     }
 
-    /// Delivers `event` to every registered listener.
+    /// Delivers `event` to every registered listener: under the calling
+    /// thread's stripe lock to those built on this dispatcher's stripes,
+    /// then — the lock released — to the rest (see the module docs).
     ///
     /// A listener that itself dispatches (to this or any other dispatcher)
     /// is served from the shared list under its read lock instead of the
@@ -158,14 +230,21 @@ impl Dispatcher {
         if !self.enabled.load(Ordering::Acquire) {
             return;
         }
-        self.events.inc();
-        let delivered = self.listeners.read(|listeners| {
-            for (_, l) in listeners {
+        let stripe = self.stripes.get(thread_stripe());
+        self.listeners.read(|listeners| {
+            {
+                let mut guard = stripe.lock();
+                let state = &mut *guard;
+                state.events += 1;
+                state.deliveries += listeners.len() as u64;
+                for (_, l) in &listeners.inside {
+                    l.on_event_locked(event, stripe, state);
+                }
+            }
+            for (_, l) in &listeners.outside {
                 l.on_event(event);
             }
-            listeners.len()
         });
-        self.deliveries.add(delivered as u64);
     }
 }
 
@@ -375,6 +454,47 @@ mod tests {
         assert_eq!(d.listener_count(), 2);
         d.dispatch(&tick(2));
         assert_eq!(d.deliveries(), 1 + 2);
+    }
+
+    #[test]
+    fn one_stripe_lock_per_dispatched_event_and_none_while_disabled() {
+        use crate::stripe::acquisitions;
+        // The count is per thread, so tests running beside this one do
+        // not show in it.
+        let lg = crate::LookingGlass::builder().trace(64).build();
+        let task = lg.intern("t");
+        let pair = [
+            Event::TaskBegin {
+                task,
+                worker: 0,
+                t_ns: 1,
+            },
+            Event::TaskEnd {
+                task,
+                worker: 0,
+                t_ns: 2,
+                elapsed_ns: 1,
+            },
+        ];
+        let emit = |rounds: u64| {
+            let before = acquisitions();
+            for _ in 0..rounds {
+                pair.iter().for_each(|e| lg.emit(e));
+            }
+            acquisitions() - before
+        };
+        // Profiler, concurrency tracker, trace ring, engine and both
+        // dispatcher counters: one acquisition covers them all.
+        assert_eq!(lg.dispatcher().listener_count(), 4);
+        assert_eq!(emit(100), 200);
+        assert_eq!(lg.trace().unwrap().captured(), 200);
+        lg.dispatcher().set_enabled(false);
+        assert_eq!(emit(100), 0);
+        lg.dispatcher().set_enabled(true);
+        // A stock listener on stripes of its own is delivered after the
+        // dispatcher's lock and takes its own: two per event.
+        lg.add_listener(Arc::new(crate::TraceListener::new(8)));
+        assert_eq!(emit(100), 400);
     }
 
     #[test]

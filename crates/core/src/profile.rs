@@ -7,27 +7,31 @@
 //!
 //! ## Sharding
 //!
-//! Events are folded into **per-thread stripes** (a fixed array of
-//! `STRIPE_COUNT` mutex-guarded cell tables, indexed by
-//! [`lg_metrics::stripe::thread_index`], with runtime workers pinned to
-//! their worker id and other threads drawing overflow indexes). A table
-//! is a `Vec` indexed directly by [`TaskId`] — ids are dense interning
-//! indexes, so finding a cell is a bounds check, not a hash probe. In
-//! steady state each emitting thread locks only its own uncontended
-//! stripe, so the per-event cost is an uncontended lock + index + Welford
-//! update no matter how many threads emit. Snapshots merge the stripes
-//! with the parallel-Welford (Chan et al.) combine, which is exactly
-//! equivalent (up to FP rounding) to having folded every event into one
-//! accumulator; `active` and `yields` are plain sums, so begin/end pairs
-//! observed on different threads still balance.
+//! Events are folded into **per-thread stripes**: one cell table per
+//! stripe index ([`lg_metrics::stripe::thread_index`], with runtime
+//! workers pinned to their worker id and other threads drawing overflow
+//! indexes), kept in the stripe's shared state (the private `stripe`
+//! module) behind the stripe's one lock. A table is a `Vec` indexed
+//! directly by [`TaskId`] — ids are dense interning indexes, so finding a
+//! cell is a bounds check, not a hash probe. A profiler the instance
+//! builder made sits on its dispatcher's stripes and is handed the state
+//! already locked, so an event costs it an index, a Welford update and a
+//! plain load + `Release` store of the stripe's generation — no locked
+//! instruction of its own. A profiler from [`ProfileListener::new`] has
+//! private stripes and locks its own, uncontended. Snapshots merge the
+//! stripes with the parallel-Welford (Chan et al.) combine, which is
+//! exactly equivalent (up to FP rounding) to having folded every event
+//! into one accumulator; `active` and `yields` are plain sums, so
+//! begin/end pairs observed on different threads still balance.
 
 use crate::event::{Event, TaskId, TaskNames};
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_stripe, CacheAligned, STRIPE_COUNT};
+use crate::stripe::{Stripe, StripeState, Stripes};
+use lg_metrics::stripe::STRIPE_COUNT;
 use lg_metrics::Welford;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Aggregated statistics for one task type.
@@ -57,7 +61,7 @@ pub struct TaskProfile {
 pub type ProfileSnapshot = Vec<TaskProfile>;
 
 #[derive(Default, Clone)]
-struct ProfileCell {
+pub(crate) struct ProfileCell {
     stats: Welford,
     active: i64,
     yields: u64,
@@ -94,7 +98,7 @@ impl ProfileCell {
 }
 
 /// Cells indexed by `TaskId.0`; `None` for ids this table never saw.
-type CellTable = Vec<Option<ProfileCell>>;
+pub(crate) type CellTable = Vec<Option<ProfileCell>>;
 
 /// The cell for `task`, created (and the table grown) on first sight.
 fn cell_mut(cells: &mut CellTable, task: TaskId) -> &mut ProfileCell {
@@ -122,14 +126,13 @@ fn seen(cells: &CellTable) -> impl Iterator<Item = (TaskId, &ProfileCell)> {
         .filter_map(|(i, c)| Some((TaskId(i as u32), c.as_ref()?)))
 }
 
-/// One profile shard: its cell table plus a write-generation stamp bumped
-/// after every mutation (the snapshot delta protocol's dirtiness signal).
-struct StripeData {
-    gen: AtomicU64,
-    cells: Mutex<CellTable>,
+/// Advances a stripe's profile generation. The caller holds the stripe
+/// lock, which serializes every writer of the stamp, so a plain load and a
+/// `Release` store (ordering the cell mutation before it) replace the RMW.
+fn bump_gen(stripe: &Stripe) {
+    let gen = stripe.profile_gen.load(Ordering::Relaxed);
+    stripe.profile_gen.store(gen + 1, Ordering::Release);
 }
-
-type Stripe = CacheAligned<StripeData>;
 
 /// The persistent merged base behind [`ProfileListener::snapshot_shared`]:
 /// per-stripe cell copies taken at the generation recorded in `gens`, the
@@ -159,10 +162,10 @@ impl SnapCache {
 
 /// Listener that aggregates task lifecycle events into profiles.
 ///
-/// Sharded per emitting thread (see the module docs): per-event work is an
-/// uncontended stripe lock, a table index, and a Welford update; queries
-/// merge the stripes on demand. Each stripe carries a generation stamp
-/// bumped after every mutation, and [`snapshot_shared`] keeps a persistent
+/// Sharded per emitting thread (see the module docs): per-event work is a
+/// table index and a Welford update under the stripe lock; queries merge
+/// the stripes on demand. Each stripe carries a generation stamp bumped
+/// after every mutation, and [`snapshot_shared`] keeps a persistent
 /// merged base: a clean call returns the previous `Arc` with zero merges,
 /// a dirty call re-copies only the stripes whose stamp moved and re-folds
 /// the cached copies in fixed stripe order — bitwise-identical to a
@@ -171,30 +174,28 @@ impl SnapCache {
 /// [`snapshot_shared`]: ProfileListener::snapshot_shared
 pub struct ProfileListener {
     names: TaskNames,
-    stripes: Box<[Stripe]>,
+    stripes: Arc<Stripes>,
     cache: Mutex<SnapCache>,
 }
 
 impl ProfileListener {
-    /// Creates a profiler resolving names through `names`.
+    /// Creates a profiler resolving names through `names`, on stripes of
+    /// its own.
     pub fn new(names: TaskNames) -> Self {
-        Self {
-            names,
-            stripes: (0..STRIPE_COUNT)
-                .map(|_| {
-                    CacheAligned(StripeData {
-                        gen: AtomicU64::new(0),
-                        cells: Mutex::new(CellTable::new()),
-                    })
-                })
-                .collect(),
-            cache: Mutex::new(SnapCache::new()),
-        }
+        Self::on(names, Stripes::new())
     }
 
-    #[inline]
-    fn stripe(&self) -> &StripeData {
-        &self.stripes[thread_stripe()].0
+    /// Creates a profiler that keeps its cells in `stripes`
+    /// ([`crate::Dispatcher::stripes`]): registered on that dispatcher it
+    /// is delivered to inside the dispatcher's one stripe lock, the path a
+    /// built instance takes. At most one profiler per stripe set.
+    #[doc(hidden)]
+    pub fn on(names: TaskNames, stripes: Arc<Stripes>) -> Self {
+        Self {
+            names,
+            stripes,
+            cache: Mutex::new(SnapCache::new()),
+        }
     }
 
     /// Merges every stripe's cells into one table (parallel-Welford
@@ -202,7 +203,7 @@ impl ProfileListener {
     fn merged(&self) -> CellTable {
         let mut out = CellTable::new();
         for stripe in self.stripes.iter() {
-            merge_table(&mut out, &stripe.0.cells.lock());
+            merge_table(&mut out, &stripe.lock().cells);
         }
         out
     }
@@ -263,12 +264,12 @@ impl ProfileListener {
         let cache = &mut *cache;
         let mut dirty = 0usize;
         for (i, stripe) in self.stripes.iter().enumerate() {
-            let gen = stripe.0.gen.load(Ordering::Acquire);
+            let gen = stripe.profile_gen.load(Ordering::Acquire);
             if cache.valid && gen == cache.gens[i] {
                 continue;
             }
             cache.gens[i] = gen;
-            cache.copies[i] = stripe.0.cells.lock().clone();
+            cache.copies[i] = stripe.lock().cells.clone();
             dirty += 1;
         }
         if dirty > 0 || !cache.valid {
@@ -302,7 +303,7 @@ impl ProfileListener {
         let id = self.names.lookup(name)?;
         let mut merged: Option<ProfileCell> = None;
         for stripe in self.stripes.iter() {
-            if let Some(Some(cell)) = stripe.0.cells.lock().get(id.0 as usize) {
+            if let Some(Some(cell)) = stripe.lock().cells.get(id.0 as usize) {
                 merged.get_or_insert_with(ProfileCell::default).merge(cell);
             }
         }
@@ -317,7 +318,7 @@ impl ProfileListener {
         self.stripes
             .iter()
             .map(|s| {
-                seen(&s.0.cells.lock())
+                seen(&s.lock().cells)
                     .map(|(_, c)| c.stats.count())
                     .sum::<u64>()
             })
@@ -328,8 +329,9 @@ impl ProfileListener {
     /// every stripe's generation so cached merges notice the clear.
     pub fn reset(&self) {
         for stripe in self.stripes.iter() {
-            stripe.0.cells.lock().clear();
-            stripe.0.gen.fetch_add(1, Ordering::Release);
+            let mut state = stripe.lock();
+            state.cells.clear();
+            bump_gen(stripe);
         }
     }
 }
@@ -340,29 +342,31 @@ impl Listener for ProfileListener {
     }
 
     fn on_event(&self, event: &Event) {
+        self.stripes.deliver(self, event);
+    }
+
+    fn stripes(&self) -> Option<&Arc<Stripes>> {
+        Some(&self.stripes)
+    }
+
+    fn on_event_locked(&self, event: &Event, stripe: &Stripe, state: &mut StripeState) {
         // Each arm mutates under the stripe lock, then Release-bumps the
         // stripe generation: a reader whose recorded generation matches a
         // later Acquire-read is guaranteed its copy includes every
         // completed mutation.
-        let stripe = self.stripe();
         match *event {
-            Event::TaskBegin { task, .. } => {
-                cell_mut(&mut stripe.cells.lock(), task).active += 1;
-            }
+            Event::TaskBegin { task, .. } => cell_mut(&mut state.cells, task).active += 1,
             Event::TaskEnd {
                 task, elapsed_ns, ..
             } => {
-                let mut cells = stripe.cells.lock();
-                let c = cell_mut(&mut cells, task);
+                let c = cell_mut(&mut state.cells, task);
                 c.stats.update(elapsed_ns as f64);
                 c.active -= 1;
             }
-            Event::TaskYield { task, .. } => {
-                cell_mut(&mut stripe.cells.lock(), task).yields += 1;
-            }
+            Event::TaskYield { task, .. } => cell_mut(&mut state.cells, task).yields += 1,
             _ => return,
         }
-        stripe.gen.fetch_add(1, Ordering::Release);
+        bump_gen(stripe);
     }
 }
 

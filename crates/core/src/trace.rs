@@ -8,25 +8,33 @@
 //! ## Per-thread rings
 //!
 //! Capture writes only the emitting thread's own stripe: the event lands
-//! in that thread's ring under an uncontended lock, and the ring counts
-//! its own captures. Nothing shared is written — in particular there is
-//! no global sequence counter. [`TraceListener::records`] establishes the
-//! order at drain time instead: it merges the rings by event timestamp
-//! (each ring's own capture order is never reordered; ties go to the lower
-//! stripe) and numbers the merged records consecutively, ending at
-//! `captured() - 1`. For one emitting thread that is exactly capture
-//! order; across threads it is timestamp order, which for a monotone clock
-//! is capture order up to the clock's resolution. Each stripe holds a full
-//! `capacity` ring, so a single-threaded emission sequence drains exactly
-//! as an unsharded tracer would; with `k` emitting threads total
-//! retention is bounded by `k × capacity` and per-stripe overwrite
-//! counting is preserved (summed by [`TraceListener::overwritten`]).
+//! in that thread's ring, part of the stripe's shared state (the private
+//! `stripe` module) behind the stripe's one lock, and the ring counts its
+//! own captures. A tracer the instance builder made sits on its
+//! dispatcher's stripes and pushes under the lock the dispatcher already
+//! took; one from [`TraceListener::new`] locks its own. Nothing shared is
+//! written — in particular there is no global sequence counter.
+//! [`TraceListener::records`] establishes the order at drain time instead:
+//! it merges the rings by event timestamp (each ring's own capture order
+//! is never reordered; ties go to the lower stripe) and numbers the merged
+//! records consecutively, ending at `captured() - 1`. For one emitting
+//! thread that is exactly capture order; across threads it is timestamp
+//! order, which for a monotone clock is capture order up to the clock's
+//! resolution. Each stripe holds a full `capacity` ring, so a
+//! single-threaded emission sequence drains exactly as an unsharded tracer
+//! would; with `k` emitting threads total retention is bounded by
+//! `k × capacity` and per-stripe overwrite counting is preserved (summed
+//! by [`TraceListener::overwritten`]).
+//!
+//! A ring's buffer is reserved by the first capture on its stripe and its
+//! pages are touched only as events land: a stripe no thread emits on
+//! costs nothing, however large `capacity` is.
 
 use crate::event::Event;
 use crate::listener::Listener;
-use lg_metrics::stripe::{thread_stripe, CacheAligned, STRIPE_COUNT};
-use parking_lot::Mutex;
+use crate::stripe::{Stripe, StripeState, Stripes};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One retained trace record.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,8 +47,12 @@ pub struct TraceRecord {
     pub event: Event,
 }
 
-struct Ring {
-    buf: Vec<Option<Event>>,
+/// One stripe's retained events.
+pub(crate) struct Ring {
+    /// Grows to `capacity`, then is overwritten in place from `head`.
+    buf: Vec<Event>,
+    capacity: usize,
+    /// Once full: the oldest slot, the next one overwritten.
     head: usize,
     /// Events this ring ever captured.
     captured: u64,
@@ -50,7 +62,8 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize) -> Self {
         Self {
-            buf: vec![None; capacity],
+            buf: Vec::with_capacity(capacity),
+            capacity,
             head: 0,
             captured: 0,
             overwritten: 0,
@@ -58,22 +71,28 @@ impl Ring {
     }
 
     fn push(&mut self, event: Event) {
-        if self.buf[self.head].is_some() {
+        if self.buf.len() < self.capacity {
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
             self.overwritten += 1;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
-        self.buf[self.head] = Some(event);
-        self.head = (self.head + 1) % self.buf.len();
         self.captured += 1;
     }
 
     /// Retained events, oldest → newest.
     fn events(&self) -> impl Iterator<Item = Event> + '_ {
-        let cap = self.buf.len();
-        (0..cap).filter_map(move |i| self.buf[(self.head + i) % cap])
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer).copied()
     }
 
+    /// Forgets the events and counters; the buffer stays reserved.
     fn clear(&mut self) {
-        self.buf.iter_mut().for_each(|s| *s = None);
+        self.buf.clear();
         self.head = 0;
         self.captured = 0;
         self.overwritten = 0;
@@ -82,7 +101,7 @@ impl Ring {
 
 /// Listener retaining the most recent events in per-thread ring buffers.
 pub struct TraceListener {
-    rings: Box<[CacheAligned<Mutex<Ring>>]>,
+    stripes: Arc<Stripes>,
     capacity: usize,
 }
 
@@ -93,13 +112,23 @@ impl TraceListener {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::on(capacity, Stripes::new())
+    }
+
+    /// Creates a tracer that keeps its rings in `stripes` (the instance
+    /// builder passes its dispatcher's). At most one tracer per stripe
+    /// set.
+    pub(crate) fn on(capacity: usize, stripes: Arc<Stripes>) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
-        Self {
-            rings: (0..STRIPE_COUNT)
-                .map(|_| CacheAligned(Mutex::new(Ring::new(capacity))))
-                .collect(),
-            capacity,
-        }
+        Self { stripes, capacity }
+    }
+
+    /// Folds `f` over the rings that exist, in stripe order, each under
+    /// its stripe lock.
+    fn rings<'a, T>(&'a self, mut f: impl FnMut(&Ring) -> T + 'a) -> impl Iterator<Item = T> + 'a {
+        self.stripes
+            .iter()
+            .filter_map(move |s| s.lock().ring.as_ref().map(&mut f))
     }
 
     /// Copies the retained records oldest → newest: the rings merged by
@@ -107,14 +136,12 @@ impl TraceListener {
     /// numbered consecutively (see the module docs).
     pub fn records(&self) -> Vec<TraceRecord> {
         let mut overwritten = 0;
-        let mut queues: Vec<VecDeque<Event>> = Vec::new();
-        for ring in self.rings.iter() {
-            let ring = ring.0.lock();
-            overwritten += ring.overwritten;
-            if ring.captured > 0 {
-                queues.push(ring.events().collect());
-            }
-        }
+        let mut queues: Vec<VecDeque<Event>> = self
+            .rings(|ring| {
+                overwritten += ring.overwritten;
+                ring.events().collect()
+            })
+            .collect();
         let mut out = Vec::with_capacity(queues.iter().map(VecDeque::len).sum());
         // Repeatedly take the earliest-stamped head; `min_by_key` keeps
         // the first (lowest-stripe) queue on ties.
@@ -135,12 +162,12 @@ impl TraceListener {
     /// Number of events overwritten after a ring filled (summed across
     /// threads).
     pub fn overwritten(&self) -> u64 {
-        self.rings.iter().map(|r| r.0.lock().overwritten).sum()
+        self.rings(|ring| ring.overwritten).sum()
     }
 
     /// Total events ever captured (summed across threads).
     pub fn captured(&self) -> u64 {
-        self.rings.iter().map(|r| r.0.lock().captured).sum()
+        self.rings(|ring| ring.captured).sum()
     }
 
     /// Clears the buffers and counters. Not atomic with respect to
@@ -148,8 +175,10 @@ impl TraceListener {
     /// already-cleared ring — quiesce emitters before clearing between
     /// measurement epochs.
     pub fn clear(&self) {
-        for ring in self.rings.iter() {
-            ring.0.lock().clear();
+        for stripe in self.stripes.iter() {
+            if let Some(ring) = &mut stripe.lock().ring {
+                ring.clear();
+            }
         }
     }
 }
@@ -160,7 +189,18 @@ impl Listener for TraceListener {
     }
 
     fn on_event(&self, event: &Event) {
-        self.rings[thread_stripe()].0.lock().push(*event);
+        self.stripes.deliver(self, event);
+    }
+
+    fn stripes(&self) -> Option<&Arc<Stripes>> {
+        Some(&self.stripes)
+    }
+
+    fn on_event_locked(&self, event: &Event, _stripe: &Stripe, state: &mut StripeState) {
+        state
+            .ring
+            .get_or_insert_with(|| Ring::new(self.capacity))
+            .push(*event);
     }
 }
 
@@ -232,6 +272,36 @@ mod tests {
         assert_eq!(tr.captured(), 0);
         tr.on_event(&tick(99));
         assert_eq!(tr.records()[0].seq, 0);
+    }
+
+    #[test]
+    fn a_ring_is_reserved_by_its_first_capture_and_survives_clear() {
+        const CAP: usize = 1 << 20;
+        let tr = TraceListener::new(CAP);
+        // Reserved slots per stripe; `None` where no buffer exists.
+        let reserved = |tr: &TraceListener| -> Vec<Option<usize>> {
+            tr.stripes
+                .iter()
+                .map(|s| s.lock().ring.as_ref().map(|r| r.buf.capacity()))
+                .collect()
+        };
+        assert!(reserved(&tr).iter().all(Option::is_none));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                lg_metrics::stripe::set_thread_index(5);
+                tr.on_event(&tick(1));
+            });
+        });
+        let after_capture = reserved(&tr);
+        for (i, r) in after_capture.iter().enumerate() {
+            match r {
+                Some(slots) => assert!(i == 5 && *slots >= CAP),
+                None => assert_ne!(i, 5, "the capturing stripe has no ring"),
+            }
+        }
+        tr.clear();
+        assert_eq!(reserved(&tr), after_capture, "clear gave the buffer back");
+        assert_eq!((tr.captured(), tr.records().len()), (0, 0));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! update paths of counters, Welford, EWMA, or histograms.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod counter;
 pub mod ewma;

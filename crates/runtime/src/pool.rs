@@ -1184,7 +1184,7 @@ mod tests {
         }
         p.wait_idle();
         assert_eq!(count.load(Ordering::Relaxed), 100);
-        // Grow back: threads re-spawn onto their shelved deques.
+        // Grow back: threads re-spawn onto the lanes the pool kept for them.
         p.thread_budget().set_target(4);
         wait_resident(&p, 4);
         let h = p.spawn("after", || 7);
