@@ -230,7 +230,6 @@ pub fn chaos_smoke() -> (usize, bool) {
         PoolConfig {
             workers: WORKERS,
             faults: Some(FaultConfig::seeded(7).panic_prob(0.05)),
-            ..PoolConfig::default()
         },
     );
     let trace = DagTrace::new(spec.nodes());

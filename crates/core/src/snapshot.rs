@@ -17,21 +17,21 @@
 //! ## Incremental capture
 //!
 //! Capture cost is proportional to *activity since the last round*, not to
-//! the amount of registered state. Every producer carries a generation
-//! stamp bumped on write (the third use of the Dispatcher/KnobRegistry
-//! pattern): counter registries fold a [`lg_metrics::StripedVersion`],
-//! profile stripes stamp themselves under their stripe lock, and metric
-//! sources may register with an explicit stamp
-//! ([`Introspection::register_gauge_stamped`]; window means inherit their
-//! sample history's stamp automatically). `capture` keeps the previous
-//! round's merged base — counter name table, counter values, profile
-//! merge, metric values — behind `Arc`s and re-reads only producers whose
-//! stamp moved; a fully idle capture returns Arc clones of everything with
-//! a fresh `t_ns`/`seq` and performs **zero** shard merges. The
+//! the amount of registered state. `capture` keeps the previous round's
+//! merged base — counter name table, counter values, profile merge, metric
+//! values — behind `Arc`s and replaces only what moved. Profile stripes
+//! stamp themselves under their stripe lock; metric sources may register
+//! with a stamp ([`Introspection::register_gauge_stamped`]; window means
+//! inherit their sample history's). Counters need none: they only grow, so
+//! one was written since the last round exactly when its value differs
+//! from the base's, and an add racing the read is either in the value read
+//! or makes the next round's comparison differ. A fully idle capture
+//! returns Arc clones of everything with a fresh `t_ns`/`seq` and performs
+//! **zero** shard merges. The
 //! [`Introspection::merges`] / [`Introspection::skipped`] counter pair
 //! accounts shard-level merge work (profile stripes copied, counter
-//! registries re-folded) vs. cache reuse, so tests can assert the idle
-//! path stays free. [`Introspection::capture_uncached`] keeps the
+//! registries with a moved value) vs. cache reuse, so tests can assert the
+//! idle path stays free. [`Introspection::capture_uncached`] keeps the
 //! from-scratch path as the verification oracle and benchmark baseline:
 //! property tests assert both paths agree field for field at quiescence.
 //!
@@ -107,26 +107,17 @@ struct Inner {
     counters: Arc<Vec<Arc<CounterRegistry>>>,
 }
 
-/// Per-registry slice of the capture cache.
+/// Per-registry slice of the capture cache: the name-sorted handle table
+/// as of `structure`. `Default` is generation 0, the empty table.
+#[derive(Default)]
 struct RegCache {
-    init: bool,
-    write_version: u64,
     structure: u64,
     handles: Arc<Vec<(String, CounterHandle)>>,
 }
 
-impl RegCache {
-    fn new() -> Self {
-        Self {
-            init: false,
-            write_version: 0,
-            structure: 0,
-            handles: Arc::new(Vec::new()),
-        }
-    }
-}
-
-/// The persistent merged base `capture` deltas against.
+/// The persistent merged base `capture` deltas against. `Default` is the
+/// never-captured cache: `valid` unset.
+#[derive(Default)]
 struct CaptureCache {
     valid: bool,
     /// Identity of the source table the cached values belong to.
@@ -144,22 +135,6 @@ struct CaptureCache {
     counter_values: Arc<Vec<u64>>,
 }
 
-impl CaptureCache {
-    fn new() -> Self {
-        Self {
-            valid: false,
-            sources: Arc::new(Vec::new()),
-            stamps: Vec::new(),
-            values: Arc::new(Vec::new()),
-            regs_list: Arc::new(Vec::new()),
-            regs: Vec::new(),
-            positions: Vec::new(),
-            counter_names: Arc::new(Vec::new()),
-            counter_values: Arc::new(Vec::new()),
-        }
-    }
-}
-
 /// The registration facade and capture engine for the read side.
 ///
 /// Backends (sim runtime, real pool) register their metrics here through
@@ -172,7 +147,7 @@ pub struct Introspection {
     seq: AtomicU64,
     cache: Mutex<CaptureCache>,
     /// Shard-level merge work performed by `capture` (profile stripes
-    /// copied + counter registries re-folded).
+    /// copied + counter registries with a moved value).
     merges: StripedCounter,
     /// Shard-level merge work avoided by the delta cache.
     skipped: StripedCounter,
@@ -192,7 +167,7 @@ impl Introspection {
                 counters: Arc::new(Vec::new()),
             }),
             seq: AtomicU64::new(0),
-            cache: Mutex::new(CaptureCache::new()),
+            cache: Mutex::default(),
             merges: StripedCounter::new(),
             skipped: StripedCounter::new(),
         }
@@ -303,7 +278,7 @@ impl Introspection {
     }
 
     /// Shard merges performed by captures so far (profile stripes copied +
-    /// counter registries re-folded). An idle capture adds zero.
+    /// counter registries with a moved value). An idle capture adds zero.
     pub fn merges(&self) -> u64 {
         self.merges.sum()
     }
@@ -317,10 +292,10 @@ impl Introspection {
     /// per-task profiles, and the concurrency gauges — all stamped with
     /// `t_ns`.
     ///
-    /// Incremental: producers whose generation stamp did not move since
-    /// the previous capture are served from the persistent merged base
-    /// (see the module docs); a fully idle capture is a handful of stamp
-    /// folds plus Arc clones.
+    /// Incremental: producers that did not move since the previous capture
+    /// (stamp unchanged; for counters, value unchanged) are served from
+    /// the persistent merged base (see the module docs); a fully idle
+    /// capture is a handful of loads plus Arc clones.
     pub fn capture(&self, t_ns: u64) -> IntrospectionSnapshot {
         let (sources, names, regs_list) = {
             let inner = self.inner.read();
@@ -372,17 +347,16 @@ impl Introspection {
         // --- counters: delta against the interned merged base ---
         let list_changed = !cache.valid || !Arc::ptr_eq(&cache.regs_list, &regs_list);
         if list_changed {
-            cache.regs = regs_list.iter().map(|_| RegCache::new()).collect();
+            cache.regs = regs_list.iter().map(|_| RegCache::default()).collect();
             cache.regs_list = regs_list.clone();
         }
         let mut layout_dirty = list_changed;
         for (k, reg) in regs_list.iter().enumerate() {
             let structure = reg.structure_version();
             let rc = &mut cache.regs[k];
-            if !rc.init || rc.structure != structure {
+            if rc.structure != structure {
                 rc.handles = reg.sorted_handles();
                 rc.structure = structure;
-                rc.init = true;
                 layout_dirty = true;
             }
         }
@@ -410,9 +384,6 @@ impl Introspection {
                 .iter()
                 .map(|rc| vec![0; rc.handles.len()])
                 .collect();
-            for (k, reg) in regs_list.iter().enumerate() {
-                cache.regs[k].write_version = reg.write_version();
-            }
             for (m, (k, j)) in order.iter().enumerate() {
                 let (name, handle) = &cache.regs[*k].handles[*j];
                 merged_names.push(name.clone());
@@ -423,22 +394,24 @@ impl Introspection {
             cache.counter_names = Arc::new(merged_names);
             cache.counter_values = Arc::new(merged_values);
         } else {
+            // Counters only grow: one was written since the base was taken
+            // exactly when it differs from it. Copy on the first difference.
+            let base: &[u64] = &cache.counter_values;
             let mut scattered: Option<Vec<u64>> = None;
-            for (k, reg) in regs_list.iter().enumerate() {
-                // Fold the write version *before* reading values: a write
-                // racing the reads is either included or re-detected next
-                // capture — never missed.
-                let wv = reg.write_version();
-                if cache.regs[k].write_version == wv {
+            for (rc, positions) in cache.regs.iter().zip(&cache.positions) {
+                let mut moved = false;
+                for ((_, handle), &m) in rc.handles.iter().zip(positions) {
+                    let v = handle.get();
+                    if v != base[m] {
+                        scattered.get_or_insert_with(|| base.to_vec())[m] = v;
+                        moved = true;
+                    }
+                }
+                if moved {
+                    self.merges.inc();
+                } else {
                     self.skipped.inc();
-                    continue;
                 }
-                self.merges.inc();
-                let values = scattered.get_or_insert_with(|| (*cache.counter_values).clone());
-                for (j, (_, handle)) in cache.regs[k].handles.iter().enumerate() {
-                    values[cache.positions[k][j]] = handle.get();
-                }
-                cache.regs[k].write_version = wv;
             }
             if let Some(values) = scattered {
                 cache.counter_values = Arc::new(values);

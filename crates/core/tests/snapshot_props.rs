@@ -5,7 +5,7 @@
 //! extreme (every shard written between captures).
 //!
 //! The oracle is [`Introspection::capture_uncached`], which bypasses the
-//! generation-stamp cache entirely. Equality is *exact* (bitwise on the
+//! delta cache entirely. Equality is *exact* (bitwise on the
 //! Welford-derived floats): the delta path re-folds its cached stripe
 //! copies in the same fixed stripe order as a from-scratch merge, so at
 //! quiescence the two paths perform the identical float operations.
@@ -286,5 +286,87 @@ fn all_dirty_extreme_every_shard_written_between_captures() {
         let delta = h.intro.capture(round * 1000);
         let full = h.intro.capture_uncached(round * 1000);
         assert_snapshots_equal(&delta, &full);
+    }
+}
+
+/// `merges + skipped` moved by one capture: every registry and every
+/// profile stripe is accounted exactly once, one way or the other.
+const SHARDS_PER_CAPTURE: u64 = (REGISTRIES + lg_metrics::stripe::STRIPE_COUNT) as u64;
+
+#[test]
+fn captures_racing_writers_are_monotone_and_converge() {
+    // Counters carry no stamp: capture's dirtiness test is "the value
+    // differs from the base". Two writers on their own stripes hammer a
+    // striped counter in one registry and a single-cell counter in another
+    // for as long as a third thread captures, so every capture races adds.
+    let h = harness();
+    let striped = h.regs[0].counter("c1");
+    let single = h.regs[1].counter("c0");
+    assert!(striped.is_striped() && !single.is_striped());
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let start = std::sync::Barrier::new(3);
+    let written: u64 = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|stripe| {
+                let (striped, single, stop, start) = (&striped, &single, &stop, &start);
+                s.spawn(move || {
+                    lg_metrics::stripe::set_thread_index(stripe);
+                    start.wait();
+                    let mut n = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        striped.add(2);
+                        single.inc();
+                        n += 1;
+                    }
+                    n
+                })
+            })
+            .collect();
+        start.wait();
+        let mut prev = h.intro.capture(0);
+        for t in 1..=2_000u64 {
+            let shards = h.intro.merges() + h.intro.skipped();
+            let snap = h.intro.capture(t);
+            assert_eq!(
+                h.intro.merges() + h.intro.skipped(),
+                shards + SHARDS_PER_CAPTURE
+            );
+            for ((name, now), (_, before)) in snap.counters().zip(prev.counters()) {
+                assert!(now >= before, "{name} went back: {before} -> {now}");
+            }
+            prev = snap;
+        }
+        stop.store(true, Ordering::Relaxed);
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert!(written > 0);
+    // Quiescent: one more capture picks up whatever the racing ones left
+    // and agrees with the from-scratch oracle and with the writers.
+    let delta = h.intro.capture(3_000);
+    assert_snapshots_equal(&delta, &h.intro.capture_uncached(3_000));
+    assert_eq!(striped.get(), 2 * written);
+    assert_eq!(single.get(), written);
+}
+
+#[test]
+fn only_the_registry_whose_values_moved_is_merged() {
+    let h = harness();
+    let hot = h.regs[0].counter("c0");
+    let zero = h.regs[1].counter("c1");
+    // Address of the interned name table's first entry.
+    let first_name = |s: &IntrospectionSnapshot| s.counters().next().unwrap().0.as_ptr();
+    let mut prev = h.intro.capture(0);
+    for round in 1..=16u64 {
+        hot.add(round);
+        // Not a write: the value is where the base has it.
+        zero.add(0);
+        let (merges, skipped) = (h.intro.merges(), h.intro.skipped());
+        let snap = h.intro.capture(round);
+        assert_eq!(h.intro.merges(), merges + 1, "only registry 0 moved");
+        assert_eq!(h.intro.skipped(), skipped + SHARDS_PER_CAPTURE - 1);
+        assert_snapshots_equal(&snap, &h.intro.capture_uncached(round));
+        // Value writes keep the interned name table: same allocation.
+        assert_eq!(first_name(&snap), first_name(&prev));
+        prev = snap;
     }
 }

@@ -11,8 +11,7 @@
 //! threads at once, where a shared cell would ping-pong its cache line.
 
 use crate::stripe::{
-    thread_stripe, CacheAligned, StripedCounter, StripedVersion, TouchedStripes, Versioned,
-    STRIPE_COUNT,
+    thread_stripe, CacheAligned, StripedCounter, TouchedStripes, Versioned, STRIPE_COUNT,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -33,13 +32,12 @@ enum CounterStorage {
 /// [`CounterRegistry::striped_counter`], by per-thread striped cells whose
 /// updates never contend across threads (reads fold the stripes).
 ///
-/// Every update also bumps its registry's write-generation stamp
-/// ([`CounterRegistry::write_version`]) so incremental snapshot capture can
-/// skip registries that saw no writes since the last round.
+/// The value only grows, so it is its own dirtiness signal: a reader that
+/// kept the value it last saw learns "written since" by comparing (see
+/// [`CounterRegistry::write_version`]); an update is one atomic RMW.
 #[derive(Clone, Debug)]
 pub struct CounterHandle {
     storage: Arc<CounterStorage>,
-    version: Arc<StripedVersion>,
     arms: Arc<ArmSet>,
 }
 
@@ -59,9 +57,6 @@ impl CounterHandle {
             }
             CounterStorage::Striped(s) => s.add(n),
         }
-        // Release-bump after the value write: a reader that observes the
-        // new generation is guaranteed to read the new value.
-        self.version.bump();
         // Write-side threshold arms: one relaxed load on the (usual)
         // unarmed path.
         if self.arms.count.load(Ordering::Relaxed) != 0 {
@@ -397,18 +392,17 @@ impl GaugeHandle {
 pub struct CounterRegistry {
     counters: RwLock<HashMap<String, CounterHandle>>,
     gauges: RwLock<HashMap<String, GaugeHandle>>,
-    /// Bumped by every counter update (shared by all handles); readers
-    /// compare folds to skip re-reading a quiescent registry.
-    write_version: Arc<StripedVersion>,
-    /// Bumped when a counter is created (the name set changed).
+    /// Bumped once per created counter; counters are never removed, so
+    /// this alone keys every cache of the name set.
     structure: AtomicU64,
     sorted: Mutex<SortedHandles>,
 }
 
+/// The name-sorted table as of `structure`. `Default` is generation 0 —
+/// no counter created yet — whose table is the empty one it holds.
 #[derive(Default)]
 struct SortedHandles {
     structure: u64,
-    valid: bool,
     handles: Arc<Vec<(String, CounterHandle)>>,
 }
 
@@ -437,7 +431,6 @@ impl CounterRegistry {
         }
         let h = CounterHandle {
             storage: Arc::new(make()),
-            version: self.write_version.clone(),
             arms: Arc::new(ArmSet::default()),
         };
         w.insert(name.to_owned(), h.clone());
@@ -478,11 +471,14 @@ impl CounterRegistry {
             .collect()
     }
 
-    /// Fold of the write-generation stamp: unchanged between two reads ⇔
-    /// no counter update completed in between (a racing update shows up in
-    /// the next fold instead — see [`crate::stripe::StripedVersion`]).
+    /// Wrapping sum of every counter's value. Counters only grow, so this
+    /// is unchanged between two reads ⇔ nothing was added to any counter in
+    /// between (short of 2^64 units). A reader that keeps the values
+    /// (incremental snapshot capture) compares those instead, one by one.
     pub fn write_version(&self) -> u64 {
-        self.write_version.get()
+        self.sorted_handles()
+            .iter()
+            .fold(0, |sum, (_, h)| sum.wrapping_add(h.get()))
     }
 
     /// Generation of the counter *name set*; bumped when a counter is
@@ -504,7 +500,7 @@ impl CounterRegistry {
         // next call refreshes.
         let structure = self.structure_version();
         let mut cached = self.sorted.lock();
-        if !cached.valid || cached.structure != structure {
+        if cached.structure != structure {
             let mut v: Vec<(String, CounterHandle)> = self
                 .counters
                 .read()
@@ -514,7 +510,6 @@ impl CounterRegistry {
             v.sort_by(|a, b| a.0.cmp(&b.0));
             cached.handles = Arc::new(v);
             cached.structure = structure;
-            cached.valid = true;
         }
         cached.handles.clone()
     }

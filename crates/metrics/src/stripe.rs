@@ -172,61 +172,6 @@ impl StripedCounter {
     }
 }
 
-/// A write-generation stamp striped across padded cells.
-///
-/// This is the dirtiness signal behind incremental snapshot capture (the
-/// third use of the Dispatcher/KnobRegistry generation-stamp pattern):
-/// every write path bumps the calling thread's stripe with `Release`
-/// ordering *after* publishing the written value, and readers fold all
-/// stripes with `Acquire` loads. The protocol a reader relies on is:
-///
-/// * if [`get`] returns the same fold as the reader's previously recorded
-///   fold, no write completed in between — cached derived state is still
-///   current;
-/// * if a writer raced the previous read (value stored, bump not yet
-///   observed), the recorded fold simply differs from the next [`get`] and
-///   the reader refreshes — a benign extra refresh, never a missed update;
-/// * once writers quiesce, one more [`get`] is exact.
-///
-/// Bumps are contention-free for the same reason [`StripedCounter`] is:
-/// each thread RMWs its own padded cell.
-///
-/// [`get`]: StripedVersion::get
-#[derive(Debug)]
-pub struct StripedVersion {
-    cells: [CacheAligned<AtomicU64>; STRIPE_COUNT],
-}
-
-impl Default for StripedVersion {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StripedVersion {
-    /// Creates a stamp at generation zero.
-    pub fn new() -> Self {
-        Self {
-            cells: std::array::from_fn(|_| CacheAligned(AtomicU64::new(0))),
-        }
-    }
-
-    /// Advances the calling thread's stripe (call *after* the guarded
-    /// write, with the `Release` here ordering the write before the bump).
-    #[inline]
-    pub fn bump(&self) {
-        self.cells[thread_stripe()]
-            .0
-            .fetch_add(1, Ordering::Release);
-    }
-
-    /// Folds every stripe into the current generation (`Acquire` loads, so
-    /// an observed bump implies the guarded write is visible).
-    pub fn get(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Acquire)).sum()
-    }
-}
-
 /// A signed delta accumulator striped across padded cells.
 ///
 /// Unlike [`crate::GaugeHandle`] there is no `set` and `add` returns
@@ -455,26 +400,6 @@ mod tests {
         }
         joins.into_iter().for_each(|j| j.join().unwrap());
         assert_eq!(g.sum(), 0);
-    }
-
-    #[test]
-    fn version_advances_once_per_bump_across_threads() {
-        let v = Arc::new(StripedVersion::new());
-        assert_eq!(v.get(), 0);
-        let mut joins = Vec::new();
-        for _ in 0..8 {
-            let v = v.clone();
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    v.bump();
-                }
-            }));
-        }
-        joins.into_iter().for_each(|j| j.join().unwrap());
-        assert_eq!(v.get(), 8_000);
-        let before = v.get();
-        v.bump();
-        assert_eq!(v.get(), before + 1);
     }
 
     #[test]

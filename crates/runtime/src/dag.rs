@@ -370,15 +370,7 @@ mod tests {
 
     fn pool(workers: usize) -> ThreadPool {
         let lg = LookingGlass::builder().build();
-        ThreadPool::new(
-            lg,
-            PoolConfig {
-                workers,
-                spin_rounds: 4,
-                register_knobs: false,
-                faults: None,
-            },
-        )
+        ThreadPool::new(lg, PoolConfig::with_workers(workers))
     }
 
     #[test]

@@ -63,10 +63,6 @@ use std::sync::Arc;
 pub struct PoolConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Spin rounds through the full search before yielding/parking.
-    pub spin_rounds: usize,
-    /// Register the pool's `thread_cap` knob on the instance's registry.
-    pub register_knobs: bool,
     /// Injected task faults (crash/straggler), for resilience testing.
     pub faults: Option<FaultConfig>,
 }
@@ -77,8 +73,6 @@ impl Default for PoolConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            spin_rounds: 16,
-            register_knobs: true,
             faults: None,
         }
     }
@@ -94,6 +88,8 @@ impl PoolConfig {
     }
 }
 
+/// Spin rounds through the full search before yielding.
+const SPIN_ROUNDS: usize = 16;
 /// Yield rounds between the spin phase and parking (adaptive backoff).
 const YIELD_ROUNDS: usize = 4;
 /// First park timeout; doubles per consecutive empty park up to the max.
@@ -140,7 +136,6 @@ pub(crate) struct PoolShared {
     lg: Arc<LookingGlass>,
     cap: ThreadCap,
     budget: ThreadBudget,
-    spin_rounds: usize,
     /// `live[i]` — a thread serves worker index `i`. Set by
     /// `apply_budget` just before it spawns that thread; cleared by the
     /// thread itself as its last act on the index (see `worker_loop`).
@@ -193,7 +188,11 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool attached to a `LookingGlass` instance.
+    /// Creates a pool attached to a `LookingGlass` instance and registers
+    /// its counters and its `thread_cap`, `thread_budget` and
+    /// `dag.critical_bias` knobs there. A knob name belongs to its last
+    /// registrant: a second pool on one instance takes the three names over,
+    /// and the first is steered through its own accessors only.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
@@ -213,14 +212,12 @@ impl ThreadPool {
                 .with_default(1),
             1,
         );
-        if config.register_knobs {
-            lg.knobs().register(Arc::new(cap.clone()));
-            lg.knobs().register(Arc::new(budget.clone()));
-            lg.knobs().register(dag_bias.clone());
-            // The pool's counters ride along in every introspection
-            // snapshot the instance captures.
-            lg.introspection().register_counters(counters.clone());
-        }
+        lg.knobs().register(Arc::new(cap.clone()));
+        lg.knobs().register(Arc::new(budget.clone()));
+        lg.knobs().register(dag_bias.clone());
+        // The pool's counters ride along in every introspection snapshot
+        // the instance captures.
+        lg.introspection().register_counters(counters.clone());
         let shared = Arc::new(PoolShared {
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             injector: Lane::new(),
@@ -229,7 +226,6 @@ impl ThreadPool {
             lg,
             cap,
             budget: budget.clone(),
-            spin_rounds: config.spin_rounds,
             live: Mutex::new(vec![false; config.workers]),
             handles: Mutex::new((0..config.workers).map(|_| None).collect()),
             shutdown: AtomicBool::new(false),
@@ -288,8 +284,8 @@ impl ThreadPool {
 
     /// The `dag.critical_bias` knob: 1 (default) routes critical-path DAG
     /// tasks through the priority lane, 0 sends them down the normal
-    /// steal path. Registered on the instance's knob registry when
-    /// `register_knobs` is set, so policies steer it by name.
+    /// steal path. Registered on the instance's knob registry, so policies
+    /// steer it by name.
     pub fn dag_bias_knob(&self) -> Arc<AtomicKnob> {
         self.shared.dag_bias.clone()
     }
@@ -472,7 +468,7 @@ impl PoolShared {
         self.c_spawned.inc();
         match task.body.kind() {
             BodyKind::Inline => self.c_inline_tasks.inc(),
-            BodyKind::Slab | BodyKind::Boxed => self.c_boxed_tasks.inc(),
+            BodyKind::Boxed => self.c_boxed_tasks.inc(),
         }
         task
     }
@@ -710,7 +706,6 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
         worker: index,
         t_ns: shared.lg.now_ns(),
     });
-    let spin_rounds = shared.spin_rounds.max(1);
     let mut online = true;
     let mut park_timeout = PARK_MIN;
     // Tasks were run since `wait_idle` callers were last notified.
@@ -756,7 +751,7 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
         // Adaptive idle backoff: spin (cheap, latency-optimal), then yield
         // the timeslice, then park with an escalating timeout.
         let mut found = false;
-        for round in 0..(spin_rounds + YIELD_ROUNDS) {
+        for round in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
             if let Some(task) = shared.find_task(index) {
                 run_task(shared, task, index);
                 found = true;
@@ -764,7 +759,7 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
                 break;
             }
             quiesce(&mut ran);
-            if round < spin_rounds {
+            if round < SPIN_ROUNDS {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
@@ -897,15 +892,7 @@ mod tests {
     }
 
     fn pool_on(lg: Arc<LookingGlass>, workers: usize) -> ThreadPool {
-        ThreadPool::new(
-            lg,
-            PoolConfig {
-                workers,
-                spin_rounds: 4,
-                register_knobs: true,
-                faults: None,
-            },
-        )
+        ThreadPool::new(lg, PoolConfig::with_workers(workers))
     }
 
     #[test]
@@ -1400,8 +1387,6 @@ mod tests {
             lg,
             PoolConfig {
                 workers: 2,
-                spin_rounds: 2,
-                register_knobs: false,
                 faults: Some(crate::fault::FaultConfig::seeded(7).panic_prob(0.5)),
             },
         );
@@ -1437,8 +1422,6 @@ mod tests {
             lg,
             PoolConfig {
                 workers: 1,
-                spin_rounds: 2,
-                register_knobs: false,
                 faults: Some(crate::fault::FaultConfig::seeded(5).panic_prob(1.0)),
             },
         );
@@ -1458,8 +1441,6 @@ mod tests {
             lg,
             PoolConfig {
                 workers: 2,
-                spin_rounds: 2,
-                register_knobs: false,
                 faults: Some(crate::fault::FaultConfig::seeded(1).panic_prob(1.0)),
             },
         );
@@ -1478,8 +1459,6 @@ mod tests {
             lg,
             PoolConfig {
                 workers: 2,
-                spin_rounds: 2,
-                register_knobs: false,
                 faults: Some(
                     crate::fault::FaultConfig::seeded(3)
                         .straggler(1.0, std::time::Duration::from_millis(5)),
@@ -1502,8 +1481,6 @@ mod tests {
             lg,
             PoolConfig {
                 workers: 2,
-                spin_rounds: 2,
-                register_knobs: false,
                 faults: Some(crate::fault::FaultConfig::seeded(9)),
             },
         );
@@ -1519,15 +1496,7 @@ mod tests {
     #[test]
     fn worker_events_reach_concurrency_listener() {
         let lg = LookingGlass::builder().build();
-        let p = ThreadPool::new(
-            lg.clone(),
-            PoolConfig {
-                workers: 2,
-                spin_rounds: 1,
-                register_knobs: false,
-                faults: None,
-            },
-        );
+        let p = ThreadPool::new(lg.clone(), PoolConfig::with_workers(2));
         // Workers come online lazily but WorkerStart fires at thread start.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         while lg.concurrency().online_workers() < 2 && std::time::Instant::now() < deadline {

@@ -12,12 +12,11 @@
 //! stores the closure **in place** when it fits [`INLINE_BODY_BYTES`]
 //! (three pointers — enough for the `(&body, start, end)` triple a
 //! `parallel_for` chunk captures, or a small user capture plus a join
-//! sender). Closures that exceed the inline budget but fit a fixed slab
-//! block are allocated from a per-thread freelist that recycles blocks
-//! instead of hitting the global allocator; only closures larger than
-//! [`slab::BLOCK_BYTES`] fall back to a true `Box`. The representation is
-//! observable: the pool counts `rt.inline_tasks` / `rt.boxed_tasks` per
-//! spawn so the fast path can be verified through the glass.
+//! sender). Anything larger or over-aligned goes in a plain `Box` (spawn
+//! sites on measured paths are written to fit inline; the allocator's
+//! thread cache recycles the rest). The representation is observable: the
+//! pool counts `rt.inline_tasks` / `rt.boxed_tasks` per spawn so the fast
+//! path can be verified through the glass.
 
 use lg_core::TaskId;
 use parking_lot::{Condvar, Mutex};
@@ -37,9 +36,7 @@ pub const INLINE_BODY_BYTES: usize = INLINE_WORDS * std::mem::size_of::<usize>()
 pub(crate) enum BodyKind {
     /// In place, inside the task record. The steady-state fast path.
     Inline,
-    /// In a fixed-size block from the per-thread recycling slab.
-    Slab,
-    /// In a plain `Box` (oversized or over-aligned closures).
+    /// In a plain `Box` (closures over the inline budget or over-aligned).
     Boxed,
 }
 
@@ -56,6 +53,8 @@ struct BodyVTable {
 /// [`TaskBody::new_unchecked`]; the closure is moved out, so the storage
 /// must not be read again.
 unsafe fn call_inline<F: FnOnce()>(p: *mut MaybeUninit<usize>) {
+    // SAFETY: the caller's contract — a live, suitably aligned `F` that
+    // nobody reads after this.
     let f: F = unsafe { ptr::read(p.cast::<F>()) };
     f();
 }
@@ -63,43 +62,33 @@ unsafe fn call_inline<F: FnOnce()>(p: *mut MaybeUninit<usize>) {
 /// # Safety
 /// Same storage contract as [`call_inline`]; drops `F` in place.
 unsafe fn drop_inline<F>(p: *mut MaybeUninit<usize>) {
+    // SAFETY: the caller's contract — a live `F`, dead afterwards.
     unsafe { ptr::drop_in_place(p.cast::<F>()) };
 }
 
 /// # Safety
-/// Word 0 of `p` must hold a slab block pointer with a live `F` inside.
-unsafe fn call_slab<F: FnOnce()>(p: *mut MaybeUninit<usize>) {
-    let block = unsafe { (*p).assume_init() } as *mut u8;
-    // Move the closure out and recycle the block *before* the call, so a
-    // body that respawns can reuse its own block immediately.
-    let f: F = unsafe { ptr::read(block.cast::<F>()) };
-    unsafe { slab::free(block) };
-    f();
+/// Word 0 of `p` must hold the `Box::into_raw` pointer to a live `F` that
+/// [`TaskBody::new_unchecked`] wrote; the result owns that box, so the word
+/// must not be read again.
+unsafe fn take_box<F>(p: *mut MaybeUninit<usize>) -> Box<F> {
+    // SAFETY: the caller's contract — word 0 is initialised, and is a
+    // pointer `Box::into_raw` returned for an `F` nobody has freed.
+    unsafe { Box::from_raw((*p).assume_init() as *mut F) }
 }
 
 /// # Safety
-/// Same storage contract as [`call_slab`].
-unsafe fn drop_slab<F>(p: *mut MaybeUninit<usize>) {
-    let block = unsafe { (*p).assume_init() } as *mut u8;
-    unsafe {
-        ptr::drop_in_place(block.cast::<F>());
-        slab::free(block);
-    }
-}
-
-/// # Safety
-/// Word 0 of `p` must hold a `Box::into_raw` pointer to a live `F`.
+/// Same storage contract as [`take_box`].
 unsafe fn call_boxed<F: FnOnce()>(p: *mut MaybeUninit<usize>) {
-    let raw = unsafe { (*p).assume_init() } as *mut F;
-    let f = unsafe { Box::from_raw(raw) };
+    // SAFETY: the caller's contract is `take_box`'s.
+    let f = unsafe { take_box::<F>(p) };
     f();
 }
 
 /// # Safety
-/// Same storage contract as [`call_boxed`].
+/// Same storage contract as [`take_box`].
 unsafe fn drop_boxed<F>(p: *mut MaybeUninit<usize>) {
-    let raw = unsafe { (*p).assume_init() } as *mut F;
-    drop(unsafe { Box::from_raw(raw) });
+    // SAFETY: the caller's contract is `take_box`'s.
+    drop(unsafe { take_box::<F>(p) });
 }
 
 struct InlineVt<F>(std::marker::PhantomData<F>);
@@ -108,15 +97,6 @@ impl<F: FnOnce()> InlineVt<F> {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
         kind: BodyKind::Inline,
-    };
-}
-
-struct SlabVt<F>(std::marker::PhantomData<F>);
-impl<F: FnOnce()> SlabVt<F> {
-    const VTABLE: BodyVTable = BodyVTable {
-        call: call_slab::<F>,
-        drop: drop_slab::<F>,
-        kind: BodyKind::Slab,
     };
 }
 
@@ -131,10 +111,9 @@ impl<F: FnOnce()> BoxVt<F> {
 
 /// A type-erased `FnOnce()` with inline small-closure storage.
 ///
-/// Three storage tiers (see module docs): inline, slab block, `Box`. The
-/// tier is chosen at construction from `size_of::<F>`/`align_of::<F>`,
-/// which are compile-time constants, so the branch vanishes per call
-/// site.
+/// Two storage tiers (see module docs): inline or `Box`. The tier is
+/// chosen at construction from `size_of::<F>`/`align_of::<F>`, which are
+/// compile-time constants, so the branch vanishes per call site.
 pub(crate) struct TaskBody {
     data: [MaybeUninit<usize>; INLINE_WORDS],
     vtable: &'static BodyVTable,
@@ -168,15 +147,6 @@ impl TaskBody {
                 data,
                 vtable: &InlineVt::<F>::VTABLE,
             }
-        } else if size <= slab::BLOCK_BYTES && align <= slab::BLOCK_ALIGN {
-            let block = slab::alloc();
-            // SAFETY: the block satisfies `F`'s size and alignment.
-            unsafe { ptr::write(block.cast::<F>(), f) };
-            data[0] = MaybeUninit::new(block as usize);
-            Self {
-                data,
-                vtable: &SlabVt::<F>::VTABLE,
-            }
         } else {
             data[0] = MaybeUninit::new(Box::into_raw(Box::new(f)) as usize);
             Self {
@@ -209,83 +179,6 @@ impl Drop for TaskBody {
         // SAFETY: `invoke` shields itself with `ManuallyDrop`, so a live
         // closure is still stored here.
         unsafe { (self.vtable.drop)(self.data.as_mut_ptr()) }
-    }
-}
-
-pub(crate) mod slab {
-    //! Per-thread freelist of fixed-size closure blocks.
-    //!
-    //! Oversized-but-bounded closures draw a 64-byte block from the
-    //! calling thread's freelist and return it to the freeing thread's
-    //! freelist, so a steady producer/consumer pair recycles blocks
-    //! without touching the global allocator. Blocks are layout-identical,
-    //! which is what makes cross-thread recycling safe: any freed block
-    //! can serve any later allocation.
-
-    use std::alloc::{alloc as global_alloc, dealloc, handle_alloc_error, Layout};
-    use std::cell::RefCell;
-
-    /// Slab block size: covers a captured closure of up to 8 words.
-    pub(crate) const BLOCK_BYTES: usize = 64;
-    /// Slab block alignment (covers 16-byte-aligned captures).
-    pub(crate) const BLOCK_ALIGN: usize = 16;
-    /// Blocks retained per thread before falling back to `dealloc`.
-    const FREELIST_CAP: usize = 64;
-
-    const LAYOUT: Layout = match Layout::from_size_align(BLOCK_BYTES, BLOCK_ALIGN) {
-        Ok(l) => l,
-        Err(_) => panic!("invalid slab layout"),
-    };
-
-    struct Freelist(Vec<*mut u8>);
-
-    impl Drop for Freelist {
-        fn drop(&mut self) {
-            for p in self.0.drain(..) {
-                // SAFETY: every pointer in the list came from `alloc(LAYOUT)`.
-                unsafe { dealloc(p, LAYOUT) };
-            }
-        }
-    }
-
-    thread_local! {
-        static FREE: RefCell<Freelist> = const { RefCell::new(Freelist(Vec::new())) };
-    }
-
-    /// Hands out a block, recycled if one is available.
-    pub(crate) fn alloc() -> *mut u8 {
-        let recycled = FREE.try_with(|f| f.borrow_mut().0.pop()).ok().flatten();
-        recycled.unwrap_or_else(|| {
-            // SAFETY: LAYOUT has non-zero size.
-            let p = unsafe { global_alloc(LAYOUT) };
-            if p.is_null() {
-                handle_alloc_error(LAYOUT);
-            }
-            p
-        })
-    }
-
-    /// Returns a block to the calling thread's freelist (or the global
-    /// allocator when the list is full or thread-locals are gone).
-    ///
-    /// # Safety
-    /// `p` must have come from [`alloc`] and not been freed since.
-    pub(crate) unsafe fn free(p: *mut u8) {
-        let kept = FREE
-            .try_with(|f| {
-                let mut f = f.borrow_mut();
-                if f.0.len() < FREELIST_CAP {
-                    f.0.push(p);
-                    true
-                } else {
-                    false
-                }
-            })
-            .unwrap_or(false);
-        if !kept {
-            // SAFETY: caller contract.
-            unsafe { dealloc(p, LAYOUT) };
-        }
     }
 }
 
@@ -562,38 +455,25 @@ mod tests {
     }
 
     #[test]
-    fn medium_closure_uses_slab() {
-        let hit = Arc::new(AtomicU64::new(0));
-        let h = hit.clone();
-        let pad = [1u64, 2, 3, 4];
-        let body = TaskBody::new(move || {
-            h.fetch_add(pad.iter().sum::<u64>(), Ordering::Relaxed);
-        });
-        assert_eq!(body.kind(), BodyKind::Slab);
-        body.invoke();
-        assert_eq!(hit.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn slab_blocks_recycle() {
-        // Allocate-run cycles on one thread reuse the same block.
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..32 {
-            let pad = [0u64; 6];
+    fn medium_closure_is_boxed() {
+        // Four words: one over the inline budget. Runs once when invoked,
+        // and its captures are released whether it ran or was dropped.
+        for invoke in [true, false] {
+            let hit = Arc::new(AtomicU64::new(0));
+            let h = hit.clone();
+            let pad = [1u64, 2, 3];
             let body = TaskBody::new(move || {
-                std::hint::black_box(pad);
+                h.fetch_add(pad.iter().sum::<u64>(), Ordering::Relaxed);
             });
-            assert_eq!(body.kind(), BodyKind::Slab);
-            // Record the block address via the stored word.
-            let addr = unsafe { body.data[0].assume_init() };
-            seen.insert(addr);
-            body.invoke();
+            assert_eq!(body.kind(), BodyKind::Boxed);
+            if invoke {
+                body.invoke();
+            } else {
+                drop(body);
+            }
+            assert_eq!(hit.load(Ordering::Relaxed), if invoke { 6 } else { 0 });
+            assert_eq!(Arc::strong_count(&hit), 1, "invoke {invoke}");
         }
-        assert!(
-            seen.len() < 32,
-            "freelist never recycled a block: {} distinct",
-            seen.len()
-        );
     }
 
     #[test]

@@ -34,12 +34,7 @@ fn pool(workers: usize) -> ThreadPool {
     });
     ThreadPool::new(
         LookingGlass::builder().build(),
-        PoolConfig {
-            workers,
-            spin_rounds: 4,
-            register_knobs: false,
-            faults,
-        },
+        PoolConfig { workers, faults },
     )
 }
 

@@ -16,12 +16,7 @@ use std::sync::Arc;
 fn pool(workers: usize) -> ThreadPool {
     ThreadPool::new(
         LookingGlass::builder().build(),
-        PoolConfig {
-            workers,
-            spin_rounds: 4,
-            register_knobs: false,
-            faults: None,
-        },
+        PoolConfig::with_workers(workers),
     )
 }
 

@@ -48,15 +48,7 @@ fn allocs() -> u64 {
 
 #[test]
 fn dag_release_path_is_allocation_free() {
-    let p = ThreadPool::new(
-        LookingGlass::builder().build(),
-        PoolConfig {
-            workers: 1,
-            spin_rounds: 16,
-            register_knobs: true,
-            faults: None,
-        },
-    );
+    let p = ThreadPool::new(LookingGlass::builder().build(), PoolConfig::with_workers(1));
     let chain = 512u64;
     let count = AtomicU64::new(0);
 

@@ -49,15 +49,7 @@ fn allocs() -> u64 {
 
 #[test]
 fn steady_state_spawn_is_allocation_free() {
-    let p = ThreadPool::new(
-        LookingGlass::builder().build(),
-        PoolConfig {
-            workers: 1,
-            spin_rounds: 16,
-            register_knobs: true,
-            faults: None,
-        },
-    );
+    let p = ThreadPool::new(LookingGlass::builder().build(), PoolConfig::with_workers(1));
     let count = Arc::new(AtomicU64::new(0));
 
     // Warm up: intern the name, fill the profile/concurrency listener

@@ -102,7 +102,6 @@ proptest! {
             PoolConfig {
                 workers,
                 faults: Some(FaultConfig::seeded(seed).panic_prob(0.2)),
-                ..PoolConfig::default()
             },
         );
         let trace = DagTrace::new(spec.nodes());

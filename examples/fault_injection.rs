@@ -31,8 +31,6 @@ fn main() {
         lg.clone(),
         PoolConfig {
             workers: 4,
-            spin_rounds: 8,
-            register_knobs: false,
             faults: Some(
                 FaultConfig::seeded(42)
                     .panic_prob(0.05)

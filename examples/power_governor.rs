@@ -21,15 +21,7 @@ use std::time::Duration;
 
 fn main() {
     let lg = LookingGlass::builder().sample_history(512).build();
-    let pool = Arc::new(ThreadPool::new(
-        lg.clone(),
-        PoolConfig {
-            workers: 8,
-            spin_rounds: 8,
-            register_knobs: true,
-            faults: None,
-        },
-    ));
+    let pool = Arc::new(ThreadPool::new(lg.clone(), PoolConfig::with_workers(8)));
 
     // Introspection: a trailing 50 ms mean of the sampled power, addressed
     // by a typed MetricId from here on.

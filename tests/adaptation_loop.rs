@@ -17,15 +17,7 @@ use looking_glass::workloads::Stencil1d;
 #[test]
 fn policy_throttles_real_pool_on_sample_threshold() {
     let lg = LookingGlass::builder().build();
-    let pool = ThreadPool::new(
-        lg.clone(),
-        PoolConfig {
-            workers: 4,
-            spin_rounds: 2,
-            register_knobs: true,
-            faults: None,
-        },
-    );
+    let pool = ThreadPool::new(lg.clone(), PoolConfig::with_workers(4));
     // Policy: if a "power" sample exceeds 100 W, halve the thread cap.
     lg.policy_engine().register_triggered(
         FnPolicy::new("power-guard", |_, trigger, _snapshot| {

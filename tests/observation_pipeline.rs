@@ -5,22 +5,14 @@
 //! and traces — across throttling changes and panics.
 
 use looking_glass::core::listener::FnListener;
-use looking_glass::core::{Event, LookingGlass};
+use looking_glass::core::{Event, Knob, LookingGlass};
 use looking_glass::runtime::{PoolConfig, ThreadPool};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn pool_with(workers: usize) -> (Arc<LookingGlass>, ThreadPool) {
     let lg = LookingGlass::builder().trace(1 << 14).build();
-    let pool = ThreadPool::new(
-        lg.clone(),
-        PoolConfig {
-            workers,
-            spin_rounds: 4,
-            register_knobs: true,
-            faults: None,
-        },
-    );
+    let pool = ThreadPool::new(lg.clone(), PoolConfig::with_workers(workers));
     (lg, pool)
 }
 
@@ -149,24 +141,8 @@ fn panicking_tasks_do_not_corrupt_profiles() {
 #[test]
 fn two_pools_one_instance_share_observation() {
     let lg = LookingGlass::builder().build();
-    let a = ThreadPool::new(
-        lg.clone(),
-        PoolConfig {
-            workers: 2,
-            spin_rounds: 2,
-            register_knobs: false,
-            faults: None,
-        },
-    );
-    let b = ThreadPool::new(
-        lg.clone(),
-        PoolConfig {
-            workers: 2,
-            spin_rounds: 2,
-            register_knobs: false,
-            faults: None,
-        },
-    );
+    let a = ThreadPool::new(lg.clone(), PoolConfig::with_workers(2));
+    let b = ThreadPool::new(lg.clone(), PoolConfig::with_workers(2));
     a.scope(|s| {
         for _ in 0..10 {
             s.spawn_named("from_a", || {});
@@ -179,4 +155,12 @@ fn two_pools_one_instance_share_observation() {
     });
     assert_eq!(lg.profiles().get("from_a").unwrap().count, 10);
     assert_eq!(lg.profiles().get("from_b").unwrap().count, 20);
+    // Knob names are per instance and the last registration wins: the
+    // name now steers pool `b`; `a` keeps its own actuator.
+    lg.knobs().set("thread_cap", 1);
+    assert_eq!(b.thread_cap().current(), 1);
+    assert_eq!(a.thread_cap().current(), 2);
+    lg.knobs().set("dag.critical_bias", 0);
+    assert_eq!(b.dag_bias_knob().get(), 0);
+    assert_eq!(a.dag_bias_knob().get(), 1);
 }
