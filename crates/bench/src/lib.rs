@@ -10,6 +10,7 @@
 //! holds one module per experiment.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod report;

@@ -22,6 +22,7 @@
 //!   the experiments use the virtual-time link instead.
 //! * [`fault::FaultPlan`] — seeded, virtual-time fault injection for the
 //!   link: random drops, duplicates, delay jitter, and link flaps.
+//! * [`intmap::IntMap`] — maps keyed by program-assigned ids, no SipHash.
 //! * [`reliable::ReliableLink`] — ack/timeout retransmission with
 //!   exponential backoff, per-destination retry budgets (token bucket),
 //!   and per-destination circuit breakers; delivers each parcel exactly
@@ -29,11 +30,13 @@
 //!   knobs (`retry_budget`, `backoff_base_ns`, `breaker_threshold`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coalesce;
 pub mod cost;
 pub mod endpoint;
 pub mod fault;
+pub mod intmap;
 pub mod link;
 pub mod parcel;
 pub mod reliable;
@@ -42,6 +45,7 @@ pub use coalesce::{Coalescer, FlushReason};
 pub use cost::TransportCost;
 pub use endpoint::{Endpoint, EndpointPair};
 pub use fault::{FaultAction, FaultPlan};
+pub use intmap::{IntMap, IntSet};
 pub use link::{LinkReport, SimLink};
 pub use parcel::Parcel;
 pub use reliable::{ReliableConfig, ReliableLink, ReliableReport};

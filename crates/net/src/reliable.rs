@@ -43,6 +43,7 @@
 use crate::coalesce::WireMessage;
 use crate::cost::TransportCost;
 use crate::fault::FaultPlan;
+use crate::intmap::{IntMap, IntSet};
 use crate::link::{Delivery, LinkReport, SimLink};
 use crate::parcel::LocalityId;
 use lg_core::knob::{AtomicKnob, KnobSpec};
@@ -51,7 +52,7 @@ use lg_core::Knob;
 use lg_metrics::{CounterHandle, CounterRegistry, Histogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -210,49 +211,40 @@ impl ReliableGauges {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 enum BreakerState {
+    #[default]
     Closed,
-    Open { until_ns: u64 },
-    HalfOpen { probe_in_flight: bool },
+    Open {
+        until_ns: u64,
+    },
+    /// One probe is out; its ack or timeout decides.
+    HalfOpen,
 }
 
-struct Breaker {
+/// Recovery state of one destination, at `dests[dest]`: its circuit
+/// breaker (closed with no failures, the default, behaves like none) and
+/// its retry bucket.
+#[derive(Default)]
+struct DestState {
     state: BreakerState,
     consecutive_failures: i64,
+    /// Materialised by the destination's first retry.
+    bucket: Option<TokenBucket>,
 }
 
-impl Breaker {
-    fn new() -> Self {
-        Self {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-        }
-    }
-
+impl DestState {
     /// Whether a transmission may proceed now; `Err(retry_at)` parks it.
     fn allow(&mut self, now_ns: u64) -> Result<(), u64> {
         match self.state {
             BreakerState::Closed => Ok(()),
             BreakerState::Open { until_ns } if now_ns < until_ns => Err(until_ns),
             BreakerState::Open { .. } => {
-                self.state = BreakerState::HalfOpen {
-                    probe_in_flight: true,
-                };
-                Ok(())
-            }
-            BreakerState::HalfOpen {
-                probe_in_flight: false,
-            } => {
-                self.state = BreakerState::HalfOpen {
-                    probe_in_flight: true,
-                };
+                self.state = BreakerState::HalfOpen;
                 Ok(())
             }
             // A probe is already out; wait for its verdict.
-            BreakerState::HalfOpen {
-                probe_in_flight: true,
-            } => Err(now_ns + 1),
+            BreakerState::HalfOpen => Err(now_ns + 1),
         }
     }
 
@@ -265,7 +257,7 @@ impl Breaker {
     fn record_failure(&mut self, now_ns: u64, threshold: i64, cooldown_ns: u64) -> bool {
         self.consecutive_failures += 1;
         let opened = match self.state {
-            BreakerState::HalfOpen { .. } => true,
+            BreakerState::HalfOpen => true,
             BreakerState::Closed => self.consecutive_failures >= threshold.max(1),
             BreakerState::Open { .. } => false,
         };
@@ -327,8 +319,11 @@ impl TokenBucket {
 enum EventKind {
     /// (Re)attempt transmission of a pending message.
     Attempt { entry: usize },
-    /// Deliveries reach the receiver.
-    Arrive { deliveries: Vec<Delivery> },
+    /// Copies of `entry`'s parcels reach the receiver together.
+    Arrive {
+        entry: usize,
+        deliveries: Vec<Delivery>,
+    },
     /// The ack for attempt `attempt` of `entry` returns.
     Ack { entry: usize, attempt: u32 },
     /// The ack timer for attempt `attempt` of `entry` fires.
@@ -360,6 +355,7 @@ impl Ord for Event {
 }
 
 struct PendingMsg {
+    /// The parcels are released when the entry resolves.
     msg: WireMessage,
     attempts: u32,
     resolved: bool,
@@ -397,10 +393,11 @@ pub struct ReliableLink {
     events: BinaryHeap<Event>,
     next_event_id: u64,
     pending: Vec<PendingMsg>,
-    offer_times: HashMap<u64, u64>,
-    delivered_seqs: HashSet<u64>,
-    buckets: HashMap<LocalityId, TokenBucket>,
-    breakers: HashMap<LocalityId, Breaker>,
+    /// Kept until the seq is delivered *and* its entry resolved.
+    offer_times: IntMap<u64>,
+    delivered_seqs: IntSet,
+    /// Indexed by destination: locality ids are dense node indices.
+    dests: Vec<DestState>,
     latency_hist: Histogram,
     latency_sum: f64,
     report: ReliableReport,
@@ -428,36 +425,25 @@ impl ReliableLink {
     pub fn over(link: SimLink, config: ReliableConfig, seed: u64) -> Self {
         assert!(config.ack_timeout_ns > 0, "ack timeout must be positive");
         assert!(config.max_attempts > 0, "at least one attempt is required");
+        let knob = |name, min, max, unit, value| {
+            let spec = KnobSpec::new(name, min, max).with_unit(unit);
+            AtomicKnob::new(spec.with_default(value), value)
+        };
+        let (backoff, threshold) = (config.backoff_base_ns as i64, config.breaker_threshold);
         Self {
             link,
             config,
-            retry_budget_knob: AtomicKnob::new(
-                KnobSpec::new("retry_budget", 0, 4_096)
-                    .with_unit("tokens")
-                    .with_default(config.retry_budget),
-                config.retry_budget,
-            ),
-            backoff_base_knob: AtomicKnob::new(
-                KnobSpec::new("backoff_base_ns", 1_000, 1_000_000_000)
-                    .with_unit("ns")
-                    .with_default(config.backoff_base_ns as i64),
-                config.backoff_base_ns as i64,
-            ),
-            breaker_threshold_knob: AtomicKnob::new(
-                KnobSpec::new("breaker_threshold", 1, 1_024)
-                    .with_unit("failures")
-                    .with_default(config.breaker_threshold),
-                config.breaker_threshold,
-            ),
+            retry_budget_knob: knob("retry_budget", 0, 4_096, "tokens", config.retry_budget),
+            backoff_base_knob: knob("backoff_base_ns", 1_000, 1_000_000_000, "ns", backoff),
+            breaker_threshold_knob: knob("breaker_threshold", 1, 1_024, "failures", threshold),
             rng: StdRng::seed_from_u64(seed),
             breaker_rng: StdRng::seed_from_u64(seed ^ 0x5bd1_e995),
             events: BinaryHeap::new(),
             next_event_id: 0,
             pending: Vec::new(),
-            offer_times: HashMap::new(),
-            delivered_seqs: HashSet::new(),
-            buckets: HashMap::new(),
-            breakers: HashMap::new(),
+            offer_times: IntMap::default(),
+            delivered_seqs: IntSet::default(),
+            dests: Vec::new(),
             latency_hist: Histogram::new(),
             latency_sum: 0.0,
             report: ReliableReport::default(),
@@ -573,7 +559,11 @@ impl ReliableLink {
     /// loss class, so goodput accounting can tell "we chose not to serve
     /// this" apart from "the network ate it".
     pub fn shed(&mut self, msg: &WireMessage) {
-        let n = msg.parcels.len() as u64;
+        self.shed_parcels(msg.parcels.len() as u64);
+    }
+
+    /// [`ReliableLink::shed`] for a caller that never built the message.
+    pub fn shed_parcels(&mut self, n: u64) {
         self.report.shed_parcels += n;
         if let Some(c) = &self.metrics.shed {
             c.add(n);
@@ -585,24 +575,24 @@ impl ReliableLink {
     /// arrival order).
     pub fn pump(&mut self, until_ns: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
+        self.pump_into(until_ns, &mut out);
+        out
+    }
+
+    /// [`ReliableLink::pump`] appending to a buffer the caller keeps.
+    pub fn pump_into(&mut self, until_ns: u64, out: &mut Vec<Delivery>) {
         while let Some(ev) = self.events.peek() {
             if ev.t_ns > until_ns {
                 break;
             }
             let ev = self.events.pop().unwrap();
-            self.handle(ev, &mut out);
+            self.handle(ev, out);
         }
-        out
     }
 
     /// Runs recovery to completion (all sends delivered or abandoned).
     pub fn drain(&mut self) -> Vec<Delivery> {
         self.pump(u64::MAX)
-    }
-
-    /// Whether any message is still awaiting delivery or abandonment.
-    pub fn in_flight(&self) -> bool {
-        !self.events.is_empty()
     }
 
     /// Statistics of the reliability layer so far.
@@ -628,32 +618,39 @@ impl ReliableLink {
         self.events.push(Event { t_ns, id, kind });
     }
 
-    fn refill_per_ns(&self) -> f64 {
-        self.config.retry_refill_per_sec / 1e9
-    }
-
-    /// Recounts breaker states into the shared gauges. O(destinations),
-    /// called only on state-changing paths (ack, timeout, probe).
-    fn publish_breaker_gauges(&self) {
-        let (mut open, mut half) = (0i64, 0i64);
-        for b in self.breakers.values() {
-            match b.state {
-                BreakerState::Open { .. } => open += 1,
-                BreakerState::HalfOpen { .. } => half += 1,
-                BreakerState::Closed => {}
+    /// Runs `f` on `dest`'s breaker and moves the open / half-open
+    /// gauges (which are the counts) by the transition it made, if any.
+    fn with_breaker<R>(&mut self, dest: LocalityId, f: impl FnOnce(&mut DestState) -> R) -> R {
+        let i = dest as usize;
+        if i >= self.dests.len() {
+            self.dests.resize_with(i + 1, DestState::default);
+        }
+        let before = self.dests[i].state;
+        let r = f(&mut self.dests[i]);
+        let after = self.dests[i].state;
+        if std::mem::discriminant(&before) != std::mem::discriminant(&after) {
+            for (state, by) in [(before, -1), (after, 1)] {
+                match state {
+                    BreakerState::Open { .. } => &self.gauges.breakers_open,
+                    BreakerState::HalfOpen => &self.gauges.breakers_half_open,
+                    BreakerState::Closed => continue,
+                }
+                .fetch_add(by, Ordering::Relaxed);
             }
         }
-        self.gauges.breakers_open.store(open, Ordering::Relaxed);
-        self.gauges
-            .breakers_half_open
-            .store(half, Ordering::Relaxed);
+        r
     }
 
-    /// Republishes aggregate token fill after any bucket activity.
+    /// Republishes aggregate token fill after any bucket activity,
+    /// folding in ascending destination order so a same-seed replay
+    /// publishes the same last bit.
     fn publish_budget_gauges(&self) {
         let capacity = self.retry_budget_knob.get().max(0) as f64;
-        let tokens: f64 = self.buckets.values().map(|b| b.tokens.min(capacity)).sum();
-        let total_cap = capacity * self.buckets.len() as f64;
+        let (mut tokens, mut total_cap) = (0.0, 0.0);
+        for bucket in self.dests.iter().filter_map(|d| d.bucket.as_ref()) {
+            tokens += bucket.tokens.min(capacity);
+            total_cap += capacity;
+        }
         self.gauges
             .budget_tokens_milli
             .store((tokens * 1e3) as i64, Ordering::Relaxed);
@@ -662,24 +659,50 @@ impl ReliableLink {
             .store((total_cap * 1e3) as i64, Ordering::Relaxed);
     }
 
+    /// `base` plus seeded jitter up to `frac` of it (none drawn at zero).
+    fn jittered(rng: &mut StdRng, base: u64, frac: f64) -> u64 {
+        match (base as f64 * frac) as u64 {
+            0 => base,
+            jitter_max => base + rng.gen_range(0..=jitter_max),
+        }
+    }
+
     /// Breaker cooldown with seeded jitter from the dedicated stream, so
     /// destinations that trip together probe (and re-close) apart.
     fn jittered_cooldown(&mut self) -> u64 {
-        let base = self.config.breaker_cooldown_ns;
-        let jitter_max = (base as f64 * self.config.breaker_jitter_frac) as u64;
-        if jitter_max == 0 {
-            base
-        } else {
-            base + self.breaker_rng.gen_range(0..=jitter_max)
+        let c = self.config;
+        let (base, frac) = (c.breaker_cooldown_ns, c.breaker_jitter_frac);
+        Self::jittered(&mut self.breaker_rng, base, frac)
+    }
+
+    /// Marks `entry` resolved, releasing its parcels (stale events read
+    /// `resolved` and `attempts` only) and the offer times of delivered
+    /// seqs (`Arrive` drops a late copy's). Returns the parcel count.
+    fn resolve(&mut self, entry: usize) -> u64 {
+        let p = &mut self.pending[entry];
+        p.resolved = true;
+        let parcels = std::mem::take(&mut p.msg.parcels);
+        for parcel in &parcels {
+            if self.delivered_seqs.contains(&parcel.seq) {
+                self.offer_times.remove(&parcel.seq);
+            }
+        }
+        parcels.len() as u64
+    }
+
+    /// Resolves a pending message as abandoned (fault-driven give-up).
+    fn abandon(&mut self, entry: usize) {
+        let n = self.resolve(entry);
+        self.report.abandoned_parcels += n;
+        if let Some(c) = &self.metrics.abandoned {
+            c.add(n);
         }
     }
 
     /// Resolves a pending message as deadline-expired (sender stops
     /// retransmitting; distinct from fault-driven abandonment).
     fn expire(&mut self, entry: usize) {
-        let p = &mut self.pending[entry];
-        p.resolved = true;
-        let n = p.msg.parcels.len() as u64;
+        let n = self.resolve(entry);
         self.report.deadline_expired_parcels += n;
         if let Some(c) = &self.metrics.deadline_expired {
             c.add(n);
@@ -690,18 +713,20 @@ impl ReliableLink {
         let now = ev.t_ns;
         match ev.kind {
             EventKind::Attempt { entry } => self.attempt(entry, now),
-            EventKind::Arrive { deliveries } => {
+            EventKind::Arrive { entry, deliveries } => {
+                let resolved = self.pending[entry].resolved;
                 for d in deliveries {
                     if self.delivered_seqs.insert(d.seq) {
                         self.report.unique_parcels += 1;
                         self.report.last_delivery_ns =
                             self.report.last_delivery_ns.max(d.arrived_ns);
-                        let offered = self
-                            .offer_times
-                            .get(&d.seq)
-                            .copied()
-                            .unwrap_or(d.arrived_ns);
-                        let lat = d.arrived_ns.saturating_sub(offered);
+                        // A resolved entry transmits no more.
+                        let offered = if resolved {
+                            self.offer_times.remove(&d.seq)
+                        } else {
+                            self.offer_times.get(&d.seq).copied()
+                        };
+                        let lat = d.arrived_ns.saturating_sub(offered.unwrap_or(d.arrived_ns));
                         self.latency_hist.record(lat);
                         self.latency_sum += lat as f64;
                         if let Some(c) = &self.metrics.unique {
@@ -717,21 +742,17 @@ impl ReliableLink {
                 }
             }
             EventKind::Ack { entry, attempt } => {
-                let p = &mut self.pending[entry];
+                let p = &self.pending[entry];
                 if p.resolved || p.attempts != attempt {
                     return; // stale ack for a superseded attempt
                 }
-                p.resolved = true;
                 let dest = p.msg.dest;
+                self.resolve(entry);
                 self.report.acks += 1;
                 if let Some(c) = &self.metrics.acks {
                     c.inc();
                 }
-                self.breakers
-                    .entry(dest)
-                    .or_insert_with(Breaker::new)
-                    .record_success();
-                self.publish_breaker_gauges();
+                self.with_breaker(dest, DestState::record_success);
             }
             EventKind::Timeout { entry, attempt } => {
                 let p = &self.pending[entry];
@@ -745,28 +766,19 @@ impl ReliableLink {
                 }
                 let threshold = self.breaker_threshold_knob.get();
                 let cooldown = self.jittered_cooldown();
-                let opened = self
-                    .breakers
-                    .entry(dest)
-                    .or_insert_with(Breaker::new)
-                    .record_failure(now, threshold, cooldown);
-                self.publish_breaker_gauges();
+                let opened =
+                    self.with_breaker(dest, |b| b.record_failure(now, threshold, cooldown));
                 if opened {
                     self.report.breaker_open_events += 1;
                     if let Some(c) = &self.metrics.breaker_open {
                         c.inc();
                     }
                 }
-                if self.pending[entry].attempts >= self.config.max_attempts {
-                    let p = &mut self.pending[entry];
-                    p.resolved = true;
-                    self.report.abandoned_parcels += p.msg.parcels.len() as u64;
-                    if let Some(c) = &self.metrics.abandoned {
-                        c.add(p.msg.parcels.len() as u64);
-                    }
+                if attempt >= self.config.max_attempts {
+                    self.abandon(entry);
                     return;
                 }
-                let backoff = self.backoff_ns(self.pending[entry].attempts);
+                let backoff = self.backoff_ns(attempt);
                 self.schedule(now + backoff, EventKind::Attempt { entry });
             }
         }
@@ -776,74 +788,59 @@ impl ReliableLink {
     /// seeded jitter.
     fn backoff_ns(&mut self, attempts: u32) -> u64 {
         let base = self.backoff_base_knob.get().max(1) as u64;
-        let exp = base
-            .saturating_shl(attempts.saturating_sub(1).min(32))
-            .min(self.config.backoff_max_ns);
-        let jitter_max = (exp as f64 * self.config.jitter_frac) as u64;
-        if jitter_max == 0 {
-            exp
+        // Doubling per attempt, saturating instead of shifting bits out.
+        let shift = attempts.saturating_sub(1).min(32);
+        let doubled = if shift >= base.leading_zeros() {
+            u64::MAX
         } else {
-            exp + self.rng.gen_range(0..=jitter_max)
-        }
+            base << shift
+        };
+        let exp = doubled.min(self.config.backoff_max_ns);
+        Self::jittered(&mut self.rng, exp, self.config.jitter_frac)
     }
 
     fn attempt(&mut self, entry: usize, now: u64) {
-        if self.pending[entry].resolved {
+        let p = &self.pending[entry];
+        if p.resolved {
             return;
         }
-        if now >= self.pending[entry].deadline_ns {
+        if now >= p.deadline_ns {
             // Past the deadline there is no point transmitting: the receiver
             // would discard the result anyway, and the retry would only feed
             // the overload. Expired is accounted separately from faulted.
             self.expire(entry);
             return;
         }
-        let dest = self.pending[entry].msg.dest;
-        // Circuit breaker gate.
-        match self
-            .breakers
-            .entry(dest)
-            .or_insert_with(Breaker::new)
-            .allow(now)
-        {
-            Ok(()) => {}
-            Err(retry_at) => {
-                self.report.breaker_rejections += 1;
-                if let Some(c) = &self.metrics.breaker_rejections {
-                    c.inc();
-                }
-                // Park at least a quarter ack-timeout: a storm backlog can
-                // leave thousands of messages waiting on one half-open
-                // probe, and a finer poll would melt the event queue.
-                let poll = (self.config.ack_timeout_ns / 4).max(1);
-                self.schedule(retry_at.max(now + poll), EventKind::Attempt { entry });
-                return;
+        let (dest, is_retry) = (p.msg.dest, p.attempts > 0);
+        // Circuit breaker gate (`allow` may flip Open -> HalfOpen).
+        if let Err(retry_at) = self.with_breaker(dest, |b| b.allow(now)) {
+            self.report.breaker_rejections += 1;
+            if let Some(c) = &self.metrics.breaker_rejections {
+                c.inc();
             }
+            // Park at least a quarter ack-timeout: a storm backlog can
+            // leave thousands of messages waiting on one half-open
+            // probe, and a finer poll would melt the event queue.
+            let poll = (self.config.ack_timeout_ns / 4).max(1);
+            self.schedule(retry_at.max(now + poll), EventKind::Attempt { entry });
+            return;
         }
-        // `allow` may have flipped Open -> HalfOpen; keep the gauges honest.
-        self.publish_breaker_gauges();
         // Retry budget gate: the first attempt is not a retry and rides
         // free; every retransmission pays a token.
-        let is_retry = self.pending[entry].attempts > 0;
         if is_retry {
             let capacity = self.retry_budget_knob.get().max(0) as f64;
-            let refill = self.refill_per_ns();
-            let bucket = self
-                .buckets
-                .entry(dest)
-                .or_insert_with(|| TokenBucket::new(capacity as i64));
+            let refill = self.config.retry_refill_per_sec / 1e9;
+            // `with_breaker` above made the destination's slot.
+            let bucket = self.dests[dest as usize]
+                .bucket
+                .get_or_insert_with(|| TokenBucket::new(capacity as i64));
             if !bucket.try_take(now, capacity, refill) {
                 let ready = bucket.next_ready_ns(now, refill);
                 if ready == u64::MAX {
                     // Zero refill and an empty bucket: this retry can never
                     // proceed, so the message is abandoned rather than
                     // parked forever.
-                    let p = &mut self.pending[entry];
-                    p.resolved = true;
-                    self.report.abandoned_parcels += p.msg.parcels.len() as u64;
-                    if let Some(c) = &self.metrics.abandoned {
-                        c.add(p.msg.parcels.len() as u64);
-                    }
+                    self.abandon(entry);
                     return;
                 }
                 self.report.budget_deferrals += 1;
@@ -867,60 +864,48 @@ impl ReliableLink {
         p.attempts += 1;
         let attempt = p.attempts;
         p.msg.t_ns = now.max(p.msg.t_ns);
-        let msg = p.msg.clone();
-        let offer_times = &self.offer_times;
-        let deliveries = self.link.transmit(&msg, |seq| {
+        let (msg, offer_times) = (&p.msg, &self.offer_times);
+        let deliveries = self.link.transmit(msg, |seq| {
             offer_times.get(&seq).copied().unwrap_or(msg.t_ns)
         });
+        let timeout_at = now + self.config.ack_timeout_ns;
         if deliveries.is_empty() {
             // The fault plan swallowed it; the sender only learns via the
             // ack timeout.
-            self.schedule(
-                now + self.config.ack_timeout_ns,
-                EventKind::Timeout { entry, attempt },
-            );
+            self.schedule(timeout_at, EventKind::Timeout { entry, attempt });
             return;
         }
-        // Group arrivals (a duplicate copy may land later than the
-        // primary) and schedule receiver-side arrival events.
-        let mut by_arrival: HashMap<u64, Vec<Delivery>> = HashMap::new();
-        let mut last_arrival = 0u64;
-        for d in deliveries {
-            last_arrival = last_arrival.max(d.arrived_ns);
-            by_arrival.entry(d.arrived_ns).or_default().push(d);
-        }
-        let mut arrivals: Vec<(u64, Vec<Delivery>)> = by_arrival.into_iter().collect();
-        arrivals.sort_by_key(|(t, _)| *t);
-        for (t, ds) in arrivals {
-            self.schedule(t, EventKind::Arrive { deliveries: ds });
-        }
+        // One arrival event per arrival time (a duplicate may land apart).
+        let mut last_arrival = 0;
+        for_each_arrival_group(deliveries, |t, deliveries| {
+            last_arrival = t;
+            self.schedule(t, EventKind::Arrive { entry, deliveries });
+        });
         // The ack returns one propagation latency after the last copy
         // lands; the timeout still guards against an ack racing the timer.
         let ack_at = last_arrival + self.link.cost().latency_ns;
-        if ack_at <= now + self.config.ack_timeout_ns {
+        if ack_at <= timeout_at {
             self.schedule(ack_at, EventKind::Ack { entry, attempt });
         } else {
             // Ack would arrive after the timer fires: the sender times out
             // and retransmits spuriously; dedup absorbs the copies.
-            self.schedule(
-                now + self.config.ack_timeout_ns,
-                EventKind::Timeout { entry, attempt },
-            );
+            self.schedule(timeout_at, EventKind::Timeout { entry, attempt });
         }
     }
 }
 
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        if shift >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << shift
-        }
+/// Hands one transmission's deliveries to `emit` grouped by arrival
+/// time, earliest first, each group in transmission order. One group
+/// (nearly always) passes through untouched; a duplicate landing apart
+/// from its primary pays a stable sort and a split.
+fn for_each_arrival_group(mut deliveries: Vec<Delivery>, mut emit: impl FnMut(u64, Vec<Delivery>)) {
+    let first = deliveries[0].arrived_ns;
+    if deliveries.iter().any(|d| d.arrived_ns != first) {
+        deliveries.sort_by_key(|d| d.arrived_ns);
+    }
+    while let Some(t) = deliveries.first().map(|d| d.arrived_ns) {
+        let later = deliveries.split_off(deliveries.partition_point(|d| d.arrived_ns == t));
+        emit(t, std::mem::replace(&mut deliveries, later));
     }
 }
 
@@ -1315,6 +1300,201 @@ mod tests {
         // Pre-expiry retries are real wire load and stay visible.
         assert!(r.retransmissions >= 1);
         assert!(r.retransmissions < 50, "expiry must stop the retry stream");
+    }
+
+    #[test]
+    fn drained_link_retains_no_payload() {
+        // Link memory must follow what is in flight, not total sends:
+        // after a 10 000-message drain every entry has given its parcels
+        // back and every delivered seq its offer time — on a clean link
+        // and on one that drops, duplicates and retransmits.
+        let clean = ReliableLink::new(TransportCost::cluster(), quick_config(), 1);
+        let plan = FaultPlan::new(6)
+            .drop_prob(0.2)
+            .duplicate_prob(0.2)
+            .jitter_ns(40_000);
+        let lossy = ReliableLink::with_faults(TransportCost::cluster(), plan, quick_config(), 1);
+        for mut rl in [clean, lossy] {
+            let n = 10_000u64;
+            for i in 0..n {
+                let m = WireMessage {
+                    parcels: vec![
+                        Parcel::new(0, 1, 0, 2 * i, vec![7; 256]),
+                        Parcel::new(0, 1, 0, 2 * i + 1, vec![7; 256]),
+                    ],
+                    ..msg(1, i * 20_000, 0..0)
+                };
+                rl.send(m, |_| i * 20_000);
+            }
+            assert_eq!(rl.drain().len() as u64, 2 * n);
+            assert_eq!(rl.report().abandoned_parcels, 0);
+            assert_eq!(rl.pending.len() as u64, n);
+            assert!(
+                rl.pending
+                    .iter()
+                    .all(|p| p.resolved && p.msg.parcels.capacity() == 0),
+                "a resolved entry still holds its parcels"
+            );
+            assert!(rl.offer_times.is_empty(), "{}", rl.offer_times.len());
+        }
+    }
+
+    #[test]
+    fn offer_time_outlives_expiry_until_the_late_copy_lands() {
+        // The ack for a slow-but-delivered copy would come after the
+        // timer, the retry is due past the deadline, and the entry expires
+        // with its only copy still in flight: the copy must still be
+        // measured from the original offer time, which is dropped then.
+        let cost = TransportCost::new(1_000, 0.0, 60_000);
+        let config = ReliableConfig {
+            jitter_frac: 0.0,
+            ..quick_config()
+        };
+        let mut rl = ReliableLink::new(cost, config, 1);
+        rl.send_with_deadline(msg(1, 10_000, 0..1), 55_000, |_| 4_000);
+        // The copy lands at 10 000 + 1 000 + 60 000. The timer fires at
+        // 60 000 and the retry, due 10 000 later, finds the deadline gone.
+        rl.pump(70_000);
+        assert!(rl.pending[0].resolved, "retry was due past the deadline");
+        assert_eq!(rl.offer_times.len(), 1, "a copy is still in flight");
+        assert_eq!(rl.drain().len(), 1);
+        assert!(rl.offer_times.is_empty());
+        let r = rl.report();
+        assert_eq!(r.deadline_expired_parcels, 1);
+        assert_eq!(r.mean_delivery_latency_ns, 67_000.0);
+    }
+
+    #[test]
+    fn budget_gauges_replay_bit_exactly() {
+        // Fractional tokens over five destinations: the published sum
+        // depends on fold order in its last bit, so two same-seed links
+        // must agree after every pump, and both with the ascending fold.
+        let mk = || {
+            let plan = FaultPlan::new(11).drop_prob(0.5).jitter_ns(7_000);
+            let config = ReliableConfig {
+                retry_budget: 3,
+                retry_refill_per_sec: 7_777.7,
+                ..quick_config()
+            };
+            let mut rl = ReliableLink::with_faults(TransportCost::cluster(), plan, config, 5);
+            for i in 0..400u64 {
+                rl.send(msg((i % 5) as u32 * 3, i * 3_000, i..i + 1), |_| i * 3_000);
+            }
+            rl
+        };
+        let (mut a, mut b) = (mk(), mk());
+        let milli = |rl: &ReliableLink| rl.gauges.budget_tokens_milli.load(Ordering::Relaxed);
+        let mut moved = 0;
+        for until in (0..4_000_000).step_by(9_973) {
+            let before = milli(&a);
+            a.pump(until);
+            b.pump(until);
+            assert_eq!(milli(&a), milli(&b), "replay diverged at {until}");
+            moved += u32::from(milli(&a) != before);
+            let ascending: f64 = (0..a.dests.len())
+                .filter_map(|d| a.dests[d].bucket.as_ref())
+                .map(|bucket| bucket.tokens.min(3.0))
+                .sum();
+            assert_eq!(milli(&a), (ascending * 1e3) as i64);
+        }
+        let buckets = a.dests.iter().filter(|d| d.bucket.is_some()).count();
+        assert_eq!(buckets, 5, "every destination should have retried");
+        assert!(moved > 50, "the gauge moved only {moved} times");
+    }
+
+    #[test]
+    fn breaker_counts_match_a_recount_after_every_event() {
+        // The open / half-open gauges are kept incrementally; a recount
+        // over the destination table is the oracle.
+        let plan = FaultPlan::new(2).flap(300_000, 400_000).drop_prob(0.1);
+        let config = ReliableConfig {
+            breaker_threshold: 2,
+            breaker_cooldown_ns: 120_000,
+            breaker_jitter_frac: 0.5,
+            ..quick_config()
+        };
+        let mut rl = ReliableLink::with_faults(TransportCost::cluster(), plan, config, 2);
+        for i in 0..300u64 {
+            rl.send(msg((i % 6) as u32, i * 5_000, i..i + 1), |_| i * 5_000);
+        }
+        let (mut saw_open, mut saw_half) = (false, false);
+        while let Some(t) = rl.events.peek().map(|e| e.t_ns) {
+            let ev = rl.events.pop().unwrap();
+            rl.handle(ev, &mut Vec::new());
+            let count = |f: fn(&BreakerState) -> bool| {
+                rl.dests.iter().filter(|d| f(&d.state)).count() as i64
+            };
+            let open = count(|s| matches!(s, BreakerState::Open { .. }));
+            let half = count(|s| matches!(s, BreakerState::HalfOpen));
+            assert_eq!(rl.gauges.breakers_open(), open, "open at {t}");
+            assert_eq!(rl.gauges.breakers_half_open(), half, "half-open at {t}");
+            saw_open |= open > 1;
+            saw_half |= half > 0;
+        }
+        assert!(saw_open && saw_half, "storm never exercised the breakers");
+        assert_eq!(rl.report().abandoned_parcels, 0);
+    }
+
+    #[test]
+    fn arrival_groups_match_grouping_by_arrival_time() {
+        // The reference is what the split replaced: bucket by arrival
+        // time, buckets earliest first, each in transmission order.
+        let reference = |ds: &[Delivery]| {
+            let mut by_arrival = std::collections::BTreeMap::<u64, Vec<u64>>::new();
+            for d in ds {
+                by_arrival.entry(d.arrived_ns).or_default().push(d.seq);
+            }
+            by_arrival.into_iter().collect::<Vec<_>>()
+        };
+        let split = |ds: Vec<Delivery>| {
+            let mut groups = Vec::new();
+            for_each_arrival_group(ds, |t, g| {
+                assert!(g.iter().all(|d| d.arrived_ns == t));
+                groups.push((t, g.iter().map(|d| d.seq).collect::<Vec<_>>()));
+            });
+            groups
+        };
+        let at = |times: &[u64]| -> Vec<Delivery> {
+            times
+                .iter()
+                .enumerate()
+                .map(|(seq, &arrived_ns)| Delivery {
+                    dest: 1,
+                    seq: seq as u64 % 3,
+                    arrived_ns,
+                })
+                .collect()
+        };
+        // One group; duplicate later, earlier, and level with the
+        // primary; more than two arrival times; a single parcel.
+        for times in [
+            &[50, 50, 50][..],
+            &[50, 50, 50, 90, 90, 90],
+            &[90, 90, 90, 50, 50, 50],
+            &[50, 50, 50, 50, 50, 50],
+            &[70, 30, 70, 30, 50, 30, 70],
+            &[5],
+        ] {
+            let ds = at(times);
+            assert_eq!(split(ds.clone()), reference(&ds), "{times:?}");
+        }
+        // And through a real duplicating, jittering link: every
+        // transmission's groups, against the same reference.
+        let mut link = SimLink::with_faults(
+            TransportCost::cluster(),
+            FaultPlan::new(9).duplicate_prob(0.5).jitter_ns(30_000),
+        );
+        let mut split_apart = 0;
+        for i in 0..200u64 {
+            let ds = link.transmit(&msg(1, i * 40_000, 3 * i..3 * i + 3), |_| 0);
+            let groups = split(ds.clone());
+            assert_eq!(groups, reference(&ds));
+            split_apart += u32::from(groups.len() > 1);
+        }
+        assert!(
+            split_apart > 20,
+            "only {split_apart} duplicates landed apart"
+        );
     }
 
     #[test]

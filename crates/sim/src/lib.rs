@@ -23,6 +23,7 @@
 //! ties break on sequence numbers; no wall-clock reads, no OS threads.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod des;
 pub mod machine;

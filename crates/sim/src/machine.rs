@@ -101,31 +101,53 @@ impl MachineSpec {
 /// `bytes_per_op[i]` is task i's traffic intensity; the return value is
 /// each task's achieved op rate (ops/sec). See module docs for the model.
 pub fn alloc_rates(spec: &MachineSpec, bytes_per_op: &[f64]) -> Vec<f64> {
+    let mut rates = Vec::new();
+    alloc_rates_into(spec, bytes_per_op, &mut RateScratch::default(), &mut rates);
+    rates
+}
+
+/// Working storage of [`alloc_rates_into`], reused across calls.
+#[derive(Debug, Default)]
+pub struct RateScratch {
+    demands: Vec<f64>,
+    order: Vec<usize>,
+    alloc: Vec<f64>,
+}
+
+/// [`alloc_rates`] into `rates` (cleared first), reusing `scratch`.
+pub fn alloc_rates_into(
+    spec: &MachineSpec,
+    bytes_per_op: &[f64],
+    scratch: &mut RateScratch,
+    rates: &mut Vec<f64>,
+) {
+    rates.clear();
     let n = bytes_per_op.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // Unconstrained bandwidth demand per task.
-    let demands: Vec<f64> = bytes_per_op
-        .iter()
-        .map(|&b| b.max(0.0) * spec.core_flops)
-        .collect();
+    let demands = &mut scratch.demands;
+    demands.clear();
+    demands.extend(bytes_per_op.iter().map(|&b| b.max(0.0) * spec.core_flops));
     let total: f64 = demands.iter().sum();
     if total <= spec.mem_bw {
-        return bytes_per_op.iter().map(|_| spec.core_flops).collect();
+        rates.resize(n, spec.core_flops);
+        return;
     }
     // Water-filling: sort by demand ascending; satisfy light tasks fully,
     // split the remainder among the rest.
-    let mut order: Vec<usize> = (0..n).collect();
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(0..n);
     order.sort_by(|&a, &b| {
         demands[a]
             .partial_cmp(&demands[b])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut alloc = vec![0.0f64; n];
+    let alloc = &mut scratch.alloc;
+    alloc.clear();
+    alloc.resize(n, 0.0);
     let mut remaining_bw = spec.mem_bw;
     let mut remaining = n;
-    for &i in &order {
+    for &i in order.iter() {
         let fair = remaining_bw / remaining as f64;
         let a = demands[i].min(fair);
         alloc[i] = a;
@@ -133,16 +155,14 @@ pub fn alloc_rates(spec: &MachineSpec, bytes_per_op: &[f64]) -> Vec<f64> {
         remaining -= 1;
     }
     // Convert allocations back to op rates.
-    (0..n)
-        .map(|i| {
-            let b = bytes_per_op[i].max(0.0);
-            if b == 0.0 {
-                spec.core_flops
-            } else {
-                (alloc[i] / b).min(spec.core_flops)
-            }
-        })
-        .collect()
+    rates.extend((0..n).map(|i| {
+        let b = bytes_per_op[i].max(0.0);
+        if b == 0.0 {
+            spec.core_flops
+        } else {
+            (alloc[i] / b).min(spec.core_flops)
+        }
+    }));
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! [`lg_metrics::EnergyMeter`] — so adaptation code cannot tell the two
 //! substrates apart.
 
-use crate::machine::{alloc_rates, MachineSpec};
+use crate::machine::{alloc_rates_into, MachineSpec, RateScratch};
 use lg_core::knob::{AtomicKnob, KnobScale, KnobSpec};
 use lg_core::{Clock, Event, Knob, LookingGlass, TaskId, VirtualClock};
 use lg_metrics::EnergyMeter;
@@ -76,6 +76,14 @@ enum Phase {
     Overhead,
     /// Task body.
     Body,
+}
+
+/// A [`SimTask`] with its name interned.
+struct Queued {
+    id: TaskId,
+    ops: f64,
+    bytes: f64,
+    tag: u64,
 }
 
 struct Running {
@@ -137,8 +145,14 @@ pub struct SimRuntime {
     spec: MachineSpec,
     lg: Arc<LookingGlass>,
     clock: VirtualClock,
-    queue: VecDeque<(TaskId, SimTask)>,
+    queue: VecDeque<Queued>,
     running: Vec<Running>,
+    /// `busy[w]`: a running task holds worker index `w`.
+    busy: Vec<bool>,
+    /// Per-step working storage, reused across steps.
+    bpos: Vec<f64>,
+    rates: Vec<f64>,
+    rate_scratch: RateScratch,
     cap: Arc<AtomicKnob>,
     /// DVFS knob in per-mille of nominal frequency (200‰..=1000‰).
     /// Core rate scales linearly with frequency; per-core dynamic power
@@ -165,7 +179,6 @@ impl SimRuntime {
     /// Creates a runtime over `spec`, wiring a fresh `LookingGlass`
     /// instance on a virtual clock.
     pub fn new(spec: MachineSpec) -> Self {
-        spec.validate();
         let clock = VirtualClock::new();
         let lg = LookingGlass::builder()
             .clock(Arc::new(clock.clone()))
@@ -214,6 +227,10 @@ impl SimRuntime {
             clock,
             queue: VecDeque::new(),
             running: Vec::new(),
+            busy: vec![false; spec.cores],
+            bpos: Vec::new(),
+            rates: Vec::new(),
+            rate_scratch: RateScratch::default(),
             cap,
             freq,
             meter,
@@ -278,7 +295,23 @@ impl SimRuntime {
     /// Queues a task.
     pub fn submit(&mut self, task: SimTask) {
         let id = self.lg.intern(&task.name);
-        self.queue.push_back((id, task));
+        self.submit_interned(id, task.ops, task.bytes, task.tag);
+    }
+
+    /// [`SimRuntime::submit`] for a task type the caller interned once on
+    /// [`SimRuntime::lg`]: no `String`, no name lookup per task.
+    ///
+    /// # Panics
+    /// Panics if `ops` is not strictly positive or `bytes` is negative.
+    pub fn submit_interned(&mut self, id: TaskId, ops: f64, bytes: f64, tag: u64) {
+        assert!(ops > 0.0, "task must have positive ops");
+        assert!(bytes >= 0.0, "bytes must be non-negative");
+        self.queue.push_back(Queued {
+            id,
+            ops,
+            bytes,
+            tag,
+        });
     }
 
     /// Queues a batch.
@@ -313,17 +346,15 @@ impl SimRuntime {
     fn fill_slots(&mut self) {
         let cap = self.effective_cap();
         while self.running.len() < cap {
-            let Some((id, task)) = self.queue.pop_front() else {
+            let Some(task) = self.queue.pop_front() else {
                 break;
             };
             let now = self.clock.now_ns();
             // Pick the lowest free worker index for stable attribution.
-            let used: Vec<usize> = self.running.iter().map(|r| r.worker).collect();
-            let worker = (0..self.spec.cores)
-                .find(|w| !used.contains(w))
-                .unwrap_or(0);
+            let worker = self.busy.iter().position(|b| !b).unwrap_or(0);
+            self.busy[worker] = true;
             self.lg.emit(&Event::TaskBegin {
-                task: id,
+                task: task.id,
                 worker,
                 t_ns: now,
             });
@@ -334,31 +365,36 @@ impl SimRuntime {
                 (Phase::Body, task.ops)
             };
             self.running.push(Running {
-                id,
+                id: task.id,
                 worker,
                 phase,
                 remaining_ops: remaining,
                 body_ops: task.ops,
-                bpo: task.bytes_per_op(),
+                bpo: task.bytes / task.ops,
                 started_ns: now,
                 tag: task.tag,
             });
         }
     }
 
-    fn current_rates(&self) -> Vec<f64> {
-        let bpos: Vec<f64> = self
-            .running
-            .iter()
-            .map(|r| match r.phase {
-                Phase::Overhead => 0.0,
-                Phase::Body => r.bpo,
-            })
-            .collect();
-        alloc_rates(&self.effective_spec(), &bpos)
+    /// Recomputes `rates`: the running set's op rates, in `running` order.
+    fn refresh_rates(&mut self) {
+        self.bpos.clear();
+        self.bpos.extend(self.running.iter().map(|r| match r.phase {
+            Phase::Overhead => 0.0,
+            Phase::Body => r.bpo,
+        }));
+        alloc_rates_into(
+            &self.effective_spec(),
+            &self.bpos,
+            &mut self.rate_scratch,
+            &mut self.rates,
+        );
     }
 
-    fn sample_power(&mut self, rates: &[f64]) {
+    /// Samples package power at `rates`, which must be fresh unless the
+    /// running set is empty (an idle machine's power ignores them).
+    fn sample_power(&mut self) {
         let active = self.running.len();
         let espec = self.effective_spec();
         let f = self.freq_fraction();
@@ -368,7 +404,8 @@ impl SimRuntime {
             0.0
         } else {
             f.powi(3)
-                * rates
+                * self
+                    .rates
                     .iter()
                     .map(|&r| espec.effective_intensity(r))
                     .sum::<f64>()
@@ -389,11 +426,11 @@ impl SimRuntime {
         if self.running.is_empty() {
             return false;
         }
-        let rates = self.current_rates();
-        self.sample_power(&rates);
+        self.refresh_rates();
+        self.sample_power();
         // Time until the first phase completion.
         let mut dt_s = f64::INFINITY;
-        for (r, &rate) in self.running.iter().zip(&rates) {
+        for (r, &rate) in self.running.iter().zip(&self.rates) {
             if rate > 0.0 {
                 dt_s = dt_s.min(r.remaining_ops / rate);
             }
@@ -404,34 +441,38 @@ impl SimRuntime {
         let now = self.clock.now_ns();
         let actual_dt_s = dt_ns as f64 * 1e-9;
         // Progress every running task; collect completions.
-        let mut still_running = Vec::with_capacity(self.running.len());
-        for (mut r, rate) in self.running.drain(..).zip(rates.iter()) {
+        let mut running = std::mem::take(&mut self.running);
+        let mut i = 0;
+        running.retain_mut(|r| {
+            let rate = self.rates[i];
+            i += 1;
             self.ops_progressed += (rate * actual_dt_s).min(r.remaining_ops.max(0.0));
             r.remaining_ops -= rate * actual_dt_s;
-            if r.remaining_ops <= 1e-6 {
-                match r.phase {
-                    Phase::Overhead => {
-                        r.phase = Phase::Body;
-                        r.remaining_ops = r.body_ops;
-                        still_running.push(r);
-                    }
-                    Phase::Body => {
-                        self.lg.emit(&Event::TaskEnd {
-                            task: r.id,
-                            worker: r.worker,
-                            t_ns: now,
-                            elapsed_ns: now.saturating_sub(r.started_ns),
-                        });
-                        self.tasks_done += 1;
-                        self.ops_done += r.body_ops;
-                        self.completions.push((r.tag, now));
-                    }
-                }
-            } else {
-                still_running.push(r);
+            if r.remaining_ops > 1e-6 {
+                return true;
             }
-        }
-        self.running = still_running;
+            match r.phase {
+                Phase::Overhead => {
+                    r.phase = Phase::Body;
+                    r.remaining_ops = r.body_ops;
+                    true
+                }
+                Phase::Body => {
+                    self.lg.emit(&Event::TaskEnd {
+                        task: r.id,
+                        worker: r.worker,
+                        t_ns: now,
+                        elapsed_ns: now.saturating_sub(r.started_ns),
+                    });
+                    self.busy[r.worker] = false;
+                    self.tasks_done += 1;
+                    self.ops_done += r.body_ops;
+                    self.completions.push((r.tag, now));
+                    false
+                }
+            }
+        });
+        self.running = running;
         true
     }
 
@@ -449,8 +490,7 @@ impl SimRuntime {
             }
         }
         // Close the power integral at idle.
-        let idle_rates: Vec<f64> = Vec::new();
-        self.sample_power(&idle_rates);
+        self.sample_power();
         SimRunReport {
             elapsed_ns: self.clock.now_ns() - t0,
             energy_j: self.meter.energy_j() - e0,
@@ -472,23 +512,8 @@ impl SimRuntime {
         let e0 = self.meter.energy_j();
         let tasks0 = self.tasks_done;
         let ops0 = self.ops_done;
-        while self.clock.now_ns() < t_end_ns {
-            self.fill_slots();
-            let budget_ns = t_end_ns - self.clock.now_ns();
-            if !self.step_running(budget_ns) {
-                // No runnable work: close the integral at this instant
-                // (the meter credits the *previous* power over each span,
-                // and the last sample was taken before the final task
-                // drained), then idle to the boundary.
-                let idle_rates: Vec<f64> = Vec::new();
-                self.sample_power(&idle_rates);
-                self.clock.advance_by(budget_ns);
-                self.sample_power(&idle_rates);
-            }
-        }
-        // Close the power integral at the boundary state.
-        let rates = self.current_rates();
-        self.sample_power(&rates);
+        // The same steps, not handed back at each completion.
+        while self.run_until_event(t_end_ns) {}
         SimRunReport {
             elapsed_ns: self.clock.now_ns() - t0,
             energy_j: self.meter.energy_j() - e0,
@@ -524,26 +549,30 @@ impl SimRuntime {
             self.fill_slots();
             let budget_ns = t_end_ns - self.clock.now_ns();
             if !self.step_running(budget_ns) {
-                let idle_rates: Vec<f64> = Vec::new();
-                self.sample_power(&idle_rates);
+                // No runnable work: close the integral at this instant
+                // (the meter credits the *previous* power over each span,
+                // and the last sample was taken before the final task
+                // drained), then idle to the boundary.
+                self.sample_power();
                 self.clock.advance_by(budget_ns);
-                self.sample_power(&idle_rates);
+                self.sample_power();
             }
             if self.completions.len() > baseline {
                 return true;
             }
         }
-        // Close the power integral at the boundary state, as run_until
-        // does — the next caller may idle for a long span.
-        let rates = self.current_rates();
-        self.sample_power(&rates);
+        // Close the power integral at the boundary state — the next
+        // caller may idle for a long span.
+        self.refresh_rates();
+        self.sample_power();
         false
     }
 
     /// Drains the `(tag, completion time ns)` log of tasks finished since
-    /// the last call, in completion order (ties in task-list order).
-    pub fn take_completions(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.completions)
+    /// the last call, in completion order (ties in task-list order); all
+    /// of it, even if the iterator is dropped early.
+    pub fn take_completions(&mut self) -> std::vec::Drain<'_, (u64, u64)> {
+        self.completions.drain(..)
     }
 
     /// Tasks queued but not yet started plus tasks in progress — the
@@ -560,11 +589,7 @@ impl SimRuntime {
             "idle_for while work pending"
         );
         self.clock.advance_by(dt_ns);
-        let idle_w = self.spec.power.power(0, 0.0);
-        self.meter.sample(self.clock.now_ns(), idle_w);
-        self.energy_gauge
-            .store(self.meter.energy_j().to_bits(), Ordering::Relaxed);
-        self.power_gauge.store(idle_w.to_bits(), Ordering::Relaxed);
+        self.sample_power();
     }
 }
 
@@ -749,13 +774,13 @@ mod tests {
         sim.submit(SimTask::new("b", 3e6, 0.0).with_tag(2)); // 3 ms
                                                              // First event well before the 10 ms boundary.
         assert!(sim.run_until_event(10_000_000));
-        let done = sim.take_completions();
+        let done: Vec<_> = sim.take_completions().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, 1);
         assert!((sim.clock().now_ns() as f64 - 1e6).abs() < 10.0);
         // Second event at ~3 ms.
         assert!(sim.run_until_event(10_000_000));
-        assert_eq!(sim.take_completions()[0].0, 2);
+        assert_eq!(sim.take_completions().as_slice()[0].0, 2);
         // Nothing left: the clock idles exactly to the boundary.
         assert!(!sim.run_until_event(10_000_000));
         assert_eq!(sim.clock().now_ns(), 10_000_000);
@@ -768,7 +793,7 @@ mod tests {
                                                                 // The task would complete at 5 ms; the boundary is 2 ms.
         assert!(!sim.run_until_event(2_000_000));
         assert_eq!(sim.clock().now_ns(), 2_000_000);
-        assert!(sim.take_completions().is_empty());
+        assert!(sim.take_completions().as_slice().is_empty());
         // Progress was retained: the remainder finishes at ~5 ms.
         assert!(sim.run_until_event(10_000_000));
         assert!((sim.clock().now_ns() as f64 - 5e6).abs() < 10.0);
@@ -883,13 +908,13 @@ mod tests {
         sim.submit(SimTask::new("b", 2e6, 0.0).with_tag(8));
         sim.submit(SimTask::new("c", 3e6, 0.0).with_tag(9));
         while sim.step_boundary() {}
-        let done = sim.take_completions();
+        let done: Vec<_> = sim.take_completions().collect();
         let tags: Vec<u64> = done.iter().map(|&(tag, _)| tag).collect();
         assert_eq!(tags, vec![7, 8, 9]);
         assert!((done[0].1 as f64 - 1e6).abs() < 10.0);
         assert!((done[1].1 as f64 - 2e6).abs() < 10.0);
         assert!((done[2].1 as f64 - 4e6).abs() < 10.0);
-        assert!(sim.take_completions().is_empty(), "log drained");
+        assert!(sim.take_completions().as_slice().is_empty(), "log drained");
         assert!(!sim.step_boundary(), "idle runtime reports no work");
     }
 

@@ -29,6 +29,7 @@
 //! sweeps.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod anneal;
 pub mod exhaustive;

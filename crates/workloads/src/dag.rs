@@ -32,7 +32,7 @@
 
 use lg_core::Clock;
 use lg_runtime::{DagHint, DagNodeId, ThreadPool};
-use lg_sim::{SimRuntime, SimTask};
+use lg_sim::SimRuntime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -554,6 +554,7 @@ pub fn run_on_sim(sim: &mut SimRuntime, spec: &DagSpec, sched: DagSched) -> DagS
     };
     let t0 = sim.clock().now_ns();
     let e0 = sim.total_energy_j();
+    let task = sim.lg().intern(spec.config.pattern.name());
     let mut in_flight = 0usize;
     let mut done = 0u64;
     while done < n as u64 {
@@ -576,10 +577,7 @@ pub fn run_on_sim(sim: &mut SimRuntime, spec: &DagSpec, sched: DagSched) -> DagS
             } else {
                 node
             };
-            sim.submit(
-                SimTask::new(spec.config.pattern.name(), spec.ops[node], spec.bytes[node])
-                    .with_tag(node as u64),
-            );
+            sim.submit_interned(task, spec.ops[node], spec.bytes[node], node as u64);
             in_flight += 1;
         }
         assert!(

@@ -35,10 +35,11 @@ use super::request::Request;
 use lg_core::{AdmissionGate, Brownout, Bulkhead, BulkheadPermit, Introspection};
 use lg_metrics::{CounterHandle, CounterRegistry, Histogram};
 use lg_net::coalesce::{FlushReason, WireMessage};
+use lg_net::link::Delivery;
 use lg_net::parcel::Parcel;
 use lg_net::reliable::ReliableLink;
-use lg_net::ReliableReport;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use lg_net::{IntMap, ReliableReport};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -232,7 +233,11 @@ pub struct ServeEngine {
     events: BinaryHeap<Ev>,
     next_seq: u64,
     queue: VecDeque<u64>,
-    entries: HashMap<u64, Entry>,
+    entries: IntMap<Entry>,
+    /// Entries not yet `Phase::Resolved`.
+    unresolved: usize,
+    /// The buffer every link pump fills.
+    delivered: Vec<Delivery>,
     latency_hist: Histogram,
     window_hist: Histogram,
     service_window_hist: Histogram,
@@ -267,7 +272,9 @@ impl ServeEngine {
             events: BinaryHeap::new(),
             next_seq: 0,
             queue: VecDeque::new(),
-            entries: HashMap::new(),
+            entries: IntMap::default(),
+            unresolved: 0,
+            delivered: Vec::new(),
             latency_hist: Histogram::new(),
             window_hist: Histogram::new(),
             service_window_hist: Histogram::new(),
@@ -386,7 +393,7 @@ impl ServeEngine {
                         self.refresh_gauges();
                         on_round(t);
                         next_round = t + self.config.control_period_ns;
-                        if next_round <= rounds_end || !self.entries_done() {
+                        if next_round <= rounds_end || self.unresolved > 0 {
                             self.schedule(next_round, EvKind::Round);
                         }
                     }
@@ -404,12 +411,6 @@ impl ServeEngine {
         r
     }
 
-    fn entries_done(&self) -> bool {
-        self.entries
-            .values()
-            .all(|e| matches!(e.phase, Phase::Resolved))
-    }
-
     fn arrive(&mut self, req: Request) {
         self.report.offered += 1;
         Self::bump(&self.counters.arrivals);
@@ -417,14 +418,14 @@ impl ServeEngine {
         if self.brownout.should_shed(req.class, req.id) {
             self.report.shed_brownout += 1;
             Self::bump(&self.counters.shed);
-            self.link.shed(&Self::wire(&req, req.arrival_ns));
+            self.link.shed_parcels(1);
             return;
         }
         // Rate gate: mandatory may spend into the reserve.
         if !self.gate.try_admit(req.arrival_ns, req.class) {
             self.report.shed_gate += 1;
             Self::bump(&self.counters.shed);
-            self.link.shed(&Self::wire(&req, req.arrival_ns));
+            self.link.shed_parcels(1);
             return;
         }
         self.report.admitted += 1;
@@ -439,6 +440,7 @@ impl ServeEngine {
                 service_entry_ns: 0,
             },
         );
+        self.unresolved += 1;
         self.queue.push_back(id);
         self.schedule(deadline, EvKind::Expire { id });
     }
@@ -456,7 +458,7 @@ impl ServeEngine {
     /// the link and moves deliveries into service.
     fn pump_and_dispatch(&mut self, now: u64) {
         while let Some(&id) = self.queue.front() {
-            let entry = self.entries.get(&id).expect("queued entry");
+            let entry = self.entries.get_mut(&id).expect("queued entry");
             if !matches!(entry.phase, Phase::Queued) {
                 // Expired in the queue; drop the stale id.
                 self.queue.pop_front();
@@ -466,16 +468,17 @@ impl ServeEngine {
                 break;
             };
             self.queue.pop_front();
-            let entry = self.entries.get_mut(&id).expect("queued entry");
             entry.phase = Phase::Flight(permit);
             let msg = Self::wire(&entry.req, now);
             let deadline = entry.req.deadline_ns;
             self.link.send_with_deadline(msg, deadline, |_| now);
         }
-        let deliveries = self.link.pump(now);
-        for d in deliveries {
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.link.pump_into(now, &mut delivered);
+        for d in delivered.drain(..) {
             self.deliver(d.seq, now);
         }
+        self.delivered = delivered;
     }
 
     /// A request reached its server: move it into service and schedule
@@ -513,6 +516,7 @@ impl ServeEngine {
             return;
         }
         entry.phase = Phase::Resolved; // drops the permit
+        self.unresolved -= 1;
         self.gauges.in_service.fetch_sub(1, Ordering::Relaxed);
         let latency = now - entry.req.arrival_ns;
         self.latency_hist.record(latency);
@@ -539,6 +543,7 @@ impl ServeEngine {
         match entry.phase {
             Phase::Queued | Phase::Flight(_) => {
                 entry.phase = Phase::Resolved; // drops any permit
+                self.unresolved -= 1;
                 self.report.deadline_missed += 1;
                 Self::bump(&self.counters.deadline_missed);
             }
@@ -557,13 +562,13 @@ impl ServeEngine {
             self.gauges
                 .p99_window_ns
                 .store(self.window_hist.p99(), Ordering::Relaxed);
-            self.window_hist = Histogram::new();
+            self.window_hist.reset();
         }
         if self.service_window_hist.count() > 0 {
             self.gauges
                 .service_p99_window_ns
                 .store(self.service_window_hist.p99(), Ordering::Relaxed);
-            self.service_window_hist = Histogram::new();
+            self.service_window_hist.reset();
         }
     }
 }

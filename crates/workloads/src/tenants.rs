@@ -44,7 +44,8 @@
 use lg_core::dag::DagStats;
 use lg_core::{
     admission::serve_demand, AdmissionGate, Brownout, BrownoutPolicy, Bulkhead, DemandProbe,
-    DemandProfile, FnPolicy, Knob, LookingGlass, PolicyDecision, RegressionWatchdog, VirtualClock,
+    DemandProfile, FnPolicy, Knob, LookingGlass, PolicyDecision, RegressionWatchdog, TaskId,
+    VirtualClock,
 };
 use lg_metrics::CounterRegistry;
 use lg_net::{ReliableConfig, ReliableLink, TransportCost};
@@ -385,6 +386,8 @@ impl BatchTenant {
 pub struct DagTenant {
     rt: SimRuntime,
     spec: crate::dag::DagSpec,
+    /// The pattern's name, interned once: every node is of this type.
+    task: TaskId,
     stats: Arc<DagStats>,
     /// Unmet-dependency count per node.
     remaining: Vec<u32>,
@@ -401,6 +404,7 @@ impl DagTenant {
     /// policies (and the governor's snapshot mirror) see the frontier.
     pub fn new(machine: MachineSpec, spec: crate::dag::DagSpec) -> Self {
         let rt = SimRuntime::new(machine);
+        let task = rt.lg().intern(spec.config.pattern.name());
         let stats = DagStats::new();
         stats.register_on(rt.lg().introspection());
         let n = spec.nodes();
@@ -417,6 +421,7 @@ impl DagTenant {
         Self {
             rt,
             spec,
+            task,
             stats,
             remaining,
             ready,
@@ -478,13 +483,11 @@ impl DagTenant {
                     .max_by_key(|&(_, &node)| self.spec.height_ns[node])
                     .map_or(0, |(idx, _)| idx);
                 let node = self.ready.swap_remove(pick);
-                self.rt.submit(
-                    SimTask::new(
-                        self.spec.config.pattern.name(),
-                        self.spec.ops[node],
-                        self.spec.bytes[node],
-                    )
-                    .with_tag(node as u64),
+                self.rt.submit_interned(
+                    self.task,
+                    self.spec.ops[node],
+                    self.spec.bytes[node],
+                    node as u64,
                 );
                 self.in_flight += 1;
             }
