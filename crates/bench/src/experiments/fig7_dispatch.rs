@@ -191,8 +191,13 @@ mod tests {
 
     #[test]
     fn profiler_costs_something_but_not_everything() {
-        let bare = throughput(1, 50_000, Pipeline::None);
-        let prof = throughput(1, 50_000, Pipeline::Profiler);
+        // Fastest of a few alternating runs, like `run`'s cells, so one
+        // preempted run on a busy host cannot decide either side.
+        let (mut bare, mut prof) = (0f64, 0f64);
+        for _ in 0..5 {
+            bare = bare.max(throughput(1, 50_000, Pipeline::None));
+            prof = prof.max(throughput(1, 50_000, Pipeline::Profiler));
+        }
         assert!(
             prof < bare * 1.5,
             "profiler can't be faster by much (noise guard)"

@@ -547,7 +547,7 @@ impl Arbiter {
 
     /// Admits a tenant: `thread_knob` names the knob in the *tenant's*
     /// registry through which its worker-thread count is governed (a
-    /// pool's `"thread_budget"`, a sim's `"thread_cap"`, a serve stage's
+    /// pool's or a sim's `"thread_cap"`, a serve stage's
     /// `"serve.bulkhead_limit"`). Registers the governor-side mirror
     /// knob and gauges, then rebalances the whole fleet so the budget
     /// invariant holds immediately.

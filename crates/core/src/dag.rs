@@ -194,10 +194,6 @@ pub struct CriticalPathPolicy {
     bias_knob: crate::knob::KnobTarget,
     chunk_knob: Option<(crate::knob::KnobTarget, i64, i64)>,
     workers: i64,
-    /// Live worker count, when the pool is governed at runtime (an
-    /// arbiter rewriting the thread budget between rounds). Overrides
-    /// the static `workers` baseline.
-    workers_source: Option<Arc<dyn Fn() -> i64 + Send + Sync>>,
     last_bias: Option<i64>,
     chunk: Option<i64>,
 }
@@ -210,19 +206,9 @@ impl CriticalPathPolicy {
             bias_knob: bias_knob.into(),
             chunk_knob: None,
             workers: workers.max(1) as i64,
-            workers_source: None,
             last_bias: None,
             chunk: None,
         }
-    }
-
-    /// Reads the worker count live each evaluation instead of the
-    /// construction-time constant — the control law then tracks a
-    /// governor resizing the pool (e.g. an arbiter's thread-budget
-    /// writes) without re-registering the policy.
-    pub fn with_workers_source(mut self, source: Arc<dyn Fn() -> i64 + Send + Sync>) -> Self {
-        self.workers_source = Some(source);
-        self
     }
 
     /// Also steer a chunk-grain knob between `min` and `max`, starting
@@ -258,10 +244,7 @@ impl Policy for CriticalPathPolicy {
             return PolicyDecision::noop();
         };
         let slack = snapshot.value_by_name("dag.slack_p50").unwrap_or(0.0);
-        let w = match &self.workers_source {
-            Some(src) => src().max(1) as f64,
-            None => self.workers as f64,
-        };
+        let w = self.workers as f64;
         let want_bias = if ready < 4.0 * w {
             1
         } else if ready >= 8.0 * w && cp > 0.0 && slack >= 0.25 * cp {
@@ -434,31 +417,6 @@ mod tests {
         assert_eq!(tail.useful_width, Some(1.0));
         assert_eq!(tail.utility_up, 0.0);
         assert_eq!(tail.utility_down, 0.0);
-    }
-
-    #[test]
-    fn workers_source_overrides_static_count() {
-        let intro = intro();
-        let s = DagStats::new();
-        s.register_on(&intro);
-        // Width 65 with rich slack: bias turns off for a 2-worker pool,
-        // stays on for a 32-worker pool reading the same snapshot.
-        s.on_release(1 << 20);
-        for _ in 0..64 {
-            s.on_release(8);
-        }
-        let snap = intro.capture(1);
-        let live = Arc::new(std::sync::atomic::AtomicI64::new(32));
-        let l = live.clone();
-        let mut p = CriticalPathPolicy::new("dag.critical_bias", 2)
-            .with_workers_source(Arc::new(move || l.load(Ordering::Relaxed)));
-        let d = p.evaluate(1, Trigger::Periodic, &snap);
-        assert_eq!(d.sets, vec![("dag.critical_bias".into(), 1)]);
-        // The governor shrinks the pool: the same width now reads as
-        // abundant and the next evaluation flips the bias off.
-        live.store(2, Ordering::Relaxed);
-        let d2 = p.evaluate(2, Trigger::Periodic, &snap);
-        assert_eq!(d2.sets, vec![("dag.critical_bias".into(), 0)]);
     }
 
     #[test]

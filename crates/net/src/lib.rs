@@ -26,8 +26,8 @@
 //! * [`reliable::ReliableLink`] — ack/timeout retransmission with
 //!   exponential backoff, per-destination retry budgets (token bucket),
 //!   and per-destination circuit breakers; delivers each parcel exactly
-//!   once despite injected faults. Recovery aggressiveness is exposed as
-//!   knobs (`retry_budget`, `backoff_base_ns`, `breaker_threshold`).
+//!   once despite injected faults. Retry aggressiveness is exposed as the
+//!   `retry_budget` knob.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -24,9 +24,10 @@
 //! observe **exactly-once** delivery despite duplication faults and
 //! spurious retransmits.
 //!
-//! `retry_budget`, `backoff_base_ns`, and `breaker_threshold` are
-//! [`AtomicKnob`]s: register them on a [`lg_core::KnobRegistry`] and
-//! policies can steer recovery while a storm is in progress. The layer's
+//! `retry_budget` is an [`AtomicKnob`]: register it on a
+//! [`lg_core::KnobRegistry`] and policies can steer recovery while a storm
+//! is in progress. `backoff_base_ns` and `breaker_threshold` are plain
+//! [`ReliableConfig`] values, fixed for the link's life. The layer's
 //! live recovery *state* — how many breakers are open or probing, how
 //! full the retry buckets are — is published through [`ReliableGauges`]:
 //! call [`ReliableLink::bind_introspection`] and policies can read breaker
@@ -56,15 +57,14 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Static configuration for the reliability layer. The three fields that
-/// double as knobs (`retry_budget`, `backoff_base_ns`,
-/// `breaker_threshold`) seed the knobs' initial values.
+/// Static configuration for the reliability layer. `retry_budget` seeds
+/// the knob of the same name; every other field is a plain value.
 #[derive(Clone, Copy, Debug)]
 pub struct ReliableConfig {
     /// Sender-side ack timeout before a transmission counts as lost.
     pub ack_timeout_ns: u64,
-    /// First retry backoff; doubles per attempt (the `backoff_base_ns`
-    /// knob).
+    /// First retry backoff; doubles per attempt. Clamped to
+    /// `1_000..=1_000_000_000`.
     pub backoff_base_ns: u64,
     /// Backoff ceiling.
     pub backoff_max_ns: u64,
@@ -77,8 +77,8 @@ pub struct ReliableConfig {
     pub retry_budget: i64,
     /// Token refill rate, tokens per virtual second.
     pub retry_refill_per_sec: f64,
-    /// Consecutive ack failures that open the breaker (the
-    /// `breaker_threshold` knob).
+    /// Consecutive ack failures that open the breaker. Clamped to
+    /// `1..=1_024`.
     pub breaker_threshold: i64,
     /// How long an open breaker parks a destination before the half-open
     /// probe.
@@ -258,7 +258,7 @@ impl DestState {
         self.consecutive_failures += 1;
         let opened = match self.state {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= threshold.max(1),
+            BreakerState::Closed => self.consecutive_failures >= threshold,
             BreakerState::Open { .. } => false,
         };
         if opened {
@@ -384,8 +384,6 @@ pub struct ReliableLink {
     link: SimLink,
     config: ReliableConfig,
     retry_budget_knob: Arc<AtomicKnob>,
-    backoff_base_knob: Arc<AtomicKnob>,
-    breaker_threshold_knob: Arc<AtomicKnob>,
     rng: StdRng,
     /// Dedicated stream for breaker-cooldown jitter, so opening a breaker
     /// never perturbs the backoff-jitter replay of everything else.
@@ -422,20 +420,18 @@ impl ReliableLink {
     }
 
     /// Wraps an existing link.
-    pub fn over(link: SimLink, config: ReliableConfig, seed: u64) -> Self {
+    pub fn over(link: SimLink, mut config: ReliableConfig, seed: u64) -> Self {
         assert!(config.ack_timeout_ns > 0, "ack timeout must be positive");
         assert!(config.max_attempts > 0, "at least one attempt is required");
-        let knob = |name, min, max, unit, value| {
-            let spec = KnobSpec::new(name, min, max).with_unit(unit);
-            AtomicKnob::new(spec.with_default(value), value)
-        };
-        let (backoff, threshold) = (config.backoff_base_ns as i64, config.breaker_threshold);
+        config.backoff_base_ns = config.backoff_base_ns.clamp(1_000, 1_000_000_000);
+        config.breaker_threshold = config.breaker_threshold.clamp(1, 1_024);
+        let budget = KnobSpec::new("retry_budget", 0, 4_096)
+            .with_unit("tokens")
+            .with_default(config.retry_budget);
         Self {
             link,
             config,
-            retry_budget_knob: knob("retry_budget", 0, 4_096, "tokens", config.retry_budget),
-            backoff_base_knob: knob("backoff_base_ns", 1_000, 1_000_000_000, "ns", backoff),
-            breaker_threshold_knob: knob("breaker_threshold", 1, 1_024, "failures", threshold),
+            retry_budget_knob: AtomicKnob::new(budget, config.retry_budget),
             rng: StdRng::seed_from_u64(seed),
             breaker_rng: StdRng::seed_from_u64(seed ^ 0x5bd1_e995),
             events: BinaryHeap::new(),
@@ -455,16 +451,6 @@ impl ReliableLink {
     /// The retry-budget knob (token-bucket capacity per destination).
     pub fn retry_budget_knob(&self) -> &Arc<AtomicKnob> {
         &self.retry_budget_knob
-    }
-
-    /// The backoff-base knob.
-    pub fn backoff_base_knob(&self) -> &Arc<AtomicKnob> {
-        &self.backoff_base_knob
-    }
-
-    /// The breaker-threshold knob.
-    pub fn breaker_threshold_knob(&self) -> &Arc<AtomicKnob> {
-        &self.breaker_threshold_knob
     }
 
     /// The layer's live recovery-state gauges (breaker counts, aggregate
@@ -764,7 +750,7 @@ impl ReliableLink {
                 if let Some(c) = &self.metrics.timeouts {
                     c.inc();
                 }
-                let threshold = self.breaker_threshold_knob.get();
+                let threshold = self.config.breaker_threshold;
                 let cooldown = self.jittered_cooldown();
                 let opened =
                     self.with_breaker(dest, |b| b.record_failure(now, threshold, cooldown));
@@ -787,7 +773,7 @@ impl ReliableLink {
     /// Exponential backoff for the retry after `attempts` tries, with
     /// seeded jitter.
     fn backoff_ns(&mut self, attempts: u32) -> u64 {
-        let base = self.backoff_base_knob.get().max(1) as u64;
+        let base = self.config.backoff_base_ns;
         // Doubling per attempt, saturating instead of shifting bits out.
         let shift = attempts.saturating_sub(1).min(32);
         let doubled = if shift >= base.leading_zeros() {
@@ -1063,13 +1049,11 @@ mod tests {
         let rl = ReliableLink::new(TransportCost::cluster(), ReliableConfig::default(), 0);
         let reg = lg_core::KnobRegistry::new();
         reg.register(rl.retry_budget_knob().clone());
-        reg.register(rl.backoff_base_knob().clone());
-        reg.register(rl.breaker_threshold_knob().clone());
         assert_eq!(reg.value("retry_budget"), Some(32));
         reg.set("retry_budget", 64);
         assert_eq!(rl.retry_budget_knob().get(), 64);
-        reg.set("breaker_threshold", 100_000); // clamped to spec max
-        assert_eq!(rl.breaker_threshold_knob().get(), 1_024);
+        reg.set("retry_budget", 100_000); // clamped to spec max
+        assert_eq!(rl.retry_budget_knob().get(), 4_096);
     }
 
     #[test]

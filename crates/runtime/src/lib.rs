@@ -9,14 +9,12 @@
 //!   Every queue is the same in-tree type, a mutex-guarded `VecDeque` on
 //!   its own cache line, owned by the pool; idle workers back off through
 //!   spin → yield → park with an escalating timeout, and spawns touch the
-//!   park condvar only when a worker is actually parked.
-//! * [`throttle`] — the **thread cap**: workers whose index is ≥ the cap
-//!   park at task boundaries and resume when the cap rises. This is the
-//!   concurrency-throttling actuator the energy experiments drive.
-//! * [`budget`] — the **thread budget**: unlike the cap, shrinking the
-//!   budget releases worker OS threads (growing it spawns new ones onto
-//!   the same pool-owned queues), so a machine-wide arbiter can actually
-//!   move thread capacity between tenant pools.
+//!   park condvar only when a worker is actually parked. The N worker
+//!   threads are spawned once, by `ThreadPool::new`, and joined on drop.
+//! * [`throttle`] — the **thread cap**, the pool's one thread-count
+//!   actuator: workers whose index is ≥ the cap park at task boundaries
+//!   and resume when the cap rises. The energy experiments and the
+//!   machine-wide arbiter both drive it (knob `"thread_cap"`).
 //! * [`task`] — named tasks and [`task::JoinHandle`]s. Task bodies use
 //!   inline small-closure storage ([`task::INLINE_BODY_BYTES`]), so the
 //!   steady-state spawn/execute path performs **no heap allocation**.
@@ -43,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod dag;
 pub mod fault;
 mod lane;
@@ -53,7 +50,6 @@ pub mod scope;
 pub mod task;
 pub mod throttle;
 
-pub use budget::ThreadBudget;
 pub use dag::{DagHint, DagNodeId, DagScope};
 pub use fault::{FaultConfig, InjectedFault};
 pub use par_iter::ParallelForStats;

@@ -15,9 +15,10 @@
 //! 4. **Other workers' lanes** — an idle worker scans them, starting at
 //!    its right-hand neighbour, and steals from the back.
 //!
-//! The pool owns every queue for its whole life: the lanes sit next to
-//! the LIFO slots in `PoolShared`, indexed by worker, whether or not
-//! that index has an OS thread right now (see [`crate::budget`]).
+//! Each worker index has one OS thread for the pool's whole life:
+//! [`ThreadPool::new`] spawns them all, and dropping the pool joins them.
+//! The concurrency actuator is [`ThreadCap`]: a worker it excludes parks
+//! (see [`crate::throttle`]) but keeps its thread.
 //!
 //! Idle workers back off adaptively — bounded spin, then yields, then a
 //! park with an escalating timeout. Parks are counted in an idle-worker
@@ -44,7 +45,6 @@
 //! [`crate::task::TaskBody`] constructors, so they exercise the same
 //! inline/boxed representation as real tasks.
 
-use crate::budget::ThreadBudget;
 use crate::fault::{FaultConfig, FaultState, TaskFault};
 use crate::lane::Lane;
 use crate::scope::{flush_arrivals, flush_arrivals_unless};
@@ -114,8 +114,9 @@ pub(crate) fn on_worker_thread() -> bool {
 ///
 /// The slot is only ever touched by the worker thread that owns it — it
 /// fills when a task body running on that worker spawns, and drains in
-/// that worker's own `find_task`, throttle transition, or shutdown path —
-/// so a plain `UnsafeCell` suffices. Padded so neighbouring slots never
+/// that worker's own `find_task` or throttle transition (at shutdown it
+/// is dropped with the pool, after `drop` joined every worker) — so a
+/// plain `UnsafeCell` suffices. Padded so neighbouring slots never
 /// share a cache line.
 #[repr(align(64))]
 struct LifoSlot {
@@ -135,18 +136,6 @@ pub(crate) struct PoolShared {
     slots: Vec<LifoSlot>,
     lg: Arc<LookingGlass>,
     cap: ThreadCap,
-    budget: ThreadBudget,
-    /// `live[i]` — a thread serves worker index `i`. Set by
-    /// `apply_budget` just before it spawns that thread; cleared by the
-    /// thread itself as its last act on the index (see `worker_loop`).
-    /// At most one thread per index follows, which is what the
-    /// owner-only [`LifoSlot`] needs. `shutdown` is raised under this
-    /// lock, so no thread is spawned behind `drop`'s back.
-    live: Mutex<Vec<bool>>,
-    /// Join handles, indexed by worker; a re-spawn replaces the handle of
-    /// a thread that already cleared its `live` flag and is returning
-    /// (dropping that handle detaches it).
-    handles: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
     shutdown: AtomicBool,
     /// Workers currently parked on `idle_cv`. Spawns skip the condvar
     /// entirely while this is zero — the no-condvar fast path.
@@ -185,14 +174,16 @@ pub(crate) struct PoolShared {
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     counters: Arc<CounterRegistry>,
+    /// One per worker index, in index order.
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    /// Creates a pool attached to a `LookingGlass` instance and registers
-    /// its counters and its `thread_cap`, `thread_budget` and
-    /// `dag.critical_bias` knobs there. A knob name belongs to its last
-    /// registrant: a second pool on one instance takes the three names over,
-    /// and the first is steered through its own accessors only.
+    /// Creates a pool attached to a `LookingGlass` instance, registers its
+    /// counters and its `thread_cap` and `dag.critical_bias` knobs there,
+    /// and spawns its workers. A knob name belongs to its last registrant:
+    /// a second pool on one instance takes both names over, and the first
+    /// is steered through its own accessors only.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
@@ -205,7 +196,6 @@ impl ThreadPool {
             })
             .collect();
         let cap = ThreadCap::new(config.workers);
-        let budget = ThreadBudget::new(config.workers);
         let dag_bias = AtomicKnob::new(
             KnobSpec::new("dag.critical_bias", 0, 1)
                 .with_unit("bool")
@@ -213,7 +203,6 @@ impl ThreadPool {
             1,
         );
         lg.knobs().register(Arc::new(cap.clone()));
-        lg.knobs().register(Arc::new(budget.clone()));
         lg.knobs().register(dag_bias.clone());
         // The pool's counters ride along in every introspection snapshot
         // the instance captures.
@@ -225,9 +214,6 @@ impl ThreadPool {
             slots,
             lg,
             cap,
-            budget: budget.clone(),
-            live: Mutex::new(vec![false; config.workers]),
-            handles: Mutex::new((0..config.workers).map(|_| None).collect()),
             shutdown: AtomicBool::new(false),
             idle_workers: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
@@ -258,11 +244,20 @@ impl ThreadPool {
             c_injected_panics: counters.counter("rt.injected_panics"),
             c_injected_stragglers: counters.counter("rt.injected_stragglers"),
         });
-        budget.attach(&shared);
-        // No index is live yet and the budget allows them all: this
-        // spawns every worker.
-        shared.apply_budget();
-        Self { shared, counters }
+        let handles = (0..config.workers)
+            .map(|index| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("lg-worker-{index}"))
+                    .spawn(move || worker_loop(shared, index))
+                    .expect("failed to spawn worker")
+            })
+            .collect();
+        Self {
+            shared,
+            counters,
+            handles,
+        }
     }
 
     /// The observation instance this pool reports to.
@@ -275,26 +270,12 @@ impl ThreadPool {
         self.shared.cap.clone()
     }
 
-    /// The pool's thread-budget (also registered as knob
-    /// `"thread_budget"`). Unlike the cap, shrinking the budget actually
-    /// releases worker OS threads; growing re-spawns them.
-    pub fn thread_budget(&self) -> ThreadBudget {
-        self.shared.budget.clone()
-    }
-
     /// The `dag.critical_bias` knob: 1 (default) routes critical-path DAG
     /// tasks through the priority lane, 0 sends them down the normal
     /// steal path. Registered on the instance's knob registry, so policies
     /// steer it by name.
     pub fn dag_bias_knob(&self) -> Arc<AtomicKnob> {
         self.shared.dag_bias.clone()
-    }
-
-    /// Worker indices with a resident OS thread right now. Shrinking the
-    /// budget drops this (workers exit at their next scheduling
-    /// decision); growing it restores it.
-    pub fn resident_workers(&self) -> usize {
-        self.shared.live.lock().iter().filter(|l| **l).count()
     }
 
     /// Scheduling counters (`rt.spawned`, `rt.executed`, `rt.steals`,
@@ -615,31 +596,6 @@ impl PoolShared {
         }
     }
 
-    /// Reacts to a thread-budget write: wakes every parked or throttled
-    /// worker so over-budget ones release promptly, then spawns a thread
-    /// for every index inside the budget that has none. It never waits:
-    /// an index whose thread is still on its way out is `live`, and that
-    /// thread re-checks the budget before it lets go (see `worker_loop`).
-    pub(crate) fn apply_budget(self: &Arc<Self>) {
-        self.cap.wake_all();
-        {
-            let _g = self.idle_lock.lock();
-            self.idle_cv.notify_all();
-        }
-        let mut live = self.live.lock();
-        for index in 0..live.len() {
-            if !live[index] && self.budget.allows(index) && !self.shutdown.load(Ordering::Acquire) {
-                live[index] = true;
-                let shared = self.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("lg-worker-{index}"))
-                    .spawn(move || worker_loop(shared, index))
-                    .expect("failed to spawn worker");
-                self.handles.lock()[index] = Some(handle);
-            }
-        }
-    }
-
     /// The worker index the calling thread serves in this pool, if any.
     fn current_worker(&self) -> Option<usize> {
         match CURRENT_WORKER.get() {
@@ -672,36 +628,15 @@ impl PoolShared {
     }
 }
 
-/// The body of a worker thread: serves `index` until shutdown or until
-/// the budget excludes it, then gives the index up.
-///
-/// Release rule: clearing `live[index]` is this thread's *last* act on
-/// anything the index owns (slot, lane, `CURRENT_WORKER`), done under the
-/// `live` lock after re-checking the budget. If the budget grew back in
-/// the meantime, `apply_budget` saw the flag still set and spawned
-/// nothing, so this same thread goes round again.
+/// The body of the thread serving worker `index`, from
+/// [`ThreadPool::new`] until `drop` raises `shutdown`: `WorkerStart` …
+/// `WorkerStop`, with a `WorkerStop`/`WorkerStart` pair around every park
+/// under the cap.
 fn worker_loop(shared: Arc<PoolShared>, index: usize) {
     // Pin this worker's stripe index to its worker id so striped counters
     // and sharded listeners get a dense, deterministic worker → stripe map.
     lg_metrics::stripe::set_thread_index(index);
-    loop {
-        CURRENT_WORKER.set(Some((shared.id, index)));
-        serve(&shared, index);
-        // From here on this thread publishes arrivals at once (rule f), so
-        // a completion dropped with the pool's queues cannot strand in a
-        // batch.
-        CURRENT_WORKER.set(None);
-        let mut live = shared.live.lock();
-        if shared.shutdown.load(Ordering::Acquire) || !shared.budget.allows(index) {
-            live[index] = false;
-            return;
-        }
-    }
-}
-
-/// One residency of a worker: `WorkerStart` … `WorkerStop`. Returns on
-/// shutdown or budget release, with the slot and the lane handed back.
-fn serve(shared: &Arc<PoolShared>, index: usize) {
+    CURRENT_WORKER.set(Some((shared.id, index)));
     shared.lg.emit(&Event::WorkerStart {
         worker: index,
         t_ns: shared.lg.now_ns(),
@@ -711,17 +646,16 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
     // Tasks were run since `wait_idle` callers were last notified.
     let mut ran = false;
     // Before this worker stops looking at its own queues — to search
-    // elsewhere, park under the cap, or exit (shutdown, budget release) —
-    // it publishes its batched arrivals (flush rules a and c) and has
-    // `wait_idle` callers re-fold.
+    // elsewhere, park under the cap, or exit at shutdown — it publishes
+    // its batched arrivals (flush rules a and c) and has `wait_idle`
+    // callers re-fold.
     let quiesce = |ran: &mut bool| {
         flush_arrivals();
         if std::mem::take(ran) {
             shared.notify_idle_waiters();
         }
     };
-    // Budget: a worker outside the budget gives its OS thread back.
-    while !shared.shutdown.load(Ordering::Acquire) && shared.budget.allows(index) {
+    while !shared.shutdown.load(Ordering::Acquire) {
         // Throttling: park if the cap excludes this worker. Drain the LIFO
         // slot first — a throttled worker must never sit on a task.
         if !shared.cap.allows(index) {
@@ -734,11 +668,10 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
                 });
                 online = false;
             }
-            // Allowed again, shutdown or budget release: the loop head
-            // decides which.
-            shared.cap.wait_until_allowed(index, || {
-                shared.shutdown.load(Ordering::Acquire) || !shared.budget.allows(index)
-            });
+            // Allowed again or shutdown: the loop head decides which.
+            shared
+                .cap
+                .wait_until_allowed(index, || shared.shutdown.load(Ordering::Acquire));
             continue;
         }
         if !online {
@@ -753,7 +686,7 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
         let mut found = false;
         for round in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
             if let Some(task) = shared.find_task(index) {
-                run_task(shared, task, index);
+                run_task(&shared, task, index);
                 found = true;
                 ran = true;
                 break;
@@ -783,18 +716,8 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
         }
         shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
     }
-    // Exit. Slot and lane go back to the injector for the siblings (on
-    // shutdown they are dropped with the pool's other pending tasks; drop
-    // guards resolve joins).
-    shared.drain_slot(index);
-    let mut handed_back = 0;
-    while let Some(t) = shared.lanes[index].pop_front() {
-        shared.injector.push_back(t);
-        handed_back += 1;
-    }
-    if handed_back > 0 {
-        shared.wake_workers(handed_back);
-    }
+    // Shutdown. Tasks still queued, slot included, are dropped with the
+    // pool; drop guards resolve joins.
     quiesce(&mut ran);
     if online {
         shared.lg.emit(&Event::WorkerStop {
@@ -802,6 +725,9 @@ fn serve(shared: &Arc<PoolShared>, index: usize) {
             t_ns: shared.lg.now_ns(),
         });
     }
+    // From here on this thread publishes arrivals at once (rule f), so a
+    // completion dropped with the pool's queues cannot strand in a batch.
+    CURRENT_WORKER.set(None);
 }
 
 fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
@@ -848,25 +774,13 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            // Under the `live` lock: after this no `apply_budget` spawns,
-            // and every thread spawned before it has its handle stored.
-            let _live = self.shared.live.lock();
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
+        self.shared.shutdown.store(true, Ordering::Release);
         self.shared.cap.wake_all();
         {
             let _g = self.shared.idle_lock.lock();
             self.shared.idle_cv.notify_all();
         }
-        let handles: Vec<_> = self
-            .shared
-            .handles
-            .lock()
-            .iter_mut()
-            .map(Option::take)
-            .collect();
-        for h in handles.into_iter().flatten() {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -1147,64 +1061,13 @@ mod tests {
         }
     }
 
-    /// Spin until `resident_workers()` reaches `want` (bounded).
-    fn wait_resident(p: &ThreadPool, want: usize) {
-        eventually("resident worker count did not converge", || {
-            p.resident_workers() == want
-        });
-    }
-
     #[test]
-    fn budget_shrink_releases_os_threads_and_grow_respawns() {
-        let p = pool(4);
-        assert_eq!(p.resident_workers(), 4);
-        // Shrink through the knob path — the same write an arbiter makes.
-        p.lg().knobs().set("thread_budget", 1);
-        wait_resident(&p, 1);
-        // The shrunken pool still completes work.
-        let count = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = count.clone();
-            p.spawn_named("t", move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        p.wait_idle();
-        assert_eq!(count.load(Ordering::Relaxed), 100);
-        // Grow back: threads re-spawn onto the lanes the pool kept for them.
-        p.thread_budget().set_target(4);
-        wait_resident(&p, 4);
-        let h = p.spawn("after", || 7);
-        assert_eq!(h.join().unwrap(), 7);
-    }
-
-    #[test]
-    fn budget_changes_mid_stream_lose_nothing() {
-        let p = pool(4);
-        let count = Arc::new(AtomicU64::new(0));
-        for burst in 0..10 {
-            p.thread_budget().set_target(1 + (burst % 4));
-            for _ in 0..50 {
-                let c = count.clone();
-                p.spawn_named("t", move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        }
-        p.wait_idle();
-        assert_eq!(count.load(Ordering::Relaxed), 500);
-        p.thread_budget().set_target(4);
-        wait_resident(&p, 4);
-    }
-
-    #[test]
-    fn drop_joins_workers_while_budget_shrunk() {
+    fn drop_joins_workers_while_capped() {
         let p = pool(3);
-        p.thread_budget().set_target(1);
-        wait_resident(&p, 1);
+        p.thread_cap().set_cap(1);
         p.spawn_named("x", || {});
         p.wait_idle();
-        drop(p); // must not hang with two workers released
+        drop(p); // must not hang with two workers parked under the cap
     }
 
     /// `WorkerStart`/`WorkerStop` per worker index, in emission order.
@@ -1232,7 +1095,7 @@ mod tests {
                 .filter(|&index| {
                     let mut resident = false;
                     for &(_, start) in log.iter().filter(|(w, _)| *w == index) {
-                        assert_ne!(start, resident, "index {index}: two threads, or none");
+                        assert_ne!(start, resident, "index {index}: two starts or two stops");
                         resident = start;
                     }
                     resident
@@ -1242,55 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn a_release_that_loses_to_a_grow_goes_round_again() {
-        /// Grows the budget back from inside the first releasing worker:
-        /// after its `WorkerStop`, before it gives the index up.
-        #[derive(Default)]
-        struct GrowOnStop {
-            budget: Mutex<Option<ThreadBudget>>,
-            grower: Mutex<Option<(usize, std::thread::ThreadId)>>,
-            restarted: AtomicBool,
-        }
-        impl lg_core::Listener for GrowOnStop {
-            fn name(&self) -> &str {
-                "grow-on-stop"
-            }
-            fn on_event(&self, event: &Event) {
-                let me = std::thread::current().id();
-                match *event {
-                    Event::WorkerStop { worker, .. } => {
-                        let budget = self.budget.lock().take();
-                        if let Some(budget) = budget {
-                            *self.grower.lock() = Some((worker, me));
-                            budget.set_target(budget.max());
-                        }
-                    }
-                    Event::WorkerStart { worker, .. }
-                        if *self.grower.lock() == Some((worker, me)) =>
-                    {
-                        self.restarted.store(true, Ordering::Release)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let lg = LookingGlass::builder().build();
-        let listener = Arc::new(GrowOnStop::default());
-        lg.add_listener(listener.clone());
-        let p = pool_on(lg, 4);
-        *listener.budget.lock() = Some(p.thread_budget());
-        p.thread_budget().set_target(1);
-        // The grow ran while the grower was still live, so it spawned
-        // nothing for that index: only the grower's own re-check keeps the
-        // index served, and nothing else would ever notice it missing.
-        eventually("the releasing thread did not go round again", || {
-            listener.restarted.load(Ordering::Acquire)
-        });
-        assert_eq!(p.resident_workers(), 4);
-    }
-
-    #[test]
-    fn budget_flaps_keep_one_thread_per_worker_index() {
+    fn cap_flaps_keep_one_residency_per_worker_index() {
         const WORKERS: usize = 4;
         const ROOTS: usize = 300;
         const CHILDREN: usize = 3;
@@ -1298,19 +1113,29 @@ mod tests {
         let residencies = Arc::new(Residencies(Mutex::new(Vec::new())));
         lg.add_listener(residencies.clone());
         let p = pool_on(lg.clone(), WORKERS);
-        let budget = p.thread_budget();
+        let cap = p.thread_cap();
         let name = lg.intern("flap");
+        let open = |want: usize| {
+            eventually("residencies did not follow the cap", || {
+                residencies.open_after_strict_alternation(WORKERS) == want
+            })
+        };
         let hits: Arc<Vec<AtomicU64>> = Arc::new(
             (0..ROOTS * (1 + CHILDREN))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         );
+        // Every worker has reported in, so a settled shrink below stops
+        // threads that really started.
+        open(WORKERS);
         for root in 0..ROOTS {
-            budget.set_target(if root % 2 == 0 { 1 } else { WORKERS });
-            // Every other shrink settles, so threads really exit and the
-            // next grow spawns new ones; the rest race that grow.
-            if root % 4 == 0 {
-                wait_resident(&p, 1);
+            cap.set_cap(if root % 2 == 0 { 1 } else { WORKERS });
+            // Every other flap settles, so workers really park and really
+            // come back; the rest race the workers' next decision.
+            match root % 4 {
+                0 => open(1),
+                1 => open(WORKERS),
+                _ => {}
             }
             let (hits, shared) = (hits.clone(), p.shared().clone());
             p.spawn_named("flap", move || {
@@ -1328,33 +1153,28 @@ mod tests {
                 }
             });
         }
-        budget.set_target(3);
+        cap.set_cap(3);
         p.wait_idle();
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "task {i}");
         }
-        wait_resident(&p, 3);
-        // An index goes live a moment before its new thread reports in.
-        eventually("three residencies open", || {
-            residencies.open_after_strict_alternation(WORKERS) == 3
-        });
-        let settled_shrinks = ROOTS / 4;
-        assert!(residencies.0.lock().len() >= settled_shrinks * 2 * (WORKERS - 1));
+        open(3);
+        let settled_pairs = ROOTS / 4;
+        assert!(residencies.0.lock().len() >= settled_pairs * 2 * (WORKERS - 1));
 
-        // Drop while another thread keeps writing the budget: every thread
-        // ever started for an index has stopped by the time `drop` returns.
+        // Drop while another thread keeps flapping the cap: every worker
+        // has stopped by the time `drop` returns.
         let dropped = AtomicBool::new(false);
+        let flaps = AtomicUsize::new(0);
         let events = std::thread::scope(|s| {
             s.spawn(|| {
-                for flap in 0.. {
-                    if dropped.load(Ordering::Acquire) {
-                        break;
-                    }
-                    budget.set_target(if flap % 2 == 0 { 1 } else { WORKERS });
+                while !dropped.load(Ordering::Acquire) {
+                    let flap = flaps.fetch_add(1, Ordering::Release);
+                    cap.set_cap(if flap.is_multiple_of(2) { 1 } else { WORKERS });
                 }
             });
             // Let a few flaps land first.
-            while budget.generation() < ROOTS + 20 {
+            while flaps.load(Ordering::Acquire) < 20 {
                 std::thread::yield_now();
             }
             drop(p);

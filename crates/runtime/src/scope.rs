@@ -37,8 +37,8 @@
 //! * **(b)** `run_task` publishes before running a task whose completion
 //!   targets a different barrier, or none — a scope never waits on
 //!   foreign work;
-//! * **(c)** a worker publishes before it parks under the thread cap, is
-//!   budget-released, or exits;
+//! * **(c)** a worker publishes before it parks under the thread cap and
+//!   at shutdown;
 //! * **(d)** `try_help` publishes after every helped task (scope barrier,
 //!   DAG barrier, `JoinHandle` helper) — the wait may end with that task,
 //!   and its completion must not sit under the rest of a long outer task;

@@ -3,8 +3,10 @@
 //! The cap is the number of workers allowed to execute tasks. Workers with
 //! index ≥ cap park at their next scheduling decision and wake when the cap
 //! rises — tasks are never interrupted mid-body, so a cap change is always
-//! safe. The cap implements [`lg_core::Knob`], which is how policies and
-//! tuning sessions drive it without knowing about the pool.
+//! safe. The cap implements [`lg_core::Knob`] (name `"thread_cap"`), which
+//! is how policies, tuning sessions and the machine-wide
+//! [`lg_core::Arbiter`] drive it without knowing about the pool. It is the
+//! pool's one thread-count actuator: a parked worker keeps its OS thread.
 //!
 //! **Drain rule:** a worker parking under the cap first evicts its LIFO
 //! slot into the global injector (the slot, unlike the worker's queue, is
@@ -28,8 +30,6 @@ struct CapInner {
     /// Condvar workers park on when throttled; `set` notifies it.
     lock: Mutex<()>,
     cv: Condvar,
-    /// Generation counter bumped on every change (lets tests observe sets).
-    generation: AtomicUsize,
 }
 
 impl ThreadCap {
@@ -45,7 +45,6 @@ impl ThreadCap {
                 max,
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
-                generation: AtomicUsize::new(0),
             }),
         }
     }
@@ -64,14 +63,8 @@ impl ThreadCap {
     pub fn set_cap(&self, cap: usize) {
         let clamped = cap.clamp(1, self.inner.max);
         self.inner.cap.store(clamped, Ordering::Release);
-        self.inner.generation.fetch_add(1, Ordering::Release);
         let _g = self.inner.lock.lock();
         self.inner.cv.notify_all();
-    }
-
-    /// Number of cap changes so far.
-    pub fn generation(&self) -> usize {
-        self.inner.generation.load(Ordering::Acquire)
     }
 
     /// True if worker `index` is allowed to run under the current cap.
@@ -172,15 +165,6 @@ mod tests {
         assert_eq!(spec.max, 16);
         c.set(4);
         assert_eq!(c.get(), 4);
-    }
-
-    #[test]
-    fn generation_tracks_changes() {
-        let c = ThreadCap::new(4);
-        assert_eq!(c.generation(), 0);
-        c.set_cap(2);
-        c.set_cap(3);
-        assert_eq!(c.generation(), 2);
     }
 
     #[test]

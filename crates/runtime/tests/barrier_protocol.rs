@@ -204,7 +204,7 @@ fn drain_while_shrinking(shrink: impl FnOnce(&ThreadPool) + Send + 'static) {
                 });
             }
             // Mid-drain: the workers hold batched arrivals when the cap
-            // or budget excludes them.
+            // excludes them.
             while progress.load(Ordering::Relaxed) < 200 && !chaos() {
                 std::thread::yield_now();
             }
@@ -223,11 +223,6 @@ fn drain_while_shrinking(shrink: impl FnOnce(&ThreadPool) + Send + 'static) {
 #[test]
 fn scope_returns_when_the_cap_drops_to_one_worker_mid_drain() {
     drain_while_shrinking(|p| p.thread_cap().set_cap(1));
-}
-
-#[test]
-fn scope_returns_when_the_budget_shrinks_mid_drain() {
-    drain_while_shrinking(|p| p.thread_budget().set_target(1));
 }
 
 // ---------------------------------------------------------------- rule (e)

@@ -15,7 +15,7 @@
 use lg_core::LookingGlass;
 use lg_runtime::{PoolConfig, ThreadPool};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct CountingAlloc;
@@ -54,14 +54,33 @@ fn steady_state_spawn_is_allocation_free() {
 
     // Warm up: intern the name, fill the profile/concurrency listener
     // maps, grow the injector and worker deque to steady capacity. Two
-    // rounds so every lazily-grown structure has seen the full load.
+    // rounds so every lazily-grown structure has seen the full load. The
+    // first round's burst is spawned while the single worker is held on a
+    // latch task, so the whole burst sits in the injector at once: the
+    // injector's capacity then covers any backlog the measured burst can
+    // build, however the worker races the spawning thread.
     let burst = 4000u64;
-    for _ in 0..2 {
+    let held = Arc::new(AtomicBool::new(false));
+    let go = Arc::new(AtomicBool::new(false));
+    let (h, g) = (held.clone(), go.clone());
+    p.spawn_named("latch", move || {
+        h.store(true, Ordering::Release);
+        while !g.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    });
+    while !held.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    for round in 0..2 {
         for _ in 0..burst {
             let c = count.clone();
             p.spawn_named("steady", move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
+        }
+        if round == 0 {
+            go.store(true, Ordering::Release);
         }
         p.wait_idle();
     }
@@ -88,7 +107,8 @@ fn steady_state_spawn_is_allocation_free() {
         0,
         "an inline-sized body fell off the inline path"
     );
-    assert_eq!(p.counters().counter("rt.inline_tasks").get(), 3 * burst);
+    // The latch is one more inline task.
+    assert_eq!(p.counters().counter("rt.inline_tasks").get(), 3 * burst + 1);
 
     // parallel_for: per-call allocations are O(1) — scope state, one
     // shared-body Arc, the task vector — not O(chunks). 512 chunks must
