@@ -3,9 +3,17 @@
 //! [`DagStats`] is the write side: a runtime executing a dependency graph
 //! calls [`DagStats::on_release`] when a node becomes ready (all
 //! dependencies done, task enqueued) and [`DagStats::on_complete`] when
-//! its body finishes. Both are striped-atomic bumps — no locks, no
-//! allocation — so they sit on the scheduler's release hot path at the
-//! same cost class as the existing `rt.*` counters.
+//! its body finishes. Everything the two hooks count — a live-node
+//! histogram by height and a slack histogram — sits in **one
+//! cache-aligned block per stripe**. A writer marks its stripe in a
+//! `TouchedStripes` mask once, then RMWs only its own block: no lock, no
+//! allocation, no line another emitter writes. Reads — the gauges, and
+//! the critical-path estimate every release takes for its slack — sum
+//! **only the touched blocks**, on the stack, so they cost a few lines per
+//! emitting thread instead of `STRIPE_COUNT` lines per bucket. A block's
+//! cells go negative when a node is released on one stripe and completed
+//! on another; only the sum balances. The one shared write left per event
+//! is the gauges' stamp (below).
 //!
 //! From those two hooks the read side derives three gauges, folded into
 //! [`IntrospectionSnapshot`](crate::IntrospectionSnapshot) through
@@ -23,7 +31,7 @@
 //! * **`dag.ready_width`** — released-but-incomplete node count: how much
 //!   parallelism the DAG is currently offering the pool.
 //! * **`dag.slack_p50`** — median slack (critical-path length minus the
-//!   node's own height) over released nodes, from a striped histogram.
+//!   node's own height) over released nodes, from the slack histograms.
 //!   Low slack ⇒ most ready work *is* the critical path ⇒ priority
 //!   placement pays; high slack ⇒ plenty of off-path work to soak
 //!   workers.
@@ -39,13 +47,37 @@
 use crate::arbiter::{DemandClass, DemandProfile};
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{Introspection, IntrospectionSnapshot};
-use lg_metrics::{StripedCounter, StripedGauge};
-use std::sync::atomic::{AtomicU64, Ordering};
+use lg_metrics::stripe::{thread_stripe, TouchedStripes, STRIPE_COUNT};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of log2 height buckets. Bucket `b` covers heights in
 /// `[2^(b-1), 2^b)` ns; 48 buckets span sub-ns grains to ~3 days.
 const BUCKETS: usize = 48;
+
+/// One stripe's share of a [`DagStats`]: every cell a release or
+/// completion on that stripe writes, on lines no other stripe writes.
+///
+/// There is no ready counter: a release adds one to a live bucket and
+/// its completion takes one away, so the live histogram's total *is* the
+/// ready count, and keeping both would cost two more RMWs per node.
+#[repr(align(128))]
+struct Cells {
+    /// Live-node delta per log2(height) bucket (negative on a stripe that
+    /// completed more nodes of a bucket than it released).
+    live: [AtomicI64; BUCKETS],
+    /// Releases per log2(slack) bucket (the p50 gauge's histogram).
+    slack: [AtomicU64; BUCKETS],
+}
+
+impl Cells {
+    fn new() -> Self {
+        Self {
+            live: std::array::from_fn(|_| AtomicI64::new(0)),
+            slack: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
 
 /// Striped release/completion statistics for one executing DAG (or a
 /// family of DAGs sharing a scheduler — the gauges simply aggregate).
@@ -54,13 +86,10 @@ const BUCKETS: usize = 48;
 /// unit works; the generator in `lg-workloads::dag` uses
 /// ops/flops + bytes/bandwidth).
 pub struct DagStats {
-    /// Released-but-incomplete node count.
-    ready: StripedGauge,
-    /// Live-node count per log2(height) bucket.
-    live: Vec<StripedGauge>,
-    /// Released-node count per log2(slack) bucket (cumulative histogram
-    /// source for the p50 gauge).
-    slack: Vec<StripedCounter>,
+    /// One block per stripe, indexed by the writer's `thread_stripe()`.
+    cells: [Cells; STRIPE_COUNT],
+    /// The stripes ever written; reads fold only those.
+    touched: TouchedStripes,
     /// Write stamp for the stamped gauges: bumped on every release and
     /// completion, so idle captures skip the fold.
     stamp: Arc<AtomicU64>,
@@ -70,11 +99,22 @@ impl DagStats {
     /// Creates an empty stats block.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            ready: StripedGauge::new(),
-            live: (0..BUCKETS).map(|_| StripedGauge::new()).collect(),
-            slack: (0..BUCKETS).map(|_| StripedCounter::new()).collect(),
+            cells: std::array::from_fn(|_| Cells::new()),
+            touched: TouchedStripes::new(),
             stamp: Arc::new(AtomicU64::new(0)),
         })
+    }
+
+    /// The calling thread's block, marked touched before it is written.
+    #[inline]
+    fn own(&self) -> &Cells {
+        let i = thread_stripe();
+        self.touched.mark(i);
+        &self.cells[i]
+    }
+
+    fn touched(&self) -> impl Iterator<Item = &Cells> {
+        self.touched.iter().map(|i| &self.cells[i])
     }
 
     fn bucket(height_ns: u64) -> usize {
@@ -90,45 +130,61 @@ impl DagStats {
     /// queued or running). `height_ns` is the node's downstream cost
     /// including itself.
     pub fn on_release(&self, height_ns: u64) {
-        self.ready.add(1);
+        let cells = self.own();
         let own = Self::bucket(height_ns);
-        self.live[own].add(1);
+        cells.live[own].fetch_add(1, Ordering::Relaxed);
         // Slack at bucket resolution: both sides use bucket edges, so a
         // node in the topmost live bucket records zero slack rather than
         // the up-to-2× phantom the edge estimate would otherwise leave.
         let cp = self.critical_path_ns();
         let slack = (cp - Self::bucket_edge(own)).max(0.0) as u64;
-        self.slack[Self::bucket(slack)].inc();
+        cells.slack[Self::bucket(slack)].fetch_add(1, Ordering::Relaxed);
         self.stamp.fetch_add(1, Ordering::Release);
     }
 
     /// Records a released node whose body finished (or was abandoned —
     /// the pair must balance [`DagStats::on_release`]).
     pub fn on_complete(&self, height_ns: u64) {
-        self.ready.add(-1);
-        self.live[Self::bucket(height_ns)].add(-1);
+        let cells = self.own();
+        cells.live[Self::bucket(height_ns)].fetch_add(-1, Ordering::Relaxed);
         self.stamp.fetch_add(1, Ordering::Release);
     }
 
     /// Remaining critical-path estimate in ns: the upper edge of the
     /// highest non-empty live bucket, 0 when no node is live.
     pub fn critical_path_ns(&self) -> f64 {
-        for b in (0..BUCKETS).rev() {
-            if self.live[b].sum() > 0 {
-                return Self::bucket_edge(b);
-            }
-        }
-        0.0
+        // Top down, each bucket summed over the touched stripes: the scan
+        // stops at the first live bucket and reads none below it.
+        (0..BUCKETS)
+            .rev()
+            .find(|&b| {
+                let live: i64 = self
+                    .touched()
+                    .map(|c| c.live[b].load(Ordering::Relaxed))
+                    .sum();
+                live > 0
+            })
+            .map_or(0.0, Self::bucket_edge)
     }
 
     /// Released-but-incomplete node count.
     pub fn ready_width(&self) -> f64 {
-        self.ready.sum().max(0) as f64
+        let ready: i64 = self
+            .touched()
+            .flat_map(|c| &c.live)
+            .map(|n| n.load(Ordering::Relaxed))
+            .sum();
+        ready.max(0) as f64
     }
 
     /// Median slack (ns) over all releases so far, 0 before any release.
     pub fn slack_p50_ns(&self) -> f64 {
-        let counts: Vec<u64> = self.slack.iter().map(|c| c.sum()).collect();
+        let mut counts = [0u64; BUCKETS];
+        for c in self.touched() {
+            for (sum, n) in counts.iter_mut().zip(&c.slack) {
+                *sum += n.load(Ordering::Relaxed);
+            }
+        }
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0.0;

@@ -46,7 +46,7 @@ pub use ewma::Ewma;
 pub use histogram::Histogram;
 pub use power::{EnergyMeter, EnergyReport, PowerModel};
 pub use sampler::{FnSource, Sampled, Sampler, SamplerConfig};
-pub use stripe::{CacheAligned, StripedCounter, StripedGauge};
+pub use stripe::{CacheAligned, StripedCounter};
 pub use timeseries::TimeSeries;
 pub use welford::Welford;
 pub use window::SlidingWindow;

@@ -24,7 +24,7 @@
 use parking_lot::RwLock;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of stripes in every striped structure (power of two).
@@ -168,50 +168,6 @@ impl StripedCounter {
 
     /// Folds every stripe into the counter's total.
     pub fn sum(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A signed delta accumulator striped across padded cells.
-///
-/// Unlike [`crate::GaugeHandle`] there is no `set` and `add` returns
-/// nothing: a striped gauge has no cheap instantaneous value, so it only
-/// supports delta accumulation ([`add`]) and folded reads ([`sum`]). Use
-/// it for high-rate up/down tracking where the exact value is only needed
-/// at snapshot points; keep the single-cell gauge when every update must
-/// observe the new global value (e.g. peak tracking).
-///
-/// [`add`]: StripedGauge::add
-/// [`sum`]: StripedGauge::sum
-#[derive(Debug)]
-pub struct StripedGauge {
-    cells: [CacheAligned<AtomicI64>; STRIPE_COUNT],
-}
-
-impl Default for StripedGauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StripedGauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Self {
-            cells: std::array::from_fn(|_| CacheAligned(AtomicI64::new(0))),
-        }
-    }
-
-    /// Adds `delta` (may be negative) to the calling thread's stripe.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.cells[thread_stripe()]
-            .0
-            .fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Folds every stripe into the gauge's current value.
-    pub fn sum(&self) -> i64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
@@ -383,23 +339,6 @@ mod tests {
         }
         joins.into_iter().for_each(|j| j.join().unwrap());
         assert_eq!(c.sum(), 80_000);
-    }
-
-    #[test]
-    fn gauge_balances_to_zero() {
-        let g = Arc::new(StripedGauge::new());
-        let mut joins = Vec::new();
-        for _ in 0..4 {
-            let g = g.clone();
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..5_000 {
-                    g.add(3);
-                    g.add(-3);
-                }
-            }));
-        }
-        joins.into_iter().for_each(|j| j.join().unwrap());
-        assert_eq!(g.sum(), 0);
     }
 
     #[test]

@@ -20,24 +20,31 @@
 //! worker's queue, the end its owner pops), from outside it enters the
 //! injector at the front, the end batch takes come from. Every queue is
 //! the pool's one mutex-guarded `Lane` type, so a front push is an
-//! ordinary operation on it. Off-path nodes go to the back. The lane is gated by the
-//! pool's `dag.critical_bias` knob, so a policy
+//! ordinary operation on it. Off-path nodes go to the back. The lane is
+//! gated by the pool's `dag.critical_bias` knob, so a policy
 //! ([`lg_core::dag::CriticalPathPolicy`]) can turn the bias off when the
 //! DAG offers abundant width.
 //!
 //! ## Dep-counter protocol
+//!
+//! Nodes live in an append-only **arena** of segments that never move
+//! (segment *k* holds `64 << k` nodes), so a completing worker reaches a
+//! node with one pointer load and an offset — no lock on the node table.
+//! Only wiring threads take the arena's small append mutex.
 //!
 //! Every counter starts at `deps + 1`: the extra **wiring guard** keeps
 //! the node unreleasable while its edges are being attached. For each
 //! dependency, `spawn_after` locks the predecessor's successor list; if
 //! the predecessor has not completed it adds the edge (counter +1 under
 //! the same lock the completer will take), otherwise the dependency is
-//! already satisfied and contributes nothing. Dropping the wiring guard
-//! goes through the same `1 → 0` release path, so a node whose
-//! dependencies all completed during wiring (or that has none) is
-//! enqueued right there. Completion marks the successor list `done`
-//! before draining it, so late edges to a completed predecessor are
-//! never lost — they simply never get added.
+//! already satisfied and contributes nothing. A list keeps its first
+//! four successors inline and spills to a `Vec` only past that, so
+//! wiring the usual patterns allocates nothing per node.
+//! Dropping the wiring guard goes through the same `1 → 0` release path,
+//! so a node whose dependencies all completed during wiring (or that has
+//! none) is enqueued right there. Completion marks the successor list
+//! `done` before draining it, so late edges to a completed predecessor
+//! are never lost — they simply never get added.
 //!
 //! ## Safety
 //!
@@ -46,13 +53,20 @@
 //! wait-from-a-drop-guard included — as [`crate::scope`]: `dag_scope` does
 //! not return or unwind until every node's completion has arrived, and a
 //! completion arrives only after the worker is done with the body. The
-//! scope's shared state lives on `dag_scope`'s stack frame and each
-//! node's completion holds a plain pointer to it; successor release is
-//! immediate, only the barrier arrival is batched. The task cell inside a
-//! node is written once by the spawning thread while the wiring guard
-//! (counter ≥ 1) makes the node unreleasable, and taken once by the unique
-//! thread that observes the `1 → 0` transition; the `AcqRel` counter
-//! chain orders the write before the take.
+//! scope's shared state, node arena included, lives on `dag_scope`'s
+//! stack frame and each node's completion holds a plain pointer to it;
+//! successor release is immediate, only the barrier arrival is batched.
+//!
+//! A node is written into the arena before its id exists, and an id
+//! reaches another thread only after that: through a predecessor's
+//! successor list (under its lock) or inside the node's task (through the
+//! `AcqRel` counter chain and the pool's queue mutexes). So every thread
+//! that holds an id sees its node whole, and no id names a slot past the
+//! arena's end. The task cell inside a node is written once by the
+//! spawning thread while the wiring guard (counter ≥ 1) makes the node
+//! unreleasable, and taken once by the unique thread that observes the
+//! `1 → 0` transition; the `AcqRel` counter chain orders the write before
+//! the take.
 //!
 //! Panic semantics match `scope`: a panicking node still releases its
 //! successors (the DAG keeps draining — crashed-node successors must not
@@ -63,9 +77,11 @@ use crate::pool::ThreadPool;
 use crate::scope::{Barrier, Completion, WaitOnDrop};
 use crate::task::{Task, TaskBody};
 use lg_core::dag::DagStats;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::alloc::{self, Layout};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Identifies a node within one [`DagScope`]. Returned by
@@ -104,11 +120,42 @@ impl DagHint {
     }
 }
 
+/// Successors a list holds before it spills to the heap: enough for
+/// every edge of the sweep, stencil and tree patterns but a sweep row's
+/// first node.
+const INLINE_SUCCS: usize = 4;
+
+#[derive(Default)]
 struct SuccList {
     /// Set before the list is drained; edges to a `done` predecessor are
     /// already satisfied and are never recorded.
     done: bool,
-    list: Vec<u32>,
+    /// Successors recorded, inline and spilled.
+    len: usize,
+    inline: [u32; INLINE_SUCCS],
+    /// Successors past the first [`INLINE_SUCCS`].
+    spill: Vec<u32>,
+}
+
+impl SuccList {
+    fn push(&mut self, id: u32) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = id,
+            None => self.spill.push(id),
+        }
+        self.len += 1;
+    }
+
+    /// Marks the list `done` and moves its successors out.
+    fn drain(&mut self) -> impl Iterator<Item = u32> {
+        self.done = true;
+        let inline = self.inline;
+        let n = std::mem::take(&mut self.len).min(INLINE_SUCCS);
+        inline
+            .into_iter()
+            .take(n)
+            .chain(std::mem::take(&mut self.spill))
+    }
 }
 
 struct NodeState {
@@ -131,29 +178,124 @@ unsafe impl Sync for NodeState {}
 // the cell adds no thread affinity.
 unsafe impl Send for NodeState {}
 
+/// Nodes in segment 0; segment `k` holds `FIRST_SEGMENT << k`.
+const FIRST_SEGMENT: usize = 64;
+/// Enough segments for every `u32` id: id `u32::MAX` lands in segment
+/// `log2(u32::MAX + 64) - log2(64)` = 26.
+const SEGMENTS: usize = 27;
+
+/// The append-only node table: segments allocated on first use and never
+/// moved or freed before the arena drops, so a `&NodeState` stays valid
+/// while other threads append.
+struct NodeArena {
+    segments: [AtomicPtr<NodeState>; SEGMENTS],
+    /// Nodes written so far; appends are serialized on it.
+    len: Mutex<u32>,
+}
+
+impl NodeArena {
+    fn new() -> Self {
+        Self {
+            segments: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            len: Mutex::new(0),
+        }
+    }
+
+    /// Segment and offset of node `id`.
+    fn locate(id: u32) -> (usize, usize) {
+        let j = id as usize + FIRST_SEGMENT;
+        let k = (j.ilog2() - FIRST_SEGMENT.ilog2()) as usize;
+        (k, j - (FIRST_SEGMENT << k))
+    }
+
+    fn layout(k: usize) -> Layout {
+        Layout::array::<NodeState>(FIRST_SEGMENT << k).expect("a segment's size fits isize")
+    }
+
+    /// Appends `node`; returns its id and a reference to it in place.
+    fn push(&self, node: NodeState) -> (u32, &NodeState) {
+        let mut len = self.len.lock();
+        let id = *len;
+        let next = id.checked_add(1).expect("dag node count fits u32");
+        let (k, off) = Self::locate(id);
+        let mut seg = self.segments[k].load(Ordering::Relaxed);
+        if seg.is_null() {
+            // SAFETY: `NodeState` is not zero-sized, so neither is the
+            // layout.
+            seg = unsafe { alloc::alloc(Self::layout(k)) }.cast();
+            if seg.is_null() {
+                alloc::handle_alloc_error(Self::layout(k));
+            }
+            // Release pairs with the Acquire in `get`.
+            self.segments[k].store(seg, Ordering::Release);
+        }
+        // SAFETY: `off < FIRST_SEGMENT << k`, the segment's capacity, and
+        // slot `id` is unwritten: ids are handed out once, under `len`.
+        // The slot never moves, so the reference lives as long as `self`.
+        let node = unsafe {
+            let slot = seg.add(off);
+            slot.write(node);
+            &*slot
+        };
+        *len = next;
+        (id, node)
+    }
+
+    /// Node `id`: one `Acquire` pointer load and an offset, no lock.
+    ///
+    /// # Safety
+    /// `id` must have been returned by [`NodeArena::push`] on this arena,
+    /// and reached the caller after that push (see the module docs).
+    unsafe fn get(&self, id: u32) -> &NodeState {
+        let (k, off) = Self::locate(id);
+        let seg = self.segments[k].load(Ordering::Acquire);
+        debug_assert!(!seg.is_null(), "node {id} was never pushed");
+        // SAFETY: the caller's id was pushed, so its segment is allocated
+        // and slot `off` is initialised; nodes never move.
+        unsafe { &*seg.add(off) }
+    }
+}
+
+impl Drop for NodeArena {
+    fn drop(&mut self) {
+        let len = *self.len.get_mut() as usize;
+        for (k, seg) in self.segments.iter_mut().enumerate() {
+            let seg = *seg.get_mut();
+            if seg.is_null() {
+                // Segments are allocated in order: none further.
+                break;
+            }
+            let first = (FIRST_SEGMENT << k) - FIRST_SEGMENT;
+            let written = len.saturating_sub(first).min(FIRST_SEGMENT << k);
+            // SAFETY: ids `first..first + written` were pushed into this
+            // segment, so its first `written` slots are initialised; the
+            // segment was allocated with `layout(k)`; `&mut self` means
+            // no reference into it survives.
+            unsafe {
+                ptr::drop_in_place(ptr::slice_from_raw_parts_mut(seg, written));
+                alloc::dealloc(seg.cast(), Self::layout(k));
+            }
+        }
+    }
+}
+
 pub(crate) struct DagInner {
     pool: Arc<crate::pool::PoolShared>,
-    nodes: RwLock<Vec<NodeState>>,
+    nodes: NodeArena,
     /// Nodes spawned and not yet completed.
     barrier: Barrier,
-    /// Nodes whose dependency count reached zero and whose task was
-    /// enqueued (diagnostics; equals the node count once drained).
-    released: AtomicUsize,
     stats: Option<Arc<DagStats>>,
 }
 
 impl DagInner {
-    /// Drops one dependency of `succ`; the caller must hold the node
-    /// table's read guard. The decrement that hits zero takes the task
-    /// and enqueues it — the no-polling promotion point.
-    fn complete_dep(&self, nodes: &[NodeState], succ: u32) {
-        let n = &nodes[succ as usize];
+    /// Drops one dependency of `n`. The decrement that hits zero takes
+    /// the task and enqueues it — the no-polling promotion point.
+    fn complete_dep(&self, n: &NodeState) {
         if n.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // SAFETY: unique `1 → 0` observer; the write to the cell
             // happened before the wiring guard was dropped and is ordered
             // by the AcqRel counter chain.
             let task = unsafe { (*n.task.get()).take() }.expect("released node carries a task");
-            self.released.fetch_add(1, Ordering::Relaxed);
             if let Some(st) = &self.stats {
                 st.on_release(n.height_ns);
             }
@@ -168,18 +310,18 @@ impl DagInner {
     /// Called (via [`DagCompletion`]) when a node's body has run or been
     /// discarded: releases its successors. The barrier arrival follows.
     fn complete_node(&self, node: u32) {
-        let nodes = self.nodes.read();
-        let me = &nodes[node as usize];
+        // SAFETY: `node` is the id this completion's task was built for,
+        // after its push.
+        let me = unsafe { self.nodes.get(node) };
         if let Some(st) = &self.stats {
             st.on_complete(me.height_ns);
         }
-        let succs = {
-            let mut sl = me.succs.lock();
-            sl.done = true;
-            std::mem::take(&mut sl.list)
-        };
+        // Bound first, so the list lock is released before the walk.
+        let succs = me.succs.lock().drain();
         for s in succs {
-            self.complete_dep(&nodes, s);
+            // SAFETY: successor ids were pushed before their edge was
+            // recorded, and read back under the same list lock.
+            self.complete_dep(unsafe { self.nodes.get(s) });
         }
     }
 }
@@ -248,59 +390,44 @@ impl<'scope> DagScope<'scope, '_> {
         F: FnOnce() + Send + 'scope,
     {
         let dag = self.inner;
+        let (id, me) = dag.nodes.push(NodeState {
+            remaining: AtomicUsize::new(1), // the wiring guard
+            task: UnsafeCell::new(None),
+            succs: Mutex::new(SuccList::default()),
+            critical: hint.critical,
+            height_ns: hint.height_ns,
+        });
+        // Checked before the node is counted, so a bad id panics without
+        // leaving the scope waiting on a node that can never run.
+        for d in deps {
+            assert!(d.0 < id, "dependencies must be earlier nodes of this scope");
+        }
         dag.barrier.add(1);
-        let id = {
-            let mut nodes = dag.nodes.write();
-            let id = u32::try_from(nodes.len()).expect("dag node count fits u32");
-            nodes.push(NodeState {
-                remaining: AtomicUsize::new(1), // the wiring guard
-                task: UnsafeCell::new(None),
-                succs: Mutex::new(SuccList {
-                    done: false,
-                    list: Vec::new(),
-                }),
-                critical: hint.critical,
-                height_ns: hint.height_ns,
-            });
-            id
-        };
         let tid = self.pool.lg().intern(name);
         // SAFETY: the dag barrier — `dag_scope()` blocks until this
         // node's completion has dropped; see module docs.
         let body = unsafe { TaskBody::new_unchecked(body) };
         let task =
             Task::with_completion(tid, body, Completion::Dag(DagCompletion { dag, node: id }));
-        let nodes = dag.nodes.read();
-        let me = &nodes[id as usize];
         // SAFETY: sole writer — the wiring guard keeps `remaining` ≥ 1,
         // so no thread can reach the cell-taking release path yet.
         unsafe { *me.task.get() = Some(task) };
         for d in deps {
-            assert!(d.0 < id, "dependencies must be earlier nodes of this scope");
-            let mut sl = nodes[d.0 as usize].succs.lock();
+            // SAFETY: `d.0 < id` (checked above), and every id below `id`
+            // was pushed before it.
+            let mut sl = unsafe { dag.nodes.get(d.0) }.succs.lock();
             if !sl.done {
                 // Counter +1 under the predecessor's list lock: its
                 // completer drains the list only after taking this lock,
                 // so it cannot miss the edge or double-release.
                 me.remaining.fetch_add(1, Ordering::AcqRel);
-                sl.list.push(id);
+                sl.push(id);
             }
         }
         // Drop the wiring guard; releases the node now if nothing is
         // (still) pending.
-        dag.complete_dep(&nodes, id);
+        dag.complete_dep(me);
         DagNodeId(id)
-    }
-
-    /// Nodes spawned on this scope so far.
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.read().len()
-    }
-
-    /// Nodes whose dependency count reached zero and whose task entered
-    /// the pool (diagnostics; equals `node_count` once the scope drains).
-    pub fn released(&self) -> usize {
-        self.inner.released.load(Ordering::Relaxed)
     }
 }
 
@@ -334,9 +461,8 @@ impl ThreadPool {
     ) -> R {
         let inner = DagInner {
             pool: self.shared().clone(),
-            nodes: RwLock::new(Vec::new()),
+            nodes: NodeArena::new(),
             barrier: Barrier::new(),
-            released: AtomicUsize::new(0),
             stats,
         };
         let scope = DagScope {
@@ -429,11 +555,13 @@ mod tests {
         let hits = AtomicU64::new(0);
         p.dag_scope(|g| {
             let a = g.spawn_after("a", &[], || {});
-            // Let `a` finish so the edge below attaches to a done node.
-            while g.released() == 0 {
+            // Wait until `a`'s completion has marked its successor list
+            // `done`, so the edge below attaches to a completed node.
+            // SAFETY: `a` was pushed on this scope's arena.
+            let a_node = unsafe { g.inner.nodes.get(a.0) };
+            while !a_node.succs.lock().done {
                 std::thread::yield_now();
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
             let hits = &hits;
             g.spawn_after("b", &[a], move || {
                 hits.fetch_add(1, Ordering::Relaxed);
@@ -558,5 +686,84 @@ mod tests {
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 6 * 32);
+    }
+
+    #[test]
+    fn arena_segments_hold_ten_thousand_nodes_across_boundaries() {
+        /// Counts its drops; every body owns one.
+        struct DropCount<'a>(&'a AtomicU64);
+        impl Drop for DropCount<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        const N: u32 = 10_000;
+        const PANICKER: u32 = 191;
+        let p = pool(2);
+        let runs = AtomicU64::new(0);
+        let drops = AtomicU64::new(0);
+        let segments = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.dag_scope(|g| {
+                let mut ids = Vec::with_capacity(N as usize);
+                for i in 0..N {
+                    // A binary tree (`i / 2`) plus the previous id, so
+                    // edges cross every segment boundary, 63/64, 191/192
+                    // and 447/448 included.
+                    let deps: Vec<DagNodeId> = match i {
+                        0 => vec![],
+                        1 => vec![ids[0]],
+                        _ => vec![ids[(i / 2) as usize], ids[i as usize - 1]],
+                    };
+                    let guard = DropCount(&drops);
+                    let runs = &runs;
+                    ids.push(g.spawn_after("node", &deps, move || {
+                        let _guard = guard;
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        assert_ne!(i, PANICKER, "injected node panic");
+                    }));
+                }
+                let used = g.inner.nodes.segments.iter();
+                let used = used.filter(|s| !s.load(Ordering::Relaxed).is_null());
+                segments.store(used.count(), Ordering::Relaxed);
+            });
+        }));
+        assert!(result.is_err(), "the injected panic is re-thrown");
+        assert_eq!(segments.load(Ordering::Relaxed), 8);
+        assert_eq!(runs.load(Ordering::Relaxed), u64::from(N));
+        assert_eq!(drops.load(Ordering::Relaxed), u64::from(N));
+    }
+
+    #[test]
+    #[should_panic(expected = "dependencies must be earlier nodes")]
+    fn forward_dependency_panics_instead_of_hanging() {
+        let p = pool(1);
+        // An id from a larger, finished scope names no earlier node here.
+        let late = p.dag_scope(|g| {
+            g.spawn_after("n", &[], || {});
+            g.spawn_after("n", &[], || {})
+        });
+        p.dag_scope(|g| {
+            g.spawn_after("bad", &[late], || {});
+        });
+    }
+
+    #[test]
+    fn arena_locates_segment_boundaries() {
+        for (id, want) in [
+            (0, (0, 0)),
+            (63, (0, 63)),
+            (64, (1, 0)),
+            (191, (1, 127)),
+            (192, (2, 0)),
+            (447, (2, 255)),
+            (448, (3, 0)),
+            (
+                u32::MAX,
+                (SEGMENTS - 1, u32::MAX as usize + 64 - (64 << 26)),
+            ),
+        ] {
+            assert_eq!(NodeArena::locate(id), want, "id {id}");
+        }
     }
 }
