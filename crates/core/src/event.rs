@@ -7,7 +7,10 @@
 //! and the ids unambiguous in traces).
 
 use parking_lot::RwLock;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Interned identifier for a task type or metric name.
@@ -16,32 +19,120 @@ pub struct TaskId(pub u32);
 
 /// Two-way intern table mapping names to [`TaskId`]s.
 ///
-/// Interning takes a write lock once per *new* name; resolving an existing
-/// name takes a read lock; resolving an id to a name is lock-held-briefly.
-/// Cloning shares the table.
-#[derive(Clone, Default)]
+/// Interning takes a write lock once per *new* name. Each thread
+/// remembers the last name it interned — the table's process-unique id,
+/// the name's bytes, its id — so a name interned again and again, as a
+/// spawn loop does, costs no lock, no hash and no allocation; any other
+/// name (or one longer than `MEMO_NAME_MAX` bytes) takes the table's read
+/// lock. Names are never removed, so the memo never goes stale. Resolving
+/// an id to a name is lock-held-briefly. Cloning shares the table, and
+/// its id.
+#[derive(Clone)]
 pub struct TaskNames {
-    inner: Arc<RwLock<NamesInner>>,
+    inner: Arc<Names>,
+}
+
+struct Names {
+    /// Process-unique, never reused; half the memo's key. Never 0.
+    id: u64,
+    table: RwLock<NamesInner>,
 }
 
 #[derive(Default)]
 struct NamesInner {
-    by_name: HashMap<String, TaskId>,
+    by_name: HashMap<String, TaskId, BuildHasherDefault<NameHasher>>,
     by_id: Vec<String>,
+}
+
+/// Rotate-xor-multiply hash of a name's bytes, FxHash style. Names are
+/// short and come from the program, so SipHash's flood resistance buys
+/// nothing; its cost would make a memo miss dearer than the plain lookup
+/// it replaced.
+#[derive(Default)]
+struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut mix =
+            |w: u64| self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            mix(u64::from_le_bytes(c.try_into().expect("8 bytes")));
+        }
+        for &b in chunks.remainder() {
+            mix(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Longest name the memo holds; longer ones always take the read lock.
+const MEMO_NAME_MAX: usize = 24;
+
+/// The last name of at most `MEMO_NAME_MAX` bytes this thread interned:
+/// its table, its bytes, and the id the table gave it. Read field by
+/// field: a miss should cost one compare of `table`.
+struct Memo {
+    /// 0 while empty: table ids start at 1.
+    table: u64,
+    id: TaskId,
+    len: usize,
+    bytes: [u8; MEMO_NAME_MAX],
+}
+
+thread_local! {
+    static MEMO: RefCell<Memo> = const {
+        RefCell::new(Memo { table: 0, id: TaskId(0), len: 0, bytes: [0; MEMO_NAME_MAX] })
+    };
+}
+
+impl Default for TaskNames {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TaskNames {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            inner: Arc::new(Names {
+                id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
+                table: RwLock::new(NamesInner::default()),
+            }),
+        }
     }
 
     /// Interns `name`, returning its stable id.
     pub fn intern(&self, name: &str) -> TaskId {
-        if let Some(&id) = self.inner.read().by_name.get(name) {
+        let hit = MEMO.with(|m| {
+            let m = m.borrow();
+            (m.table == self.inner.id && m.bytes[..m.len] == *name.as_bytes()).then_some(m.id)
+        });
+        if let Some(id) = hit {
             return id;
         }
-        let mut w = self.inner.write();
+        let id = self.intern_in_table(name);
+        if name.len() <= MEMO_NAME_MAX {
+            MEMO.with(|m| {
+                let mut m = m.borrow_mut();
+                m.bytes[..name.len()].copy_from_slice(name.as_bytes());
+                (m.table, m.id, m.len) = (self.inner.id, id, name.len());
+            });
+        }
+        id
+    }
+
+    fn intern_in_table(&self, name: &str) -> TaskId {
+        if let Some(&id) = self.inner.table.read().by_name.get(name) {
+            return id;
+        }
+        let mut w = self.inner.table.write();
         if let Some(&id) = w.by_name.get(name) {
             return id;
         }
@@ -53,17 +144,17 @@ impl TaskNames {
 
     /// Resolves an id to its name, if the id was produced by this table.
     pub fn resolve(&self, id: TaskId) -> Option<String> {
-        self.inner.read().by_id.get(id.0 as usize).cloned()
+        self.inner.table.read().by_id.get(id.0 as usize).cloned()
     }
 
     /// Looks up an existing name without interning.
     pub fn lookup(&self, name: &str) -> Option<TaskId> {
-        self.inner.read().by_name.get(name).copied()
+        self.inner.table.read().by_name.get(name).copied()
     }
 
     /// Number of interned names.
     pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        self.inner.table.read().by_id.len()
     }
 
     /// True when no names are interned.

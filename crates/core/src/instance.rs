@@ -22,7 +22,7 @@ use crate::clock::{Clock, WallClock};
 use crate::concurrency::ConcurrencyListener;
 use crate::event::{Event, TaskId, TaskNames};
 use crate::knob::KnobRegistry;
-use crate::listener::{Dispatcher, Listener, ListenerHandle};
+use crate::listener::{flush_deferred, Dispatcher, Listener, ListenerHandle};
 use crate::policy::PolicyEngine;
 use crate::profile::ProfileListener;
 use crate::samples::SampleHistoryListener;
@@ -233,6 +233,27 @@ impl LookingGlass {
     #[inline]
     pub fn emit(&self, event: &Event) {
         self.dispatcher.dispatch(event);
+    }
+
+    /// Emits `event` into the calling thread's deferred buffer, delivered
+    /// with the rest of the buffer as one batch (see
+    /// [`crate::listener`]'s "Deferred delivery"): when it fills, at the
+    /// thread's next [`LookingGlass::emit`] or [`flush_deferred`], or when
+    /// the thread exits. Same delivery order and timestamps as `emit`,
+    /// one stripe lock per batch instead of one per event. While the
+    /// policy engine has an event-triggered policy the event is delivered
+    /// at once instead.
+    ///
+    /// Returns true when the call leaves nothing held: every event the
+    /// thread emitted so far has been delivered.
+    #[inline]
+    pub fn emit_deferred(&self, event: &Event) -> bool {
+        if self.policy_engine.has_event_policies() {
+            flush_deferred();
+            self.emit(event);
+            return true;
+        }
+        self.dispatcher.defer(event)
     }
 
     /// Interns a task/metric/phase name.

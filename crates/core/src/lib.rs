@@ -27,6 +27,8 @@
 //!   state the profiler, concurrency tracker and tracer of an instance
 //!   share. Everything else — the policy engine, custom listeners — runs
 //!   after that lock is released (no shared-cache-line write either way).
+//!   Deferred events (the runtime's per-task pair) are delivered in
+//!   batches of up to 64 under one lock, in emission order.
 //! * [`profile`] — per-task-name streaming profiles (Welford), sharded
 //!   per emitting thread and merged on snapshot.
 //! * [`concurrency`] — active task/worker tracking over time.
@@ -99,7 +101,7 @@ pub use event::{Event, TaskId, TaskNames};
 pub use instance::{LookingGlass, LookingGlassBuilder, Timer};
 pub use journal::{ActuationJournal, ActuationRecord};
 pub use knob::{AtomicKnob, Knob, KnobId, KnobRegistry, KnobScale, KnobSpec, KnobTarget};
-pub use listener::{Dispatcher, Listener};
+pub use listener::{flush_deferred, Dispatcher, Listener, DEFERRED_CAPACITY};
 pub use policy::{
     FnPolicy, Policy, PolicyDecision, PolicyEngine, PolicyHandle, ThresholdWatch, Trigger,
 };

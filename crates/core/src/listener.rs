@@ -5,10 +5,11 @@
 //! is an [`lg_metrics::stripe::Versioned`] value: each emitting thread
 //! caches an `Arc` of it, revalidated per event by one atomic load of a
 //! generation counter that registration bumps. In steady state (no
-//! registrations) a dispatch is: one `enabled` load, one generation load,
-//! a thread-local lookup, **one lock of the emitting thread's own stripe**,
-//! and the listener calls — no shared `Arc` refcount traffic, no write to
-//! a line another emitter writes.
+//! registrations) a dispatch is: one `enabled` load, a look at the
+//! thread's deferred buffer, one generation load, a thread-local lookup,
+//! **one lock of the emitting thread's own stripe**, and the listener
+//! calls — no shared `Arc` refcount traffic, no write to a line another
+//! emitter writes.
 //!
 //! ## One lock, two phases
 //!
@@ -36,6 +37,36 @@
 //! order. DESIGN.md §4.1 tabulates every write a stock instance makes per
 //! event, whose line it lands on and which lock covers it.
 //!
+//! ## Deferred delivery: one lock per batch
+//!
+//! [`crate::LookingGlass::emit_deferred`] (the runtime's per-task path)
+//! appends the event to a per-thread buffer of at most
+//! [`DEFERRED_CAPACITY`] events instead. The buffer is delivered as one
+//! batch — one listener-list read, one stripe lock in which `events += n`,
+//! `deliveries += n × L` and the inside listeners see every event in
+//! order, then the outside listeners, event by event — when it fills, at
+//! [`flush_deferred`], when the thread's locals are destroyed, and first
+//! thing in any ordinary [`Dispatcher::dispatch`] on the thread (a
+//! `Timer` inside a task body, say). Timestamps are taken at emit time
+//! and each thread's events reach every listener in the order they were
+//! emitted, so once delivered, profiles, concurrency history and traces
+//! are exactly what per-event delivery makes them. Until then *every*
+//! listener lags, the stock ones included: a read made mid-run —
+//! `profiles()`, `concurrency()` levels and history, the trace, a
+//! snapshot a periodic or watch policy captures — misses what a thread
+//! still holds: up to 63 events, on a pool worker 31 finished tasks and
+//! the running one's `TaskBegin` (so `active_tasks` reads low), held for
+//! as long as the worker runs tasks back to back without running dry.
+//! The runtime's `scope` and `wait_idle` return only after delivery, so
+//! reads made after them are exact. A listener that emits
+//! from inside a batch has its event delivered at once: outside listeners
+//! see it where per-event delivery would, but the inside ones have
+//! already seen the rest of the batch. An event is accepted if the
+//! dispatcher is enabled when it is emitted, and goes to the listeners
+//! registered when its batch is delivered. While the instance has an
+//! event-triggered policy, events are delivered at once, so adaptation
+//! latency does not change.
+//!
 //! ## Grace-period semantics of `deregister`
 //!
 //! Removing a listener bumps the generation, so any dispatch that *begins*
@@ -59,6 +90,7 @@ use crate::event::Event;
 use crate::stripe::{Stripe, StripeState, Stripes};
 pub use lg_metrics::stripe::SNAPSHOT_CACHE_MAX;
 use lg_metrics::stripe::{thread_stripe, Versioned};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -220,7 +252,8 @@ impl Dispatcher {
 
     /// Delivers `event` to every registered listener: under the calling
     /// thread's stripe lock to those built on this dispatcher's stripes,
-    /// then — the lock released — to the rest (see the module docs).
+    /// then — the lock released — to the rest (see the module docs). The
+    /// thread's deferred events, if any, are delivered first.
     ///
     /// A listener that itself dispatches (to this or any other dispatcher)
     /// is served from the shared list under its read lock instead of the
@@ -230,22 +263,130 @@ impl Dispatcher {
         if !self.enabled.load(Ordering::Acquire) {
             return;
         }
+        flush_deferred();
+        self.deliver(std::slice::from_ref(event));
+    }
+
+    /// Appends `event` to the calling thread's deferred buffer (module
+    /// docs) if the dispatcher is enabled. Returns true if that filled the
+    /// buffer and delivered it.
+    pub(crate) fn defer(self: &Arc<Self>, event: &Event) -> bool {
+        if !self.enabled.load(Ordering::Acquire) {
+            return false;
+        }
+        let deferred = DEFERRED.try_with(|cell| {
+            let mut buffer = cell.try_borrow_mut().ok()?;
+            Some(buffer.push(self, event))
+        });
+        deferred.ok().flatten().unwrap_or_else(|| {
+            // A listener emitting from inside a batch delivery, or a
+            // thread-local destructor after the buffer's: deliver now
+            // (module docs).
+            self.deliver(std::slice::from_ref(event));
+            false
+        })
+    }
+
+    /// Delivers `events` in order as one batch: one listener-list read and
+    /// one stripe lock for every inside delivery, then the outside
+    /// listeners with the lock released.
+    #[inline]
+    fn deliver(&self, events: &[Event]) {
         let stripe = self.stripes.get(thread_stripe());
         self.listeners.read(|listeners| {
             {
                 let mut guard = stripe.lock();
                 let state = &mut *guard;
-                state.events += 1;
-                state.deliveries += listeners.len() as u64;
-                for (_, l) in &listeners.inside {
-                    l.on_event_locked(event, stripe, state);
+                let n = events.len() as u64;
+                state.events += n;
+                state.deliveries += n * listeners.len() as u64;
+                for event in events {
+                    for (_, l) in &listeners.inside {
+                        l.on_event_locked(event, stripe, state);
+                    }
                 }
             }
-            for (_, l) in &listeners.outside {
-                l.on_event(event);
+            for event in events {
+                for (_, l) in &listeners.outside {
+                    l.on_event(event);
+                }
             }
         });
     }
+}
+
+/// Most events one thread holds back for deferred delivery; the emit that
+/// fills the buffer delivers it.
+pub const DEFERRED_CAPACITY: usize = 64;
+
+/// One thread's deferred events and the dispatcher they are for.
+struct Deferred {
+    /// Kept after a flush, so a thread that keeps emitting to one
+    /// dispatcher moves no reference count per batch (and pins it until
+    /// the thread defers to another one, or exits).
+    to: Option<Arc<Dispatcher>>,
+    len: usize,
+    events: [Event; DEFERRED_CAPACITY],
+}
+
+impl Deferred {
+    /// Appends `event` for `to`, delivering first whatever is held for
+    /// another dispatcher. Returns true if the buffer filled and was
+    /// delivered.
+    fn push(&mut self, to: &Arc<Dispatcher>, event: &Event) -> bool {
+        if !self.to.as_ref().is_some_and(|held| Arc::ptr_eq(held, to)) {
+            self.flush();
+            self.to = Some(to.clone());
+        }
+        self.events[self.len] = *event;
+        self.len += 1;
+        if self.len < DEFERRED_CAPACITY {
+            return false;
+        }
+        self.flush();
+        true
+    }
+
+    /// Delivers the held events, if any. The buffer stays borrowed
+    /// meanwhile, so a listener that emits sees its event delivered at
+    /// once (module docs). Emptied before
+    /// delivering: a listener that panics loses the rest of the batch
+    /// rather than having it delivered twice.
+    fn flush(&mut self) {
+        let n = std::mem::take(&mut self.len);
+        if let (Some(to), 1..) = (&self.to, n) {
+            to.deliver(&self.events[..n]);
+        }
+    }
+}
+
+impl Drop for Deferred {
+    /// The backstop: a thread that exits with events held delivers them.
+    /// A listener panic here would abort the process, so it is dropped.
+    fn drop(&mut self) {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.flush()));
+    }
+}
+
+thread_local! {
+    static DEFERRED: RefCell<Deferred> = const {
+        RefCell::new(Deferred {
+            to: None,
+            len: 0,
+            events: [Event::PeriodicTick { t_ns: 0 }; DEFERRED_CAPACITY],
+        })
+    };
+}
+
+/// Delivers the calling thread's deferred events, if it holds any (see
+/// [`crate::LookingGlass::emit_deferred`]). A no-op when called from
+/// inside a batch delivery.
+pub fn flush_deferred() {
+    let _ = DEFERRED.try_with(|cell| {
+        if let Ok(mut buffer) = cell.try_borrow_mut() {
+            buffer.flush();
+        }
+    });
 }
 
 impl std::fmt::Debug for Dispatcher {
@@ -491,10 +632,93 @@ mod tests {
         lg.dispatcher().set_enabled(false);
         assert_eq!(emit(100), 0);
         lg.dispatcher().set_enabled(true);
+
+        // Deferred: one acquisition per batch of `DEFERRED_CAPACITY`, the
+        // last partial one delivered by `flush_deferred`.
+        let defer = |rounds: u64| {
+            let before = acquisitions();
+            for _ in 0..rounds {
+                pair.iter().for_each(|e| {
+                    lg.emit_deferred(e);
+                });
+            }
+            flush_deferred();
+            acquisitions() - before
+        };
+        assert_eq!(defer(100), 200u64.div_ceil(DEFERRED_CAPACITY as u64));
+        assert_eq!(lg.trace().unwrap().captured(), 400);
+        assert_eq!(lg.dispatcher().events_dispatched(), 400);
+        // An event-triggered policy makes every deferred event immediate.
+        let policy = lg.policy_engine().register_triggered(
+            crate::FnPolicy::new("never", |_, _, _| crate::PolicyDecision::noop()),
+            Box::new(|_| false),
+        );
+        assert_eq!(defer(100), 200);
+        assert_eq!(lg.trace().unwrap().captured(), 600);
+        lg.dispatcher().set_enabled(false);
+        assert_eq!(defer(100), 0);
+        lg.policy_engine().deregister(policy);
+        assert_eq!(defer(100), 0);
+        lg.dispatcher().set_enabled(true);
+        assert_eq!(lg.trace().unwrap().captured(), 600);
         // A stock listener on stripes of its own is delivered after the
         // dispatcher's lock and takes its own: two per event.
         lg.add_listener(Arc::new(crate::TraceListener::new(8)));
         assert_eq!(emit(100), 400);
+    }
+
+    #[test]
+    fn deferred_events_keep_thread_order_across_dispatchers_and_reentry() {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (a, b) = (Arc::new(Dispatcher::new()), Arc::new(Dispatcher::new()));
+        for (d, tag) in [(&a, 'a'), (&b, 'b')] {
+            let log = log.clone();
+            d.register(Arc::new(FnListener::new("rec", move |e| {
+                log.lock().push((tag, e.t_ns()))
+            })));
+        }
+        // Emits to `b` from inside the delivery of `a`'s batch.
+        let relay = b.clone();
+        a.register(Arc::new(FnListener::new("relay", move |e| {
+            if e.t_ns() == 2 {
+                relay.dispatch(&tick(100));
+            }
+        })));
+        assert!(!a.defer(&tick(1)));
+        assert!(!a.defer(&tick(2)));
+        assert!(log.lock().is_empty(), "deferred events wait for a flush");
+        b.defer(&tick(3)); // another dispatcher: `a`'s batch goes first
+        b.dispatch(&tick(4)); // an ordinary dispatch flushes first
+        a.defer(&tick(5));
+        flush_deferred();
+        let order: Vec<_> = log.lock().clone();
+        assert_eq!(
+            order,
+            [('a', 1), ('a', 2), ('b', 100), ('b', 3), ('b', 4), ('a', 5)]
+        );
+        assert_eq!(a.events_dispatched(), 3);
+        assert_eq!(a.deliveries(), 6);
+        assert_eq!(b.events_dispatched(), 3);
+        // A full buffer delivers itself.
+        let filled = (0..DEFERRED_CAPACITY as u64).map(|t| a.defer(&tick(t)));
+        assert_eq!(filled.filter(|&f| f).count(), 1);
+        assert_eq!(a.events_dispatched(), 3 + DEFERRED_CAPACITY as u64);
+    }
+
+    #[test]
+    fn a_thread_exiting_with_deferred_events_delivers_them() {
+        let d = Arc::new(Dispatcher::new());
+        let n = Arc::new(AtomicUsize::new(0));
+        let nc = n.clone();
+        d.register(Arc::new(FnListener::new("count", move |_| {
+            nc.fetch_add(1, Ordering::Relaxed);
+        })));
+        let emitter = d.clone();
+        std::thread::spawn(move || (0..10).for_each(|t| assert!(!emitter.defer(&tick(t)))))
+            .join()
+            .unwrap();
+        assert_eq!(n.load(Ordering::Relaxed), 10);
+        assert_eq!(d.events_dispatched(), 10);
     }
 
     #[test]

@@ -422,6 +422,12 @@ impl PolicyEngine {
         }
     }
 
+    /// True while a live event-triggered policy is registered — deferred
+    /// events are then delivered at once, so its latency does not change.
+    pub(crate) fn has_event_policies(&self) -> bool {
+        self.triggered.load(Ordering::Acquire) != 0
+    }
+
     /// Recounts the live policies whose trigger can only be detected by
     /// scanning under the lock, and the live event-triggered ones. Called
     /// whenever the policy set (or a policy's quarantine state) changes;

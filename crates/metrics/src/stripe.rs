@@ -265,13 +265,12 @@ impl<T: Send + Sync + 'static> Versioned<T> {
         // Acquire pairs with the Release bump in `update`, so a fresh
         // generation is never observed with a stale value.
         let generation = self.generation.load(Ordering::Acquire);
-        SNAPSHOTS.with(|cell| {
+        let mut f = Some(f);
+        let cached = SNAPSHOTS.try_with(|cell| {
             // A reader reentered from inside another read's closure (of
             // this or any other value) finds the cache borrowed and takes
             // the slow path; the outer snapshot stays pinned meanwhile.
-            let Ok(mut cache) = cell.try_borrow_mut() else {
-                return f(&self.load());
-            };
+            let mut cache = cell.try_borrow_mut().ok()?;
             let SnapshotCache { entries, oldest } = &mut *cache;
             let i = match entries.iter().position(|s| s.owner == self.id) {
                 Some(i) => {
@@ -295,8 +294,14 @@ impl<T: Send + Sync + 'static> Versioned<T> {
                 .value
                 .downcast_ref::<T>()
                 .expect("snapshot ids are unique to one Versioned<T>");
-            f(value)
-        })
+            f.take().map(|f| f(value))
+        });
+        match cached {
+            Ok(Some(out)) => out,
+            // Reentered, or called from another thread-local's destructor
+            // after this thread's cache was destroyed.
+            _ => f.take().expect("not yet called")(&self.load()),
+        }
     }
 
     /// Reads a consistent (generation, value) pair under the read lock:

@@ -28,12 +28,17 @@
 //! [`crate::task`]). Batch spawns wake `min(batch, idle)` workers in one
 //! wave instead of notify-one per task.
 //!
-//! The per-task path writes only cache lines the acting thread owns:
-//! there is no shared count of unfinished tasks — [`ThreadPool::pending`]
-//! and [`ThreadPool::wait_idle`] fold the striped `rt.spawned` /
-//! `rt.executed` counters every task bumps anyway — and a worker publishes
-//! its scope-barrier arrivals in batches, when it runs dry (the flush
-//! rules are in [`crate::scope`]).
+//! The per-task path writes only cache lines the acting thread owns, and
+//! most of it once per batch rather than per task: there is no shared
+//! count of unfinished tasks — [`ThreadPool::pending`] and
+//! [`ThreadPool::wait_idle`] fold the striped `rt.spawned` / `rt.executed`
+//! counters — and a worker hands its `TaskBegin`/`TaskEnd` events to the
+//! looking-glass deferred ([`LookingGlass::emit_deferred`]: one stripe
+//! lock per 64 events), keeps a local tally of finished tasks, and
+//! publishes events, then tally, then scope-barrier arrivals in batches,
+//! when it runs dry or its event buffer fills (the flush rules are in
+//! [`crate::scope`]). A chunk set enters the pool with one add per
+//! counter.
 //!
 //! Task bodies run under `catch_unwind`: a panicking task increments a
 //! counter and (for [`ThreadPool::spawn`]) surfaces through the
@@ -54,7 +59,7 @@ use lg_core::knob::{AtomicKnob, KnobSpec};
 use lg_core::{Event, LookingGlass};
 use lg_metrics::{CounterHandle, CounterRegistry};
 use parking_lot::{Condvar, Mutex};
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -100,6 +105,33 @@ const PARK_MAX: std::time::Duration = std::time::Duration::from_millis(10);
 thread_local! {
     /// (pool id, worker index) while this thread serves that index.
     static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Tasks this worker finished that its pool's `rt.executed` does not
+    /// count yet (see `publish_executed`).
+    static EXECUTED: Cell<u64> = const { Cell::new(0) };
+    /// That `rt.executed`; set when the worker starts.
+    static EXECUTED_COUNTER: OnceCell<CounterHandle> = const { OnceCell::new() };
+}
+
+/// Adds the calling worker's finished-task tally to `rt.executed`. Only
+/// once every event of those tasks has been delivered — a flush of the
+/// thread's deferred events just did it — because `rt.executed` is what
+/// takes a task out of `pending()`; the fence pairs with the Acquire fence
+/// in `PoolShared::pending`.
+fn publish_tally() {
+    let n = EXECUTED.replace(0);
+    if n > 0 {
+        fence(Ordering::Release);
+        EXECUTED_COUNTER.with(|c| c.get().expect("only workers run tasks").add(n));
+    }
+}
+
+/// Delivers the calling thread's deferred events, then publishes its
+/// finished-task tally. Runs before every publication of batched
+/// arrivals, so a scope that returns has seen its tasks observed and
+/// counted.
+pub(crate) fn publish_executed() {
+    lg_core::flush_deferred();
+    publish_tally();
 }
 
 static POOL_IDS: AtomicUsize = AtomicUsize::new(1);
@@ -412,16 +444,29 @@ impl PoolShared {
     fn pending(&self) -> usize {
         let executed = self.c_executed.get();
         // Pairs with the Release fence before `rt.executed` is bumped in
-        // `run_task`: the counters are Relaxed, the fences make a task
-        // counted here happen-before the caller.
+        // `publish_tally`: the counters are Relaxed, the fences make a
+        // task counted here happen-before the caller.
         fence(Ordering::Acquire);
         self.c_spawned.get().saturating_sub(executed) as usize
     }
 
-    /// Applies any drawn fault and records the per-task accounting every
-    /// submission path shares (spawn counter — which is also what makes
-    /// the task pending — and representation counters).
-    fn admit(&self, mut task: Task) -> Task {
+    /// Records `n` submitted tasks, `boxed` of them with boxed bodies: the
+    /// spawn counter — which is also what makes them pending, so this
+    /// precedes the push that makes them runnable — and the
+    /// representation counters.
+    fn count_spawned(&self, n: u64, boxed: u64) {
+        self.c_spawned.add(n);
+        if n > boxed {
+            self.c_inline_tasks.add(n - boxed);
+        }
+        if boxed > 0 {
+            self.c_boxed_tasks.add(boxed);
+        }
+    }
+
+    /// Applies the fault drawn for `task`, if a `FaultConfig` is active.
+    /// Every submitted task takes one draw, whatever path it enters by.
+    fn draw_fault(&self, task: &mut Task) {
         if let Some(fs) = &self.faults {
             match fs.decide() {
                 Some(TaskFault::Panic) => {
@@ -446,12 +491,6 @@ impl PoolShared {
                 None => {}
             }
         }
-        self.c_spawned.inc();
-        match task.body.kind() {
-            BodyKind::Inline => self.c_inline_tasks.inc(),
-            BodyKind::Boxed => self.c_boxed_tasks.inc(),
-        }
-        task
     }
 
     pub(crate) fn push(&self, task: Task) {
@@ -473,8 +512,9 @@ impl PoolShared {
     /// caches hot — and the previous occupant moves to the worker's lane,
     /// where it stays stealable. From any other thread it enters the
     /// injector. `priority` picks the lane end: front instead of back.
-    fn submit(&self, task: Task, priority: bool) {
-        let task = self.admit(task);
+    fn submit(&self, mut task: Task, priority: bool) {
+        self.draw_fault(&mut task);
+        self.count_spawned(1, u64::from(task.body.kind() == BodyKind::Boxed));
         if priority {
             self.c_priority_pushes.inc();
         }
@@ -508,14 +548,20 @@ impl PoolShared {
     }
 
     /// Pushes a pre-built chunk set into the injector in one operation and
-    /// wakes `min(batch, idle)` workers in a single wave. Returns the
-    /// set's size; an empty set is not a batch.
-    pub(crate) fn push_batch(&self, tasks: Vec<Task>) -> usize {
+    /// wakes `min(batch, idle)` workers in a single wave. Faults are drawn
+    /// per task; the accounting is one add per counter for the whole set.
+    /// Returns the set's size; an empty set is not a batch.
+    pub(crate) fn push_batch(&self, mut tasks: Vec<Task>) -> usize {
         let n = tasks.len();
         if n > 0 {
             self.c_batch_spawns.inc();
-            self.injector
-                .extend(tasks.into_iter().map(|t| self.admit(t)));
+            let mut boxed = 0;
+            for task in &mut tasks {
+                self.draw_fault(task);
+                boxed += u64::from(task.body.kind() == BodyKind::Boxed);
+            }
+            self.count_spawned(n as u64, boxed);
+            self.injector.extend(tasks);
             self.wake_workers(n);
         }
         n
@@ -637,6 +683,9 @@ fn worker_loop(shared: Arc<PoolShared>, index: usize) {
     // and sharded listeners get a dense, deterministic worker → stripe map.
     lg_metrics::stripe::set_thread_index(index);
     CURRENT_WORKER.set(Some((shared.id, index)));
+    EXECUTED_COUNTER.with(|c| {
+        c.get_or_init(|| shared.c_executed.clone());
+    });
     shared.lg.emit(&Event::WorkerStart {
         worker: index,
         t_ns: shared.lg.now_ns(),
@@ -743,15 +792,20 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
             .as_ref()
             .map_or(std::ptr::null(), |c| c.barrier()),
     );
+    // The task's two events are deferred: delivered in batches, in order,
+    // when the thread's buffer fills or its arrivals are published
+    // (`publish_executed`) — whichever comes first.
     let t0 = shared.lg.now_ns();
-    shared.lg.emit(&Event::TaskBegin {
+    if shared.lg.emit_deferred(&Event::TaskBegin {
         task: name,
         worker: index,
         t_ns: t0,
-    });
+    }) {
+        publish_tally();
+    }
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body.invoke()));
     let t1 = shared.lg.now_ns();
-    shared.lg.emit(&Event::TaskEnd {
+    let delivered = shared.lg.emit_deferred(&Event::TaskEnd {
         task: name,
         worker: index,
         t_ns: t1,
@@ -762,11 +816,14 @@ fn run_task(shared: &Arc<PoolShared>, task: Task, index: usize) {
         shared.panics.fetch_add(1, Ordering::Relaxed);
     }
     // `rt.executed` is what takes the task out of `pending()`, so it moves
-    // after everything `wait_idle` promises; the fence pairs with the
-    // Acquire fence in `PoolShared::pending`.
-    fence(Ordering::Release);
-    shared.c_executed.inc();
-    // Completion hooks run last, after the task is fully observable.
+    // after everything `wait_idle` promises: the worker tallies the task
+    // and adds the tally once the task's events have been delivered.
+    EXECUTED.set(EXECUTED.get() + 1);
+    if delivered {
+        publish_tally();
+    }
+    // Completion hooks run last; their arrivals are published after the
+    // tally (`scope::flush_arrivals`).
     if let Some(c) = completion {
         c.run(panicked);
     }

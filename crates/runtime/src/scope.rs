@@ -51,6 +51,12 @@
 //! completion that reached the batch some other way (dropped unrun on a
 //! worker thread).
 //!
+//! Every flush publishes the worker's deferred `TaskBegin`/`TaskEnd`
+//! events and its `rt.executed` tally first (`pool::publish_executed`),
+//! so the same rules make `scope()` and `wait_idle()` observation
+//! barriers: when either returns, every task it waited for has been
+//! delivered to the listeners and counted.
+//!
 //! Scoped bodies are submitted **raw** — no wrapper closure — so a small
 //! user capture stays within the inline budget and the steady-state spawn
 //! performs no allocation. Panic accounting rides on the worker's own
@@ -213,8 +219,10 @@ thread_local! {
     static ARRIVALS: Cell<(*const Barrier, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
-/// Publishes the calling thread's batched arrivals, if any.
+/// Publishes the calling thread's batched arrivals, if any, after its
+/// deferred task events and its `rt.executed` tally (module docs).
 pub(crate) fn flush_arrivals() {
+    crate::pool::publish_executed();
     let (held, n) = ARRIVALS.with(|a| a.replace((std::ptr::null(), 0)));
     if !held.is_null() {
         // SAFETY: the `n` unpublished arrivals are still part of the
