@@ -58,11 +58,12 @@ pub fn simulate(schedule: &[u64], window: usize, adaptive: bool) -> CoalesceResu
         }
     }
 
-    let transmit = |link: &mut SimLink, msg: &lg_net::coalesce::WireMessage| -> (usize, f64) {
-        let deliveries = link.transmit(msg, |seq| offer_times[seq as usize]);
+    let mut deliveries = Vec::new();
+    let mut transmit = |link: &mut SimLink, msg: &lg_net::coalesce::WireMessage| -> (usize, f64) {
+        link.transmit(msg, |seq| offer_times[seq as usize], &mut deliveries);
         let n = deliveries.len();
         let lat_sum: f64 = deliveries
-            .iter()
+            .drain(..)
             .map(|d| (d.arrived_ns - offer_times[d.seq as usize]) as f64)
             .sum();
         (n, lat_sum)

@@ -1,6 +1,6 @@
-//! Hash maps keyed by program-assigned integers (parcel seqs, request
-//! ids), which need no SipHash: nobody crafts them to collide. No user
-//! relies on iteration order, so the hasher changes no outcome.
+//! Hash maps keyed by program-assigned integers (parcel seqs), which
+//! need no SipHash: nobody crafts them to collide. No user relies on
+//! iteration order, so the hasher changes no outcome.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

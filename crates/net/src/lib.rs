@@ -22,7 +22,6 @@
 //!   the experiments use the virtual-time link instead.
 //! * [`fault::FaultPlan`] — seeded, virtual-time fault injection for the
 //!   link: random drops, duplicates, delay jitter, and link flaps.
-//! * [`intmap::IntMap`] — maps keyed by program-assigned ids, no SipHash.
 //! * [`reliable::ReliableLink`] — ack/timeout retransmission with
 //!   exponential backoff, per-destination retry budgets (token bucket),
 //!   and per-destination circuit breakers; delivers each parcel exactly
@@ -36,7 +35,7 @@ pub mod coalesce;
 pub mod cost;
 pub mod endpoint;
 pub mod fault;
-pub mod intmap;
+mod intmap;
 pub mod link;
 pub mod parcel;
 pub mod reliable;
@@ -45,7 +44,6 @@ pub use coalesce::{Coalescer, FlushReason};
 pub use cost::TransportCost;
 pub use endpoint::{Endpoint, EndpointPair};
 pub use fault::{FaultAction, FaultPlan};
-pub use intmap::{IntMap, IntSet};
 pub use link::{LinkReport, SimLink};
 pub use parcel::Parcel;
 pub use reliable::{ReliableConfig, ReliableLink, ReliableReport};

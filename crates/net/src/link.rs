@@ -115,15 +115,18 @@ impl SimLink {
         self.free_at_ns
     }
 
-    /// Transmits a wire message submitted at `msg.t_ns`; `offer_times`
+    /// Transmits a wire message submitted at `msg.t_ns`; `offer_time_of`
     /// maps each contained parcel's `seq` to the time it was originally
     /// offered to the coalescer (for end-to-end latency accounting).
-    /// Returns the per-parcel deliveries (all arrive together).
+    /// Appends the per-parcel deliveries to `out`, a buffer the caller
+    /// keeps: the primaries in parcel order (all arrive together), then
+    /// any duplicate copies; nothing when the message is dropped.
     pub fn transmit(
         &mut self,
         msg: &WireMessage,
         offer_time_of: impl Fn(u64) -> u64,
-    ) -> Vec<Delivery> {
+        out: &mut Vec<Delivery>,
+    ) {
         let bytes = msg.wire_bytes();
         let depart = msg.t_ns.max(self.free_at_ns);
         let occupancy = self.cost.occupancy_ns(bytes);
@@ -144,7 +147,7 @@ impl SimLink {
             FaultAction::Drop => {
                 self.dropped_wire_messages += 1;
                 self.dropped_parcels += msg.parcels.len() as u64;
-                return Vec::new();
+                return;
             }
             FaultAction::Deliver {
                 extra_delay_ns,
@@ -153,22 +156,18 @@ impl SimLink {
         };
         let arrive = self.free_at_ns + self.cost.latency_ns + extra_delay_ns;
         self.last_arrival_ns = self.last_arrival_ns.max(arrive);
-        let mut out: Vec<Delivery> = msg
-            .parcels
-            .iter()
-            .map(|p| {
-                self.parcels += 1;
-                let offered = offer_time_of(p.seq);
-                let lat = arrive.saturating_sub(offered);
-                self.latency_hist.record(lat);
-                self.latency_sum += lat as f64;
-                Delivery {
-                    dest: p.dest,
-                    seq: p.seq,
-                    arrived_ns: arrive,
-                }
-            })
-            .collect();
+        out.extend(msg.parcels.iter().map(|p| {
+            self.parcels += 1;
+            let offered = offer_time_of(p.seq);
+            let lat = arrive.saturating_sub(offered);
+            self.latency_hist.record(lat);
+            self.latency_sum += lat as f64;
+            Delivery {
+                dest: p.dest,
+                seq: p.seq,
+                arrived_ns: arrive,
+            }
+        }));
         if let Some(dup_delay) = duplicate_delay_ns {
             let dup_arrive = self.free_at_ns + self.cost.latency_ns + dup_delay;
             self.last_arrival_ns = self.last_arrival_ns.max(dup_arrive);
@@ -179,7 +178,6 @@ impl SimLink {
                 arrived_ns: dup_arrive,
             }));
         }
-        out
     }
 
     /// Aggregate statistics so far.
@@ -236,11 +234,18 @@ mod tests {
         }
     }
 
+    /// One transmission's deliveries, in a fresh buffer.
+    fn sent(link: &mut SimLink, m: &WireMessage, offered: u64) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        link.transmit(m, |_| offered, &mut out);
+        out
+    }
+
     #[test]
     fn single_message_timing() {
         let mut link = SimLink::new(TransportCost::new(1_000, 1.0, 500));
         let m = msg(0, 1, 68); // wire = 32 + 68 = 100 bytes
-        let deliveries = link.transmit(&m, |_| 0);
+        let deliveries = sent(&mut link, &m, 0);
         assert_eq!(deliveries.len(), 1);
         // occupancy = 1000 + 100 = 1100; arrive at 1100 + 500 = 1600.
         assert_eq!(deliveries[0].arrived_ns, 1_600);
@@ -250,8 +255,8 @@ mod tests {
     #[test]
     fn serialization_queues_messages() {
         let mut link = SimLink::new(TransportCost::new(1_000, 0.0, 0));
-        let d1 = link.transmit(&msg(0, 1, 0), |_| 0);
-        let d2 = link.transmit(&msg(0, 1, 0), |_| 0);
+        let d1 = sent(&mut link, &msg(0, 1, 0), 0);
+        let d2 = sent(&mut link, &msg(0, 1, 0), 0);
         assert_eq!(d1[0].arrived_ns, 1_000); // β = 0: occupancy is α only
         assert_eq!(d2[0].arrived_ns, 2_000); // queued behind the first
     }
@@ -259,8 +264,8 @@ mod tests {
     #[test]
     fn idle_gap_does_not_queue() {
         let mut link = SimLink::new(TransportCost::new(100, 0.0, 0));
-        link.transmit(&msg(0, 1, 0), |_| 0);
-        let d = link.transmit(&msg(10_000, 1, 0), |_| 0);
+        sent(&mut link, &msg(0, 1, 0), 0);
+        let d = sent(&mut link, &msg(10_000, 1, 0), 0);
         assert_eq!(d[0].arrived_ns, 10_100);
     }
 
@@ -269,10 +274,10 @@ mod tests {
         let cost = TransportCost::cluster();
         let mut single = SimLink::new(cost);
         for i in 0..64u64 {
-            single.transmit(&msg(0, 1, 64), |_| i); // 64 separate messages
+            sent(&mut single, &msg(0, 1, 64), i); // 64 separate messages
         }
         let mut coal = SimLink::new(cost);
-        coal.transmit(&msg(0, 64, 64), |_| 0); // one 64-parcel message
+        sent(&mut coal, &msg(0, 64, 64), 0); // one 64-parcel message
         let rs = single.report();
         let rc = coal.report();
         assert_eq!(rs.parcels, rc.parcels);
@@ -289,7 +294,7 @@ mod tests {
         let mut link = SimLink::new(TransportCost::new(100, 0.0, 0));
         // Parcel offered at t=0 but flushed at t=900.
         let m = msg(900, 1, 0);
-        link.transmit(&m, |_| 0);
+        sent(&mut link, &m, 0);
         let r = link.report();
         // Arrival = 900 (flush) + 100 (α) = 1000; latency from offer = 1000.
         assert!((r.mean_latency_ns - 1_000.0).abs() < 1.0);
@@ -298,8 +303,8 @@ mod tests {
     #[test]
     fn report_aggregates() {
         let mut link = SimLink::new(TransportCost::new(100, 1.0, 10));
-        link.transmit(&msg(0, 4, 16), |_| 0);
-        link.transmit(&msg(0, 2, 16), |_| 0);
+        sent(&mut link, &msg(0, 4, 16), 0);
+        sent(&mut link, &msg(0, 2, 16), 0);
         let r = link.report();
         assert_eq!(r.wire_messages, 2);
         assert_eq!(r.parcels, 6);
@@ -312,7 +317,7 @@ mod tests {
     fn dropped_message_occupies_link_but_never_arrives() {
         let plan = FaultPlan::new(0).outage(0, 10_000);
         let mut link = SimLink::with_faults(TransportCost::new(1_000, 0.0, 500), plan);
-        let d = link.transmit(&msg(0, 2, 0), |_| 0);
+        let d = sent(&mut link, &msg(0, 2, 0), 0);
         assert!(d.is_empty());
         assert_eq!(
             link.free_at_ns(),
@@ -330,7 +335,7 @@ mod tests {
     fn duplicated_message_delivers_each_parcel_twice() {
         let plan = FaultPlan::new(0).duplicate_prob(1.0);
         let mut link = SimLink::with_faults(TransportCost::new(100, 0.0, 50), plan);
-        let d = link.transmit(&msg(0, 3, 0), |_| 0);
+        let d = sent(&mut link, &msg(0, 3, 0), 0);
         assert_eq!(d.len(), 6);
         let r = link.report();
         assert_eq!(r.parcels, 3, "primary copies only");
@@ -347,7 +352,7 @@ mod tests {
             let mut link = SimLink::with_faults(TransportCost::cluster(), plan);
             let mut all = Vec::new();
             for i in 0..200u64 {
-                all.extend(link.transmit(&msg(i * 3_000, 2, 32), |_| i * 3_000));
+                link.transmit(&msg(i * 3_000, 2, 32), |_| i * 3_000, &mut all);
             }
             (all, link.report())
         };

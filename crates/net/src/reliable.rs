@@ -319,11 +319,9 @@ impl TokenBucket {
 enum EventKind {
     /// (Re)attempt transmission of a pending message.
     Attempt { entry: usize },
-    /// Copies of `entry`'s parcels reach the receiver together.
-    Arrive {
-        entry: usize,
-        deliveries: Vec<Delivery>,
-    },
+    /// A copy of `entry`'s parcel `seq` lands at the event's time (a whole
+    /// `Delivery` would widen every event by 16 bytes, a cost per send).
+    Arrive { entry: usize, dest: u32, seq: u64 },
     /// The ack for attempt `attempt` of `entry` returns.
     Ack { entry: usize, attempt: u32 },
     /// The ack timer for attempt `attempt` of `entry` fires.
@@ -394,6 +392,8 @@ pub struct ReliableLink {
     /// Kept until the seq is delivered *and* its entry resolved.
     offer_times: IntMap<u64>,
     delivered_seqs: IntSet,
+    /// The buffer every transmission fills; empty between attempts.
+    transmitted: Vec<Delivery>,
     /// Indexed by destination: locality ids are dense node indices.
     dests: Vec<DestState>,
     latency_hist: Histogram,
@@ -439,6 +439,7 @@ impl ReliableLink {
             pending: Vec::new(),
             offer_times: IntMap::default(),
             delivered_seqs: IntSet::default(),
+            transmitted: Vec::new(),
             dests: Vec::new(),
             latency_hist: Histogram::new(),
             latency_sum: 0.0,
@@ -699,31 +700,32 @@ impl ReliableLink {
         let now = ev.t_ns;
         match ev.kind {
             EventKind::Attempt { entry } => self.attempt(entry, now),
-            EventKind::Arrive { entry, deliveries } => {
-                let resolved = self.pending[entry].resolved;
-                for d in deliveries {
-                    if self.delivered_seqs.insert(d.seq) {
-                        self.report.unique_parcels += 1;
-                        self.report.last_delivery_ns =
-                            self.report.last_delivery_ns.max(d.arrived_ns);
-                        // A resolved entry transmits no more.
-                        let offered = if resolved {
-                            self.offer_times.remove(&d.seq)
-                        } else {
-                            self.offer_times.get(&d.seq).copied()
-                        };
-                        let lat = d.arrived_ns.saturating_sub(offered.unwrap_or(d.arrived_ns));
-                        self.latency_hist.record(lat);
-                        self.latency_sum += lat as f64;
-                        if let Some(c) = &self.metrics.unique {
-                            c.inc();
-                        }
-                        out.push(d);
+            EventKind::Arrive { entry, dest, seq } => {
+                let d = Delivery {
+                    dest,
+                    seq,
+                    arrived_ns: now,
+                };
+                if self.delivered_seqs.insert(d.seq) {
+                    self.report.unique_parcels += 1;
+                    self.report.last_delivery_ns = self.report.last_delivery_ns.max(d.arrived_ns);
+                    // A resolved entry transmits no more.
+                    let offered = if self.pending[entry].resolved {
+                        self.offer_times.remove(&d.seq)
                     } else {
-                        self.report.duplicates_suppressed += 1;
-                        if let Some(c) = &self.metrics.dup_suppressed {
-                            c.inc();
-                        }
+                        self.offer_times.get(&d.seq).copied()
+                    };
+                    let lat = d.arrived_ns.saturating_sub(offered.unwrap_or(d.arrived_ns));
+                    self.latency_hist.record(lat);
+                    self.latency_sum += lat as f64;
+                    if let Some(c) = &self.metrics.unique {
+                        c.inc();
+                    }
+                    out.push(d);
+                } else {
+                    self.report.duplicates_suppressed += 1;
+                    if let Some(c) = &self.metrics.dup_suppressed {
+                        c.inc();
                     }
                 }
             }
@@ -851,47 +853,45 @@ impl ReliableLink {
         let attempt = p.attempts;
         p.msg.t_ns = now.max(p.msg.t_ns);
         let (msg, offer_times) = (&p.msg, &self.offer_times);
-        let deliveries = self.link.transmit(msg, |seq| {
-            offer_times.get(&seq).copied().unwrap_or(msg.t_ns)
+        let mut transmitted = std::mem::take(&mut self.transmitted);
+        let offer_time_of = |seq| offer_times.get(&seq).copied().unwrap_or(msg.t_ns);
+        self.link.transmit(msg, offer_time_of, &mut transmitted);
+        // One arrival event per delivery, earliest first (a duplicate may
+        // land apart). A group landing together takes consecutive event
+        // ids, so nothing runs between its deliveries.
+        let mut last_arrival = None;
+        for_each_arrival_group(&mut transmitted, |t, group| {
+            last_arrival = Some(t);
+            for &Delivery { dest, seq, .. } in group {
+                self.schedule(t, EventKind::Arrive { entry, dest, seq });
+            }
         });
-        let timeout_at = now + self.config.ack_timeout_ns;
-        if deliveries.is_empty() {
-            // The fault plan swallowed it; the sender only learns via the
-            // ack timeout.
-            self.schedule(timeout_at, EventKind::Timeout { entry, attempt });
-            return;
-        }
-        // One arrival event per arrival time (a duplicate may land apart).
-        let mut last_arrival = 0;
-        for_each_arrival_group(deliveries, |t, deliveries| {
-            last_arrival = t;
-            self.schedule(t, EventKind::Arrive { entry, deliveries });
-        });
+        transmitted.clear();
+        self.transmitted = transmitted;
         // The ack returns one propagation latency after the last copy
         // lands; the timeout still guards against an ack racing the timer.
-        let ack_at = last_arrival + self.link.cost().latency_ns;
-        if ack_at <= timeout_at {
-            self.schedule(ack_at, EventKind::Ack { entry, attempt });
-        } else {
-            // Ack would arrive after the timer fires: the sender times out
-            // and retransmits spuriously; dedup absorbs the copies.
-            self.schedule(timeout_at, EventKind::Timeout { entry, attempt });
+        let timeout_at = now + self.config.ack_timeout_ns;
+        match last_arrival.map(|t| t + self.link.cost().latency_ns) {
+            Some(ack_at) if ack_at <= timeout_at => {
+                self.schedule(ack_at, EventKind::Ack { entry, attempt });
+            }
+            // Swallowed by the fault plan (only the timer tells), or acked
+            // too late: a spurious retransmit, which dedup absorbs.
+            _ => self.schedule(timeout_at, EventKind::Timeout { entry, attempt }),
         }
     }
 }
 
 /// Hands one transmission's deliveries to `emit` grouped by arrival
-/// time, earliest first, each group in transmission order. One group
-/// (nearly always) passes through untouched; a duplicate landing apart
-/// from its primary pays a stable sort and a split.
-fn for_each_arrival_group(mut deliveries: Vec<Delivery>, mut emit: impl FnMut(u64, Vec<Delivery>)) {
-    let first = deliveries[0].arrived_ns;
-    if deliveries.iter().any(|d| d.arrived_ns != first) {
+/// time, earliest first, each group in transmission order. The buffer is
+/// ordered in place: one group (nearly always) is left untouched; a
+/// duplicate landing before its primary pays a stable sort.
+fn for_each_arrival_group(deliveries: &mut [Delivery], mut emit: impl FnMut(u64, &[Delivery])) {
+    if !deliveries.is_sorted_by_key(|d| d.arrived_ns) {
         deliveries.sort_by_key(|d| d.arrived_ns);
     }
-    while let Some(t) = deliveries.first().map(|d| d.arrived_ns) {
-        let later = deliveries.split_off(deliveries.partition_point(|d| d.arrived_ns == t));
-        emit(t, std::mem::replace(&mut deliveries, later));
+    for group in deliveries.chunk_by(|a, b| a.arrived_ns == b.arrived_ns) {
+        emit(group[0].arrived_ns, group);
     }
 }
 
@@ -1430,9 +1430,9 @@ mod tests {
             }
             by_arrival.into_iter().collect::<Vec<_>>()
         };
-        let split = |ds: Vec<Delivery>| {
+        let split = |mut ds: Vec<Delivery>| {
             let mut groups = Vec::new();
-            for_each_arrival_group(ds, |t, g| {
+            for_each_arrival_group(&mut ds, |t, g| {
                 assert!(g.iter().all(|d| d.arrived_ns == t));
                 groups.push((t, g.iter().map(|d| d.seq).collect::<Vec<_>>()));
             });
@@ -1470,7 +1470,8 @@ mod tests {
         );
         let mut split_apart = 0;
         for i in 0..200u64 {
-            let ds = link.transmit(&msg(1, i * 40_000, 3 * i..3 * i + 3), |_| 0);
+            let mut ds = Vec::new();
+            link.transmit(&msg(1, i * 40_000, 3 * i..3 * i + 3), |_| 0, &mut ds);
             let groups = split(ds.clone());
             assert_eq!(groups, reference(&ds));
             split_apart += u32::from(groups.len() > 1);

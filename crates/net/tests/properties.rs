@@ -89,6 +89,7 @@ proptest! {
         let mut link = SimLink::new(TransportCost::cluster());
         let mut last_arrival = 0u64;
         let mut seq = 0u64;
+        let mut deliveries = Vec::new();
         for (t, n, bytes) in sorted {
             let wire = lg_net::coalesce::WireMessage {
                 dest: 1,
@@ -101,7 +102,8 @@ proptest! {
                 reason: lg_net::coalesce::FlushReason::Window,
                 t_ns: t,
             };
-            let deliveries = link.transmit(&wire, |_| t);
+            deliveries.clear();
+            link.transmit(&wire, |_| t, &mut deliveries);
             for d in &deliveries {
                 prop_assert!(d.arrived_ns > t, "arrival before submission");
                 prop_assert!(d.arrived_ns >= last_arrival, "link reordered messages");

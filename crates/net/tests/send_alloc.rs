@@ -1,8 +1,10 @@
 //! What a message costs the allocator inside `ReliableLink`: on a clean
-//! link in steady state, `send` + `pump_into` makes **one** allocation
-//! per message — the delivery vector `SimLink::transmit` builds, which
-//! the link hands to its `Arrive` event as is. No per-attempt message
-//! clone, no per-transmit grouping map, no per-pump result vector.
+//! link in steady state, `send` + `pump_into` makes **no** allocator
+//! call. `SimLink::transmit` appends into a buffer the link keeps, and
+//! each delivery rides its own `Arrive` event by value. No per-attempt
+//! message clone, no per-transmit grouping map or delivery vector, no
+//! per-pump result vector. (Until the link owned that buffer, each
+//! message cost one allocation: the delivery vector `transmit` returned.)
 //!
 //! This file deliberately holds a single `#[test]` — the allocator count
 //! is process-global, so concurrent sibling tests would pollute it.
@@ -11,8 +13,9 @@
 //! inside the measured burst: the pending list doubles at 4 096 → 8 192
 //! entries and the delivered-seq set rehashes at 3 584 → 7 168, both
 //! inside the 5 000-message warm-up, and warm-up + burst stays under
-//! both ceilings. The offer-time map and the event heap hold in-flight
-//! work only and are at their steady size after a few messages.
+//! both ceilings. The offer-time map, the event heap and the transmit
+//! buffer hold in-flight work only and are at their steady size after a
+//! few messages.
 
 use lg_net::coalesce::WireMessage;
 use lg_net::{FlushReason, Parcel, ReliableConfig, ReliableLink, TransportCost};
@@ -66,7 +69,7 @@ fn messages(seqs: std::ops::Range<u64>) -> Vec<WireMessage> {
 }
 
 #[test]
-fn clean_send_and_pump_allocate_once_per_message() {
+fn clean_send_and_pump_never_allocate() {
     let mut link = ReliableLink::new(TransportCost::cluster(), ReliableConfig::default(), 1);
     let mut delivered = Vec::with_capacity(64);
     let mut unique = 0u64;
@@ -88,7 +91,7 @@ fn clean_send_and_pump_allocate_once_per_message() {
     run(&mut link, burst);
     let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        delta, BURST,
+        delta, 0,
         "{BURST} clean messages made {delta} allocator calls inside the link"
     );
 

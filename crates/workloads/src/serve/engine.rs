@@ -38,7 +38,7 @@ use lg_net::coalesce::{FlushReason, WireMessage};
 use lg_net::link::Delivery;
 use lg_net::parcel::Parcel;
 use lg_net::reliable::ReliableLink;
-use lg_net::{IntMap, ReliableReport};
+use lg_net::ReliableReport;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,6 +66,8 @@ impl Default for ServeConfig {
 }
 
 /// Live gauges the engine publishes for policies (shared via `Arc`).
+/// `in_service` moves with every delivery and completion; the others are
+/// stored once per control round, before the `on_round` hook.
 #[derive(Debug, Default)]
 pub struct ServeGauges {
     queue_depth: AtomicI64,
@@ -163,25 +165,25 @@ enum Phase {
     Queued,
     Flight(BulkheadPermit),
     // The permit is never read, only held so the bulkhead slot stays
-    // occupied through service and is released when the entry resolves.
-    Service(#[allow(dead_code)] BulkheadPermit),
+    // occupied through service and is released when the entry resolves;
+    // the time is when service began.
+    Service(#[allow(dead_code)] BulkheadPermit, u64),
     Resolved,
 }
 
 struct Entry {
     req: Request,
     phase: Phase,
-    service_entry_ns: u64,
 }
 
 #[derive(PartialEq, Eq)]
 enum EvKind {
     /// Control round: refresh gauges, run the `on_round` hook, dispatch.
     Round,
-    /// A request's deadline passed.
-    Expire { id: u64 },
-    /// A request finished service (response delivered).
-    Done { id: u64 },
+    /// The deadline of the request in `entries[slot]` passed.
+    Expire { slot: usize },
+    /// The request in `entries[slot]` finished service (response sent).
+    Done { slot: usize },
 }
 
 struct Ev {
@@ -232,8 +234,11 @@ pub struct ServeEngine {
     counters: Counters,
     events: BinaryHeap<Ev>,
     next_seq: u64,
-    queue: VecDeque<u64>,
-    entries: IntMap<Entry>,
+    queue: VecDeque<usize>,
+    /// The current run's requests, the one with id `first_id + i` at
+    /// slot `i`; a shed request is born `Phase::Resolved`.
+    entries: Vec<Entry>,
+    first_id: u64,
     /// Entries not yet `Phase::Resolved`.
     unresolved: usize,
     /// The buffer every link pump fills.
@@ -272,7 +277,8 @@ impl ServeEngine {
             events: BinaryHeap::new(),
             next_seq: 0,
             queue: VecDeque::new(),
-            entries: IntMap::default(),
+            entries: Vec::new(),
+            first_id: 0,
             unresolved: 0,
             delivered: Vec::new(),
             latency_hist: Histogram::new(),
@@ -285,21 +291,6 @@ impl ServeEngine {
     /// The engine's live gauges.
     pub fn gauges(&self) -> &Arc<ServeGauges> {
         &self.gauges
-    }
-
-    /// The wrapped link (e.g. to read its [`ReliableReport`]).
-    pub fn link(&self) -> &ReliableLink {
-        &self.link
-    }
-
-    /// The concurrency bulkhead (e.g. to reach its limit knob).
-    pub fn bulkhead(&self) -> &Bulkhead {
-        &self.bulkhead
-    }
-
-    /// The rate gate (e.g. to reach its rate knob).
-    pub fn gate(&self) -> &AdmissionGate {
-        &self.gate
     }
 
     /// The brownout (e.g. to reach its level knob).
@@ -334,7 +325,8 @@ impl ServeEngine {
     }
 
     /// Publishes the serving counters into `reg` under `serve.*` (the
-    /// per-request ones striped) and the link's under `net.reliable.*`.
+    /// per-request ones striped, each bumped as the request moves) and
+    /// the link's under `net.reliable.*`.
     pub fn bind_metrics(&mut self, reg: &CounterRegistry) {
         self.counters = Counters {
             arrivals: Some(reg.striped_counter("serve.arrivals")),
@@ -362,10 +354,19 @@ impl ServeEngine {
     /// Runs the arrival stream to completion (all requests resolved),
     /// calling `on_round(t_ns)` each control round. Returns the serving
     /// report; [`ServeEngine::link_report`] has the wire-level view.
+    /// Panics unless request ids are dense (see [`Request::id`]).
     pub fn run(&mut self, arrivals: &[Request], mut on_round: impl FnMut(u64)) -> ServeReport {
+        self.drive(arrivals, |_, t| on_round(t))
+    }
+
+    /// [`ServeEngine::run`] with a hook that also sees the engine.
+    fn drive(&mut self, arrivals: &[Request], mut on_round: impl FnMut(&Self, u64)) -> ServeReport {
         debug_assert!(arrivals
             .windows(2)
             .all(|w| w[0].arrival_ns <= w[1].arrival_ns));
+        self.first_id = arrivals.first().map_or(0, |r| r.id);
+        self.entries.clear();
+        self.entries.reserve(arrivals.len());
         let horizon = arrivals.last().map_or(0, |r| r.arrival_ns);
         // Control rounds cover arrivals plus the longest possible drain
         // (every deadline is finite, so `horizon + max budget` bounds it).
@@ -381,9 +382,8 @@ impl ServeEngine {
                 break;
             }
             if next_arrival <= next_event {
-                let req = arrivals[ai].clone();
+                self.arrive(arrivals[ai].clone());
                 ai += 1;
-                self.arrive(req);
                 self.pump_and_dispatch(next_arrival);
             } else {
                 let ev = self.events.pop().expect("peeked");
@@ -391,14 +391,14 @@ impl ServeEngine {
                 match ev.kind {
                     EvKind::Round => {
                         self.refresh_gauges();
-                        on_round(t);
+                        on_round(self, t);
                         next_round = t + self.config.control_period_ns;
                         if next_round <= rounds_end || self.unresolved > 0 {
                             self.schedule(next_round, EvKind::Round);
                         }
                     }
-                    EvKind::Expire { id } => self.expire(id, t),
-                    EvKind::Done { id } => self.complete(id, t),
+                    EvKind::Expire { slot } => self.expire(slot),
+                    EvKind::Done { slot } => self.complete(slot, t),
                 }
                 self.pump_and_dispatch(t);
             }
@@ -411,38 +411,39 @@ impl ServeEngine {
         r
     }
 
+    /// Takes the next arrival into its slab slot: shed on the spot, or
+    /// queued with its deadline armed.
     fn arrive(&mut self, req: Request) {
+        let slot = self.entries.len();
+        let expected = self.first_id + slot as u64;
+        assert!(
+            req.id == expected,
+            "request ids must be dense: expected {expected}, found {}",
+            req.id
+        );
         self.report.offered += 1;
         Self::bump(&self.counters.arrivals);
-        // Brownout: shed optional before mandatory, deterministically.
-        if self.brownout.should_shed(req.class, req.id) {
+        // Brownout: shed optional before mandatory, deterministically;
+        // then the rate gate, where mandatory may spend into the reserve.
+        let phase = if self.brownout.should_shed(req.class, req.id) {
             self.report.shed_brownout += 1;
             Self::bump(&self.counters.shed);
             self.link.shed_parcels(1);
-            return;
-        }
-        // Rate gate: mandatory may spend into the reserve.
-        if !self.gate.try_admit(req.arrival_ns, req.class) {
+            Phase::Resolved
+        } else if !self.gate.try_admit(req.arrival_ns, req.class) {
             self.report.shed_gate += 1;
             Self::bump(&self.counters.shed);
             self.link.shed_parcels(1);
-            return;
-        }
-        self.report.admitted += 1;
-        Self::bump(&self.counters.admitted);
-        let id = req.id;
-        let deadline = req.deadline_ns;
-        self.entries.insert(
-            id,
-            Entry {
-                req,
-                phase: Phase::Queued,
-                service_entry_ns: 0,
-            },
-        );
-        self.unresolved += 1;
-        self.queue.push_back(id);
-        self.schedule(deadline, EvKind::Expire { id });
+            Phase::Resolved
+        } else {
+            self.report.admitted += 1;
+            Self::bump(&self.counters.admitted);
+            self.unresolved += 1;
+            self.queue.push_back(slot);
+            self.schedule(req.deadline_ns, EvKind::Expire { slot });
+            Phase::Queued
+        };
+        self.entries.push(Entry { req, phase });
     }
 
     fn wire(req: &Request, t_ns: u64) -> WireMessage {
@@ -457,10 +458,10 @@ impl ServeEngine {
     /// Starts as many queued requests as the bulkhead admits, then pumps
     /// the link and moves deliveries into service.
     fn pump_and_dispatch(&mut self, now: u64) {
-        while let Some(&id) = self.queue.front() {
-            let entry = self.entries.get_mut(&id).expect("queued entry");
+        while let Some(&slot) = self.queue.front() {
+            let entry = &mut self.entries[slot];
             if !matches!(entry.phase, Phase::Queued) {
-                // Expired in the queue; drop the stale id.
+                // Expired in the queue; drop the stale slot.
                 self.queue.pop_front();
                 continue;
             }
@@ -484,18 +485,16 @@ impl ServeEngine {
     /// A request reached its server: move it into service and schedule
     /// completion, inflating service time beyond the knee.
     fn deliver(&mut self, id: u64, now: u64) {
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return; // late duplicate of an already-resolved request
-        };
-        let Phase::Flight(_) = entry.phase else {
-            return; // expired (or already serving) — ignore the copy
+        let slot = id.wrapping_sub(self.first_id) as usize;
+        let Some(entry) = self.entries.get_mut(slot) else {
+            return; // a late copy from before this run
         };
         let phase = std::mem::replace(&mut entry.phase, Phase::Resolved);
         let Phase::Flight(permit) = phase else {
-            unreachable!()
+            entry.phase = phase;
+            return; // resolved or already serving — ignore the copy
         };
-        entry.phase = Phase::Service(permit);
-        entry.service_entry_ns = now;
+        entry.phase = Phase::Service(permit, now);
         let in_service = self.gauges.in_service.fetch_add(1, Ordering::Relaxed) + 1;
         let knee = self.config.knee as f64;
         let factor = if in_service as f64 <= knee {
@@ -506,23 +505,22 @@ impl ServeEngine {
         };
         let eff = (entry.req.service_ns as f64 * factor).ceil() as u64;
         let done_at = now + eff + self.config.response_ns;
-        self.schedule(done_at, EvKind::Done { id });
+        self.schedule(done_at, EvKind::Done { slot });
     }
 
     /// Service finished: account the response and free the permit.
-    fn complete(&mut self, id: u64, now: u64) {
-        let entry = self.entries.get_mut(&id).expect("serving entry");
-        if !matches!(entry.phase, Phase::Service(_)) {
+    fn complete(&mut self, slot: usize, now: u64) {
+        let entry = &mut self.entries[slot];
+        let Phase::Service(_, since_ns) = entry.phase else {
             return;
-        }
+        };
         entry.phase = Phase::Resolved; // drops the permit
         self.unresolved -= 1;
         self.gauges.in_service.fetch_sub(1, Ordering::Relaxed);
         let latency = now - entry.req.arrival_ns;
         self.latency_hist.record(latency);
         self.window_hist.record(latency);
-        self.service_window_hist
-            .record(now - entry.service_entry_ns);
+        self.service_window_hist.record(now - since_ns);
         self.report.completed += 1;
         Self::bump(&self.counters.completed);
         self.report.makespan_ns = self.report.makespan_ns.max(now);
@@ -538,8 +536,8 @@ impl ServeEngine {
     /// A deadline passed: a queued or in-flight request is a miss; one
     /// already in service is left to finish (its completion is counted
     /// late there).
-    fn expire(&mut self, id: u64, _now: u64) {
-        let entry = self.entries.get_mut(&id).expect("expiring entry");
+    fn expire(&mut self, slot: usize) {
+        let entry = &mut self.entries[slot];
         match entry.phase {
             Phase::Queued | Phase::Flight(_) => {
                 entry.phase = Phase::Resolved; // drops any permit
@@ -547,7 +545,7 @@ impl ServeEngine {
                 self.report.deadline_missed += 1;
                 Self::bump(&self.counters.deadline_missed);
             }
-            Phase::Service(_) | Phase::Resolved => {}
+            Phase::Service(..) | Phase::Resolved => {}
         }
     }
 
@@ -667,20 +665,39 @@ mod tests {
         let mut e = engine(8, 6_000);
         e.bind_metrics(&reg);
         let gauges = e.gauges().clone();
-        let mut saw_queue = false;
-        let r = e.run(&reqs, |_| {
+        let arrivals_counter = reg.counter("serve.arrivals");
+        let (mut saw_queue, mut saw_service, mut rounds) = (false, false, 0);
+        let r = e.drive(&reqs, |e, t| {
+            // What the hook sees is exact as of the round.
+            let arrived = reqs.iter().filter(|r| r.arrival_ns <= t).count() as u64;
+            assert_eq!(arrivals_counter.get(), arrived, "serve.arrivals at {t}");
+            let serving = e
+                .entries
+                .iter()
+                .filter(|en| matches!(en.phase, Phase::Service(..)))
+                .count() as i64;
+            assert_eq!(gauges.in_service(), serving, "serve.in_service at {t}");
             saw_queue |= gauges.queue_depth() > 0;
+            saw_service |= serving > 0;
+            rounds += 1;
         });
-        assert_eq!(reg.counter("serve.arrivals").get(), r.offered);
+        for (name, total) in [
+            ("serve.arrivals", r.offered),
+            ("serve.admitted", r.admitted),
+            ("serve.shed", r.shed_brownout + r.shed_gate),
+            ("serve.deadline_missed", r.deadline_missed),
+            ("serve.completed", r.completed),
+            ("serve.goodput", r.goodput),
+        ] {
+            assert_eq!(reg.counter(name).get(), total, "{name}");
+        }
         assert_eq!(
-            reg.counter("serve.shed").get(),
-            r.shed_brownout + r.shed_gate
+            gauges.in_service(),
+            0,
+            "the run ends with nothing in service"
         );
-        assert_eq!(reg.counter("serve.goodput").get(), r.goodput);
-        assert_eq!(
-            reg.counter("serve.deadline_missed").get(),
-            r.deadline_missed
-        );
+        assert!(rounds > 20, "only {rounds} rounds");
+        assert!(saw_service, "no round saw a request in service");
         assert!(saw_queue, "overload should have queued at some round");
         assert!(gauges.p99_window_ns() > 0);
         assert!(gauges.service_p99_window_ns() > 0);
@@ -695,6 +712,30 @@ mod tests {
             r.shed_brownout + r.shed_gate + r.goodput + r.deadline_missed,
             "conservation"
         );
+    }
+
+    #[test]
+    fn ids_may_start_anywhere() {
+        let reqs = arrivals(9_000.0, 100_000_000);
+        let shifted: Vec<Request> = reqs
+            .iter()
+            .map(|r| Request {
+                id: r.id + 1_000,
+                ..r.clone()
+            })
+            .collect();
+        assert_eq!(
+            engine(8, 10_000).run(&reqs, |_| {}),
+            engine(8, 10_000).run(&shifted, |_| {})
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "request ids must be dense: expected 3, found 4")]
+    fn gapped_ids_are_refused() {
+        let mut reqs = arrivals(2_000.0, 50_000_000);
+        reqs.remove(3);
+        engine(16, 100_000).run(&reqs, |_| {});
     }
 
     #[test]

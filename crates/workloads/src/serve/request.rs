@@ -3,11 +3,13 @@
 use lg_core::RequestClass;
 
 /// One serving request, generated by an arrival process and carried
-//  through admission, the reliable link, and the service stage.
+/// through admission, the reliable link, and the service stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Unique id; doubles as the wire sequence number and the brownout
-    /// shed ticket.
+    /// shed ticket. Dense within a stream — the `i`-th request's id is the
+    /// first one's plus `i` — which [`ServeEngine::run`](super::ServeEngine::run)
+    /// relies on, panicking on a gap.
     pub id: u64,
     /// Brownout class: optional work is shed before mandatory work.
     pub class: RequestClass,

@@ -49,11 +49,14 @@ fn main() {
     let mut epoch_idx = 0usize;
     println!("epoch  window  mean_latency_us");
 
-    let handle = |link: &mut SimLink,
-                  msg: &looking_glass::net::coalesce::WireMessage,
-                  count: &mut usize,
-                  lat_sum: &mut f64| {
-        for d in link.transmit(msg, |seq| offer_times[seq as usize]) {
+    let mut deliveries = Vec::new();
+    let mut handle = |link: &mut SimLink,
+                      msg: &looking_glass::net::coalesce::WireMessage,
+                      count: &mut usize,
+                      lat_sum: &mut f64| {
+        deliveries.clear();
+        link.transmit(msg, |seq| offer_times[seq as usize], &mut deliveries);
+        for d in &deliveries {
             *count += 1;
             *lat_sum += (d.arrived_ns - offer_times[d.seq as usize]) as f64;
         }
