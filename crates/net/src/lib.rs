@@ -17,9 +17,6 @@
 //! * [`link::SimLink`] — a simulated serialized link over virtual time:
 //!   computes departure/arrival times, tracks per-parcel latency and
 //!   achieved throughput.
-//! * [`endpoint::Endpoint`] — in-process locality endpoints for the real
-//!   runtime (`std::sync::mpsc` channels); the parcel-storm workload and
-//!   the experiments use the virtual-time link instead.
 //! * [`fault::FaultPlan`] — seeded, virtual-time fault injection for the
 //!   link: random drops, duplicates, delay jitter, and link flaps.
 //! * [`reliable::ReliableLink`] — ack/timeout retransmission with
@@ -33,7 +30,6 @@
 
 pub mod coalesce;
 pub mod cost;
-pub mod endpoint;
 pub mod fault;
 mod intmap;
 pub mod link;
@@ -42,7 +38,6 @@ pub mod reliable;
 
 pub use coalesce::{Coalescer, FlushReason};
 pub use cost::TransportCost;
-pub use endpoint::{Endpoint, EndpointPair};
 pub use fault::{FaultAction, FaultPlan};
 pub use link::{LinkReport, SimLink};
 pub use parcel::Parcel;

@@ -23,10 +23,15 @@
 //! * [`par_iter`] — `parallel_for` over index ranges with a tunable chunk
 //!   size (the granularity knob), built on [`Scope::spawn_batch`]: one
 //!   injector batch push and one wake wave per call, zero per-chunk
-//!   boxing.
+//!   boxing. `parallel_for_mut` hands each chunk task its own `&mut`
+//!   sub-slice of the caller's data.
 //! * [`fault`] — injectable task faults (seeded crash probability,
 //!   straggler delay) for resilience testing; panics stay contained and
 //!   join handles still resolve.
+//!
+//! This is the workspace's only crate with `unsafe` code (task storage,
+//! the stack-held scope barrier, the DAG node arena, LIFO slots and the
+//! `parallel_for_mut` split); every block carries a `// SAFETY:` comment.
 //!
 //! ## Events emitted
 //!

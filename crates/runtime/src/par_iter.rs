@@ -17,12 +17,18 @@
 //! is the per-task α the small-chunk penalty region of Fig 4 measures;
 //! see [`crate::Scope::spawn_batch`] and the flush rules in
 //! [`crate::scope`].
+//!
+//! [`ThreadPool::parallel_for_mut`] is the same loop over a `&mut [T]`:
+//! each chunk task gets its own sub-slice, so a kernel writes its output
+//! without `unsafe` of its own. [`ThreadPool::parallel_reduce`] uses it
+//! for its per-chunk partials.
 
 use crate::pool::ThreadPool;
 use lg_core::knob::{AtomicKnob, KnobSpec};
 use std::sync::Arc;
 
-/// Statistics returned by [`ThreadPool::parallel_for`].
+/// Statistics returned by [`ThreadPool::parallel_for`] and
+/// [`ThreadPool::parallel_for_mut`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelForStats {
     /// Number of chunk tasks spawned.
@@ -34,8 +40,8 @@ pub struct ParallelForStats {
 }
 
 impl ThreadPool {
-    /// Creates (and registers) an [`AtomicKnob`] named `name` that
-    /// [`ThreadPool::parallel_for_knobbed`] reads for its chunk size.
+    /// Creates (and registers) an [`AtomicKnob`] named `name` for a chunk
+    /// size: a caller reads it before each [`ThreadPool::parallel_for`].
     pub fn chunk_knob(&self, name: &str, min: i64, max: i64, initial: i64) -> Arc<AtomicKnob> {
         let mut spec = KnobSpec::new(name, min, max)
             .with_unit("iters")
@@ -87,25 +93,44 @@ impl ThreadPool {
         }
     }
 
-    /// Like [`ThreadPool::parallel_for`], but reads the chunk size from a
-    /// knob at call time — the form adaptation drives.
-    pub fn parallel_for_knobbed<F>(
+    /// Runs `body(start, &mut data[start..end])` for every `chunk`-sized
+    /// sub-slice of `data`, in parallel, and blocks until all have run.
+    /// `start` is the sub-slice's offset in `data`. Each chunk task owns
+    /// its sub-slice, so a parallel loop writes its output array without
+    /// `unsafe`. Chunking, task naming, the one batch push and the
+    /// returned statistics are those of [`ThreadPool::parallel_for`] over
+    /// `0..data.len()`.
+    ///
+    /// # Panics
+    /// Panics if `chunk` is zero, or (after completion) if any body
+    /// panicked.
+    pub fn parallel_for_mut<T, F>(
         &self,
         name: &str,
-        range: std::ops::Range<usize>,
-        chunk_knob: &AtomicKnob,
+        data: &mut [T],
+        chunk: usize,
         body: F,
     ) -> ParallelForStats
     where
-        F: Fn(usize) + Send + Sync,
+        T: Send,
+        F: Fn(usize, &mut [T]) + Send + Sync,
     {
-        use lg_core::Knob as _;
-        let chunk = chunk_knob.get().max(1) as usize;
-        self.parallel_for(name, range, chunk, body)
+        let iterations = data.len() as u64;
+        let chunks = self.scope(|s| s.spawn_batch_mut(name, data, chunk, body));
+        ParallelForStats {
+            chunks,
+            chunk_size: chunk,
+            iterations,
+        }
     }
 
     /// Parallel fold: applies `body` to every index, combining per-chunk
     /// partial results with `combine`. `identity` seeds each chunk.
+    ///
+    /// `combine` sees partials in chunk order: `identity` first, then the
+    /// partial of the chunk starting at `range.start`, then the next one.
+    /// A non-commutative or floating-point `combine` therefore gives the
+    /// same result on every run.
     pub fn parallel_reduce<T, F, C>(
         &self,
         name: &str,
@@ -121,20 +146,15 @@ impl ThreadPool {
         C: Fn(T, T) -> T,
     {
         assert!(chunk > 0, "chunk size must be positive");
-        let partials: parking_lot::Mutex<Vec<T>> = parking_lot::Mutex::new(Vec::new());
-        self.scope(|s| {
-            let body = &body;
-            let partials = &partials;
-            let identity = &identity;
-            s.spawn_batch(name, range, chunk, move |start, end| {
-                let mut acc = identity.clone();
-                for i in start..end {
-                    acc = body(i, acc);
-                }
-                partials.lock().push(acc);
-            });
+        // One slot per chunk, written by that chunk's task alone.
+        let len = range.end.saturating_sub(range.start);
+        let mut partials = vec![identity.clone(); len.div_ceil(chunk)];
+        self.parallel_for_mut(name, &mut partials, 1, |c, slot| {
+            let start = range.start + c * chunk;
+            let end = (start + chunk).min(range.end);
+            slot[0] = (start..end).fold(identity.clone(), |acc, i| body(i, acc));
         });
-        partials.into_inner().into_iter().fold(identity, combine)
+        partials.into_iter().fold(identity, combine)
     }
 }
 
@@ -211,19 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn knobbed_variant_reads_knob() {
-        let p = pool(2);
-        let knob = p.chunk_knob("chunk", 1, 4096, 128);
-        let stats = p.parallel_for_knobbed("k", 0..1000, &knob, |_| {});
-        assert_eq!(stats.chunk_size, 128);
-        use lg_core::Knob as _;
-        knob.set(500);
-        let stats = p.parallel_for_knobbed("k", 0..1000, &knob, |_| {});
-        assert_eq!(stats.chunk_size, 500);
-        assert_eq!(stats.chunks, 2);
-    }
-
-    #[test]
     fn knob_is_registered_on_instance() {
         let p = pool(1);
         let _ = p.chunk_knob("my_chunk", 1, 100, 10);
@@ -264,6 +271,31 @@ mod tests {
         let p = pool(2);
         let total = p.parallel_reduce("sum0", 3..3, 4, 99u64, |_, acc| acc, |a, _b| a);
         assert_eq!(total, 99);
+    }
+
+    #[test]
+    fn reduce_combines_partials_in_chunk_order() {
+        // Concatenation is not commutative: the visited indices come back
+        // as the range in order only if `combine` takes the partials in
+        // chunk order, however the three workers finished them.
+        let p = pool(3);
+        for _ in 0..5 {
+            let visited = p.parallel_reduce(
+                "concat",
+                0..2000,
+                7,
+                Vec::new(),
+                |i, mut acc: Vec<usize>| {
+                    acc.push(i);
+                    acc
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            );
+            assert_eq!(visited, (0..2000).collect::<Vec<_>>());
+        }
     }
 
     #[test]

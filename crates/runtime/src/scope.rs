@@ -23,6 +23,11 @@
 //! frame is not left until the count has reached zero, which it does
 //! exactly once. See [`Barrier`] for the exit protocol.
 //!
+//! The same argument covers [`ThreadPool::parallel_for_mut`]'s `&mut`
+//! sub-slices: the slice stays borrowed until the barrier has passed, and
+//! `spawn_batch`'s chunks tile its range without overlap, so every element
+//! has one writer.
+//!
 //! ## Batched arrivals
 //!
 //! A worker does not publish each completion. It keeps a thread-local
@@ -449,7 +454,54 @@ impl<'scope> Scope<'scope, '_> {
         let tasks = unsafe { chunk_tasks(id, range, chunk, shared_body, self.barrier) };
         self.pool.shared().push_batch(tasks)
     }
+
+    /// [`Scope::spawn_batch`] over `0..data.len()` whose chunk tasks each
+    /// get `(start, &mut data[start..end])`: the engine under
+    /// [`ThreadPool::parallel_for_mut`].
+    pub(crate) fn spawn_batch_mut<T, F>(
+        &self,
+        name: &str,
+        data: &'scope mut [T],
+        chunk: usize,
+        body: F,
+    ) -> usize
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Send + Sync + 'scope,
+    {
+        let len = data.len();
+        let data = SplitSlice(data.as_mut_ptr(), std::marker::PhantomData);
+        self.spawn_batch(name, 0..len, chunk, move |start, end| {
+            let base = data.base();
+            // SAFETY: `data` is borrowed mutably for `'scope`, which no
+            // chunk task outlives (`spawn_batch`), and only this batch's
+            // tasks reach it. `chunk_tasks` tiles `0..len` into disjoint
+            // `start..end` ranges, one per task, and a task runs at most
+            // once: no two sub-slices handed out here overlap.
+            let part = unsafe { std::slice::from_raw_parts_mut(base.add(start), end - start) };
+            body(start, part)
+        })
+    }
 }
+
+/// The `&'a mut [T]` of one [`Scope::spawn_batch_mut`], shared by its
+/// chunk tasks; each takes its own disjoint sub-slice.
+struct SplitSlice<'a, T>(*mut T, std::marker::PhantomData<&'a mut [T]>);
+
+impl<T> SplitSlice<'_, T> {
+    /// Read through a method so that closures capture the whole wrapper,
+    /// not the bare pointer field.
+    fn base(&self) -> *mut T {
+        self.0
+    }
+}
+
+// SAFETY: the chunk tasks sharing a `SplitSlice` each take a disjoint
+// sub-slice, so sending or sharing it hands every `T` to one thread only,
+// which `T: Send` allows.
+unsafe impl<T: Send> Send for SplitSlice<'_, T> {}
+// SAFETY: as for `Send`.
+unsafe impl<T: Send> Sync for SplitSlice<'_, T> {}
 
 impl ThreadPool {
     /// Runs `f` with a [`Scope`]; returns once every scoped task finished.

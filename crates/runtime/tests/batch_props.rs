@@ -46,6 +46,22 @@ proptest! {
         let expected_batches = u64::from(len > 0);
         prop_assert_eq!(p.counters().counter("rt.batch_spawns").get(), expected_batches);
         prop_assert_eq!(p.counters().counter("rt.boxed_tasks").get(), 0);
+
+        // `parallel_for_mut` over a slice of the same length: each slot is
+        // written once, by the task whose `start` is its sub-slice's offset.
+        let mut slots = vec![(usize::MAX, 0u32); len];
+        let stats = p.parallel_for_mut("prop_mut", &mut slots, chunk, |start, part| {
+            for (i, slot) in (start..).zip(part) {
+                *slot = (i, slot.1 + 1);
+            }
+        });
+        prop_assert_eq!(stats.chunks, len.div_ceil(chunk));
+        prop_assert_eq!(stats.iterations, len as u64);
+        for (i, &slot) in slots.iter().enumerate() {
+            prop_assert_eq!(slot, (i, 1), "slot {}", i);
+        }
+        prop_assert_eq!(p.counters().counter("rt.batch_spawns").get(), 2 * expected_batches);
+        prop_assert_eq!(p.counters().counter("rt.boxed_tasks").get(), 0);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! queue capacities, time-series buffers all reach steady state), then
 //! snapshot the allocation counter, run another burst of inline spawns,
 //! and require the delta to be exactly zero. A second section bounds
-//! `parallel_for`: its per-call cost is O(1) allocations (scope state,
-//! shared body `Arc`, task vector), independent of the chunk count.
+//! `parallel_for` and `parallel_for_mut`: their per-call cost is O(1)
+//! allocations (scope state, shared body `Arc`, task vector), independent
+//! of the chunk count.
 
 use lg_core::LookingGlass;
 use lg_runtime::{PoolConfig, ThreadPool};
@@ -126,5 +127,23 @@ fn steady_state_spawn_is_allocation_free() {
     assert!(
         delta <= 16,
         "parallel_for over 512 chunks made {delta} allocator calls; expected O(1)"
+    );
+
+    // parallel_for_mut is the same batch over a borrowed slice: the same
+    // O(1) budget, however many sub-slices it hands out.
+    let mut out = vec![0u64; 4096];
+    let fill = |start: usize, part: &mut [u64]| {
+        for (i, x) in (start..).zip(part) {
+            *x = i as u64;
+        }
+    };
+    p.parallel_for_mut("pfm", &mut out, 8, fill);
+    let before = allocs();
+    let stats = p.parallel_for_mut("pfm", &mut out, 8, fill);
+    let delta = allocs() - before;
+    assert_eq!(stats.chunks, 512);
+    assert!(
+        delta <= 16,
+        "parallel_for_mut over 512 chunks made {delta} allocator calls; expected O(1)"
     );
 }

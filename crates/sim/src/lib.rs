@@ -25,13 +25,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod des;
 pub mod machine;
 pub mod share;
 pub mod sim_rt;
 pub mod workload_model;
 
-pub use des::{EventQueue, SimEvent};
 pub use machine::MachineSpec;
 pub use share::MachineShares;
 pub use sim_rt::{SimRunReport, SimRuntime, SimTask};

@@ -10,7 +10,6 @@ use lg_sim::SimWorkload;
 
 /// A compute-bound embarrassingly parallel kernel.
 pub struct ComputeKernel {
-    n: usize,
     iters: usize,
     out: Vec<f64>,
 }
@@ -26,7 +25,6 @@ impl ComputeKernel {
             "kernel needs positive size and iterations"
         );
         Self {
-            n,
             iters,
             out: vec![0.0; n],
         }
@@ -42,20 +40,23 @@ impl ComputeKernel {
         x
     }
 
+    /// Writes elements `first..first + out.len()` into `out`.
+    fn fill(first: usize, out: &mut [f64], iters: usize) {
+        for (i, o) in (first..).zip(out) {
+            *o = Self::element(i, iters);
+        }
+    }
+
     /// Runs sequentially (reference).
     pub fn run_seq(&mut self) {
-        for i in 0..self.n {
-            self.out[i] = Self::element(i, self.iters);
-        }
+        Self::fill(0, &mut self.out, self.iters);
     }
 
     /// Runs on the pool with the given chunk size.
     pub fn run_parallel(&mut self, pool: &ThreadPool, chunk: usize) {
         let iters = self.iters;
-        let ptr = SendPtr(self.out.as_mut_ptr());
-        pool.parallel_for("compute_chunk", 0..self.n, chunk, move |i| {
-            // SAFETY: each index written by exactly one task.
-            unsafe { ptr.write(i, Self::element(i, iters)) };
+        pool.parallel_for_mut("compute_chunk", &mut self.out, chunk, |start, out| {
+            Self::fill(start, out, iters)
         });
     }
 
@@ -80,21 +81,6 @@ impl ComputeKernel {
         }
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// # Safety
-    /// `i` must be in bounds and written by exactly one task.
-    unsafe fn write(self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v }
-    }
-}
-
-// SAFETY: disjoint index writes only.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

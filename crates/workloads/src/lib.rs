@@ -20,6 +20,7 @@
 //! | two-tenant colocation | [`tenants`] | serve + batch tenants under one arbiter |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compute;
 pub mod dag;

@@ -64,50 +64,40 @@ impl Stencil1d {
 
     /// Advances one timestep sequentially (reference implementation).
     pub fn step_seq(&mut self) {
-        let n = self.n;
         let k = self.k;
-        let (src_buf, dst_buf) = self.split_bufs();
-        for i in 1..n - 1 {
-            dst_buf[i] = src_buf[i] + k * (src_buf[i - 1] - 2.0 * src_buf[i] + src_buf[i + 1]);
-        }
-        dst_buf[0] = src_buf[0];
-        dst_buf[n - 1] = src_buf[n - 1];
-        self.front ^= 1;
-        self.steps_done += 1;
+        self.step_with(|src, interior| Self::update(src, 1, interior, k));
     }
 
-    fn split_bufs(&mut self) -> (&[f64], &mut [f64]) {
-        let (a, b) = self.bufs.split_at_mut(1);
-        if self.front == 0 {
-            (&a[0], &mut b[0])
-        } else {
-            (&b[0], &mut a[0])
-        }
-    }
-
-    /// Advances one timestep on the pool with the given chunk size.
+    /// Advances one timestep on the pool with the given chunk size: each
+    /// chunk task updates its own slice of the interior.
     pub fn step_parallel(&mut self, pool: &ThreadPool, chunk: usize) {
-        let n = self.n;
         let k = self.k;
-        let (src_buf, dst_buf) = self.split_bufs();
-        let src: &[f64] = src_buf;
-        // Chunked writes into disjoint regions of dst. We hand out raw
-        // chunks through an atomic cursor-free split: each task owns the
-        // slice for its index range.
-        let dst_ptr = SendPtr(dst_buf.as_mut_ptr());
-        pool.parallel_for("stencil1d_chunk", 1..n - 1, chunk, move |i| {
-            let v = src[i] + k * (src[i - 1] - 2.0 * src[i] + src[i + 1]);
-            // SAFETY: each index i is visited exactly once across all
-            // chunks (parallel_for covers disjoint ranges), so writes
-            // never alias; boundaries (0, n-1) are not written here.
-            unsafe { dst_ptr.write(i, v) };
+        self.step_with(|src, interior| {
+            pool.parallel_for_mut("stencil1d_chunk", interior, chunk, |start, part| {
+                Self::update(src, 1 + start, part, k)
+            });
         });
-        // Copy boundaries.
-        let (src_buf, dst_buf) = self.split_bufs();
-        dst_buf[0] = src_buf[0];
-        dst_buf[n - 1] = src_buf[n - 1];
+    }
+
+    /// One timestep: copies the fixed boundaries into the back buffer, has
+    /// `update` fill its interior `1..n-1` from the current state, then
+    /// flips the buffers.
+    fn step_with(&mut self, update: impl FnOnce(&[f64], &mut [f64])) {
+        let n = self.n;
+        let [a, b] = &mut self.bufs;
+        let (src, dst) = if self.front == 0 { (&*a, b) } else { (&*b, a) };
+        dst[0] = src[0];
+        dst[n - 1] = src[n - 1];
+        update(src, &mut dst[1..n - 1]);
         self.front ^= 1;
         self.steps_done += 1;
+    }
+
+    /// Writes the updated points `first..first + dst.len()` into `dst`.
+    fn update(src: &[f64], first: usize, dst: &mut [f64], k: f64) {
+        for (i, d) in (first..).zip(dst) {
+            *d = src[i] + k * (src[i - 1] - 2.0 * src[i] + src[i + 1]);
+        }
     }
 
     /// Runs `steps` timesteps in parallel.
@@ -137,26 +127,6 @@ impl Stencil1d {
         }
     }
 }
-
-/// Send-able raw pointer wrapper for disjoint parallel writes.
-///
-/// Accessed only through [`SendPtr::write`], which copies the whole
-/// wrapper into the closure (field-precise capture of the raw pointer
-/// would defeat the `Send`/`Sync` impls).
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// # Safety
-    /// `i` must be in bounds and written by exactly one task.
-    unsafe fn write(self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v }
-    }
-}
-
-// SAFETY: used only for writes to disjoint indices (see step_parallel).
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

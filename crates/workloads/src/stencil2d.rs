@@ -66,69 +66,55 @@ impl Stencil2d {
         self.state()[r * self.cols + c]
     }
 
-    fn split_bufs(&mut self) -> (&[f64], &mut [f64]) {
-        let (a, b) = self.bufs.split_at_mut(1);
-        if self.front == 0 {
-            (&a[0], &mut b[0])
-        } else {
-            (&b[0], &mut a[0])
-        }
-    }
-
-    fn update_row(src: &[f64], dst: &mut [f64], cols: usize, k: f64, r: usize) {
-        let base = r * cols;
-        for c in 1..cols - 1 {
-            let i = base + c;
-            dst[i] = src[i]
-                + k * (src[i - 1] + src[i + 1] + src[i - cols] + src[i + cols] - 4.0 * src[i]);
-        }
-        dst[base] = src[base];
-        dst[base + cols - 1] = src[base + cols - 1];
-    }
-
     /// Advances one timestep sequentially.
     pub fn step_seq(&mut self) {
-        let cols = self.cols;
-        let rows = self.rows;
-        let k = self.k;
-        let (src, dst) = self.split_bufs();
-        for r in 1..rows - 1 {
-            Self::update_row(src, dst, cols, k, r);
-        }
+        let (cols, k) = (self.cols, self.k);
+        self.step_with(|src, interior| {
+            for (r, row) in (1..).zip(interior.chunks_exact_mut(cols)) {
+                Self::update_row(src, row, k, r);
+            }
+        });
+    }
+
+    /// Advances one timestep on the pool, `rows_per_task` rows per task:
+    /// each band task updates its own rows of the interior.
+    pub fn step_parallel(&mut self, pool: &ThreadPool, rows_per_task: usize) {
+        let (cols, k) = (self.cols, self.k);
+        let band = rows_per_task.saturating_mul(cols);
+        self.step_with(|src, interior| {
+            pool.parallel_for_mut("stencil2d_band", interior, band, |start, rows| {
+                for (r, row) in (1 + start / cols..).zip(rows.chunks_exact_mut(cols)) {
+                    Self::update_row(src, row, k, r);
+                }
+            });
+        });
+    }
+
+    /// One timestep: copies the fixed top and bottom rows into the back
+    /// buffer, has `update` fill its interior rows `1..rows-1` from the
+    /// current state, then flips the buffers.
+    fn step_with(&mut self, update: impl FnOnce(&[f64], &mut [f64])) {
+        let (rows, cols) = (self.rows, self.cols);
+        let last = (rows - 1) * cols;
+        let [a, b] = &mut self.bufs;
+        let (src, dst) = if self.front == 0 { (&*a, b) } else { (&*b, a) };
         dst[..cols].copy_from_slice(&src[..cols]);
-        dst[(rows - 1) * cols..].copy_from_slice(&src[(rows - 1) * cols..]);
+        dst[last..].copy_from_slice(&src[last..]);
+        update(src, &mut dst[cols..last]);
         self.front ^= 1;
         self.steps_done += 1;
     }
 
-    /// Advances one timestep on the pool, `rows_per_task` rows per task.
-    pub fn step_parallel(&mut self, pool: &ThreadPool, rows_per_task: usize) {
-        let cols = self.cols;
-        let rows = self.rows;
-        let k = self.k;
-        let (src_buf, dst_buf) = self.split_bufs();
-        let src: &[f64] = src_buf;
-        let dst_ptr = SendPtr(dst_buf.as_mut_ptr());
-        pool.parallel_for("stencil2d_band", 1..rows - 1, rows_per_task, move |r| {
-            let base = r * cols;
-            for c in 1..cols - 1 {
-                let i = base + c;
-                let v = src[i]
-                    + k * (src[i - 1] + src[i + 1] + src[i - cols] + src[i + cols] - 4.0 * src[i]);
-                // SAFETY: row r is owned by exactly one task; columns are
-                // disjoint within the row; boundary rows are not written.
-                unsafe { dst_ptr.write(i, v) };
-            }
-            unsafe {
-                dst_ptr.write(base, src[base]);
-                dst_ptr.write(base + cols - 1, src[base + cols - 1]);
-            }
-        });
-        let (src_buf, dst_buf) = self.split_bufs();
-        dst_buf[..cols].copy_from_slice(&src_buf[..cols]);
-        dst_buf[(rows - 1) * cols..].copy_from_slice(&src_buf[(rows - 1) * cols..]);
-        self.front ^= 1;
-        self.steps_done += 1;
+    /// Writes grid row `r` of the next state into `row`.
+    fn update_row(src: &[f64], row: &mut [f64], k: f64, r: usize) {
+        let cols = row.len();
+        let base = r * cols;
+        for (i, out) in (base + 1..).zip(&mut row[1..cols - 1]) {
+            *out = src[i]
+                + k * (src[i - 1] + src[i + 1] + src[i - cols] + src[i + cols] - 4.0 * src[i]);
+        }
+        row[0] = src[base];
+        row[cols - 1] = src[base + cols - 1];
     }
 
     /// Runs `steps` parallel timesteps.
@@ -143,21 +129,6 @@ impl Stencil2d {
         self.state().iter().sum()
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// # Safety
-    /// `i` must be in bounds and written by exactly one task.
-    unsafe fn write(self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v }
-    }
-}
-
-// SAFETY: used only for writes to disjoint rows (see step_parallel).
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! cargo run --release --example granularity_tuning
 //! ```
 //!
-//! Repeatedly runs a compute kernel through `parallel_for` while an
+//! Repeatedly runs a compute kernel through `parallel_for_mut` while an
 //! online tuning session adjusts the chunk-size knob between passes.
 //! Small chunks drown in per-task scheduling overhead; the tuner walks
 //! to the flat part of the curve. Everything here is real execution on
@@ -16,12 +16,13 @@
 //! the closing stats are read from one coherent
 //! [`IntrospectionSnapshot`] instead of poking listeners directly.
 //!
-//! `parallel_for` rides the batched zero-allocation spawn path: each
-//! pass is **one** injector batch push whose chunk tasks share one `Arc`
-//! of the body and store their `(Arc, start, end)` captures inline in
-//! the task record. The `rt.*` counters in the final snapshot prove it —
-//! `rt.batch_spawns` counts passes, not chunks, and `rt.boxed_tasks`
-//! stays zero no matter how small the chunks get.
+//! `parallel_for_mut` rides the batched zero-allocation spawn path: each
+//! pass is **one** injector batch push whose chunk tasks point at the
+//! scope's one copy of the body and store their `(&body, start, end)`
+//! captures inline in the task record; each task writes its own
+//! sub-slice of the kernel's output. The `rt.*` counters in the final
+//! snapshot prove it — `rt.batch_spawns` counts passes, not chunks, and
+//! `rt.boxed_tasks` stays zero no matter how small the chunks get.
 
 use looking_glass::core::{LookingGlass, SessionConfig, SessionStep, TuningSession};
 use looking_glass::runtime::{PoolConfig, ThreadPool};
@@ -35,7 +36,7 @@ fn main() {
     let n = 200_000;
     let mut kernel = ComputeKernel::new(n, 30);
 
-    // The knob parallel_for reads at each pass, addressed by interned id.
+    // The chunk knob each pass reads, addressed by interned id.
     pool.chunk_knob("chunk", 1, 1 << 14, 1);
     let chunk_id = lg.knobs().id("chunk").expect("just registered");
 

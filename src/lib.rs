@@ -36,6 +36,8 @@
 //! assert_eq!(profiles.iter().find(|p| p.name == "my_task").unwrap().count, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lg_core as core;
 pub use lg_metrics as metrics;
 pub use lg_net as net;
