@@ -16,9 +16,10 @@
 //!   the config seed.
 //!
 //! * **Closed loop (real pool)** — the same sweep DAG on the real
-//!   work-stealing pool with the whole looking-glass attached: DAG
-//!   release/completion accounting feeds the `dag.critical_path_len` /
-//!   `dag.ready_width` / `dag.slack_p50` gauges, a
+//!   work-stealing pool with the whole looking-glass attached: each
+//!   node's release and completion add one count on its worker's stripe,
+//!   each policy round's snapshot derives the `dag.critical_path_len` /
+//!   `dag.ready_width` / `dag.slack_p50` (live-frontier) gauges, a
 //!   [`CriticalPathPolicy`] on a [`PolicyEngine`] steers the
 //!   `dag.critical_bias` knob through the journaled knob plane while
 //!   the DAG drains, critical nodes ride the priority lane

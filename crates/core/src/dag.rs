@@ -3,21 +3,17 @@
 //! [`DagStats`] is the write side: a runtime executing a dependency graph
 //! calls [`DagStats::on_release`] when a node becomes ready (all
 //! dependencies done, task enqueued) and [`DagStats::on_complete`] when
-//! its body finishes. Everything the two hooks count — a live-node
-//! histogram by height and a slack histogram — sits in **one
-//! cache-aligned block per stripe**. A writer marks its stripe in a
-//! `TouchedStripes` mask once, then RMWs only its own block: no lock, no
-//! allocation, no line another emitter writes. Reads — the gauges, and
-//! the critical-path estimate every release takes for its slack — sum
-//! **only the touched blocks**, on the stack, so they cost a few lines per
-//! emitting thread instead of `STRIPE_COUNT` lines per bucket. A block's
+//! its body finishes. The two hooks keep one thing, a live-node histogram
+//! by height, in **one cache-aligned block per stripe**. A writer marks
+//! its stripe in a `TouchedStripes` mask once, then makes one `Relaxed`
+//! add on one cell of its own block: no lock, no allocation, no line
+//! another emitter writes, no read of anyone else's cells. A block's
 //! cells go negative when a node is released on one stripe and completed
-//! on another; only the sum balances. The one shared write left per event
-//! is the gauges' stamp (below).
+//! on another; only the sum balances.
 //!
-//! From those two hooks the read side derives three gauges, folded into
-//! [`IntrospectionSnapshot`](crate::IntrospectionSnapshot) through
-//! [`DagStats::register_on`]:
+//! Everything else is derived when it is read. Each gauge folds the
+//! touched blocks into one histogram on the stack (48 loads per emitting
+//! thread) and computes its value from that:
 //!
 //! * **`dag.critical_path_len`** — remaining critical-path length in
 //!   nanoseconds (cost-model units). Live nodes are bucketed by the log2
@@ -30,15 +26,16 @@
 //!   incomplete nodes.
 //! * **`dag.ready_width`** — released-but-incomplete node count: how much
 //!   parallelism the DAG is currently offering the pool.
-//! * **`dag.slack_p50`** — median slack (critical-path length minus the
-//!   node's own height) over released nodes, from the slack histograms.
-//!   Low slack ⇒ most ready work *is* the critical path ⇒ priority
-//!   placement pays; high slack ⇒ plenty of off-path work to soak
-//!   workers.
+//! * **`dag.slack_p50`** — median slack of the live frontier: each live
+//!   node's slack is the critical path's bucket edge minus its own, and
+//!   the median is taken at bucket resolution. Low slack ⇒ most ready
+//!   work *is* the critical path ⇒ priority placement pays; high slack ⇒
+//!   plenty of off-path work to soak workers. It describes the DAG as it
+//!   is now, not the releases since the stats were created.
 //!
-//! The gauges are registered **stamped**: an idle DAG (no release or
-//! completion since the last capture) contributes a cached value and no
-//! fold, matching the incremental-introspection contract of PR 7.
+//! The gauges are registered unstamped through [`DagStats::register_on`]:
+//! a capture (once per policy round) pays the fold, a release or
+//! completion (once per node) pays nothing for it.
 //!
 //! [`CriticalPathPolicy`] closes the loop: it reads those gauges from the
 //! round snapshot and steers the runtime's `dag.critical_bias` knob (and
@@ -48,35 +45,24 @@ use crate::arbiter::{DemandClass, DemandProfile};
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{Introspection, IntrospectionSnapshot};
 use lg_metrics::stripe::{thread_stripe, TouchedStripes, STRIPE_COUNT};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Number of log2 height buckets. Bucket `b` covers heights in
 /// `[2^(b-1), 2^b)` ns; 48 buckets span sub-ns grains to ~3 days.
 const BUCKETS: usize = 48;
 
-/// One stripe's share of a [`DagStats`]: every cell a release or
-/// completion on that stripe writes, on lines no other stripe writes.
+/// One stripe's share of a [`DagStats`]: the live-node delta per
+/// log2(height) bucket of the releases and completions made on that
+/// stripe (negative where it completed more nodes of a bucket than it
+/// released), on lines no other stripe writes.
 ///
 /// There is no ready counter: a release adds one to a live bucket and
 /// its completion takes one away, so the live histogram's total *is* the
-/// ready count, and keeping both would cost two more RMWs per node.
+/// ready count.
 #[repr(align(128))]
 struct Cells {
-    /// Live-node delta per log2(height) bucket (negative on a stripe that
-    /// completed more nodes of a bucket than it released).
     live: [AtomicI64; BUCKETS],
-    /// Releases per log2(slack) bucket (the p50 gauge's histogram).
-    slack: [AtomicU64; BUCKETS],
-}
-
-impl Cells {
-    fn new() -> Self {
-        Self {
-            live: std::array::from_fn(|_| AtomicI64::new(0)),
-            slack: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 /// Striped release/completion statistics for one executing DAG (or a
@@ -90,31 +76,42 @@ pub struct DagStats {
     cells: [Cells; STRIPE_COUNT],
     /// The stripes ever written; reads fold only those.
     touched: TouchedStripes,
-    /// Write stamp for the stamped gauges: bumped on every release and
-    /// completion, so idle captures skip the fold.
-    stamp: Arc<AtomicU64>,
 }
 
 impl DagStats {
     /// Creates an empty stats block.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            cells: std::array::from_fn(|_| Cells::new()),
+            cells: std::array::from_fn(|_| Cells {
+                live: std::array::from_fn(|_| AtomicI64::new(0)),
+            }),
             touched: TouchedStripes::new(),
-            stamp: Arc::new(AtomicU64::new(0)),
         })
     }
 
-    /// The calling thread's block, marked touched before it is written.
+    /// Adds `delta` to the caller's own cell for `height_ns`, marking its
+    /// stripe touched first.
     #[inline]
-    fn own(&self) -> &Cells {
+    fn add(&self, height_ns: u64, delta: i64) {
         let i = thread_stripe();
         self.touched.mark(i);
-        &self.cells[i]
+        self.cells[i].live[Self::bucket(height_ns)].fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn touched(&self) -> impl Iterator<Item = &Cells> {
-        self.touched.iter().map(|i| &self.cells[i])
+    /// The live histogram: every touched block's cells, summed per bucket.
+    fn fold(&self) -> [i64; BUCKETS] {
+        let mut live = [0i64; BUCKETS];
+        for c in self.touched.iter().map(|i| &self.cells[i]) {
+            for (sum, n) in live.iter_mut().zip(&c.live) {
+                *sum += n.load(Ordering::Relaxed);
+            }
+        }
+        live
+    }
+
+    /// The highest bucket with live nodes in a folded histogram.
+    fn top(live: &[i64; BUCKETS]) -> Option<usize> {
+        live.iter().rposition(|&n| n > 0)
     }
 
     fn bucket(height_ns: u64) -> usize {
@@ -130,73 +127,49 @@ impl DagStats {
     /// queued or running). `height_ns` is the node's downstream cost
     /// including itself.
     pub fn on_release(&self, height_ns: u64) {
-        let cells = self.own();
-        let own = Self::bucket(height_ns);
-        cells.live[own].fetch_add(1, Ordering::Relaxed);
-        // Slack at bucket resolution: both sides use bucket edges, so a
-        // node in the topmost live bucket records zero slack rather than
-        // the up-to-2× phantom the edge estimate would otherwise leave.
-        let cp = self.critical_path_ns();
-        let slack = (cp - Self::bucket_edge(own)).max(0.0) as u64;
-        cells.slack[Self::bucket(slack)].fetch_add(1, Ordering::Relaxed);
-        self.stamp.fetch_add(1, Ordering::Release);
+        self.add(height_ns, 1);
     }
 
     /// Records a released node whose body finished (or was abandoned —
     /// the pair must balance [`DagStats::on_release`]).
     pub fn on_complete(&self, height_ns: u64) {
-        let cells = self.own();
-        cells.live[Self::bucket(height_ns)].fetch_add(-1, Ordering::Relaxed);
-        self.stamp.fetch_add(1, Ordering::Release);
+        self.add(height_ns, -1);
     }
 
     /// Remaining critical-path estimate in ns: the upper edge of the
     /// highest non-empty live bucket, 0 when no node is live.
     pub fn critical_path_ns(&self) -> f64 {
-        // Top down, each bucket summed over the touched stripes: the scan
-        // stops at the first live bucket and reads none below it.
-        (0..BUCKETS)
-            .rev()
-            .find(|&b| {
-                let live: i64 = self
-                    .touched()
-                    .map(|c| c.live[b].load(Ordering::Relaxed))
-                    .sum();
-                live > 0
-            })
-            .map_or(0.0, Self::bucket_edge)
+        Self::top(&self.fold()).map_or(0.0, Self::bucket_edge)
     }
 
     /// Released-but-incomplete node count.
     pub fn ready_width(&self) -> f64 {
-        let ready: i64 = self
-            .touched()
-            .flat_map(|c| &c.live)
-            .map(|n| n.load(Ordering::Relaxed))
-            .sum();
-        ready.max(0) as f64
+        self.fold().iter().sum::<i64>().max(0) as f64
     }
 
-    /// Median slack (ns) over all releases so far, 0 before any release.
+    /// Median slack (ns) of the live frontier, 0 when no node is live.
+    ///
+    /// A node in bucket `b` has slack `edge(top) − edge(b)`, `top` being
+    /// the critical path's bucket; the median is that of the bucketed
+    /// slacks, reported as its bucket's upper edge.
     pub fn slack_p50_ns(&self) -> f64 {
-        let mut counts = [0u64; BUCKETS];
-        for c in self.touched() {
-            for (sum, n) in counts.iter_mut().zip(&c.slack) {
-                *sum += n.load(Ordering::Relaxed);
-            }
-        }
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
+        let live = self.fold();
+        let Some(top) = Self::top(&live) else {
             return 0.0;
-        }
-        let mut seen = 0u64;
-        for (b, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen * 2 >= total {
-                return Self::bucket_edge(b);
-            }
-        }
-        Self::bucket_edge(BUCKETS - 1)
+        };
+        let total: i64 = live.iter().filter(|&&n| n > 0).sum();
+        // From the top bucket down slack only grows, and so does its
+        // bucket: the first bucket that reaches half the frontier holds the
+        // median (bucket 0 at the latest, where every live node is seen).
+        let mut seen = 0;
+        let median = (0..=top)
+            .rev()
+            .find(|&b| {
+                seen += live[b].max(0);
+                seen * 2 >= total
+            })
+            .unwrap_or(0);
+        Self::bucket_edge(Self::bucket((1u64 << top) - (1u64 << median)))
     }
 
     /// The DAG plane's native [`DemandProfile`]: useful width is the
@@ -210,21 +183,15 @@ impl DagStats {
     }
 
     /// Registers the three `dag.*` gauges on an [`Introspection`] facade.
-    /// All three share one write stamp, so captures while the DAG is idle
-    /// reuse the previous values without folding the stripes.
+    /// They are unstamped: each capture folds the touched blocks, so the
+    /// per-node hooks keep no shared write for the capture's sake.
     pub fn register_on(self: &Arc<Self>, intro: &Introspection) {
         let s = self.clone();
-        intro.register_gauge_stamped("dag.critical_path_len", self.stamp.clone(), move || {
-            s.critical_path_ns()
-        });
+        intro.register_gauge("dag.critical_path_len", move || s.critical_path_ns());
         let s = self.clone();
-        intro.register_gauge_stamped("dag.ready_width", self.stamp.clone(), move || {
-            s.ready_width()
-        });
+        intro.register_gauge("dag.ready_width", move || s.ready_width());
         let s = self.clone();
-        intro.register_gauge_stamped("dag.slack_p50", self.stamp.clone(), move || {
-            s.slack_p50_ns()
-        });
+        intro.register_gauge("dag.slack_p50", move || s.slack_p50_ns());
     }
 }
 
@@ -235,8 +202,9 @@ impl DagStats {
 /// * **Priority bias** (`dag.critical_bias`, 0/1): enable while ready
 ///   width is scarce relative to the worker count (every placement
 ///   decision matters — the critical path must not wait behind off-path
-///   work), disable when the DAG offers abundant width *and* median slack
-///   is a large fraction of the remaining critical path (any order keeps
+///   work), disable when the DAG offers abundant width *and* the live
+///   frontier's median slack is a large fraction of the remaining
+///   critical path (most ready work is off the path and any order keeps
 ///   the workers busy, so skip the priority lane's displacement traffic).
 /// * **Chunk grain** (optional): halve the grain when ready width can't
 ///   fill the workers (more, smaller tasks ⇒ more overlap), double it
@@ -390,6 +358,20 @@ mod tests {
             s.on_release(16);
         }
         assert!(s.slack_p50_ns() >= (1 << 19) as f64, "{}", s.slack_p50_ns());
+    }
+
+    #[test]
+    fn slack_describes_the_live_frontier_not_history() {
+        let s = DagStats::new();
+        s.on_release(1 << 20);
+        for _ in 0..40 {
+            s.on_release(16);
+        }
+        for _ in 0..40 {
+            s.on_complete(16);
+        }
+        // Only the deep node is live: it is the critical path, slack ~ 0.
+        assert!(s.slack_p50_ns() <= 2.0, "{}", s.slack_p50_ns());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! A node released on one stripe is often completed on another, which
 //! drives that stripe's cells negative: only the fold over the touched
 //! stripes balances. After every step the acting thread reads the three
-//! gauges; they must equal a plain `[i64; 48]` live histogram plus a
-//! slack histogram updated in schedule order, and so must the final reads
-//! at quiescence.
+//! gauges; they must equal those of a plain `[i64; 48]` live histogram
+//! updated in schedule order, and so must the final reads at quiescence.
+//! The model's slack is the median over the live frontier: each live
+//! node's slack (the top live bucket's edge minus its own) goes into a
+//! slack histogram built afresh from the live one at every read.
 
 use lg_core::DagStats;
 use lg_metrics::stripe::set_thread_index;
@@ -37,7 +39,6 @@ fn edge(b: usize) -> f64 {
 struct Model {
     ready: i64,
     live: [i64; BUCKETS],
-    slack: [u64; BUCKETS],
 }
 
 /// `(critical_path_ns, ready_width, slack_p50_ns)`.
@@ -48,7 +49,6 @@ impl Model {
         Self {
             ready: 0,
             live: [0; BUCKETS],
-            slack: [0; BUCKETS],
         }
     }
 
@@ -61,8 +61,6 @@ impl Model {
             Step::Release { height, .. } => {
                 self.ready += 1;
                 self.live[bucket(height)] += 1;
-                let slack = (self.critical_path() - edge(bucket(height))).max(0.0) as u64;
-                self.slack[bucket(slack)] += 1;
             }
             Step::Complete { height, .. } => {
                 self.ready -= 1;
@@ -72,18 +70,25 @@ impl Model {
     }
 
     fn gauges(&self) -> Gauges {
-        let total: u64 = self.slack.iter().sum();
+        let cp = self.critical_path();
+        let mut slack = [0i64; BUCKETS];
+        for (b, &n) in self.live.iter().enumerate() {
+            if n > 0 {
+                slack[bucket((cp - edge(b)) as u64)] += n;
+            }
+        }
+        let total: i64 = slack.iter().sum();
         let mut seen = 0;
         let p50 = (total > 0)
             .then(|| {
-                self.slack.iter().position(|&c| {
+                slack.iter().position(|&c| {
                     seen += c;
                     seen * 2 >= total
                 })
             })
             .flatten()
             .map_or(0.0, edge);
-        (self.critical_path(), self.ready.max(0) as f64, p50)
+        (cp, self.ready.max(0) as f64, p50)
     }
 }
 

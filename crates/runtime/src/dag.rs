@@ -442,10 +442,11 @@ impl ThreadPool {
         self.dag_scope_inner(None, f)
     }
 
-    /// [`ThreadPool::dag_scope`] with release/completion accounting
-    /// folded into `stats` (register it on an introspection facade to get
-    /// the `dag.critical_path_len` / `dag.ready_width` / `dag.slack_p50`
-    /// gauges).
+    /// [`ThreadPool::dag_scope`] with each node's release and completion
+    /// counted in `stats` — one add on the calling worker's own stripe
+    /// each. Register `stats` on an introspection facade to get the
+    /// `dag.critical_path_len` / `dag.ready_width` / `dag.slack_p50`
+    /// gauges, derived from the live frontier when a snapshot is taken.
     pub fn dag_scope_observed<'scope, R>(
         &self,
         stats: Arc<DagStats>,
