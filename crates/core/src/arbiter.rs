@@ -19,14 +19,13 @@
 //!    in a tenant's journal since the last round put that tenant in
 //!    quarantine (allocation pinned to its floor) for a configured
 //!    number of rounds;
-//! 4. **arbitrates** the machine budgets — total worker threads, an
-//!    optional power envelope, an optional sampling-bandwidth budget —
-//!    via the pure function [`arbitrate`]: weighted water-filling with
-//!    largest-remainder rounding over each tenant's *declared useful
-//!    width* (a [`DemandProfile`]), latency-over-batch preemption, and a
-//!    marginal-utility transfer pass that moves threads from the tenant
-//!    whose last thread buys the least to the tenant whose next thread
-//!    buys the most;
+//! 4. **arbitrates** the machine budgets — total worker threads and an
+//!    optional power envelope — via the pure function [`arbitrate`]:
+//!    weighted water-filling with largest-remainder rounding over each
+//!    tenant's *declared useful width* (a [`DemandProfile`]),
+//!    latency-over-batch preemption, and a marginal-utility transfer pass
+//!    that moves threads from the tenant whose last thread buys the least
+//!    to the tenant whose next thread buys the most;
 //! 5. **actuates** by writing each tenant's thread knob through the
 //!    *tenant's* journal (actor `"arbiter"`), and mirrors the decision
 //!    into its own governor registry (knob `"t<i>.threads"`, actor
@@ -66,9 +65,6 @@ pub struct ArbiterConfig {
     /// power gauges exceeds it, the effective thread budget shrinks
     /// proportionally (never below the sum of floors).
     pub power_cap_w: Option<f64>,
-    /// Optional total sampling bandwidth, Hz, split weight-proportionally
-    /// across tenants that expose a sampling-period knob.
-    pub sampling_hz_budget: Option<f64>,
     /// Rounds a noisy tenant stays pinned to its floor after its
     /// watchdog rolls an actuation back.
     pub quarantine_rounds: u64,
@@ -79,13 +75,12 @@ pub struct ArbiterConfig {
 
 impl ArbiterConfig {
     /// A governor over `total_threads` with preemption on, quarantine of
-    /// 8 rounds, and no power or sampling budgets.
+    /// 8 rounds, and no power envelope.
     pub fn new(total_threads: i64) -> Self {
         assert!(total_threads >= 1, "machine must have at least one thread");
         Self {
             total_threads,
             power_cap_w: None,
-            sampling_hz_budget: None,
             quarantine_rounds: 8,
             preemption: true,
         }
@@ -94,12 +89,6 @@ impl ArbiterConfig {
     /// Sets the power envelope, watts.
     pub fn with_power_cap_w(mut self, cap: f64) -> Self {
         self.power_cap_w = Some(cap);
-        self
-    }
-
-    /// Sets the total sampling bandwidth, Hz.
-    pub fn with_sampling_hz(mut self, hz: f64) -> Self {
-        self.sampling_hz_budget = Some(hz);
         self
     }
 
@@ -228,9 +217,6 @@ pub struct TenantSpec {
     /// Optional power gauge (metric name in the tenant's introspection,
     /// watts) feeding the machine power envelope.
     pub power_metric: Option<String>,
-    /// Optional sampling-period knob name (ns) in the tenant's registry,
-    /// driven by the sampling-bandwidth budget.
-    pub sampling_knob: Option<String>,
 }
 
 impl TenantSpec {
@@ -248,7 +234,6 @@ impl TenantSpec {
             max_threads,
             demand: None,
             power_metric: None,
-            sampling_knob: None,
         }
     }
 
@@ -295,12 +280,6 @@ impl TenantSpec {
         self.power_metric = Some(metric.into());
         self
     }
-
-    /// Names the sampling-period knob (ns).
-    pub fn with_sampling_knob(mut self, knob: impl Into<String>) -> Self {
-        self.sampling_knob = Some(knob.into());
-        self
-    }
 }
 
 impl fmt::Debug for TenantSpec {
@@ -314,7 +293,6 @@ impl fmt::Debug for TenantSpec {
             .field("max_threads", &self.max_threads)
             .field("demand", &self.demand.as_ref().map(|_| "probe"))
             .field("power_metric", &self.power_metric)
-            .field("sampling_knob", &self.sampling_knob)
             .finish()
     }
 }
@@ -363,7 +341,7 @@ pub struct RoundReport {
     pub allocations: Vec<(TenantId, i64)>,
     /// Tenants in quarantine this round.
     pub quarantined: Vec<TenantId>,
-    /// Knob writes performed (tenant + mirror + sampling).
+    /// Knob writes performed (tenant + mirror).
     pub knob_writes: usize,
     /// Σ allocations — always ≤ the machine budget.
     pub total_allocated: i64,
@@ -399,8 +377,6 @@ struct TenantState {
     lg: Arc<LookingGlass>,
     /// The tenant-side knob the allocation is written to.
     thread_knob: KnobId,
-    /// Optional tenant-side sampling-period knob.
-    sampling_knob: Option<KnobId>,
     /// Actor id for arbiter writes in the *tenant's* journal.
     actor: TaskId,
     /// Interned `"regression-watchdog"` in the tenant's journal, for
@@ -423,7 +399,6 @@ struct TenantState {
     power_w: f64,
     quarantine_left: u64,
     alloc: i64,
-    last_sampling_period: i64,
 }
 
 impl TenantState {
@@ -560,7 +535,6 @@ impl Arbiter {
             .knobs()
             .id(thread_knob)
             .unwrap_or_else(|| panic!("tenant '{}' has no knob '{thread_knob}'", spec.name));
-        let sampling_id = spec.sampling_knob.as_deref().and_then(|k| lg.knobs().id(k));
         let actor = lg.knobs().actor("arbiter");
         let watchdog_actor = lg.knobs().actor("regression-watchdog");
         let t_ns = self.lg.now_ns();
@@ -625,7 +599,6 @@ impl Arbiter {
             spec,
             lg,
             thread_knob: thread_id,
-            sampling_knob: sampling_id,
             actor,
             watchdog_actor,
             mirror_knob,
@@ -640,7 +613,6 @@ impl Arbiter {
             power_w: 0.0,
             quarantine_left: 0,
             alloc: 0,
-            last_sampling_period: 0,
         };
         // Close the stale-signal window: evaluate the tenant's demand
         // source against a fresh snapshot *before* the admit-time
@@ -747,19 +719,6 @@ impl Arbiter {
         let allocs = arbitrate(&self.config, &obs);
         let mut writes = 0usize;
 
-        // Sampling bandwidth: weight-proportional Hz across tenants that
-        // expose a sampling-period knob.
-        let sampling_weight: u32 = match self.config.sampling_hz_budget {
-            Some(_) => inner
-                .slots
-                .iter()
-                .flatten()
-                .filter(|s| s.sampling_knob.is_some())
-                .map(|s| s.spec.weight)
-                .sum(),
-            None => 0,
-        };
-
         let mut out = Vec::with_capacity(allocs.len());
         let mut quarantined = Vec::new();
         for (i, state) in inner.slots.iter_mut().flatten().enumerate() {
@@ -784,17 +743,6 @@ impl Arbiter {
                     .set_id_as(state.thread_knob, alloc, state.actor, t_ns);
                 state.alloc = alloc;
                 writes += 2;
-            }
-            if let (Some(hz), Some(knob)) = (self.config.sampling_hz_budget, state.sampling_knob) {
-                if sampling_weight > 0 {
-                    let share_hz = hz * state.spec.weight as f64 / sampling_weight as f64;
-                    let period = (1e9 / share_hz.max(1e-9)).round() as i64;
-                    if period != state.last_sampling_period {
-                        state.lg.knobs().set_id_as(knob, period, state.actor, t_ns);
-                        state.last_sampling_period = period;
-                        writes += 1;
-                    }
-                }
             }
             // Our own writes are not noise: advance the scan mark past
             // them so the next round only sees tenant-side activity.
@@ -1500,46 +1448,6 @@ mod tests {
         // The governor mirrors the declared width.
         let snap = arb.lg().introspection().capture(clock.now_ns());
         assert_eq!(snap.value_scoped(td, "width"), Some(3.0));
-    }
-
-    #[test]
-    fn sampling_budget_splits_by_weight() {
-        let clock = Arc::new(VirtualClock::new());
-        let arb = Arbiter::with_instance(
-            ArbiterConfig::new(8).with_sampling_hz(1000.0),
-            tenant_lg(&clock),
-        );
-        let a = tenant_lg(&clock);
-        cap_knob(&a, 8);
-        a.knobs().register(AtomicKnob::new(
-            KnobSpec::new("sample_period_ns", 1_000, 1_000_000_000).with_unit("ns"),
-            1_000_000,
-        ));
-        arb.admit(
-            a.clone(),
-            TenantSpec::new("a", SloClass::Batch, 8)
-                .with_weight(3)
-                .with_sampling_knob("sample_period_ns"),
-            "thread_cap",
-        );
-        let b = tenant_lg(&clock);
-        cap_knob(&b, 8);
-        b.knobs().register(AtomicKnob::new(
-            KnobSpec::new("sample_period_ns", 1_000, 1_000_000_000).with_unit("ns"),
-            1_000_000,
-        ));
-        arb.admit(
-            b.clone(),
-            TenantSpec::new("b", SloClass::Batch, 8)
-                .with_weight(1)
-                .with_sampling_knob("sample_period_ns"),
-            "thread_cap",
-        );
-        clock.advance_by(1_000_000);
-        arb.control_round(clock.now_ns());
-        // 1000 Hz split 3:1 → 750 Hz / 250 Hz → 1.333 ms / 4 ms periods.
-        assert_eq!(a.knobs().value("sample_period_ns"), Some(1_333_333));
-        assert_eq!(b.knobs().value("sample_period_ns"), Some(4_000_000));
     }
 
     #[test]

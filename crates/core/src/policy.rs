@@ -15,10 +15,12 @@
 //!   [`PolicyEngine::step`]: under a wall clock a ticker thread steps the
 //!   engine, under a virtual clock the simulator does as time advances —
 //!   same policies, same semantics, no OS dependency. Each `step` starts
-//!   with a cheap watch scan (due dates, a gauge read or an atomic load
+//!   with a cheap watch scan (a due date, a gauge read or a counter read
 //!   apiece, no snapshot); only when a watch fires does the engine pay
 //!   for a capture and run a round, so a driver can step at a high rate
-//!   and rounds still only happen on activity.
+//!   and rounds still only happen on activity. Nothing is pushed to the
+//!   engine from a counter's writers: a crossing is found by the `step`
+//!   that checks it.
 //!
 //! Both kinds share one round ([`PolicyEngine`]'s private `run_round`):
 //! it captures **one** snapshot from the attached
@@ -43,7 +45,7 @@ use crate::journal::ActuationJournal;
 use crate::knob::{KnobRegistry, KnobTarget};
 use crate::listener::Listener;
 use crate::snapshot::{Introspection, IntrospectionSnapshot};
-use lg_metrics::{CounterHandle, HighWaterArm, Welford};
+use lg_metrics::{CounterHandle, Welford};
 use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,8 +112,8 @@ pub enum Trigger<'a> {
 /// An edge-triggered crossing predicate a policy can subscribe to instead
 /// of polling (see [`PolicyEngine::register_threshold`]).
 ///
-/// Checks are cheap — a due-date compare, a gauge closure or one atomic
-/// load, no snapshot — so the engine scans on [`PolicyEngine::step`] and
+/// Checks are cheap — a due-date compare, a gauge closure or one counter
+/// read, no snapshot — so the engine scans on [`PolicyEngine::step`] and
 /// only captures when a watch fires. Every kind is edge-triggered: a watch
 /// fires once per crossing, not continuously while the condition holds.
 pub struct ThresholdWatch {
@@ -131,13 +133,14 @@ enum WatchKind {
         frac: f64,
         last: Option<f64>,
     },
-    /// Fires every `delta` units added to a counter. The counter's
-    /// *writers* detect the crossing (a [`HighWaterArm`] latched from
-    /// `CounterHandle::add`), so the engine's scan is a single `Acquire`
-    /// load — and when every watch policy uses this kind, idle
-    /// [`PolicyEngine::step`]s skip the scan (and the policies lock)
-    /// entirely.
-    CounterArmed { arm: HighWaterArm, delta: u64 },
+    /// Fires when the counter's value moved `delta` or more past `last`,
+    /// the value read at the previous firing (or when the watch was
+    /// built), and re-baselines at the value it read.
+    CounterDelta {
+        counter: CounterHandle,
+        delta: u64,
+        last: u64,
+    },
 }
 
 impl ThresholdWatch {
@@ -155,23 +158,23 @@ impl ThresholdWatch {
     }
 
     /// Fires when `counter` advanced by at least `delta` since the watch
-    /// last fired. Arms a [`HighWaterArm`] on `counter` **immediately**:
-    /// the first `delta` increments from *now* fire the watch. Crossings
-    /// are detected by the counter's writers, not by the engine's scan: an
-    /// idle engine whose watch policies all use armed watches steps
-    /// without touching the counter at all. Each firing re-arms `delta`
-    /// above the total accumulated at consumption time — exactly what a
+    /// last fired. Armed **immediately**: the baseline is the counter's
+    /// value now, so the first `delta` increments from *now* fire the
+    /// watch. Each check reads the counter (one load, or a fold of a
+    /// striped counter's cells) and a firing re-baselines at the value it
+    /// read — an overshoot is consumed, not carried over, exactly as a
     /// single accumulator re-baselining (`last = cur`) at its firing check
-    /// would do.
+    /// would. The counter's writers pay nothing for the watch.
     ///
     /// # Panics
     /// Panics if `delta` is zero.
     pub fn counter_delta_armed(counter: &CounterHandle, delta: u64) -> Self {
         assert!(delta > 0, "counter delta must be positive");
         Self {
-            kind: WatchKind::CounterArmed {
-                arm: counter.arm_high_water(delta),
+            kind: WatchKind::CounterDelta {
+                counter: counter.clone(),
                 delta,
+                last: counter.get(),
             },
         }
     }
@@ -236,13 +239,17 @@ impl ThresholdWatch {
                     }
                 }
             }
-            WatchKind::CounterArmed { arm, delta } => {
-                if arm.fired() {
-                    arm.rearm(*delta);
-                    true
-                } else {
-                    false
+            WatchKind::CounterDelta {
+                counter,
+                delta,
+                last,
+            } => {
+                let cur = counter.get();
+                let crossed = cur.saturating_sub(*last) >= *delta;
+                if crossed {
+                    *last = cur;
                 }
+                crossed
             }
         }
     }
@@ -254,31 +261,6 @@ impl ThresholdWatch {
             _ => Trigger::Threshold,
         }
     }
-
-    /// True when crossings are detected by the counter's writers, so the
-    /// engine need not scan this watch while no arm has latched.
-    fn is_write_armed(&self) -> bool {
-        matches!(self.kind, WatchKind::CounterArmed { .. })
-    }
-
-    /// Routes latch notifications to `stamp` (bumped from the writing
-    /// thread, once per latch). No-op for scanned kinds.
-    fn route_latches_to(&self, stamp: Arc<AtomicU64>) {
-        if let WatchKind::CounterArmed { arm, .. } = &self.kind {
-            arm.set_hook(move || {
-                stamp.fetch_add(1, Ordering::Release);
-            });
-        }
-    }
-
-    /// Detaches any write-side arm from its counter's write path. Called
-    /// when the owning policy is deregistered, retired, or quarantined so
-    /// abandoned watches stop taxing the counter's writers.
-    fn detach(&self) {
-        if let WatchKind::CounterArmed { arm, .. } = &self.kind {
-            arm.disarm();
-        }
-    }
 }
 
 impl std::fmt::Debug for ThresholdWatch {
@@ -286,7 +268,7 @@ impl std::fmt::Debug for ThresholdWatch {
         let name = match &self.kind {
             WatchKind::Every { period_ns, .. } => format!("every({period_ns})"),
             WatchKind::RelChange { frac, .. } => format!("relative_change({frac})"),
-            WatchKind::CounterArmed { delta, .. } => format!("counter_delta_armed({delta})"),
+            WatchKind::CounterDelta { delta, .. } => format!("counter_delta_armed({delta})"),
         };
         f.debug_tuple("ThresholdWatch").field(&name).finish()
     }
@@ -319,16 +301,6 @@ enum Kind {
     Watch(ThresholdWatch),
 }
 
-impl Kind {
-    /// Ends the kind's claim on shared write paths (a write-side arm on a
-    /// counter); called once, when its policy leaves the live set.
-    fn detach(&self) {
-        if let Kind::Watch(watch) = self {
-            watch.detach();
-        }
-    }
-}
-
 /// The policy engine.
 ///
 /// Owns registered policies; applies their decisions through the knob
@@ -356,18 +328,6 @@ pub struct PolicyEngine {
     /// Bumped whenever a new latency is recorded — the dirtiness stamp
     /// for the `policy.adaptation_latency_ns` snapshot gauge.
     latency_stamp: Arc<AtomicU64>,
-    /// Bumped (from the *writing* thread) whenever a write-side armed
-    /// watch latches. `step` compares it against `armed_seen` to decide
-    /// whether armed watches could possibly have anything to report.
-    armed_stamp: Arc<AtomicU64>,
-    /// The `armed_stamp` value the last full scan started from.
-    armed_seen: AtomicU64,
-    /// Live policies that *require* a per-step scan (periodic due dates,
-    /// gauge-reading watches). When zero, a step with a clean
-    /// `armed_stamp` returns without taking the policies lock.
-    scan_needed: AtomicU64,
-    /// Steps that returned through the armed fast path (diagnostic).
-    fast_steps: AtomicU64,
     /// Live event-triggered policies. While zero, `on_event` — which every
     /// dispatched event flows through — returns after loading this.
     triggered: AtomicU64,
@@ -398,10 +358,6 @@ impl PolicyEngine {
             last_latency_ns: AtomicU64::new(u64::MAX),
             latency_stats: Mutex::new(Welford::default()),
             latency_stamp: Arc::new(AtomicU64::new(0)),
-            armed_stamp: Arc::new(AtomicU64::new(0)),
-            armed_seen: AtomicU64::new(0),
-            scan_needed: AtomicU64::new(0),
-            fast_steps: AtomicU64::new(0),
             triggered: AtomicU64::new(0),
         })
     }
@@ -428,32 +384,23 @@ impl PolicyEngine {
         self.triggered.load(Ordering::Acquire) != 0
     }
 
-    /// Recounts the live policies whose trigger can only be detected by
-    /// scanning under the lock, and the live event-triggered ones. Called
-    /// whenever the policy set (or a policy's quarantine state) changes;
-    /// `ps` is the already-locked vector so the counts are coherent with
-    /// the change that prompted them.
+    /// Recounts the live event-triggered policies. Called whenever the
+    /// policy set (or a policy's quarantine state) changes; `ps` is the
+    /// already-locked vector so the count is coherent with the change
+    /// that prompted it.
     fn recount_triggers(&self, ps: &[Registered]) {
-        let (mut scan, mut triggered) = (0u64, 0u64);
-        for r in ps.iter().filter(|r| !r.quarantined) {
-            match &r.kind {
-                Kind::Watch(watch) => scan += u64::from(!watch.is_write_armed()),
-                Kind::Event(_) => triggered += 1,
-            }
-        }
-        self.scan_needed.store(scan, Ordering::Release);
-        self.triggered.store(triggered, Ordering::Release);
+        let triggered = ps
+            .iter()
+            .filter(|r| !r.quarantined && matches!(r.kind, Kind::Event(_)))
+            .count();
+        self.triggered.store(triggered as u64, Ordering::Release);
     }
 
-    /// The one registration path: interns the actor, routes a write-side
-    /// arm's latches to the armed stamp (so idle steps need not even
-    /// glance at it), and publishes the new trigger counts.
+    /// The one registration path: interns the actor and publishes the new
+    /// event-policy count.
     fn register(&self, policy: Box<dyn Policy>, kind: Kind) -> PolicyHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let actor = self.knobs.actor(policy.name());
-        if let Kind::Watch(watch) = &kind {
-            watch.route_latches_to(self.armed_stamp.clone());
-        }
         let mut ps = self.policies.lock();
         ps.push(Registered {
             id,
@@ -504,17 +451,11 @@ impl PolicyEngine {
         self.register(policy, Kind::Watch(watch))
     }
 
-    /// Deregisters a policy; returns true if it was present. A write-side
-    /// armed watch is detached from its counter's write path.
+    /// Deregisters a policy; returns true if it was present.
     pub fn deregister(&self, handle: PolicyHandle) -> bool {
         let mut ps = self.policies.lock();
         let before = ps.len();
-        ps.retain(|r| {
-            if r.id == handle.0 {
-                r.kind.detach();
-            }
-            r.id != handle.0
-        });
+        ps.retain(|r| r.id != handle.0);
         let removed = ps.len() != before;
         if removed {
             self.recount_triggers(&ps);
@@ -540,14 +481,6 @@ impl PolicyEngine {
     /// Total policy evaluations that panicked (and were contained).
     pub fn panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
-    }
-
-    /// Steps that returned through the armed fast path — no policies
-    /// lock, no watch scan, no snapshot. Non-zero only when every live
-    /// policy's trigger is push-based (write-side armed watches and
-    /// event-triggered policies) and no arm latched since the last scan.
-    pub fn fast_path_steps(&self) -> u64 {
-        self.fast_steps.load(Ordering::Relaxed)
     }
 
     /// Adaptation latency of the most recent round that actuated a knob:
@@ -703,13 +636,7 @@ impl PolicyEngine {
                 let decision =
                     Self::evaluate_guarded(r, now_ns, trigger, &snapshot, &self.panics, threshold);
                 let retire = decision.as_ref().is_some_and(|d| d.retire);
-                // Retirement and quarantine both end the policy's claim on
-                // its trigger: detach here, once, so an abandoned arm
-                // stops taxing the counter's writers.
-                if retire || r.quarantined {
-                    r.kind.detach();
-                    left_live_set = true;
-                }
+                left_live_set |= retire || r.quarantined;
                 decisions.extend(decision.map(|d| (r.actor, d)));
                 !retire
             });
@@ -734,34 +661,20 @@ impl PolicyEngine {
     /// Runs one control round at `now_ns`: every watch-triggered policy
     /// whose watch fired — periodic policies that are due included.
     ///
-    /// Starts with a cheap scan of the watches (due dates, gauge reads,
-    /// latched arms) and returns without capturing a snapshot when nothing
-    /// fired, so drivers may call `step` at a high rate and idle steps
-    /// stay near-free. A periodic policy that fell multiple periods behind
-    /// fires once and is rescheduled from `now_ns` (no catch-up bursts). A
-    /// policy whose evaluation panics is contained (the panic does not
-    /// escape), and after [`PolicyEngine::set_quarantine_threshold`]
-    /// consecutive panics it is quarantined: registered but never
-    /// evaluated again. Rounds that actuate a knob record their adaptation
-    /// latency (see [`PolicyEngine::adaptation_latency_last_ns`]). Returns
-    /// the number of evaluations (panicked evaluations included).
+    /// Starts with a cheap scan of the watches under the policies lock
+    /// (due dates, gauge reads, counter reads) and returns without reading
+    /// the clock or capturing a snapshot when nothing fired, so drivers may
+    /// call `step` at a high rate and idle steps stay near-free. A periodic
+    /// policy that fell multiple periods behind fires once and is
+    /// rescheduled from `now_ns` (no catch-up bursts). A policy whose
+    /// evaluation panics is contained (the panic does not escape), and
+    /// after [`PolicyEngine::set_quarantine_threshold`] consecutive panics
+    /// it is quarantined: registered but never evaluated again. Rounds that
+    /// actuate a knob record their adaptation latency (see
+    /// [`PolicyEngine::adaptation_latency_last_ns`]), timed from the scan
+    /// that detected the crossing. Returns the number of evaluations
+    /// (panicked evaluations included).
     pub fn step(&self, now_ns: u64) -> usize {
-        // Armed fast path: when every live policy's trigger is pushed to
-        // the engine (write-side armed watches, event-triggered policies)
-        // and no arm has latched since the last scan, the step is two
-        // atomic loads — no lock, no watch scan, no clock read. The stamp
-        // is sampled *before* deciding, and recorded before scanning, so a
-        // latch racing the scan at worst costs one redundant scan next
-        // step.
-        let stamp = self.armed_stamp.load(Ordering::Acquire);
-        if self.scan_needed.load(Ordering::Acquire) == 0
-            && stamp == self.armed_seen.load(Ordering::Relaxed)
-        {
-            self.fast_steps.fetch_add(1, Ordering::Relaxed);
-            return 0;
-        }
-        self.armed_seen.store(stamp, Ordering::Relaxed);
-        let started = Instant::now();
         // Cheap scan: edge-check every live watch. A crossing is consumed
         // by the check, so it is parked in `fired` until the round below
         // (which captures first, outside this lock) evaluates it.
@@ -775,7 +688,8 @@ impl PolicyEngine {
         if !any_fired {
             return 0;
         }
-        self.run_round(now_ns, started, |r| match &r.kind {
+        // The scan just detected the crossing: the latency clock starts.
+        self.run_round(now_ns, Instant::now(), |r| match &r.kind {
             Kind::Watch(watch) if std::mem::take(&mut r.fired) => Some(watch.trigger()),
             _ => None,
         })
@@ -1189,37 +1103,150 @@ mod tests {
     }
 
     #[test]
-    fn armed_watch_fires_without_engine_scanning() {
+    fn counter_watch_fires_once_per_crossing_and_rebaselines_at_the_check() {
         let knobs = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
         let c = reg.striped_counter("events");
+        c.add(1_000); // before the watch is built: not counted
         engine.register_threshold(
             FnPolicy::new("batch", |_, _, _| PolicyDecision::set("k", 7)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
-        // No latch yet: steps take the armed fast path — no lock, no scan.
         assert_eq!(engine.step(0), 0);
-        assert_eq!(engine.step(1), 0);
-        assert_eq!(engine.fast_path_steps(), 2);
         c.add(9);
-        assert_eq!(engine.step(2), 0, "below delta stays fast");
-        assert_eq!(engine.fast_path_steps(), 3);
-        c.add(1); // latches from the writing thread
-        assert_eq!(engine.step(3), 1, "latched arm triggers a round");
+        assert_eq!(engine.step(1), 0, "below delta");
+        reg.counter("events").add(1); // another handle, same counter
+        assert_eq!(engine.step(2), 1, "the next step sees the crossing");
         assert_eq!(knobs.value("k"), Some(7));
-        assert_eq!(
-            engine.fast_path_steps(),
-            3,
-            "latched step took the slow path"
-        );
-        assert_eq!(engine.step(4), 0, "consumed and re-armed: fast again");
-        assert_eq!(engine.fast_path_steps(), 4);
-        c.add(10);
-        assert_eq!(engine.step(5), 1, "re-armed delta above consumption point");
+        assert_eq!(engine.step(3), 0, "edge-triggered: consumed");
+        c.add(25);
+        assert_eq!(engine.step(4), 1, "an overshoot fires once");
+        c.add(9);
+        assert_eq!(engine.step(5), 0, "re-baselined at the total it read");
+        c.add(1);
+        assert_eq!(engine.step(6), 1);
     }
 
-    /// The reference an armed watch is held to: one plain accumulator,
+    #[test]
+    fn counter_watch_fires_once_per_crossing() {
+        let reg = lg_metrics::CounterRegistry::new();
+        let c = reg.counter("x");
+        let mut watch = ThresholdWatch::counter_delta_armed(&c, 10);
+        c.add(9);
+        assert!(!watch.poll());
+        c.add(1);
+        assert!(watch.poll(), "the crossing fires");
+        assert!(!watch.poll(), "consumed, not repeating");
+        c.add(100);
+        assert!(watch.poll(), "ten deltas at once fire once");
+        assert!(!watch.poll());
+        assert_eq!(c.get(), 110);
+    }
+
+    #[test]
+    fn counter_watch_rebaselines_at_the_total_it_read() {
+        let reg = lg_metrics::CounterRegistry::new();
+        let c = reg.counter("x");
+        let mut watch = ThresholdWatch::counter_delta_armed(&c, 10);
+        c.add(25);
+        assert!(watch.poll());
+        // Next firing at 35, not at 20: the overshoot is not carried.
+        c.add(9);
+        assert!(!watch.poll());
+        c.add(1);
+        assert!(watch.poll());
+    }
+
+    #[test]
+    fn counter_watch_sees_adds_from_all_handle_clones() {
+        let reg = lg_metrics::CounterRegistry::new();
+        let a = reg.striped_counter("hot");
+        let mut watch = ThresholdWatch::counter_delta_armed(&a, 8);
+        let b = reg.counter("hot"); // same counter, separate handle
+        b.add(4);
+        assert!(!watch.poll());
+        a.add(4);
+        assert!(watch.poll());
+    }
+
+    #[test]
+    fn counter_watch_fires_once_for_a_racing_burst() {
+        // Eight writers race unit adds while nothing checks the watch;
+        // the first check afterwards fires once and re-baselines at the
+        // whole burst, however many deltas it spanned.
+        let reg = Arc::new(lg_metrics::CounterRegistry::new());
+        let c = reg.striped_counter("shared");
+        let mut watch = ThresholdWatch::counter_delta_armed(&c, 1_000);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let reg = &reg;
+                s.spawn(move || {
+                    let c = reg.counter("shared");
+                    for _ in 0..10_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 80_000);
+        assert!(watch.poll());
+        assert!(!watch.poll(), "one firing for the burst");
+        c.add(999);
+        assert!(!watch.poll(), "re-baselined at 80 000");
+        c.inc();
+        assert!(watch.poll());
+    }
+
+    #[test]
+    fn counter_watch_polled_against_racing_writers_never_fires_early() {
+        // Eight writers race random-sized adds on a striped counter while
+        // this thread polls the watch. Whatever the interleaving, the k-th
+        // firing happens only once the counter holds k·delta units; once
+        // the writers stop, a firing re-baselines at the exact total.
+        const DELTA: u64 = 10_000;
+        let reg = lg_metrics::CounterRegistry::new();
+        let c = reg.striped_counter("shared");
+        let mut watch = ThresholdWatch::counter_delta_armed(&c, DELTA);
+        let mut fires = 0u64;
+        let grand_total: u64 = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..8u64)
+                .map(|w| {
+                    let c = &c;
+                    s.spawn(move || {
+                        let (mut x, mut sent) = (w + 1, 0);
+                        for _ in 0..5_000 {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let n = 1 + (x >> 33) % 40;
+                            c.add(n);
+                            sent += n;
+                        }
+                        sent
+                    })
+                })
+                .collect();
+            while !writers.iter().all(|w| w.is_finished()) {
+                if watch.poll() {
+                    fires += 1;
+                    let held = c.get();
+                    assert!(held >= fires * DELTA, "firing {fires} at {held} units");
+                }
+            }
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(c.get(), grand_total);
+        fires += u64::from(watch.poll());
+        assert!(!watch.poll(), "one firing per crossing");
+        assert!(fires * DELTA <= grand_total, "{fires} firings");
+        c.add(DELTA);
+        assert!(watch.poll(), "a full delta past the last firing");
+        c.add(DELTA - 1);
+        assert!(!watch.poll(), "re-baselined at the exact total");
+    }
+
+    /// The reference a counter watch is held to: one plain accumulator,
     /// checked against the counter's true total, that re-baselines
     /// (`last = cur`) whenever it fires.
     struct Accumulator {
@@ -1239,13 +1266,12 @@ mod tests {
 
     #[test]
     fn armed_counter_watch_fires_exactly_when_a_plain_accumulator_does() {
-        // Drive an add/step schedule through a write-side armed engine
-        // and check every step against the accumulator oracle: rounds
-        // fired, the resulting knob value, and the evaluation/actuation
-        // totals. Each add runs on its own short-lived thread, joined
-        // before the next, so consecutive adds land on different stripes
-        // and the armed side crosses its level with amounts still spread
-        // over several of them.
+        // Drive an add/step schedule through an engine and check every
+        // step against the accumulator oracle: rounds fired, the resulting
+        // knob value, and the evaluation/actuation totals. Each add runs
+        // on its own short-lived thread, joined before the next, so
+        // consecutive adds land on different stripes and the watch reads
+        // a total spread over several of them.
         fn run(delta: u64, schedule: &[&[u64]]) {
             let knobs = registry_with("k", 0, 1000, 0);
             let engine = PolicyEngine::new(knobs.clone());
@@ -1280,10 +1306,6 @@ mod tests {
             assert_eq!(engine.evaluations(), fires);
             assert_eq!(engine.actuations(), fires);
             assert!(fires >= 3, "schedule crossed at least 3 times");
-            assert!(
-                engine.fast_path_steps() > 0,
-                "armed engine skipped scans on quiet steps"
-            );
         }
         run(
             10,
@@ -1298,8 +1320,8 @@ mod tests {
                 &[1],    // cross again
             ],
         );
-        // A delta wide enough that stripes hold amounts back (slack 15):
-        // the crossing add is whichever one completes the level.
+        // A wide delta: the crossing add is whichever one completes the
+        // level, with the total spread over many stripes.
         run(
             2_000,
             &[
@@ -1319,7 +1341,7 @@ mod tests {
     }
 
     #[test]
-    fn deregistering_armed_watch_detaches_the_arm() {
+    fn deregistered_counter_watch_never_fires() {
         let knobs = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
@@ -1330,34 +1352,30 @@ mod tests {
         );
         assert!(engine.deregister(h));
         c.add(100);
-        assert_eq!(engine.step(1), 0, "detached arm no longer triggers");
+        assert_eq!(engine.step(1), 0, "a deregistered watch is not checked");
         assert_eq!(knobs.value("k"), Some(0));
     }
 
     #[test]
-    fn periodic_policy_disables_the_armed_fast_path() {
+    fn deregistering_a_counter_watch_leaves_its_siblings_checked() {
         let knobs = registry_with("k", 0, 100, 0);
-        let engine = PolicyEngine::new(knobs);
+        let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
         let c = reg.striped_counter("events");
-        engine.register_threshold(
-            FnPolicy::new("batch", |_, _, _| PolicyDecision::noop()),
+        let gone = engine.register_threshold(
+            FnPolicy::new("gone", |_, _, _| PolicyDecision::set("k", 7)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
-        let h = engine.register_periodic(
-            FnPolicy::new("tick", |_, _, _| PolicyDecision::noop()),
-            100,
-            0,
+        engine.register_threshold(
+            FnPolicy::new("kept", |_, _, _| PolicyDecision::set("k", 3)),
+            ThresholdWatch::counter_delta_armed(&c, 10),
         );
-        engine.step(1);
-        assert_eq!(
-            engine.fast_path_steps(),
-            0,
-            "periodic due dates need the scan"
-        );
-        engine.deregister(h);
-        engine.step(2);
-        assert_eq!(engine.fast_path_steps(), 1, "fast path restored");
+        c.add(2);
+        assert!(engine.deregister(gone));
+        c.add(100);
+        assert_eq!(engine.step(1), 1, "the sibling on the same counter fires");
+        assert_eq!(engine.evaluations(), 1, "only the sibling was evaluated");
+        assert_eq!(knobs.value("k"), Some(3));
     }
 
     #[test]
@@ -1504,27 +1522,18 @@ mod tests {
         assert_eq!(engine.step(750), 1);
         assert_eq!(drain().len(), 2);
 
-        // The quarantined policy's arm was detached when it was
-        // quarantined: only `armed` latches on the next crossing, and by
-        // retiring on it `armed` detaches its own.
-        let latches = engine.armed_stamp.load(Ordering::Relaxed);
+        // The quarantined policy's watch is never checked again: only
+        // `armed` fires on the next crossing, and retires on it.
         c.add(10);
-        assert_eq!(engine.armed_stamp.load(Ordering::Relaxed), latches + 1);
         assert_eq!(engine.step(760), 1);
         assert_eq!(drain(), [("armed", "threshold", 5)]);
         assert_eq!(engine.policy_count(), 3);
-        c.add(1_000);
-        assert_eq!(
-            engine.armed_stamp.load(Ordering::Relaxed),
-            latches + 1,
-            "no arm is left on the counter's write path"
-        );
-        // With the periodic gone too, nothing live needs a scan: the step
-        // fast path is back although two quarantined policies remain.
+        // With the periodic gone too, only the two quarantined policies
+        // remain and nothing fires, however far the counter moves.
         assert!(engine.deregister(periodic));
-        let fast = engine.fast_path_steps();
+        c.add(1_000);
         assert_eq!(engine.step(10_000), 0);
-        assert_eq!(engine.fast_path_steps(), fast + 1);
+        assert_eq!(drain(), []);
     }
 
     #[test]

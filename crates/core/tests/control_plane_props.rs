@@ -1,6 +1,7 @@
 //! Property tests for the unified control plane: the actuation journal
-//! is a faithful, totally ordered record of every knob write, and the
-//! interned-id API is observationally identical to the name API.
+//! is a faithful, totally ordered record of every knob write, the
+//! interned-id API is observationally identical to the name API, and a
+//! counter-delta watch fires exactly when one shared accumulator would.
 //!
 //! The journal-replay property is the regression net for the old racy
 //! `from` read: with the per-knob write lock, consecutive records for a
@@ -8,7 +9,9 @@
 //! race across threads — a torn read would break the chain.
 
 use lg_core::knob::{AtomicKnob, KnobSpec};
-use lg_core::{KnobId, KnobRegistry};
+use lg_core::{FnPolicy, KnobId, KnobRegistry, PolicyDecision, PolicyEngine, ThresholdWatch};
+use lg_metrics::stripe::set_thread_index;
+use lg_metrics::CounterRegistry;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,5 +119,52 @@ proptest! {
             prop_assert_eq!(via, Some(v.clamp(MIN, MAX)));
             prop_assert_eq!(reg.value(&name), reg.value_id(id));
         }
+    }
+
+    #[test]
+    fn counter_watch_fires_like_a_single_accumulator(
+        delta in 1u64..20_000,
+        steps in proptest::collection::vec((0usize..4, 1u64..1_500, 0u32..3), 1..120),
+    ) {
+        // Four writers, each pinned to its own stripe, take turns (each
+        // add runs on a thread joined before the next), so the total the
+        // watch reads is spread over several stripes. Most adds are
+        // followed by a step; every step must fire exactly when one shared
+        // accumulator, re-baselined at its own firings, crosses `delta`,
+        // and the knob must hold that accumulator's firing count.
+        let knobs = Arc::new(KnobRegistry::new());
+        let fired = knobs.register(AtomicKnob::new(KnobSpec::new("fired", 0, i64::MAX), 0));
+        let engine = PolicyEngine::new(knobs.clone());
+        let reg = CounterRegistry::new();
+        let c = reg.striped_counter("signal");
+        let mut count = 0i64;
+        engine.register_threshold(
+            FnPolicy::new("count", move |_, _, _| {
+                count += 1;
+                PolicyDecision::set(fired, count)
+            }),
+            ThresholdWatch::counter_delta_armed(&c, delta),
+        );
+        let (mut total, mut last, mut expected) = (0u64, 0u64, 0i64);
+        for (t, &(writer, n, step)) in steps.iter().enumerate() {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    set_thread_index(writer);
+                    c.add(n);
+                });
+            });
+            total += n;
+            if step == 0 {
+                continue;
+            }
+            let crosses = total - last >= delta;
+            if crosses {
+                last = total;
+                expected += 1;
+            }
+            prop_assert_eq!(engine.step(t as u64), usize::from(crosses), "total {} last {}", total, last);
+            prop_assert_eq!(knobs.value_id(fired), Some(expected));
+        }
+        prop_assert_eq!(c.get(), total);
     }
 }

@@ -41,7 +41,7 @@ pub mod timeseries;
 pub mod welford;
 pub mod window;
 
-pub use counter::{CounterHandle, CounterRegistry, GaugeHandle, HighWaterArm};
+pub use counter::{CounterHandle, CounterRegistry, GaugeHandle};
 pub use ewma::Ewma;
 pub use histogram::Histogram;
 pub use power::{EnergyMeter, EnergyReport, PowerModel};

@@ -91,8 +91,7 @@ const _: () = assert!(STRIPE_COUNT <= 64);
 /// first [`mark`], and only loads it afterwards. All accesses are
 /// `SeqCst`, so a writer that marks, then writes its stripe, then reads
 /// some flag is ordered against a reader that sets the flag, then
-/// iterates, then reads the stripes (the store-buffering pattern both
-/// sides of an arm publish rely on).
+/// iterates, then reads the stripes.
 ///
 /// [`mark`]: TouchedStripes::mark
 #[derive(Debug, Default)]
@@ -206,8 +205,8 @@ thread_local! {
 static NEXT_VERSIONED_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A rarely-written value read through a **generation-stamped
-/// thread-local snapshot** — the one copy of the protocol behind listener
-/// lists and counter arm lists.
+/// thread-local snapshot** — the one copy of the protocol, behind the
+/// dispatcher's listener list.
 ///
 /// Writers replace the value copy-on-write under a lock and bump
 /// `generation` (`Release`, still holding the lock). Each reading thread

@@ -1,13 +1,9 @@
 //! Property-based tests for the statistics primitives.
 
-use lg_metrics::stripe::set_thread_index;
 use lg_metrics::{
-    CounterRegistry, EnergyMeter, Ewma, Histogram, SlidingWindow, StripedCounter, TimeSeries,
-    Welford,
+    EnergyMeter, Ewma, Histogram, SlidingWindow, StripedCounter, TimeSeries, Welford,
 };
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
@@ -148,52 +144,6 @@ proptest! {
             c.add(n);
         }
         prop_assert_eq!(c.sum(), adds.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn armed_counter_latches_like_a_single_accumulator(
-        delta in 1u64..20_000,
-        steps in proptest::collection::vec((0usize..4, 1u64..1_500, 0u32..3), 1..120),
-    ) {
-        // Four writers, each on its own stripe, take turns in a fixed
-        // order (each add runs on a thread pinned to the writer's stripe
-        // and is joined before the next), so amounts sit unpublished in
-        // several stripes at once. After every add the arm must agree
-        // with one shared accumulator: latched on exactly the add that
-        // carried the total over the level, total exact, hook once per
-        // latch, and a re-arm measuring from the true total.
-        let reg = CounterRegistry::new();
-        let c = reg.striped_counter("armed");
-        let arm = c.arm_high_water(delta);
-        let hooks = Arc::new(AtomicU64::new(0));
-        let h = hooks.clone();
-        arm.set_hook(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        let (mut total, mut level, mut fired, mut latches) = (0u64, delta, false, 0u64);
-        for &(writer, n, rearm) in &steps {
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    set_thread_index(writer);
-                    c.add(n);
-                });
-            });
-            total += n;
-            if !fired && total >= level {
-                fired = true;
-                latches += 1;
-            }
-            prop_assert_eq!(arm.fired(), fired, "total {} level {}", total, level);
-            prop_assert_eq!(arm.accumulated(), total);
-            prop_assert_eq!(hooks.load(Ordering::Relaxed), latches);
-            if fired && rearm == 0 {
-                arm.rearm(delta);
-                level = total + delta;
-                fired = false;
-                prop_assert!(!arm.fired());
-            }
-        }
-        prop_assert_eq!(c.get(), total);
     }
 
     #[test]
