@@ -49,7 +49,7 @@ use crate::event::TaskId;
 use crate::instance::LookingGlass;
 use crate::journal::ActuationJournal;
 use crate::knob::{AtomicKnob, KnobId, KnobSpec};
-use crate::snapshot::{IntrospectionSnapshot, MetricId};
+use crate::snapshot::{completed_rate, IntrospectionSnapshot, MetricId};
 use crate::tenant::{SloClass, TenantId};
 use parking_lot::Mutex;
 use std::fmt;
@@ -392,8 +392,8 @@ struct TenantState {
     g_width: MirrorGauge,
     /// Journal high-water mark: records at or below it were scanned.
     last_seq: u64,
-    last_completed: u64,
-    last_t_ns: u64,
+    /// `(t_ns, total_completed)` at the last control round.
+    last_reading: (u64, u64),
     /// Last observed demand/power (reused on admit/evict rebalance).
     demand: DemandProfile,
     power_w: f64,
@@ -607,8 +607,7 @@ impl Arbiter {
             g_rate,
             g_width,
             last_seq,
-            last_completed: 0,
-            last_t_ns: t_ns,
+            last_reading: (t_ns, 0),
             demand: DemandProfile::default(),
             power_w: 0.0,
             quarantine_left: 0,
@@ -685,14 +684,9 @@ impl Arbiter {
             }
             state.power_w = state.power_id.and_then(|id| snap.value(id)).unwrap_or(0.0);
 
-            let dt_s = t_ns.saturating_sub(state.last_t_ns) as f64 / 1e9;
-            let rate = if dt_s > 0.0 {
-                snap.total_completed.saturating_sub(state.last_completed) as f64 / dt_s
-            } else {
-                0.0
-            };
-            state.last_completed = snap.total_completed;
-            state.last_t_ns = t_ns;
+            let reading = (t_ns, snap.total_completed);
+            let rate = completed_rate(state.last_reading, reading).unwrap_or(0.0);
+            state.last_reading = reading;
             state.g_rate.set(rate);
         }
 
@@ -1205,6 +1199,39 @@ mod tests {
         assert!(tenant_recs.iter().any(|r| r.policy == "arbiter"));
         let gov_recs = arb.lg().knobs().journal().records();
         assert!(gov_recs.iter().any(|r| r.policy == "governor"));
+    }
+
+    #[test]
+    fn rate_mirror_reads_completed_tasks_per_second() {
+        let clock = Arc::new(VirtualClock::new());
+        let arb = Arbiter::with_instance(ArbiterConfig::new(8), tenant_lg(&clock));
+        let a = tenant_lg(&clock);
+        cap_knob(&a, 8);
+        let ta = arb.admit(
+            a.clone(),
+            TenantSpec::new("a", SloClass::Batch, 8),
+            "thread_cap",
+        );
+        let rate = || {
+            let snap = arb.lg().introspection().capture(clock.now_ns());
+            snap.value_by_name(&ta.scoped("rate"))
+        };
+        for _ in 0..6 {
+            drop(a.timer("work"));
+        }
+        clock.advance_by(2_000_000_000);
+        arb.control_round(clock.now_ns());
+        assert_eq!(rate(), Some(3.0), "6 tasks over 2 s");
+        for _ in 0..5 {
+            drop(a.timer("work"));
+        }
+        clock.advance_by(500_000_000);
+        arb.control_round(clock.now_ns());
+        assert_eq!(rate(), Some(10.0), "5 tasks over 0.5 s");
+        // A second round at the same instant has no interval to rate.
+        drop(a.timer("work"));
+        arb.control_round(clock.now_ns());
+        assert_eq!(rate(), Some(0.0));
     }
 
     #[test]

@@ -105,28 +105,6 @@ impl ConcurrencyListener {
             .sum()
     }
 
-    /// Mean active-task count over the trailing `horizon_ns` of history
-    /// (relative to the newest retained point across all stripes).
-    pub fn mean_active_over(&self, horizon_ns: u64) -> Option<f64> {
-        let pts = self.history();
-        let (newest, _) = *pts.last()?;
-        let cutoff = newest.saturating_sub(horizon_ns);
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in pts.iter().rev() {
-            if t < cutoff {
-                break;
-            }
-            sum += v;
-            n += 1;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
     /// Copies the retained `(t_ns, active_tasks)` history: the stripes'
     /// own-level histories merged in timestamp order (ties keep stripe
     /// order — stable, so a single-threaded emission sequence is returned
@@ -303,22 +281,6 @@ mod tests {
         });
         let h = c.history();
         assert_eq!(h, vec![(10, 1.0), (20, 0.0)]);
-    }
-
-    #[test]
-    fn mean_active_over_window() {
-        let names = TaskNames::new();
-        let id = names.intern("t");
-        let c = ConcurrencyListener::new(64);
-        for i in 0..4u64 {
-            c.on_event(&Event::TaskBegin {
-                task: id,
-                worker: 0,
-                t_ns: i * 100,
-            });
-        }
-        // History values are 1,2,3,4 → trailing mean over everything = 2.5.
-        assert_eq!(c.mean_active_over(u64::MAX), Some(2.5));
     }
 
     /// Runs `f` on a thread pinned to stripe `i`, joined before returning:

@@ -5,8 +5,8 @@
 //! know about ([`ProfileListener`], [`ConcurrencyListener`], counters,
 //! sample windows) with its own extraction code. [`Introspection`] is the
 //! single facade over all of them: backends register *metric sources*
-//! (gauges, window means over sampled series, counter registries) under
-//! names resolved once into copyable [`MetricId`]s, and
+//! (gauges and counter registries) under names resolved once into
+//! copyable [`MetricId`]s, and
 //! [`Introspection::capture`] materialises everything into one immutable
 //! [`IntrospectionSnapshot`]. Consumers query the snapshot — by id on hot
 //! paths, by name at the edges — and two snapshots diff cleanly (e.g.
@@ -20,9 +20,11 @@
 //! the amount of registered state. `capture` keeps the previous round's
 //! merged base — counter name table, counter values, profile merge, metric
 //! values — behind `Arc`s and replaces only what moved. Profile stripes
-//! stamp themselves under their stripe lock; metric sources may register
-//! with a stamp ([`Introspection::register_gauge_stamped`]; window means
-//! inherit their sample history's). Counters need none: they only grow, so
+//! stamp themselves under their stripe lock; gauges may register with a
+//! stamp ([`Introspection::register_gauge_stamped`]). A windowed signal is
+//! one such gauge: its producer owns the window and bumps the stamp, as
+//! [`Introspection::register_window_mean`] does with a sample history's
+//! write generation. Counters need none: they only grow, so
 //! one was written since the last round exactly when its value differs
 //! from the base's, and an add racing the read is either in the value read
 //! or makes the next round's comparison differ. A fully idle capture
@@ -57,42 +59,21 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricId(pub u32);
 
-/// How a registered metric source produces its value at capture time.
-enum SourceKind {
-    /// An instantaneous reading (an atomic the backend updates, a
-    /// computed ratio, a meter total).
-    Gauge(Box<dyn Fn() -> f64 + Send + Sync>),
-    /// Mean of a sampled series over a trailing window ending at capture.
-    WindowMean {
-        history: Arc<SampleHistoryListener>,
-        metric: String,
-        window_ns: u64,
-    },
-}
-
-/// One registered metric source plus its optional dirtiness stamp.
+/// One registered metric source: a reading evaluated at capture plus its
+/// optional dirtiness stamp.
 ///
 /// Stamped sources are re-evaluated only when the stamp moved since the
 /// last capture; unstamped sources are treated as always-dirty (the
 /// closure is the only way to learn their value changed).
 struct SourceEntry {
-    kind: SourceKind,
+    read: Box<dyn Fn() -> f64 + Send + Sync>,
     stamp: Option<Arc<AtomicU64>>,
 }
 
 impl SourceEntry {
     fn eval(&self) -> Option<f64> {
-        match &self.kind {
-            SourceKind::Gauge(read) => {
-                let v = read();
-                v.is_finite().then_some(v)
-            }
-            SourceKind::WindowMean {
-                history,
-                metric,
-                window_ns,
-            } => history.mean_over(metric, *window_ns),
-        }
+        let v = (self.read)();
+        v.is_finite().then_some(v)
     }
 }
 
@@ -173,7 +154,15 @@ impl Introspection {
         }
     }
 
-    fn register_source(&self, name: &str, entry: SourceEntry) -> MetricId {
+    /// Takes the closure boxed, so the registration code is compiled once
+    /// rather than once per registered closure type.
+    fn register_source(
+        &self,
+        name: &str,
+        stamp: Option<Arc<AtomicU64>>,
+        read: Box<dyn Fn() -> f64 + Send + Sync>,
+    ) -> MetricId {
+        let entry = SourceEntry { read, stamp };
         let mut inner = self.inner.write();
         let mut sources = (*inner.sources).clone();
         if let Some(&i) = inner.by_name.get(name) {
@@ -204,13 +193,7 @@ impl Introspection {
         name: &str,
         read: impl Fn() -> f64 + Send + Sync + 'static,
     ) -> MetricId {
-        self.register_source(
-            name,
-            SourceEntry {
-                kind: SourceKind::Gauge(Box::new(read)),
-                stamp: None,
-            },
-        )
+        self.register_source(name, None, Box::new(read))
     }
 
     /// Registers a gauge with a write-generation stamp: the closure runs
@@ -224,19 +207,14 @@ impl Introspection {
         stamp: Arc<AtomicU64>,
         read: impl Fn() -> f64 + Send + Sync + 'static,
     ) -> MetricId {
-        self.register_source(
-            name,
-            SourceEntry {
-                kind: SourceKind::Gauge(Box::new(read)),
-                stamp: Some(stamp),
-            },
-        )
+        self.register_source(name, Some(stamp), Box::new(read))
     }
 
-    /// Registers a trailing-window mean over a sampled series: each
-    /// capture reads `history.mean_over(metric, window_ns)`. Stamped with
-    /// the history's write generation automatically, so quiescent series
-    /// cost nothing to re-capture.
+    /// Registers a trailing-window mean over a sampled series: a gauge
+    /// reading `history.mean_over(metric, window_ns)`, stamped with the
+    /// history's write generation, so quiescent series cost nothing to
+    /// re-capture. Like every gauge, a window with no samples, or whose
+    /// mean is not finite (a NaN sample in the window), reads `None`.
     pub fn register_window_mean(
         &self,
         name: &str,
@@ -244,18 +222,10 @@ impl Introspection {
         metric: impl Into<String>,
         window_ns: u64,
     ) -> MetricId {
-        let stamp = history.write_stamp();
-        self.register_source(
-            name,
-            SourceEntry {
-                kind: SourceKind::WindowMean {
-                    history,
-                    metric: metric.into(),
-                    window_ns,
-                },
-                stamp: Some(stamp),
-            },
-        )
+        let metric = metric.into();
+        self.register_gauge_stamped(name, history.write_stamp(), move || {
+            history.mean_over(&metric, window_ns).unwrap_or(f64::NAN)
+        })
     }
 
     /// Adds a counter registry whose counters appear (name-sorted) in
@@ -612,13 +582,21 @@ impl IntrospectionSnapshot {
     /// Completed tasks per second between `prev` and this snapshot —
     /// the canonical regression-watchdog rate. `None` if no time passed.
     pub fn throughput_since(&self, prev: &IntrospectionSnapshot) -> Option<f64> {
-        let dt_ns = self.t_ns.checked_sub(prev.t_ns)?;
-        if dt_ns == 0 {
-            return None;
-        }
-        let done = self.total_completed.saturating_sub(prev.total_completed);
-        Some(done as f64 / (dt_ns as f64 / 1e9))
+        completed_rate(
+            (prev.t_ns, prev.total_completed),
+            (self.t_ns, self.total_completed),
+        )
     }
+}
+
+/// Completed tasks per second between two `(t_ns, total_completed)`
+/// readings; `None` unless time advanced. The one definition behind
+/// [`IntrospectionSnapshot::throughput_since`], the regression watchdog's
+/// snapshot rate and the arbiter's `t<i>.rate` mirror.
+pub(crate) fn completed_rate(prev: (u64, u64), now: (u64, u64)) -> Option<f64> {
+    let dt_ns = now.0.checked_sub(prev.0).filter(|&d| d > 0)?;
+    let done = now.1.saturating_sub(prev.1);
+    Some(done as f64 / (dt_ns as f64 / 1e9))
 }
 
 #[cfg(test)]
@@ -713,6 +691,31 @@ mod tests {
             t_ns: 40,
         });
         assert_eq!(intro.capture(40).value(id), Some(30.0));
+    }
+
+    #[test]
+    fn window_mean_of_a_non_finite_sample_reads_none() {
+        let names = TaskNames::new();
+        let history = Arc::new(SampleHistoryListener::new(names.clone(), 64));
+        let (_, _, intro) = facade();
+        let metric = names.intern("power");
+        let id = intro.register_window_mean("power.mean", history.clone(), "power", 100);
+        assert_eq!(intro.capture(0).value(id), None, "no samples yet");
+        for (t, v) in [(10u64, 10.0f64), (20, f64::NAN)] {
+            history.on_event(&Event::SampleValue {
+                metric,
+                value: v,
+                t_ns: t,
+            });
+        }
+        assert_eq!(intro.capture(20).value(id), None, "NaN in the window");
+        // Once the NaN leaves the trailing window the mean reads again.
+        history.on_event(&Event::SampleValue {
+            metric,
+            value: 30.0,
+            t_ns: 200,
+        });
+        assert_eq!(intro.capture(200).value(id), Some(30.0));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::event::TaskId;
 use crate::journal::ActuationJournal;
 use crate::policy::{Policy, PolicyDecision, Trigger};
-use crate::snapshot::IntrospectionSnapshot;
+use crate::snapshot::{completed_rate, IntrospectionSnapshot};
 use std::sync::Arc;
 
 struct Pending {
@@ -126,13 +126,7 @@ impl RegressionWatchdog {
             RateSource::Closure(f) => Some(f()),
             RateSource::Snapshot { prev } => {
                 let now = (snapshot.t_ns, snapshot.total_completed);
-                let rate = prev.and_then(|(t_ns, done)| {
-                    let dt_ns = now.0.checked_sub(t_ns).filter(|&d| d > 0)?;
-                    let completed = now.1.saturating_sub(done);
-                    Some(completed as f64 / (dt_ns as f64 / 1e9))
-                });
-                *prev = Some(now);
-                rate
+                prev.replace(now).and_then(|p| completed_rate(p, now))
             }
         }
     }

@@ -5,15 +5,15 @@
 //!
 //! * **Streaming statistics** — [`welford::Welford`] (numerically stable
 //!   mean/variance), [`histogram::Histogram`] (hybrid log2/linear buckets
-//!   with percentile queries), [`ewma::Ewma`] (exponentially weighted
-//!   moving averages), and [`window::SlidingWindow`] (bounded-memory
-//!   recent-history statistics).
+//!   with percentile queries) and [`ewma::Ewma`] (exponentially weighted
+//!   moving averages).
 //! * **Counters** — [`counter::CounterRegistry`], a registry of named
 //!   atomic counters and gauges cheap enough to update from task hot paths.
 //!   Hot counters updated from many threads can opt into striped storage
 //!   ([`stripe::StripedCounter`]) so updates never share a cache line.
 //! * **Time series** — [`timeseries::TimeSeries`], bounded append-only
-//!   series of `(t, value)` samples used by the introspection layer.
+//!   series of `(t, value)` samples with trailing-window mean and slope —
+//!   the windows the introspection layer publishes as gauges.
 //! * **Power and energy** — [`power::PowerModel`] (an analytic package
 //!   power model parameterised by idle and per-core dynamic power) and
 //!   [`power::EnergyMeter`] (integrates power over wall or virtual time and
@@ -39,7 +39,6 @@ pub mod sampler;
 pub mod stripe;
 pub mod timeseries;
 pub mod welford;
-pub mod window;
 
 pub use counter::{CounterHandle, CounterRegistry, GaugeHandle};
 pub use ewma::Ewma;
@@ -49,4 +48,3 @@ pub use sampler::{FnSource, Sampled, Sampler, SamplerConfig};
 pub use stripe::{CacheAligned, StripedCounter};
 pub use timeseries::TimeSeries;
 pub use welford::Welford;
-pub use window::SlidingWindow;

@@ -10,7 +10,7 @@
 //! 1. **Observation** ([`core`]) — inline task lifecycle events, sampled
 //!    counters, and a pluggable listener pipeline.
 //! 2. **Introspection** ([`metrics`], [`core`]) — per-task profiles,
-//!    sliding-window statistics, power/energy accounting.
+//!    trailing-window statistics, power/energy accounting.
 //! 3. **Adaptation** ([`core`], [`tuning`]) — a policy engine that reads
 //!    introspection state and actuates runtime knobs (thread cap, task
 //!    granularity, parcel coalescing window) using online search.
