@@ -118,7 +118,7 @@ pub fn write_csv(table: &Table, name: &str) -> PathBuf {
     path
 }
 
-/// Renders an [`IntrospectionSnapshot`] as a table: concurrency gauges,
+/// Renders an [`lg_core::IntrospectionSnapshot`] as a table: concurrency gauges,
 /// then registered metrics, then counters, then per-task profiles — the
 /// standard "state of the world" block report writers embed.
 pub fn snapshot_table(snap: &lg_core::IntrospectionSnapshot) -> Table {

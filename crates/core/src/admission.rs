@@ -19,8 +19,8 @@
 //! * [`Brownout`] — graded load shedding behind a level knob: optional
 //!   work is shed fully before any mandatory work is touched.
 //! * [`AimdPolicy`] — additive-increase / multiplicative-decrease on the
-//!   bulkhead limit, sensing deadline misses, queue depth, and breaker
-//!   state from the round's [`IntrospectionSnapshot`].
+//!   bulkhead limit, sensing a latency metric from the round's
+//!   [`IntrospectionSnapshot`].
 //! * [`BrownoutPolicy`] — raises the shed level while the latency signal
 //!   sits above target, lowers it (with hysteresis) once it recovers.
 //!
@@ -73,14 +73,9 @@ impl Bulkhead {
         let spec = KnobSpec::new(name, min, max)
             .with_unit("requests")
             .with_default(initial);
-        Self::with_knob(AtomicKnob::new(spec, initial))
-    }
-
-    /// Wraps an existing limit knob.
-    pub fn with_knob(limit: Arc<AtomicKnob>) -> Self {
         Self {
             inner: Arc::new(BulkheadInner {
-                limit,
+                limit: AtomicKnob::new(spec, initial),
                 in_flight: AtomicI64::new(0),
             }),
         }
@@ -190,21 +185,16 @@ impl AdmissionGate {
         burst: f64,
         reserve: f64,
     ) -> Self {
-        let spec = KnobSpec::new(name, min, max)
-            .with_unit("req/s")
-            .with_default(initial);
-        Self::with_knob(AtomicKnob::new(spec, initial), burst, reserve)
-    }
-
-    /// Wraps an existing rate knob.
-    pub fn with_knob(rate: Arc<AtomicKnob>, burst: f64, reserve: f64) -> Self {
         assert!(burst > 0.0, "burst must be positive");
         assert!(
             (0.0..=burst).contains(&reserve),
             "reserve must lie in [0, burst]"
         );
+        let spec = KnobSpec::new(name, min, max)
+            .with_unit("req/s")
+            .with_default(initial);
         Self {
-            rate,
+            rate: AtomicKnob::new(spec, initial),
             burst,
             reserve,
             state: Mutex::new(GateState {
@@ -291,12 +281,9 @@ impl Brownout {
         let spec = KnobSpec::new(name, 0, Self::MAX_LEVEL)
             .with_unit("level")
             .with_default(0);
-        Self::with_knob(AtomicKnob::new(spec, 0))
-    }
-
-    /// Wraps an existing level knob.
-    pub fn with_knob(level: Arc<AtomicKnob>) -> Self {
-        Self { level }
+        Self {
+            level: AtomicKnob::new(spec, 0),
+        }
     }
 
     /// The live shed-level knob.
@@ -340,10 +327,8 @@ impl Brownout {
 /// AIMD governor for a [`Bulkhead`] limit: additive increase while the
 /// system is healthy, multiplicative decrease on overload evidence.
 ///
-/// Overload evidence, any of (checked per evaluation against the round's
-/// shared snapshot):
-/// * new deadline misses since the last evaluation (`missed_counter`),
-/// * the latency metric above `target_latency_ns`.
+/// Overload evidence (checked per evaluation against the round's shared
+/// snapshot): the latency metric above `target_latency_ns`.
 ///
 /// The decision targets the limit knob through the registry, so every
 /// move is clamped to the knob's spec, journaled, and subject to the
@@ -353,8 +338,6 @@ pub struct AimdPolicy {
     knob: KnobTarget,
     latency: Option<MetricId>,
     target_latency_ns: f64,
-    missed_counter: Option<String>,
-    last_missed: u64,
     step: i64,
     decrease_factor: f64,
     min: i64,
@@ -364,8 +347,8 @@ pub struct AimdPolicy {
 
 impl AimdPolicy {
     /// Creates the governor over `knob ∈ [min, max]` starting at
-    /// `initial`, with no sensors attached; chain `on_*` builders to add
-    /// overload evidence.
+    /// `initial`, with no sensor attached; chain
+    /// [`AimdPolicy::on_latency_above`] to add overload evidence.
     ///
     /// # Panics
     /// Panics unless `0 < decrease_factor < 1`, `step > 0`, and
@@ -389,8 +372,6 @@ impl AimdPolicy {
             knob: knob.into(),
             latency: None,
             target_latency_ns: f64::INFINITY,
-            missed_counter: None,
-            last_missed: 0,
             step,
             decrease_factor,
             min,
@@ -407,32 +388,15 @@ impl AimdPolicy {
         self
     }
 
-    /// Decrease when the named snapshot counter (cumulative deadline
-    /// misses) has grown since the last evaluation.
-    pub fn on_missed_deadlines(mut self: Box<Self>, counter: impl Into<String>) -> Box<Self> {
-        self.missed_counter = Some(counter.into());
-        self
-    }
-
     /// The limit this policy last decided (its belief, pre-clamp).
     pub fn current(&self) -> i64 {
         self.current
     }
 
-    fn overloaded(&mut self, snapshot: &IntrospectionSnapshot) -> bool {
-        let mut overload = false;
-        if let Some(name) = &self.missed_counter {
-            if let Some(total) = snapshot.counter(name) {
-                overload |= total > self.last_missed;
-                self.last_missed = total;
-            }
-        }
-        if let Some(id) = self.latency {
-            if let Some(v) = snapshot.value(id) {
-                overload |= v > self.target_latency_ns;
-            }
-        }
-        overload
+    fn overloaded(&self, snapshot: &IntrospectionSnapshot) -> bool {
+        self.latency
+            .and_then(|id| snapshot.value(id))
+            .is_some_and(|v| v > self.target_latency_ns)
     }
 }
 
@@ -722,24 +686,6 @@ mod tests {
         let d = p.evaluate(0, Trigger::Periodic, &intro.capture(0));
         assert_eq!(d, PolicyDecision::noop());
         assert_eq!(p.current(), 4);
-    }
-
-    #[test]
-    fn aimd_reacts_to_missed_deadline_counter() {
-        let intro = facade();
-        let counters = Arc::new(lg_metrics::CounterRegistry::new());
-        let missed = counters.counter("serve.deadline_missed");
-        intro.register_counters(counters.clone());
-        let mut p = AimdPolicy::new("limit", 1, 100, 32, 2, 0.5)
-            .on_missed_deadlines("serve.deadline_missed");
-        let d = p.evaluate(0, Trigger::Periodic, &intro.capture(0));
-        assert_eq!(d.sets[0].1, 34, "no misses: increase");
-        missed.add(3);
-        let d = p.evaluate(1, Trigger::Periodic, &intro.capture(1));
-        assert_eq!(d.sets[0].1, 17, "new misses: halve");
-        // No *new* misses since: back to increase.
-        let d = p.evaluate(2, Trigger::Periodic, &intro.capture(2));
-        assert_eq!(d.sets[0].1, 19);
     }
 
     #[test]

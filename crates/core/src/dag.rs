@@ -38,8 +38,8 @@
 //! completion (once per node) pays nothing for it.
 //!
 //! [`CriticalPathPolicy`] closes the loop: it reads those gauges from the
-//! round snapshot and steers the runtime's `dag.critical_bias` knob (and
-//! optionally a chunk-grain knob) through the journaled knob plane.
+//! round snapshot and steers the runtime's `dag.critical_bias` knob
+//! through the journaled knob plane.
 
 use crate::arbiter::{DemandClass, DemandProfile};
 use crate::policy::{Policy, PolicyDecision, Trigger};
@@ -197,29 +197,22 @@ impl DagStats {
 
 /// Steers DAG scheduling from the `dag.*` gauges.
 ///
-/// Control law, evaluated per round against the shared snapshot:
-///
-/// * **Priority bias** (`dag.critical_bias`, 0/1): enable while ready
-///   width is scarce relative to the worker count (every placement
-///   decision matters — the critical path must not wait behind off-path
-///   work), disable when the DAG offers abundant width *and* the live
-///   frontier's median slack is a large fraction of the remaining
-///   critical path (most ready work is off the path and any order keeps
-///   the workers busy, so skip the priority lane's displacement traffic).
-/// * **Chunk grain** (optional): halve the grain when ready width can't
-///   fill the workers (more, smaller tasks ⇒ more overlap), double it
-///   when width exceeds `16×` workers (fewer, larger tasks ⇒ less
-///   per-task overhead), clamped to the given bounds.
+/// Control law, evaluated per round against the shared snapshot, on the
+/// priority bias (`dag.critical_bias`, 0/1): enable while ready width is
+/// scarce relative to the worker count (every placement decision matters
+/// — the critical path must not wait behind off-path work), disable when
+/// the DAG offers abundant width *and* the live frontier's median slack
+/// is a large fraction of the remaining critical path (most ready work is
+/// off the path and any order keeps the workers busy, so skip the
+/// priority lane's displacement traffic).
 ///
 /// Decisions only carry a knob write when the value *changes*, so the
 /// actuation journal records transitions, not steady-state re-asserts.
 pub struct CriticalPathPolicy {
     name: String,
     bias_knob: crate::knob::KnobTarget,
-    chunk_knob: Option<(crate::knob::KnobTarget, i64, i64)>,
     workers: i64,
     last_bias: Option<i64>,
-    chunk: Option<i64>,
 }
 
 impl CriticalPathPolicy {
@@ -228,25 +221,9 @@ impl CriticalPathPolicy {
         Self {
             name: "critical-path".to_string(),
             bias_knob: bias_knob.into(),
-            chunk_knob: None,
             workers: workers.max(1) as i64,
             last_bias: None,
-            chunk: None,
         }
-    }
-
-    /// Also steer a chunk-grain knob between `min` and `max`, starting
-    /// from `initial`.
-    pub fn with_chunk_knob(
-        mut self,
-        knob: impl Into<crate::knob::KnobTarget>,
-        initial: i64,
-        min: i64,
-        max: i64,
-    ) -> Self {
-        self.chunk_knob = Some((knob.into(), min, max));
-        self.chunk = Some(initial.clamp(min, max));
-        self
     }
 }
 
@@ -276,25 +253,11 @@ impl Policy for CriticalPathPolicy {
         } else {
             self.last_bias.unwrap_or(1)
         };
-        let mut decision = PolicyDecision::noop();
-        if self.last_bias != Some(want_bias) {
-            self.last_bias = Some(want_bias);
-            decision.sets.push((self.bias_knob.clone(), want_bias));
+        if self.last_bias == Some(want_bias) {
+            return PolicyDecision::noop();
         }
-        if let (Some((knob, min, max)), Some(chunk)) = (&self.chunk_knob, self.chunk) {
-            let want_chunk = if ready < w {
-                (chunk / 2).max(*min)
-            } else if ready > 16.0 * w {
-                (chunk * 2).min(*max)
-            } else {
-                chunk
-            };
-            if want_chunk != chunk {
-                self.chunk = Some(want_chunk);
-                decision.sets.push((knob.clone(), want_chunk));
-            }
-        }
-        decision
+        self.last_bias = Some(want_bias);
+        PolicyDecision::set(self.bias_knob.clone(), want_bias)
     }
 }
 
@@ -420,19 +383,6 @@ mod tests {
         let mut p = CriticalPathPolicy::new("dag.critical_bias", 2);
         let d = p.evaluate(1, Trigger::Periodic, &snap);
         assert_eq!(d.sets, vec![("dag.critical_bias".into(), 0)]);
-    }
-
-    #[test]
-    fn policy_steers_chunk_grain_within_bounds() {
-        let intro = intro();
-        let s = DagStats::new();
-        s.register_on(&intro);
-        s.on_release(1_000); // width 1 < workers ⇒ halve
-        let snap = intro.capture(1);
-        let mut p =
-            CriticalPathPolicy::new("dag.critical_bias", 4).with_chunk_knob("chunk", 64, 16, 256);
-        let d = p.evaluate(1, Trigger::Periodic, &snap);
-        assert!(d.sets.contains(&("chunk".into(), 32)));
     }
 
     #[test]

@@ -30,23 +30,15 @@ use crate::snapshot::{Introspection, IntrospectionSnapshot};
 use crate::trace::TraceListener;
 use std::sync::Arc;
 
+/// Points of concurrency history an instance keeps.
+const CONCURRENCY_HISTORY: usize = 1024;
+
 /// Builder for [`LookingGlass`].
+#[derive(Default)]
 pub struct LookingGlassBuilder {
     clock: Option<Arc<dyn Clock>>,
     trace_capacity: Option<usize>,
-    concurrency_history: usize,
     sample_history: Option<usize>,
-}
-
-impl Default for LookingGlassBuilder {
-    fn default() -> Self {
-        Self {
-            clock: None,
-            trace_capacity: None,
-            concurrency_history: 1024,
-            sample_history: None,
-        }
-    }
 }
 
 impl LookingGlassBuilder {
@@ -59,12 +51,6 @@ impl LookingGlassBuilder {
     /// Enables event tracing with the given ring capacity.
     pub fn trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets the concurrency history length (default 1024 points).
-    pub fn concurrency_history(mut self, len: usize) -> Self {
-        self.concurrency_history = len;
         self
     }
 
@@ -87,7 +73,7 @@ impl LookingGlassBuilder {
         let profiles = Arc::new(ProfileListener::on(names.clone(), stripes.clone()));
         dispatcher.register(profiles.clone());
         let concurrency = Arc::new(ConcurrencyListener::on(
-            self.concurrency_history,
+            CONCURRENCY_HISTORY,
             stripes.clone(),
         ));
         dispatcher.register(concurrency.clone());
@@ -262,25 +248,19 @@ impl LookingGlass {
     }
 
     /// Starts a named timer on the calling thread; the returned guard
-    /// emits `TaskBegin` now and `TaskEnd` when dropped. `worker` is 0 —
-    /// use [`LookingGlass::timer_on`] from runtime workers.
+    /// emits `TaskBegin` now and `TaskEnd` when dropped. Its events carry
+    /// worker 0.
     pub fn timer(self: &Arc<Self>, name: &str) -> Timer {
-        self.timer_on(name, 0)
-    }
-
-    /// Starts a named timer attributed to a specific worker index.
-    pub fn timer_on(self: &Arc<Self>, name: &str, worker: usize) -> Timer {
         let task = self.intern(name);
         let t0 = self.now_ns();
         self.emit(&Event::TaskBegin {
             task,
-            worker,
+            worker: 0,
             t_ns: t0,
         });
         Timer {
             lg: self.clone(),
             task,
-            worker,
             t0,
             stopped: false,
         }
@@ -328,7 +308,6 @@ impl std::fmt::Debug for LookingGlass {
 pub struct Timer {
     lg: Arc<LookingGlass>,
     task: TaskId,
-    worker: usize,
     t0: u64,
     stopped: bool,
 }
@@ -343,12 +322,12 @@ impl Timer {
     pub fn yield_point(&self) {
         self.lg.emit(&Event::TaskYield {
             task: self.task,
-            worker: self.worker,
+            worker: 0,
             t_ns: self.lg.now_ns(),
         });
         self.lg.emit(&Event::TaskResume {
             task: self.task,
-            worker: self.worker,
+            worker: 0,
             t_ns: self.lg.now_ns(),
         });
     }
@@ -362,7 +341,7 @@ impl Timer {
         let elapsed = t1.saturating_sub(self.t0);
         self.lg.emit(&Event::TaskEnd {
             task: self.task,
-            worker: self.worker,
+            worker: 0,
             t_ns: t1,
             elapsed_ns: elapsed,
         });

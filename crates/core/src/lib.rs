@@ -40,8 +40,8 @@
 //!   under virtual time. Policy panics are contained, and repeat offenders
 //!   are quarantined.
 //! * [`snapshot`] — the read side of adaptation: a coherent point-in-time
-//!   [`snapshot::IntrospectionSnapshot`] (profiles, concurrency, gauges,
-//!   window rates, counters) addressed by interned
+//!   [`snapshot::IntrospectionSnapshot`] (profiles, concurrency, gauges
+//!   — a window mean is a stamped gauge — and counters) addressed by interned
 //!   [`snapshot::MetricId`]s; policies, tuning sessions, the watchdog,
 //!   and report writers all measure through it.
 //! * [`knob`] — typed integer actuators with bounds, units, steps and
@@ -55,8 +55,9 @@
 //!   watchdog all consume the same records.
 //! * [`watchdog`] — a policy that detects post-actuation throughput
 //!   regressions and rolls back the offending knob write.
-//! * [`session`] — the online tuning loop: settle → measure → report →
-//!   move, generic over any [`lg_tuning::Search`].
+//! * [`session`] — the online tuning loop: actuate → settle → measure →
+//!   report, generic over any [`lg_tuning::Search`]. The caller supplies
+//!   the timestamps, so one loop serves wall-clock and virtual time.
 //! * [`clock`] — wall and virtual clocks behind one trait so every layer
 //!   works identically in real execution and simulation.
 //! * [`instance::LookingGlass`] — wires the pieces together and provides

@@ -226,11 +226,6 @@ impl Dispatcher {
         self.enabled.store(enabled, Ordering::Release);
     }
 
-    /// Whether dispatch is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
     /// Number of registered listeners.
     pub fn listener_count(&self) -> usize {
         self.listeners.load().len()
@@ -393,7 +388,7 @@ impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
             .field("listeners", &self.listener_count())
-            .field("enabled", &self.is_enabled())
+            .field("enabled", &self.enabled.load(Ordering::Acquire))
             .field("events_dispatched", &self.events_dispatched())
             .field("deliveries", &self.deliveries())
             .finish()

@@ -18,8 +18,7 @@
 //!
 //! The session is clock-agnostic: the caller supplies timestamps, so the
 //! same code drives wall-clock tuning on the real runtime and virtual-time
-//! tuning in the simulator. [`TuningSession::run_blocking`] is a
-//! convenience driver for the wall-clock case.
+//! tuning in the simulator.
 
 use crate::event::TaskId;
 use crate::knob::{KnobId, KnobRegistry};
@@ -36,8 +35,6 @@ pub struct SessionConfig {
     pub settle_ns: u64,
     /// Measurement window length.
     pub measure_ns: u64,
-    /// Hard cap on epochs (0 = unlimited).
-    pub max_epochs: usize,
 }
 
 impl SessionConfig {
@@ -47,7 +44,6 @@ impl SessionConfig {
             knob_names: vec![knob.into()],
             settle_ns,
             measure_ns,
-            max_epochs: 0,
         }
     }
 }
@@ -77,8 +73,8 @@ pub enum SessionStep {
         /// Earliest timestamp at which measurement is representative.
         measure_from_ns: u64,
     },
-    /// The search has converged (or hit `max_epochs`); `best` holds the
-    /// winning configuration, which has been re-applied to the knobs.
+    /// The search has converged; `best` holds the winning configuration,
+    /// which has been re-applied to the knobs.
     Done {
         /// Best `(point, objective)`, if anything was measured.
         best: Option<(Point, f64)>,
@@ -159,7 +155,7 @@ impl TuningSession {
     /// does not match `knob_names`.
     pub fn next(&mut self, now_ns: u64) -> SessionStep {
         assert!(self.pending.is_none(), "epoch already in flight");
-        if self.finished || (self.cfg.max_epochs > 0 && self.history.len() >= self.cfg.max_epochs) {
+        if self.finished {
             return self.finish(now_ns);
         }
         match self.search.propose() {
@@ -259,33 +255,6 @@ impl TuningSession {
     pub fn measure_ns(&self) -> u64 {
         self.cfg.measure_ns
     }
-
-    /// Wall-clock convenience driver: repeatedly actuates, sleeps the
-    /// settle window, and calls `measure` (which should observe for the
-    /// measurement window and return the objective) until done. Returns
-    /// the best configuration.
-    pub fn run_blocking(
-        &mut self,
-        clock: &dyn crate::clock::Clock,
-        mut measure: impl FnMut(&Point, u64) -> f64,
-    ) -> Option<(Point, f64)> {
-        loop {
-            match self.next(clock.now_ns()) {
-                SessionStep::Done { best } => return best,
-                SessionStep::Measure {
-                    point,
-                    measure_from_ns,
-                } => {
-                    let now = clock.now_ns();
-                    if measure_from_ns > now {
-                        std::thread::sleep(std::time::Duration::from_nanos(measure_from_ns - now));
-                    }
-                    let objective = measure(&point, self.cfg.measure_ns);
-                    self.complete(objective);
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for TuningSession {
@@ -370,7 +339,6 @@ mod tests {
             knob_names: vec!["cap".into()],
             settle_ns: 500,
             measure_ns: 100,
-            max_epochs: 0,
         };
         let mut session = TuningSession::new(cfg, search, knobs);
         match session.next(1_000) {
@@ -379,34 +347,6 @@ mod tests {
             } => assert_eq!(measure_from_ns, 1_500),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn max_epochs_caps_session() {
-        let knobs = knobs_with_cap(32);
-        let space = Space::new(vec![Dim::range("cap", 1, 32, 1)]);
-        let search = Box::new(HillClimb::from_start(space, &[16]));
-        let cfg = SessionConfig {
-            knob_names: vec!["cap".into()],
-            settle_ns: 0,
-            measure_ns: 0,
-            max_epochs: 3,
-        };
-        let mut session = TuningSession::new(cfg, search, knobs);
-        let mut epochs = 0;
-        let mut now = 0;
-        loop {
-            match session.next(now) {
-                SessionStep::Done { .. } => break,
-                SessionStep::Measure { point, .. } => {
-                    session.complete(point[0] as f64);
-                    epochs += 1;
-                    now += 1;
-                }
-            }
-        }
-        assert_eq!(epochs, 3);
-        assert_eq!(session.history().len(), 3);
     }
 
     #[test]
@@ -503,25 +443,5 @@ mod tests {
             assert_eq!(e.objective, e.point[0] as f64 * 10.0, "ΔE per epoch");
         }
         assert_eq!(session.best().unwrap().0, vec![1], "lowest ΔE wins");
-    }
-
-    #[test]
-    fn run_blocking_drives_to_completion() {
-        use crate::clock::WallClock;
-        let knobs = knobs_with_cap(8);
-        let space = Space::new(vec![Dim::range("cap", 1, 8, 1)]);
-        let search = Box::new(HillClimb::from_start(space, &[8]));
-        let cfg = SessionConfig {
-            knob_names: vec!["cap".into()],
-            settle_ns: 1,
-            measure_ns: 1,
-            max_epochs: 0,
-        };
-        let mut session = TuningSession::new(cfg, search, knobs);
-        let clock = WallClock::new();
-        let best = session
-            .run_blocking(&clock, |p, _window| ((p[0] - 5) * (p[0] - 5)) as f64)
-            .unwrap();
-        assert_eq!(best.0, vec![5]);
     }
 }

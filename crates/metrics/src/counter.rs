@@ -31,9 +31,9 @@ enum CounterStorage {
 /// updates never contend across threads (reads fold the stripes).
 ///
 /// The value only grows, so it is its own dirtiness signal: a reader that
-/// kept the value it last saw learns "written since" by comparing (see
-/// [`CounterRegistry::write_version`]); an update is one atomic RMW and
-/// nothing else — a watcher reads the value when it checks.
+/// kept the value it last saw learns "written since" by comparing; an
+/// update is one atomic RMW and nothing else — a watcher reads the value
+/// when it checks.
 #[derive(Clone, Debug)]
 pub struct CounterHandle {
     storage: Arc<CounterStorage>,
@@ -193,16 +193,6 @@ impl CounterRegistry {
             .collect()
     }
 
-    /// Wrapping sum of every counter's value. Counters only grow, so this
-    /// is unchanged between two reads ⇔ nothing was added to any counter in
-    /// between (short of 2^64 units). A reader that keeps the values
-    /// (incremental snapshot capture) compares those instead, one by one.
-    pub fn write_version(&self) -> u64 {
-        self.sorted_handles()
-            .iter()
-            .fold(0, |sum, (_, h)| sum.wrapping_add(h.get()))
-    }
-
     /// Generation of the counter *name set*; bumped when a counter is
     /// created. Readers caching the sorted name table re-fetch it only
     /// when this moves.
@@ -347,22 +337,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(reg.counter("shared").get(), 80_000);
-    }
-
-    #[test]
-    fn write_version_moves_only_on_counter_writes() {
-        let reg = CounterRegistry::new();
-        let c = reg.counter("a");
-        let v0 = reg.write_version();
-        assert_eq!(reg.write_version(), v0, "idle registry is stable");
-        c.add(3);
-        let v1 = reg.write_version();
-        assert!(v1 > v0);
-        reg.gauge("g").set(9); // gauges are not snapshot state
-        reg.counter("a"); // lookups don't count as writes
-        assert_eq!(reg.write_version(), v1);
-        reg.striped_counter("hot").inc();
-        assert!(reg.write_version() > v1);
     }
 
     #[test]

@@ -108,23 +108,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = Self::index_of(value);
-        self.counts[idx] += n;
-        self.total += n;
-        self.sum += value as u128 * n as u128;
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
     /// Total number of recorded observations.
     pub fn count(&self) -> u64 {
         self.total
@@ -318,19 +301,6 @@ mod tests {
                 "q={q}: got {got}, want ~{expect} (err {err:.3})"
             );
         }
-    }
-
-    #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..37 {
-            a.record(12345);
-        }
-        b.record_n(12345, 37);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.p50(), b.p50());
     }
 
     #[test]

@@ -39,27 +39,6 @@ impl TransportCost {
     pub fn occupancy_ns(&self, bytes: usize) -> u64 {
         self.per_msg_ns + (self.per_byte_ns * bytes as f64).ceil() as u64
     }
-
-    /// End-to-end time of a single `n`-byte message on an idle link.
-    pub fn message_time_ns(&self, bytes: usize) -> u64 {
-        self.occupancy_ns(bytes) + self.latency_ns
-    }
-
-    /// Peak wire messages/second for `n`-byte messages (occupancy-limited).
-    pub fn peak_msg_rate(&self, bytes: usize) -> f64 {
-        1e9 / self.occupancy_ns(bytes) as f64
-    }
-
-    /// The classic coalescing win: total link occupancy of `k` parcels of
-    /// `n` bytes each sent individually vs in one message.
-    pub fn coalescing_gain(&self, k: usize, bytes_each: usize) -> f64 {
-        if k == 0 {
-            return 1.0;
-        }
-        let individual = k as u64 * self.occupancy_ns(bytes_each);
-        let coalesced = self.occupancy_ns(k * bytes_each);
-        individual as f64 / coalesced as f64
-    }
 }
 
 #[cfg(test)]
@@ -72,37 +51,5 @@ mod tests {
         assert_eq!(c.occupancy_ns(0), 1_000);
         assert_eq!(c.occupancy_ns(100), 1_050);
         assert_eq!(c.occupancy_ns(1000), 1_500);
-    }
-
-    #[test]
-    fn message_time_adds_latency() {
-        let c = TransportCost::new(100, 1.0, 5_000);
-        assert_eq!(c.message_time_ns(10), 100 + 10 + 5_000);
-    }
-
-    #[test]
-    fn coalescing_gain_grows_then_saturates() {
-        let c = TransportCost::cluster(); // α = 1000, β = 0.1
-        let g1 = c.coalescing_gain(1, 64);
-        let g8 = c.coalescing_gain(8, 64);
-        let g64 = c.coalescing_gain(64, 64);
-        let g512 = c.coalescing_gain(512, 64);
-        assert!((g1 - 1.0).abs() < 1e-12);
-        assert!(g8 > 4.0, "g8 = {g8}");
-        assert!(g64 > g8);
-        assert!(g512 > g64);
-        // Asymptote: gain → occupancy(64)/ (β·64) ≈ 1006.4/6.4 ≈ 157.
-        assert!(g512 < 160.0);
-    }
-
-    #[test]
-    fn zero_k_gain_is_one() {
-        assert_eq!(TransportCost::cluster().coalescing_gain(0, 64), 1.0);
-    }
-
-    #[test]
-    fn peak_rate_inverse_of_occupancy() {
-        let c = TransportCost::new(1_000, 0.0, 0);
-        assert!((c.peak_msg_rate(0) - 1e6).abs() < 1e-6);
     }
 }

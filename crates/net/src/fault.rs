@@ -120,7 +120,7 @@ impl FaultPlan {
     }
 
     /// Whether the link is down (flapped or in an outage window) at `t_ns`.
-    pub fn link_down_at(&self, t_ns: u64) -> bool {
+    fn link_down_at(&self, t_ns: u64) -> bool {
         if let Some((up, down)) = self.flap {
             if t_ns % (up + down) >= up {
                 return true;

@@ -31,7 +31,7 @@
 //! live recovery *state* — how many breakers are open or probing, how
 //! full the retry buckets are — is published through [`ReliableGauges`]:
 //! call [`ReliableLink::bind_introspection`] and policies can read breaker
-//! state and budget fill from the same [`IntrospectionSnapshot`] they read
+//! state and budget fill from the same [`lg_core::IntrospectionSnapshot`] they read
 //! everything else from.
 //!
 //! Two load-control hooks serve admission layers above the link:
@@ -194,14 +194,14 @@ impl ReliableGauges {
     }
 
     /// Destinations currently in the half-open (probing) state.
-    pub fn breakers_half_open(&self) -> i64 {
+    fn breakers_half_open(&self) -> i64 {
         self.breakers_half_open.load(Ordering::Relaxed)
     }
 
     /// Aggregate retry-budget fill across destinations, in `[0, 1]`.
     /// `NaN` until any destination has needed a retry token (no buckets
     /// exist yet — a fault-free link never materialises one).
-    pub fn budget_fill(&self) -> f64 {
+    fn budget_fill(&self) -> f64 {
         let cap = self.budget_capacity_milli.load(Ordering::Relaxed);
         if cap <= 0 {
             f64::NAN

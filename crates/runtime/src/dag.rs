@@ -49,7 +49,7 @@
 //! ## Safety
 //!
 //! Bodies may borrow from the enclosing stack frame (`'scope`), with the
-//! same barrier — the same [`Barrier`] type, batched arrivals and
+//! same barrier — the same `Barrier` type, batched arrivals and
 //! wait-from-a-drop-guard included — as [`crate::scope`]: `dag_scope` does
 //! not return or unwind until every node's completion has arrived, and a
 //! completion arrives only after the worker is done with the body. The

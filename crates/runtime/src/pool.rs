@@ -47,7 +47,7 @@
 //! With a [`FaultConfig`] set, submitted tasks may be adversarially
 //! crashed or delayed (see [`crate::fault`]) — the substrate for
 //! resilience experiments. Injected bodies are built through the normal
-//! [`crate::task::TaskBody`] constructors, so they exercise the same
+//! `crate::task::TaskBody` constructors, so they exercise the same
 //! inline/boxed representation as real tasks.
 
 use crate::fault::{FaultConfig, FaultState, TaskFault};

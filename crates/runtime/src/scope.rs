@@ -8,9 +8,9 @@
 //! ## Safety argument
 //!
 //! Scoped closures are `'scope`-bounded, but the pool stores `'static`
-//! tasks; the lifetime is erased with [`TaskBody::new_unchecked`].
-//! Soundness rests on the completion [`Barrier`]: every scoped task
-//! carries a [`Completion`] that arrives at the barrier when the worker is
+//! tasks; the lifetime is erased with `TaskBody::new_unchecked`.
+//! Soundness rests on the completion `Barrier`: every scoped task
+//! carries a `Completion` that arrives at the barrier when the worker is
 //! done with the body (run *or* dropped unrun — the `Drop` impl is the
 //! guard), and `scope` does not return — **not even by unwinding**, the
 //! wait runs from a drop guard — until every arrival is in, so no borrow
@@ -21,7 +21,7 @@
 //! the pointee alive is the count — it starts at 1 (the scope's own
 //! guard), every spawn adds 1 before its task becomes visible, and the
 //! frame is not left until the count has reached zero, which it does
-//! exactly once. See [`Barrier`] for the exit protocol.
+//! exactly once. See `Barrier` for the exit protocol.
 //!
 //! The same argument covers [`ThreadPool::parallel_for_mut`]'s `&mut`
 //! sub-slices: the slice stays borrowed until the barrier has passed, and
@@ -47,7 +47,7 @@
 //! * **(d)** `try_help` publishes after every helped task (scope barrier,
 //!   DAG barrier, `JoinHandle` helper) — the wait may end with that task,
 //!   and its completion must not sit under the rest of a long outer task;
-//! * **(e)** a thread entering [`Barrier::wait`] publishes first;
+//! * **(e)** a thread entering `Barrier::wait` publishes first;
 //! * **(f)** threads that are not pool workers never batch.
 //!
 //! (b) and (d) together keep an invariant: whatever a worker holds while a
@@ -66,7 +66,7 @@
 //! user capture stays within the inline budget and the steady-state spawn
 //! performs no allocation. Panic accounting rides on the worker's own
 //! `catch_unwind`: the worker passes the panic flag to
-//! [`Completion::run`], the barrier counts it, and `scope` re-throws after
+//! `Completion::run`, the barrier counts it, and `scope` re-throws after
 //! the barrier (first panic wins), matching `std::thread::scope`
 //! semantics. Scoped panics therefore also show up in
 //! [`ThreadPool::panics`], like any other contained panic.

@@ -8,7 +8,7 @@
 //!
 //! The old representation boxed every closure (`Box<dyn FnOnce>`), which
 //! put one allocator round-trip on every spawn — exactly the per-task α
-//! cost the granularity experiments try to isolate. [`TaskBody`] instead
+//! cost the granularity experiments try to isolate. `TaskBody` instead
 //! stores the closure **in place** when it fits [`INLINE_BODY_BYTES`]
 //! (three pointers — enough for the `(&body, start, end)` triple a
 //! `parallel_for` chunk captures, or a small user capture plus a join

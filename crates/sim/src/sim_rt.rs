@@ -280,7 +280,7 @@ impl SimRuntime {
     }
 
     /// Current frequency fraction.
-    pub fn freq_fraction(&self) -> f64 {
+    fn freq_fraction(&self) -> f64 {
         self.freq.get() as f64 / 1000.0
     }
 
@@ -580,17 +580,6 @@ impl SimRuntime {
     pub fn backlog(&self) -> usize {
         self.queue.len() + self.running.len()
     }
-
-    /// Advances virtual time by `dt_ns` with the machine idle (between
-    /// phases, settle windows). Idle power is still consumed.
-    pub fn idle_for(&mut self, dt_ns: u64) {
-        assert!(
-            self.running.is_empty() && self.queue.is_empty(),
-            "idle_for while work pending"
-        );
-        self.clock.advance_by(dt_ns);
-        self.sample_power();
-    }
 }
 
 impl std::fmt::Debug for SimRuntime {
@@ -797,15 +786,6 @@ mod tests {
         // Progress was retained: the remainder finishes at ~5 ms.
         assert!(sim.run_until_event(10_000_000));
         assert!((sim.clock().now_ns() as f64 - 5e6).abs() < 10.0);
-    }
-
-    #[test]
-    fn idle_consumes_idle_power() {
-        let mut sim = SimRuntime::new(machine(4, 1e9, 1e9));
-        let e0 = sim.total_energy_j();
-        sim.idle_for(1_000_000_000); // 1 s
-        let de = sim.total_energy_j() - e0;
-        assert!((de - 10.0).abs() < 1e-6, "idle energy {de}");
     }
 
     #[test]

@@ -64,17 +64,17 @@ impl Dim {
     ///
     /// # Panics
     /// Panics if `level` is out of range.
-    pub fn value_at(&self, level: usize) -> i64 {
+    fn value_at(&self, level: usize) -> i64 {
         self.values[level]
     }
 
     /// Level index of `value`, if it is one of this dimension's values.
-    pub fn level_of(&self, value: i64) -> Option<usize> {
+    fn level_of(&self, value: i64) -> Option<usize> {
         self.values.binary_search(&value).ok()
     }
 
     /// Level whose value is closest to `value` (ties resolve downward).
-    pub fn nearest_level(&self, value: i64) -> usize {
+    fn nearest_level(&self, value: i64) -> usize {
         match self.values.binary_search(&value) {
             Ok(i) => i,
             Err(0) => 0,

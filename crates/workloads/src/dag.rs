@@ -163,7 +163,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Modelled execution time of a node, ns.
-    pub fn cost_ns(&self, ops: f64, bytes: f64) -> u64 {
+    fn cost_ns(&self, ops: f64, bytes: f64) -> u64 {
         (ops / self.ops_per_s * 1e9 + bytes / self.bytes_per_s * 1e9).ceil() as u64
     }
 }

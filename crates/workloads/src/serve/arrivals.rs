@@ -51,7 +51,7 @@ pub enum ArrivalPattern {
 
 impl ArrivalPattern {
     /// Intensity λ(t) in arrivals/sec.
-    pub fn rate_at(&self, t_ns: u64) -> f64 {
+    fn rate_at(&self, t_ns: u64) -> f64 {
         match *self {
             ArrivalPattern::Poisson { rate_per_sec } => rate_per_sec,
             ArrivalPattern::Bursty { rate_per_sec } => {
@@ -86,7 +86,7 @@ impl ArrivalPattern {
     }
 
     /// The pattern's peak intensity (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    fn peak_rate(&self) -> f64 {
         match *self {
             ArrivalPattern::Poisson { rate_per_sec } => rate_per_sec,
             ArrivalPattern::Bursty { rate_per_sec } => rate_per_sec * 4.0,

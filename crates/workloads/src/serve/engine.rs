@@ -87,7 +87,7 @@ impl ServeGauges {
         self.in_flight.load(Ordering::Relaxed)
     }
     /// Requests currently in service.
-    pub fn in_service(&self) -> i64 {
+    fn in_service(&self) -> i64 {
         self.in_service.load(Ordering::Relaxed)
     }
     /// p99 end-to-end latency over the last control round, ns (holds the

@@ -21,7 +21,7 @@ pub struct Stencil1d {
 
 impl Stencil1d {
     /// Creates a rod of `n` points with diffusion constant `k`, hot at the
-    /// left boundary (u[0] = 1) and cold elsewhere.
+    /// left boundary (`u[0] = 1`) and cold elsewhere.
     ///
     /// # Panics
     /// Panics if `n < 3` or `k` is not in `(0, 0.5]` (stability bound).

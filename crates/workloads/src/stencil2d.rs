@@ -46,11 +46,6 @@ impl Stencil2d {
         self.rows
     }
 
-    /// Grid columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Timesteps completed.
     pub fn steps_done(&self) -> usize {
         self.steps_done
