@@ -4,10 +4,11 @@
 //! are added: the disabled path, the enabled-but-empty dispatcher, and
 //! 1–4 registered listeners of increasing weight (no-op closures, then
 //! the real profiler, then the whole stock pipeline, delivered per event
-//! and deferred in 64-event runs). Expected shape: the disabled path costs
-//! a few nanoseconds (one atomic load); each listener adds tens of
-//! nanoseconds; deferral takes the lock and list read off the per-event
-//! bill; the full profiled timer stays well under a microsecond per event.
+//! and deferred in 64-event runs, also with an event policy registered).
+//! Expected shape: the disabled path costs a few nanoseconds (one atomic
+//! load); each listener adds tens of nanoseconds; deferral takes the lock,
+//! list read and listener calls off the per-event bill; the full profiled
+//! timer stays well under a microsecond per event.
 
 use crate::report::{fmt_f, write_csv, Table};
 use lg_core::listener::FnListener;
@@ -101,11 +102,18 @@ pub fn run(fast: bool) {
         t_ns: 2,
         elapsed_ns: 1,
     };
+    // The same with an event policy on phase markers: the engine scans
+    // each deferred run's events against its filter, in one call per run.
+    let with_policy = LookingGlass::builder().trace(4096).build();
+    with_policy.policy_engine().register_triggered(
+        lg_core::FnPolicy::new("on-phase", |_, _, _| lg_core::PolicyDecision::noop()),
+        Box::new(|e| matches!(e, Event::PhaseBegin { .. })),
+    );
     // Per event, and deferred as pool workers emit their tasks' pairs:
-    // delivered in runs of `DEFERRED_CAPACITY` events, one stripe lock and
-    // one listener-list read per run. Fastest of five interleaved runs
-    // each, so a host hiccup cannot decide the gate below.
-    let (mut ns_pair, mut ns_deferred_pair) = (f64::MAX, f64::MAX);
+    // delivered in runs of `DEFERRED_CAPACITY` events, one lock, list read
+    // and call per listener per run. Fastest of five interleaved runs
+    // each, so a host hiccup cannot decide the gates below.
+    let (mut ns_pair, mut ns_deferred_pair, mut ns_policy_pair) = (f64::MAX, f64::MAX, f64::MAX);
     for _ in 0..5 {
         ns_pair = ns_pair.min(ns_per_event(iters / 2, || {
             lg.emit(&begin);
@@ -116,6 +124,11 @@ pub fn run(fast: bool) {
             lg.emit_deferred(&end);
         }));
         flush_deferred();
+        ns_policy_pair = ns_policy_pair.min(ns_per_event(iters / 2, || {
+            with_policy.emit_deferred(&begin);
+            with_policy.emit_deferred(&end);
+        }));
+        flush_deferred();
     }
     record(
         "enabled, stock (profiler+concurrency+trace+engine)",
@@ -124,6 +137,10 @@ pub fn run(fast: bool) {
     record(
         &format!("enabled, stock, deferred ({DEFERRED_CAPACITY}-event runs)"),
         ns_deferred_pair / 2.0,
+    );
+    record(
+        "enabled, stock + event policy, deferred",
+        ns_policy_pair / 2.0,
     );
 
     // Full RAII timer through a complete instance (profiler + concurrency
@@ -147,9 +164,10 @@ pub fn run(fast: bool) {
     // Batching must pay: a deferred run shares one lock and one list read
     // among 64 events, so it has to undercut immediate delivery.
     assert!(
-        ns_deferred_pair < ns_pair,
-        "deferred stock delivery ({:.1} ns/event) should undercut immediate ({:.1} ns/event)",
+        ns_deferred_pair.max(ns_policy_pair) < ns_pair,
+        "deferred stock delivery ({:.1}, {:.1} with an event policy) should undercut immediate ({:.1} ns/event)",
         ns_deferred_pair / 2.0,
+        ns_policy_pair / 2.0,
         ns_pair / 2.0
     );
     let path = write_csv(&table, "fig1_overhead");

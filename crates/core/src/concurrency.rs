@@ -7,14 +7,12 @@
 //!
 //! Everything a task event writes lives in the **emitting thread's own
 //! stripe** (the private `stripe` module): its `(level, peak)` pair —
-//! begins minus ends seen by that thread, and the highest value that
-//! reached — as atomics only the stripe-lock holder writes, and a history
-//! of that level in the locked state, allocated by the stripe's first task
-//! event. A tracker the instance builder made sits on its dispatcher's
-//! stripes and runs under the lock the dispatcher already took; one from
-//! [`ConcurrencyListener::new`] locks its own. No event touches a line
-//! another emitter writes. Reads rebuild the global view from the stripes
-//! that were ever touched:
+//! begins minus ends seen by that thread, and their maximum — as atomics
+//! only the stripe-lock holder writes, once per batch, and a history of
+//! that level in the locked state. A tracker the instance builder made
+//! runs under the lock the dispatcher already took; one from
+//! [`ConcurrencyListener::new`] locks its own. Reads rebuild the global
+//! view from the stripes that were ever touched:
 //!
 //! * [`ConcurrencyListener::active_tasks`] is the sum of the stripe
 //!   levels — exact whenever no event is in flight (a stripe's level goes
@@ -24,9 +22,8 @@
 //!   an upper bound on the highest instantaneous count (every count is a
 //!   sum of levels, each at most its stripe's peak), never below any one
 //!   emitter's own peak, and exact for a single emitter or whenever the
-//!   emitters peaked together (a saturated pool). The exact global peak
-//!   would need every event to observe the global count — the shared RMW
-//!   this design exists to avoid.
+//!   emitters peaked together (a saturated pool); the exact one would need
+//!   a shared RMW per event.
 //! * [`ConcurrencyListener::history`] merges the stripe histories by
 //!   timestamp and replays them as a running sum of each stripe's latest
 //!   level, which for a single emitter is its own history verbatim.
@@ -134,25 +131,17 @@ impl ConcurrencyListener {
             .collect()
     }
 
-    /// Moves the calling thread's stripe level by `delta`; the caller
-    /// holds the stripe lock `state` came from.
-    fn record(&self, stripe: &Stripe, state: &mut StripeState, t_ns: u64, delta: i64) {
+    /// The stripe's level history, allocated by its first task event.
+    fn history_of<'s>(&self, state: &'s mut StripeState) -> &'s mut StripeHistory {
         // A stripe is marked touched by the event that creates its
         // history: one shared-word access per stripe, not per event.
-        let h = state.history.get_or_insert_with(|| {
+        state.history.get_or_insert_with(|| {
             self.touched.mark(thread_stripe());
             StripeHistory {
                 series: TimeSeries::new(self.history_len),
                 last: None,
             }
-        });
-        let level = stripe.level.load(Ordering::Relaxed) + delta;
-        stripe.level.store(level, Ordering::Relaxed);
-        if level > stripe.peak.load(Ordering::Relaxed) {
-            stripe.peak.store(level, Ordering::Relaxed);
-        }
-        h.series.push(t_ns, level as f64);
-        h.last = Some((t_ns, level as f64));
+        })
     }
 }
 
@@ -169,21 +158,35 @@ impl Listener for ConcurrencyListener {
         Some(&self.stripes)
     }
 
-    fn on_event_locked(&self, event: &Event, stripe: &Stripe, state: &mut StripeState) {
-        match *event {
-            Event::TaskBegin { t_ns, .. } | Event::TaskResume { t_ns, .. } => {
-                self.record(stripe, state, t_ns, 1)
-            }
-            Event::TaskEnd { t_ns, .. } | Event::TaskYield { t_ns, .. } => {
-                self.record(stripe, state, t_ns, -1)
-            }
-            Event::WorkerStart { .. } => {
-                self.online_workers.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::WorkerStop { .. } => {
-                self.online_workers.fetch_sub(1, Ordering::Relaxed);
-            }
-            _ => {}
+    fn on_batch_locked(&self, events: &[Event], stripe: &Stripe, state: &mut StripeState) {
+        // The level and peak ride in locals through the batch and are
+        // stored once; the history still gets a point per task event.
+        let mut level = stripe.level.load(Ordering::Relaxed);
+        let mut peak = stripe.peak.load(Ordering::Relaxed);
+        let mut last = None;
+        for event in events {
+            let (t_ns, delta) = match *event {
+                Event::TaskBegin { t_ns, .. } | Event::TaskResume { t_ns, .. } => (t_ns, 1),
+                Event::TaskEnd { t_ns, .. } | Event::TaskYield { t_ns, .. } => (t_ns, -1),
+                Event::WorkerStart { .. } => {
+                    self.online_workers.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                Event::WorkerStop { .. } => {
+                    self.online_workers.fetch_sub(1, Ordering::Relaxed);
+                    continue;
+                }
+                _ => continue,
+            };
+            level += delta;
+            peak = peak.max(level);
+            self.history_of(state).series.push(t_ns, level as f64);
+            last = Some((t_ns, level as f64));
+        }
+        if last.is_some() {
+            self.history_of(state).last = last;
+            stripe.level.store(level, Ordering::Relaxed);
+            stripe.peak.store(peak, Ordering::Relaxed);
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::clock::{Clock, WallClock};
 use crate::concurrency::ConcurrencyListener;
 use crate::event::{Event, TaskId, TaskNames};
 use crate::knob::KnobRegistry;
-use crate::listener::{flush_deferred, Dispatcher, Listener, ListenerHandle};
+use crate::listener::{Dispatcher, Listener, ListenerHandle};
 use crate::policy::PolicyEngine;
 use crate::profile::ProfileListener;
 use crate::samples::SampleHistoryListener;
@@ -109,8 +109,8 @@ impl LookingGlassBuilder {
                     .map_or(f64::NAN, |ns| ns as f64)
             },
         );
-        // Always a listener: with no event-triggered policy registered an
-        // event costs the engine one atomic load.
+        // Always a listener: with no event-triggered policy registered a
+        // delivered batch costs the engine one atomic load.
         dispatcher.register(policy_engine.clone());
         Arc::new(LookingGlass {
             clock,
@@ -224,21 +224,17 @@ impl LookingGlass {
     /// Emits `event` into the calling thread's deferred buffer, delivered
     /// with the rest of the buffer as one batch (see
     /// [`crate::listener`]'s "Deferred delivery"): when it fills, at the
-    /// thread's next [`LookingGlass::emit`] or [`flush_deferred`], or when
-    /// the thread exits. Same delivery order and timestamps as `emit`,
-    /// one stripe lock per batch instead of one per event. While the
-    /// policy engine has an event-triggered policy the event is delivered
-    /// at once instead.
+    /// thread's next [`LookingGlass::emit`] or [`crate::flush_deferred`],
+    /// or when the thread exits. Same delivery order and timestamps as
+    /// `emit`, one stripe lock and one call per listener per batch instead
+    /// of per event. An event-triggered policy sees the event at that
+    /// delivery too: its rounds run at the flush, one per matching event,
+    /// in order.
     ///
     /// Returns true when the call leaves nothing held: every event the
     /// thread emitted so far has been delivered.
     #[inline]
     pub fn emit_deferred(&self, event: &Event) -> bool {
-        if self.policy_engine.has_event_policies() {
-            flush_deferred();
-            self.emit(event);
-            return true;
-        }
         self.dispatcher.defer(event)
     }
 

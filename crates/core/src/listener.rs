@@ -1,90 +1,67 @@
 //! Listener trait and fan-out dispatcher.
 //!
-//! The dispatcher is the single point every event flows through, so its
-//! hot path must not touch shared mutable cache lines. The listener list
-//! is an [`lg_metrics::stripe::Versioned`] value: each emitting thread
-//! caches an `Arc` of it, revalidated per event by one atomic load of a
-//! generation counter that registration bumps. In steady state (no
-//! registrations) a dispatch is: one `enabled` load, a look at the
+//! Every event flows through the dispatcher, so its hot path touches no
+//! shared mutable cache line. The listener list is an
+//! [`lg_metrics::stripe::Versioned`] value each emitting thread caches,
+//! revalidated per delivery by one load of a generation that registration
+//! bumps. A steady-state delivery is one `enabled` load, a look at the
 //! thread's deferred buffer, one generation load, a thread-local lookup,
-//! **one lock of the emitting thread's own stripe**, and the listener
-//! calls — no shared `Arc` refcount traffic, no write to a line another
-//! emitter writes.
+//! **one lock of the emitting thread's own stripe**, and one call per
+//! listener.
 //!
-//! ## One lock, two phases
+//! ## One lock, two phases, one call per listener
 //!
-//! The dispatcher owns one set of per-stripe state (the private `stripe`
-//! module). Its own `events` / `deliveries` counters are plain integers in
-//! it, and the stock listeners a [`crate::LookingGlass`] builds
-//! ([`crate::ProfileListener`], [`crate::ConcurrencyListener`],
-//! [`crate::TraceListener`]) keep their per-stripe state in the same
-//! struct. `dispatch` delivers in two phases:
+//! The dispatcher's per-stripe state (the private `stripe` module) holds
+//! its `events` / `deliveries` counters and the state of the stock
+//! listeners a [`crate::LookingGlass`] builds ([`crate::ProfileListener`],
+//! [`crate::ConcurrencyListener`], [`crate::TraceListener`]). A delivery
+//! — one event from `dispatch`, or a deferred batch — runs in two phases,
+//! each listener called once with the whole slice:
 //!
-//! 1. lock the emitter's stripe, bump the counters, and run every listener
-//!    built on these stripes against the already-locked state — two locked
-//!    instructions (acquire, release) cover all of them;
-//! 2. **release the lock**, then call every other listener's `on_event`:
-//!    the policy engine, the sample history, custom listeners, and a stock
-//!    listener built on stripes of its own (which locks those itself).
+//! 1. lock the emitter's stripe, bump the counters, and hand the events
+//!    and the locked state to every listener built on these stripes;
+//! 2. **release the lock**, then call every other listener's
+//!    [`Listener::on_batch`]: the policy engine, the sample history,
+//!    custom listeners, a stock listener on stripes of its own.
 //!
 //! Phase 2 is outside the lock because a triggered policy captures a
-//! snapshot, and a capture locks every stripe: an emitter capturing under
-//! its own stripe lock would deadlock with itself, and two emitters with
-//! each other. The invariant — *no listener runs user code or locks a
-//! second stripe while a stripe lock is held* — is held by construction:
-//! the types a listener needs to name to ask for phase 1 are not nameable
-//! outside this crate. Within a phase listeners run in registration
-//! order. DESIGN.md §4.1 tabulates every write a stock instance makes per
-//! event, whose line it lands on and which lock covers it.
+//! snapshot, which locks every stripe. The invariant — *no listener runs
+//! user code or locks a second stripe while a stripe lock is held* — holds
+//! by construction: the types phase 1 needs are not nameable outside this
+//! crate. Within a phase listeners run in registration order (DESIGN.md
+//! §4.1 tabulates every write).
 //!
-//! ## Deferred delivery: one lock per batch
+//! ## Deferred delivery
 //!
 //! [`crate::LookingGlass::emit_deferred`] (the runtime's per-task path)
-//! appends the event to a per-thread buffer of at most
-//! [`DEFERRED_CAPACITY`] events instead. The buffer is delivered as one
-//! batch — one listener-list read, one stripe lock in which `events += n`,
-//! `deliveries += n × L` and the inside listeners see every event in
-//! order, then the outside listeners, event by event — when it fills, at
-//! [`flush_deferred`], when the thread's locals are destroyed, and first
-//! thing in any ordinary [`Dispatcher::dispatch`] on the thread (a
-//! `Timer` inside a task body, say). Timestamps are taken at emit time
-//! and each thread's events reach every listener in the order they were
-//! emitted, so once delivered, profiles, concurrency history and traces
-//! are exactly what per-event delivery makes them. Until then *every*
-//! listener lags, the stock ones included: a read made mid-run —
-//! `profiles()`, `concurrency()` levels and history, the trace, a
-//! snapshot a periodic or watch policy captures — misses what a thread
-//! still holds: up to 63 events, on a pool worker 31 finished tasks and
-//! the running one's `TaskBegin` (so `active_tasks` reads low), held for
-//! as long as the worker runs tasks back to back without running dry.
-//! The runtime's `scope` and `wait_idle` return only after delivery, so
-//! reads made after them are exact. A listener that emits
-//! from inside a batch has its event delivered at once: outside listeners
-//! see it where per-event delivery would, but the inside ones have
-//! already seen the rest of the batch. An event is accepted if the
-//! dispatcher is enabled when it is emitted, and goes to the listeners
-//! registered when its batch is delivered. While the instance has an
-//! event-triggered policy, events are delivered at once, so adaptation
-//! latency does not change.
+//! appends the event to a per-thread buffer of [`DEFERRED_CAPACITY`]
+//! events, delivered as one batch when it fills, at [`flush_deferred`],
+//! when the thread exits, and first thing in any ordinary
+//! [`Dispatcher::dispatch`] on the thread. Timestamps are taken at emit
+//! and each thread's events reach every listener in emission order, so
+//! once delivered, profiles, concurrency history and traces are exactly
+//! what per-event delivery makes them. An outside listener sees the batch
+//! whole before the next one sees any of it: the policy engine runs its
+//! event-triggered rounds there, one per matching event, so a policy on a
+//! task event fires at the flush. Until delivery *every* listener lags: a
+//! mid-run read misses up to 63 events per thread; `scope` and `wait_idle`
+//! return only after delivery. An event emitted from inside a batch is
+//! delivered at once. An event is accepted if the dispatcher is enabled
+//! when it is emitted, and goes to the listeners registered when its
+//! batch is delivered.
 //!
 //! ## Grace-period semantics of `deregister`
 //!
 //! Removing a listener bumps the generation, so any dispatch that *begins*
-//! after [`Dispatcher::deregister`] returns revalidates, misses the
-//! generation, refreshes from the shared list, and does not deliver to the
-//! removed listener. A thread already *inside* `dispatch` (its generation
-//! load happened before the bump) finishes delivering its current event to
-//! the old snapshot. The staleness is therefore bounded by **one in-flight
-//! event per emitting thread** — never unbounded — which is benign for
-//! observation: listeners are passive consumers and must already tolerate
-//! events racing their registration. The same bound applies to
-//! [`Dispatcher::set_enabled`] for the same reason.
+//! after [`Dispatcher::deregister`] returns does not deliver to the
+//! removed listener; one already inside finishes its delivery to the old
+//! snapshot. Staleness is bounded by **one in-flight delivery per emitting
+//! thread**, which passive listeners already tolerate; the same holds for
+//! [`Dispatcher::set_enabled`].
 //!
-//! Thread-local snapshots also pin the listener `Arc`s of up to
-//! [`SNAPSHOT_CACHE_MAX`] recently read versioned values per thread
-//! (evicted FIFO), so a dropped listener's memory may outlive
-//! deregistration until the caching threads dispatch again, evict, or
-//! exit.
+//! A thread's snapshot cache pins the listeners of up to
+//! [`SNAPSHOT_CACHE_MAX`] dispatchers (evicted FIFO) until it dispatches
+//! again, evicts, or exits.
 
 use crate::event::Event;
 use crate::stripe::{Stripe, StripeState, Stripes};
@@ -104,20 +81,28 @@ pub trait Listener: Send + Sync {
     /// Handles one event.
     fn on_event(&self, event: &Event);
 
+    /// Handles a batch of one thread's events, in the order they were
+    /// emitted. The dispatcher calls it once per delivery — a single event
+    /// for an ordinary dispatch, a whole deferred batch at a flush. The
+    /// default hands each event to [`Listener::on_event`].
+    fn on_batch(&self, events: &[Event]) {
+        events.iter().for_each(|e| self.on_event(e));
+    }
+
     /// The per-stripe state this listener is a view over, if it is one of
     /// the stock listeners. A dispatcher that owns the same stripes
-    /// delivers through [`Listener::on_event_locked`] inside its one
-    /// stripe lock; everyone else gets [`Listener::on_event`] after it.
+    /// delivers through [`Listener::on_batch_locked`] inside its one
+    /// stripe lock; everyone else gets [`Listener::on_batch`] after it.
     #[doc(hidden)]
     fn stripes(&self) -> Option<&Arc<Stripes>> {
         None
     }
 
-    /// Handles one event with the calling thread's stripe of
+    /// Handles a batch with the calling thread's stripe of
     /// [`Listener::stripes`] already locked. Must not run user code or
     /// lock another stripe.
     #[doc(hidden)]
-    fn on_event_locked(&self, _event: &Event, _stripe: &Stripe, _state: &mut StripeState) {
+    fn on_batch_locked(&self, _events: &[Event], _stripe: &Stripe, _state: &mut StripeState) {
         unreachable!("a listener that names its stripes handles events under their lock")
     }
 }
@@ -205,11 +190,8 @@ impl Dispatcher {
     }
 
     /// Removes a previously registered listener. Returns true if found.
-    ///
-    /// Removal has a bounded grace period: emitters already inside
-    /// `dispatch` deliver at most their one in-flight event to the old
-    /// snapshot; dispatches beginning after this returns never deliver to
-    /// the removed listener (see the module docs).
+    /// Deliveries already under way may still reach it; none that begins
+    /// after this returns does (module docs).
     pub fn deregister(&self, handle: ListenerHandle) -> bool {
         self.listeners.update(|current| {
             let mut next = current.clone();
@@ -245,14 +227,11 @@ impl Dispatcher {
         self.stripes.iter().map(|s| s.lock().deliveries).sum()
     }
 
-    /// Delivers `event` to every registered listener: under the calling
-    /// thread's stripe lock to those built on this dispatcher's stripes,
-    /// then — the lock released — to the rest (see the module docs). The
-    /// thread's deferred events, if any, are delivered first.
-    ///
-    /// A listener that itself dispatches (to this or any other dispatcher)
-    /// is served from the shared list under its read lock instead of the
-    /// thread-local snapshot — slower, still correct.
+    /// Delivers `event` to every registered listener as a batch of one
+    /// (module docs), after the thread's deferred events, if any. A
+    /// listener that itself dispatches is served from the shared list
+    /// under its read lock instead of the thread-local snapshot — slower,
+    /// still correct.
     #[inline]
     pub fn dispatch(&self, event: &Event) {
         if !self.enabled.load(Ordering::Acquire) {
@@ -282,9 +261,8 @@ impl Dispatcher {
         })
     }
 
-    /// Delivers `events` in order as one batch: one listener-list read and
-    /// one stripe lock for every inside delivery, then the outside
-    /// listeners with the lock released.
+    /// Delivers `events` in order as one batch: one listener-list read, one
+    /// stripe lock, and one call per listener (module docs).
     #[inline]
     fn deliver(&self, events: &[Event]) {
         let stripe = self.stripes.get(thread_stripe());
@@ -295,16 +273,12 @@ impl Dispatcher {
                 let n = events.len() as u64;
                 state.events += n;
                 state.deliveries += n * listeners.len() as u64;
-                for event in events {
-                    for (_, l) in &listeners.inside {
-                        l.on_event_locked(event, stripe, state);
-                    }
+                for (_, l) in &listeners.inside {
+                    l.on_batch_locked(events, stripe, state);
                 }
             }
-            for event in events {
-                for (_, l) in &listeners.outside {
-                    l.on_event(event);
-                }
+            for (_, l) in &listeners.outside {
+                l.on_batch(events);
             }
         });
     }
@@ -643,12 +617,13 @@ mod tests {
         assert_eq!(defer(100), 200u64.div_ceil(DEFERRED_CAPACITY as u64));
         assert_eq!(lg.trace().unwrap().captured(), 400);
         assert_eq!(lg.dispatcher().events_dispatched(), 400);
-        // An event-triggered policy makes every deferred event immediate.
+        // An event-triggered policy rides the batch: still one
+        // acquisition per batch.
         let policy = lg.policy_engine().register_triggered(
             crate::FnPolicy::new("never", |_, _, _| crate::PolicyDecision::noop()),
             Box::new(|_| false),
         );
-        assert_eq!(defer(100), 200);
+        assert_eq!(defer(100), 200u64.div_ceil(DEFERRED_CAPACITY as u64));
         assert_eq!(lg.trace().unwrap().captured(), 600);
         lg.dispatcher().set_enabled(false);
         assert_eq!(defer(100), 0);
@@ -698,6 +673,42 @@ mod tests {
         let filled = (0..DEFERRED_CAPACITY as u64).map(|t| a.defer(&tick(t)));
         assert_eq!(filled.filter(|&f| f).count(), 1);
         assert_eq!(a.events_dispatched(), 3 + DEFERRED_CAPACITY as u64);
+    }
+
+    #[test]
+    fn an_outside_listener_gets_one_call_per_batch_in_emission_order() {
+        /// Records each `on_batch` call's timestamps.
+        #[derive(Default)]
+        struct Batches(parking_lot::Mutex<Vec<Vec<u64>>>);
+        impl Listener for Batches {
+            fn name(&self) -> &str {
+                "batches"
+            }
+            fn on_event(&self, _: &Event) {
+                unreachable!("the dispatcher hands over whole batches")
+            }
+            fn on_batch(&self, events: &[Event]) {
+                self.0.lock().push(events.iter().map(Event::t_ns).collect());
+            }
+        }
+        let d = Arc::new(Dispatcher::new());
+        let batches = Arc::new(Batches::default());
+        d.register(batches.clone());
+        let n = 2 * DEFERRED_CAPACITY as u64 + 5;
+        (0..n).for_each(|t| {
+            d.defer(&tick(t));
+        });
+        flush_deferred();
+        d.dispatch(&tick(n));
+        let cap = DEFERRED_CAPACITY as u64;
+        let expected: Vec<Vec<u64>> = vec![
+            (0..cap).collect(),
+            (cap..2 * cap).collect(),
+            (2 * cap..n).collect(),
+            vec![n],
+        ];
+        assert_eq!(*batches.0.lock(), expected);
+        assert_eq!(d.deliveries(), n + 1);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! policy is registered behind one of two trigger kinds, mirroring the
 //! synchronous/asynchronous split in the observation layer:
 //!
-//! * **Event-triggered** policies run inline when a matching event is
-//!   dispatched (the engine is itself a [`Listener`]). While none is
-//!   registered, an event costs the engine one atomic load.
+//! * **Event-triggered** policies run when a matching event is delivered
+//!   (the engine is itself a [`Listener`]), a round per match in emission
+//!   order: at once for an ordinary emit, at the flush for a deferred one.
+//!   While none is registered a delivery costs the engine one atomic load.
 //! * **Watch-triggered** policies subscribe to a [`ThresholdWatch`] — an
 //!   edge-triggered predicate ("`n` more units counted", "p99 window
 //!   moved more than x%"). A **periodic** policy is the degenerate watch
@@ -328,8 +329,8 @@ pub struct PolicyEngine {
     /// Bumped whenever a new latency is recorded — the dirtiness stamp
     /// for the `policy.adaptation_latency_ns` snapshot gauge.
     latency_stamp: Arc<AtomicU64>,
-    /// Live event-triggered policies. While zero, `on_event` — which every
-    /// dispatched event flows through — returns after loading this.
+    /// Live event-triggered policies. While zero, `on_batch` — which every
+    /// delivered batch flows through — returns after loading this.
     triggered: AtomicU64,
 }
 
@@ -376,12 +377,6 @@ impl PolicyEngine {
             Some(i) => i.capture(now_ns),
             None => IntrospectionSnapshot::empty(now_ns),
         }
-    }
-
-    /// True while a live event-triggered policy is registered — deferred
-    /// events are then delivered at once, so its latency does not change.
-    pub(crate) fn has_event_policies(&self) -> bool {
-        self.triggered.load(Ordering::Acquire) != 0
     }
 
     /// Recounts the live event-triggered policies. Called whenever the
@@ -607,7 +602,7 @@ impl PolicyEngine {
         }
     }
 
-    /// The round `step` and `on_event` share: one snapshot, then every
+    /// The round `step` and `on_batch` share: one snapshot, then every
     /// live policy `select` yields a trigger for evaluates against it in
     /// registration order; decisions apply after the lock is released.
     /// `started` is when the trigger was detected, for the latency record.
@@ -728,27 +723,37 @@ impl Listener for PolicyEngine {
     }
 
     fn on_event(&self, event: &Event) {
-        // Every dispatched event flows through here; with no live
+        self.on_batch(std::slice::from_ref(event));
+    }
+
+    fn on_batch(&self, events: &[Event]) {
+        // Every delivered batch flows through here; with no live
         // event-triggered policy it stops at this load. Acquire pairs with
         // the Release store in `recount_triggers`, made under the policies
-        // lock: a registration that returned is seen by the next event.
+        // lock: a registration that returned is seen by the next batch.
         if self.triggered.load(Ordering::Acquire) == 0 {
             return;
         }
-        // The clock is read and the snapshot captured only when at least
-        // one filter matches, so the no-match path stays a filter scan.
-        let matches_any = {
+        // A round per matching event, in emission order. One policies lock
+        // finds the next match, the only event that costs a clock read and
+        // a capture; a round may change the policy set, so the next scan
+        // locks again.
+        let mut rest = events;
+        while let Some(i) = {
             let ps = self.policies.lock();
-            ps.iter()
-                .any(|r| !r.quarantined && matches!(&r.kind, Kind::Event(filter) if filter(event)))
-        };
-        if !matches_any {
-            return;
+            rest.iter().position(|event| {
+                ps.iter().any(|r| {
+                    !r.quarantined && matches!(&r.kind, Kind::Event(filter) if filter(event))
+                })
+            })
+        } {
+            let event = &rest[i];
+            self.run_round(event.t_ns(), Instant::now(), |r| match &r.kind {
+                Kind::Event(filter) if filter(event) => Some(Trigger::Event(event)),
+                _ => None,
+            });
+            rest = &rest[i + 1..];
         }
-        self.run_round(event.t_ns(), Instant::now(), |r| match &r.kind {
-            Kind::Event(filter) if filter(event) => Some(Trigger::Event(event)),
-            _ => None,
-        });
     }
 }
 
@@ -946,6 +951,33 @@ mod tests {
             Some(0),
             "retired policy must not fire again"
         );
+    }
+
+    #[test]
+    fn a_batch_runs_one_round_per_matching_event_in_order_until_retired() {
+        let knobs = registry_with("k", 0, 10, 0);
+        let engine = PolicyEngine::new(knobs);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        engine.register_triggered(
+            FnPolicy::new("twice", move |now, trigger, _| {
+                let Trigger::Event(e) = trigger else {
+                    unreachable!("an event policy")
+                };
+                let mut log = log.lock();
+                log.push((now, e.t_ns()));
+                PolicyDecision {
+                    retire: log.len() == 2,
+                    ..PolicyDecision::noop()
+                }
+            }),
+            Box::new(|e| e.t_ns() % 2 == 1),
+        );
+        let batch: Vec<Event> = (0..8).map(|t| Event::PeriodicTick { t_ns: t }).collect();
+        engine.on_batch(&batch);
+        assert_eq!(*seen.lock(), [(1, 1), (3, 3)]);
+        assert_eq!(engine.evaluations(), 2);
+        assert_eq!(engine.policy_count(), 0);
     }
 
     #[test]

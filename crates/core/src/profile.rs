@@ -11,18 +11,15 @@
 //! stripe index ([`lg_metrics::stripe::thread_index`], with runtime
 //! workers pinned to their worker id and other threads drawing overflow
 //! indexes), kept in the stripe's shared state (the private `stripe`
-//! module) behind the stripe's one lock. A table is a `Vec` indexed
-//! directly by [`TaskId`] — ids are dense interning indexes, so finding a
-//! cell is a bounds check, not a hash probe. A profiler the instance
-//! builder made sits on its dispatcher's stripes and is handed the state
-//! already locked, so an event costs it an index, a Welford update and a
-//! plain load + `Release` store of the stripe's generation — no locked
-//! instruction of its own. A profiler from [`ProfileListener::new`] has
-//! private stripes and locks its own, uncontended. Snapshots merge the
-//! stripes with the parallel-Welford (Chan et al.) combine, which is
-//! exactly equivalent (up to FP rounding) to having folded every event
-//! into one accumulator; `active` and `yields` are plain sums, so
-//! begin/end pairs observed on different threads still balance.
+//! module) behind the stripe's one lock. A table is a `Vec` indexed by
+//! [`TaskId`] (dense interning indexes: a bounds check, not a hash probe).
+//! A profiler the instance builder made is handed the state already
+//! locked: an event costs it an index and a Welford update, a batch one
+//! `Release` bump of the stripe's generation. One from
+//! [`ProfileListener::new`] locks its own stripes. Snapshots merge the
+//! stripes with the parallel-Welford (Chan et al.) combine — one
+//! accumulator's result up to FP rounding; `active` and `yields` are plain
+//! sums, so begin/end pairs observed on different threads still balance.
 
 use crate::event::{Event, TaskId, TaskNames};
 use crate::listener::Listener;
@@ -349,24 +346,30 @@ impl Listener for ProfileListener {
         Some(&self.stripes)
     }
 
-    fn on_event_locked(&self, event: &Event, stripe: &Stripe, state: &mut StripeState) {
-        // Each arm mutates under the stripe lock, then Release-bumps the
-        // stripe generation: a reader whose recorded generation matches a
-        // later Acquire-read is guaranteed its copy includes every
-        // completed mutation.
-        match *event {
-            Event::TaskBegin { task, .. } => cell_mut(&mut state.cells, task).active += 1,
-            Event::TaskEnd {
-                task, elapsed_ns, ..
-            } => {
-                let c = cell_mut(&mut state.cells, task);
-                c.stats.update(elapsed_ns as f64);
-                c.active -= 1;
+    fn on_batch_locked(&self, events: &[Event], stripe: &Stripe, state: &mut StripeState) {
+        // The batch mutates under the stripe lock, then Release-bumps the
+        // stripe generation once: a reader whose recorded generation
+        // matches a later Acquire-read is guaranteed its copy includes
+        // every completed mutation.
+        let mut mutated = false;
+        for event in events {
+            match *event {
+                Event::TaskBegin { task, .. } => cell_mut(&mut state.cells, task).active += 1,
+                Event::TaskEnd {
+                    task, elapsed_ns, ..
+                } => {
+                    let c = cell_mut(&mut state.cells, task);
+                    c.stats.update(elapsed_ns as f64);
+                    c.active -= 1;
+                }
+                Event::TaskYield { task, .. } => cell_mut(&mut state.cells, task).yields += 1,
+                _ => continue,
             }
-            Event::TaskYield { task, .. } => cell_mut(&mut state.cells, task).yields += 1,
-            _ => return,
+            mutated = true;
         }
-        bump_gen(stripe);
+        if mutated {
+            bump_gen(stripe);
+        }
     }
 }
 

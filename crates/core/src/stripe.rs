@@ -1,24 +1,19 @@
 //! The per-stripe state the stock listeners share, behind one lock.
 //!
-//! Everything a dispatched event writes on a stock instance — the
-//! dispatcher's two counters, the profiler's cells, the concurrency
-//! tracker's level history and the trace ring — belongs to the emitting
-//! thread's stripe, so it lives in **one** struct per stripe behind **one**
-//! mutex. [`crate::listener::Dispatcher::dispatch`] locks the emitter's
-//! stripe once, and the listeners built on the same [`Stripes`] are views
-//! over their field of the locked [`StripeState`]. What readers poll
-//! without the lock (the profile generation, the concurrency level and
-//! peak) sits beside the mutex as atomics that only lock holders write.
-//!
-//! ## The rule the lock imposes
+//! Everything a delivery writes on a stock instance — the dispatcher's two
+//! counters, the profiler's cells, the concurrency history, the trace ring
+//! — belongs to the emitting thread's stripe, so it lives in **one** struct
+//! per stripe behind **one** mutex, and the listeners built on the same
+//! [`Stripes`] are views over their field of the locked [`StripeState`].
+//! What readers poll without the lock (the profile generation, the
+//! concurrency level and peak) sits beside it as atomics only lock holders
+//! write.
 //!
 //! While a stripe lock is held nothing may run user code or lock a second
-//! stripe: a snapshot capture locks every stripe in turn, so two emitters
-//! capturing while each holds its own stripe would deadlock (and one
-//! emitter capturing under its own stripe deadlocks alone). Both types
-//! here are public only so the [`crate::listener::Listener`] trait can
-//! mention them; the module is private, so no listener outside this crate
-//! can name them and ask to be run under the lock.
+//! stripe: a snapshot capture locks every stripe in turn. Both types are
+//! public only so the [`crate::listener::Listener`] trait can mention
+//! them; the module is private, so no listener outside this crate can
+//! name them and ask to be run under the lock.
 
 use crate::concurrency::StripeHistory;
 use crate::event::Event;
@@ -103,12 +98,13 @@ impl Stripes {
         &self.0[index].0
     }
 
-    /// Hands `event` to `listener` under the lock of the calling thread's
-    /// stripe — what a stock listener's plain `on_event` does, when no
-    /// dispatcher on the same stripes has taken that lock for it.
+    /// Hands `event` to `listener` as a batch of one under the lock of the
+    /// calling thread's stripe — what a stock listener's plain `on_event`
+    /// does, when no dispatcher on the same stripes has taken that lock
+    /// for it.
     pub(crate) fn deliver(&self, listener: &impl Listener, event: &Event) {
         let stripe = self.get(thread_stripe());
-        listener.on_event_locked(event, stripe, &mut stripe.lock());
+        listener.on_batch_locked(std::slice::from_ref(event), stripe, &mut stripe.lock());
     }
 
     /// Every stripe, in index order.

@@ -196,11 +196,9 @@ impl Listener for TraceListener {
         Some(&self.stripes)
     }
 
-    fn on_event_locked(&self, event: &Event, _stripe: &Stripe, state: &mut StripeState) {
-        state
-            .ring
-            .get_or_insert_with(|| Ring::new(self.capacity))
-            .push(*event);
+    fn on_batch_locked(&self, events: &[Event], _stripe: &Stripe, state: &mut StripeState) {
+        let ring = state.ring.get_or_insert_with(|| Ring::new(self.capacity));
+        events.iter().for_each(|e| ring.push(*e));
     }
 }
 

@@ -50,12 +50,18 @@ impl TimeSeries {
 
     /// Appends a sample. Out-of-order timestamps are accepted but queries
     /// assume approximately monotone time.
+    #[inline]
     pub fn push(&mut self, t_ns: u64, value: f64) {
         self.pushed += 1;
         self.skip_counter += 1;
-        if self.skip_counter < self.stride {
-            return;
+        if self.skip_counter >= self.stride {
+            self.keep(t_ns, value);
         }
+    }
+
+    /// The push that is retained: decimates first if the series is full.
+    #[cold]
+    fn keep(&mut self, t_ns: u64, value: f64) {
         self.skip_counter = 0;
         if self.samples.len() == self.capacity {
             // Decimate: keep every other sample, double the stride.

@@ -3,21 +3,25 @@
 //! listeners in batches, yet no listener can tell: the same events in the
 //! same per-thread order and nesting, the same profiles, trace and
 //! concurrency history, and `scope()` still returns with every task it
-//! waited for delivered and counted in `rt.executed`.
+//! waited for delivered and counted in `rt.executed` — and, with an
+//! event-triggered policy registered, evaluated by it.
 //!
-//! The reference is the same mix on an instance that delivers every event
-//! at once — what registering any event-triggered policy does.
+//! The reference is the emission order itself: the instance's clock is a
+//! counter, so every event carries a unique stamp taken as it is emitted.
+//! Sorted by stamp, the delivered events are the emitted sequence; each
+//! thread must have delivered its own in that order, and the sequence
+//! replayed through ordinary `emit` (one event per delivery) on a twin
+//! instance must leave the stock listeners exactly where the batches did.
 //!
-//! With `LG_CHAOS=1` every pool injects crash and straggler faults. A
-//! crashed gate no longer pins a one-worker pool to one execution order,
-//! so the cross-run comparison is skipped; the per-thread checks and the
-//! `rt.executed` balance must still hold, and nothing may hang.
+//! With `LG_CHAOS=1` every pool injects crash and straggler faults; the
+//! checks hold all the same, and nothing may hang.
 
 use lg_core::listener::FnListener;
-use lg_core::{Event, FnPolicy, LookingGlass, PolicyDecision};
+use lg_core::{Clock, Event, FnPolicy, LookingGlass, PolicyDecision, TaskId};
 use lg_runtime::{FaultConfig, PoolConfig, ThreadPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -37,6 +41,17 @@ fn splitmix(state: &mut u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A clock that counts its readings: every event stamped from it carries
+/// its emission rank.
+#[derive(Default)]
+struct Stamps(AtomicU64);
+
+impl Clock for Stamps {
+    fn now_ns(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed) + 1
+    }
+}
+
 /// Every event the instance delivered, with the thread that delivered it.
 type Log = Arc<Mutex<Vec<(ThreadId, Event)>>>;
 
@@ -46,19 +61,16 @@ struct Run {
     log: Log,
 }
 
-fn setup(workers: usize, immediate: bool) -> Run {
-    let lg = LookingGlass::builder().trace(4096).build();
+fn setup(workers: usize) -> Run {
+    let lg = LookingGlass::builder()
+        .clock(Arc::new(Stamps::default()))
+        .trace(4096)
+        .build();
     let log: Log = Arc::default();
     let sink = log.clone();
     lg.add_listener(Arc::new(FnListener::new("record", move |e| {
         sink.lock().unwrap().push((std::thread::current().id(), *e));
     })));
-    if immediate {
-        lg.policy_engine().register_triggered(
-            FnPolicy::new("noop", |_, _, _| PolicyDecision::noop()),
-            Box::new(|_| false),
-        );
-    }
     let faults = chaos().then(|| {
         FaultConfig::seeded(0xDEFE_22ED)
             .panic_prob(0.03)
@@ -198,61 +210,143 @@ fn assert_counted(run: &Run) {
 
 #[test]
 fn one_worker_deferred_matches_immediate_event_for_event() {
-    let deferred = setup(1, false);
-    let immediate = setup(1, true);
-    for run in [&deferred, &immediate] {
-        run_mix(run, SEED);
-        assert_nested_per_thread(run);
-        assert_counted(run);
-    }
-    if chaos() {
-        return;
-    }
-    assert_eq!(task_events(&deferred), task_events(&immediate));
-    let trace = |run: &Run| -> Vec<(&'static str, Option<String>)> {
-        let names = run.lg.names();
-        run.lg
-            .trace()
-            .unwrap()
-            .records()
-            .iter()
-            .filter_map(|r| match r.event {
-                Event::TaskBegin { task, .. } => Some(("begin", names.resolve(task))),
-                Event::TaskEnd { task, .. } => Some(("end", names.resolve(task))),
-                _ => None,
-            })
-            .collect()
-    };
-    assert_eq!(trace(&deferred), trace(&immediate));
-    let counts = |run: &Run| -> Vec<(String, u64, i64)> {
-        let mut p: Vec<_> = run
-            .lg
-            .profiles()
-            .snapshot()
-            .into_iter()
-            .map(|p| (p.name, p.count, p.active))
-            .collect();
-        p.sort();
-        p
-    };
-    assert_eq!(counts(&deferred), counts(&immediate));
-    let levels = |run: &Run| -> Vec<f64> {
-        let history = run.lg.concurrency().history();
-        history.into_iter().map(|(_, level)| level).collect()
-    };
-    assert_eq!(levels(&deferred), levels(&immediate));
-    assert_eq!(
-        deferred.lg.concurrency().peak_tasks(),
-        immediate.lg.concurrency().peak_tasks()
+    let run = setup(1);
+    run_mix(&run, SEED);
+    assert_nested_per_thread(&run);
+    assert_counted(&run);
+
+    // The emitted sequence: every delivered event, by stamp. Each stamp is
+    // one clock reading, so none repeats.
+    let log = run.log.lock().unwrap().clone();
+    let mut emitted: Vec<Event> = log.iter().map(|(_, e)| *e).collect();
+    emitted.sort_by_key(Event::t_ns);
+    assert!(
+        emitted.windows(2).all(|w| w[0].t_ns() < w[1].t_ns()),
+        "stamps are unique"
     );
+    // Each thread delivered its events in the order it emitted them.
+    let mut last: Vec<(ThreadId, u64)> = Vec::new();
+    for (thread, e) in &log {
+        match last.iter_mut().find(|(t, _)| t == thread) {
+            Some((_, stamp)) => {
+                assert!(*stamp < e.t_ns(), "delivered out of emission order");
+                *stamp = e.t_ns();
+            }
+            None => last.push((*thread, e.t_ns())),
+        }
+    }
+
+    // The twin interns the same names in the same order, so task ids
+    // carry over, and takes the sequence one `emit` at a time.
+    let twin = LookingGlass::builder().trace(4096).build();
+    let names = run.lg.names();
+    for id in 0..names.len() as u32 {
+        twin.intern(&names.resolve(TaskId(id)).unwrap());
+    }
+    emitted.iter().for_each(|e| twin.emit(e));
+
+    assert_eq!(run.lg.profiles().snapshot(), twin.profiles().snapshot());
+    assert_eq!(
+        run.lg.trace().unwrap().records(),
+        twin.trace().unwrap().records()
+    );
+    let (batched, per_event) = (run.lg.concurrency(), twin.concurrency());
+    assert_eq!(batched.history(), per_event.history());
+    assert_eq!(batched.peak_tasks(), per_event.peak_tasks());
+    assert_eq!(batched.active_tasks(), 0);
 }
 
 #[test]
 fn three_workers_nest_per_thread_and_balance_rt_executed() {
     for seed in [SEED, SEED ^ 0xFFFF, 7] {
-        let run = setup(3, false);
+        let run = setup(3);
         run_mix(&run, seed);
         assert_nested_per_thread(&run);
         assert_counted(&run);
     }
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within `secs`: a deadlock must be a failure, not a stuck suite.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let t = std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => {
+            let _sent = t.join().expect("runner thread");
+            v
+        }
+        Err(_) => panic!("{what}: still blocked after {secs} s"),
+    }
+}
+
+/// Registers an event policy on `lg` that fires on every `TaskEnd` of
+/// `name` — calling `also` first — and returns its fire count.
+fn count_task_ends(
+    lg: &Arc<LookingGlass>,
+    name: &str,
+    also: impl Fn() + Send + 'static,
+) -> Arc<AtomicU64> {
+    let fired = Arc::new(AtomicU64::new(0));
+    let count = fired.clone();
+    let task = lg.intern(name);
+    lg.policy_engine().register_triggered(
+        FnPolicy::new("count-ends", move |_, _, _| {
+            also();
+            count.fetch_add(1, Ordering::Relaxed);
+            PolicyDecision::noop()
+        }),
+        Box::new(move |e| matches!(*e, Event::TaskEnd { task: t, .. } if t == task)),
+    );
+    fired
+}
+
+// An event policy rides the batch: its rounds run at the worker's flush,
+// one per matching event, and a scope's flushes come before it returns.
+#[test]
+fn a_task_end_policy_fires_once_per_task_before_scope_returns() {
+    const TASKS: u64 = 300;
+    let lg = LookingGlass::builder().build();
+    let fired = count_task_ends(&lg, "leaf", || {});
+    let pool = ThreadPool::new(lg.clone(), PoolConfig::with_workers(2));
+    for round in 1..=5 {
+        pool.scope(|s| {
+            for _ in 0..TASKS {
+                s.spawn_named("leaf", || {
+                    std::hint::black_box(0u64);
+                });
+            }
+        });
+        assert_eq!(fired.load(Ordering::Relaxed), round * TASKS);
+    }
+    assert_eq!(lg.policy_engine().evaluations(), 5 * TASKS);
+}
+
+// The flush-path twin of `stripe_lock.rs` (b): a policy that captures a
+// snapshot (which locks every stripe) fires from two workers' flushes at
+// once. Run under a worker's stripe lock it would deadlock.
+#[test]
+fn a_snapshotting_event_policy_at_flushes_on_two_workers_does_not_deadlock() {
+    const SCOPES: u64 = 20;
+    const TASKS: u64 = 200;
+    let fired = within(60, "snapshotting policy at two workers' flushes", || {
+        let lg = LookingGlass::builder().build();
+        let weak = Arc::downgrade(&lg);
+        let fired = count_task_ends(&lg, "leaf", move || {
+            let lg = weak.upgrade().expect("instance alive while tasks run");
+            std::hint::black_box(lg.snapshot());
+        });
+        let pool = ThreadPool::new(lg.clone(), PoolConfig::with_workers(2));
+        for _ in 0..SCOPES {
+            pool.scope(|s| {
+                for _ in 0..TASKS {
+                    s.spawn_named("leaf", || {
+                        std::hint::black_box(0u64);
+                    });
+                }
+            });
+        }
+        fired.load(Ordering::Relaxed)
+    });
+    assert_eq!(fired, SCOPES * TASKS);
 }
