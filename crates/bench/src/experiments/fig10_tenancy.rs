@@ -206,14 +206,16 @@ pub fn simulate(
     let arbiter = match policy {
         TenancyPolicy::Static(serve_threads) => {
             // Fixed partition, no governor: pin both knobs and go.
-            serve
-                .lg()
-                .knobs()
-                .set("serve.bulkhead_limit", serve_threads);
-            batch
-                .lg()
-                .knobs()
-                .set("thread_cap", TOTAL_THREADS - serve_threads);
+            for (lg, knob, value) in [
+                (serve.lg(), "serve.bulkhead_limit", serve_threads),
+                (batch.lg(), "thread_cap", TOTAL_THREADS - serve_threads),
+            ] {
+                let id = lg
+                    .knobs()
+                    .id(knob)
+                    .unwrap_or_else(|| panic!("{knob} is registered"));
+                lg.knobs().set_id(id, value);
+            }
             None
         }
         TenancyPolicy::Adaptive | TenancyPolicy::AdaptiveNoQuarantine => {

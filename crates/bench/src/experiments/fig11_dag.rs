@@ -172,9 +172,14 @@ pub fn closed_loop(fast: bool) -> LoopResult {
     // Start with the bias off so the first control round has a real
     // decision to journal: the policy sees the frontier and turns the
     // priority lane on.
-    pool.lg().knobs().set("dag.critical_bias", 0);
+    let bias = pool
+        .lg()
+        .knobs()
+        .id("dag.critical_bias")
+        .expect("the pool registers dag.critical_bias");
+    pool.lg().knobs().set_id(bias, 0);
     engine.register_periodic(
-        Box::new(CriticalPathPolicy::new("dag.critical_bias", WORKERS)),
+        Box::new(CriticalPathPolicy::new(bias, WORKERS)),
         200_000, // 200 µs control period — several rounds per drain
         pool.lg().clock().now_ns(),
     );

@@ -138,7 +138,9 @@ mod tests {
                 }
             }
         };
-        assert_eq!(sim.lg().knobs().value("thread_cap"), Some(best.0[0]));
+        let knobs = sim.lg().knobs();
+        let cap = knobs.id("thread_cap").unwrap();
+        assert_eq!(knobs.value_id(cap), Some(best.0[0]));
     }
 
     #[test]

@@ -250,9 +250,9 @@ pub fn simulate(
 
     // Every actuator lives in the registry, so writes are clamped and
     // journaled whether or not a policy drives them this run.
-    lg.knobs().register(bulkhead.limit_knob().clone());
+    let limit = lg.knobs().register(bulkhead.limit_knob().clone());
     lg.knobs().register(gate.rate_knob().clone());
-    lg.knobs().register(brownout.level_knob().clone());
+    let shed = lg.knobs().register(brownout.level_knob().clone());
     lg.knobs().register(link.retry_budget_knob().clone());
 
     let config = ServeConfig::default();
@@ -293,7 +293,7 @@ pub fn simulate(
         lg.policy_engine().register_threshold(
             Box::new(Counted {
                 inner: AimdPolicy::new(
-                    "serve.bulkhead_limit",
+                    limit,
                     BULKHEAD_MIN,
                     AIMD_MAX_LIMIT,
                     ADAPTIVE_INITIAL_LIMIT,
@@ -308,8 +308,7 @@ pub fn simulate(
         let eg = engine.gauges().clone();
         lg.policy_engine().register_threshold(
             Box::new(Counted {
-                inner: BrownoutPolicy::new("serve.shed_level", e2e_p99, 40e6, 20e6)
-                    .with_max_level(4),
+                inner: BrownoutPolicy::new(shed, e2e_p99, 40e6, 20e6).with_max_level(4),
                 reactions: brownout_reactions.clone(),
             }),
             ThresholdWatch::relative_change(move || eg.p99_window_ns() as f64, REACT_FRAC),
@@ -325,7 +324,7 @@ pub fn simulate(
         let mut held = 0.0f64;
         lg.policy_engine().register_periodic(
             RegressionWatchdog::new(
-                lg.policy_engine().journal().clone(),
+                lg.knobs().clone(),
                 move || {
                     let (a, c) = (arrived.get(), completed.get());
                     let da = a - last_arrived;
@@ -355,8 +354,8 @@ pub fn simulate(
             println!(
                 "t={:>4}ms limit={:>3} shed={} q={:>4} inflight={:>3} p99w={:>6.1}ms missed={} good={}",
                 t / 1_000_000,
-                lg.knobs().value("serve.bulkhead_limit").unwrap_or(-1),
-                lg.knobs().value("serve.shed_level").unwrap_or(-1),
+                lg.knobs().value_id(limit).unwrap_or(-1),
+                lg.knobs().value_id(shed).unwrap_or(-1),
                 gauges.queue_depth(),
                 gauges.in_flight(),
                 gauges.p99_window_ns() as f64 / 1e6,

@@ -24,13 +24,13 @@
 //! * [`BrownoutPolicy`] — raises the shed level while the latency signal
 //!   sits above target, lowers it (with hysteresis) once it recovers.
 //!
-//! The policies follow the builtin-policy idiom: metric ids are resolved
-//! once up front, actuations flow through a [`KnobTarget`] so the engine
+//! The policies follow the builtin-policy idiom: metric and knob ids are
+//! resolved once up front, and actuations name a [`KnobId`] so the engine
 //! applies them via the [`KnobRegistry`](crate::KnobRegistry) — clamped,
 //! journaled, visible to the watchdog.
 
 use crate::arbiter::{DemandClass, DemandProfile};
-use crate::knob::{AtomicKnob, Knob, KnobSpec, KnobTarget};
+use crate::knob::{AtomicKnob, Knob, KnobId, KnobSpec};
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{IntrospectionSnapshot, MetricId};
 use parking_lot::Mutex;
@@ -335,7 +335,7 @@ impl Brownout {
 /// watchdog's rollback — the policy itself never touches the knob.
 pub struct AimdPolicy {
     name: String,
-    knob: KnobTarget,
+    knob: KnobId,
     latency: Option<MetricId>,
     target_latency_ns: f64,
     step: i64,
@@ -354,7 +354,7 @@ impl AimdPolicy {
     /// Panics unless `0 < decrease_factor < 1`, `step > 0`, and
     /// `min <= initial <= max`.
     pub fn new(
-        knob: impl Into<KnobTarget>,
+        knob: KnobId,
         min: i64,
         max: i64,
         initial: i64,
@@ -369,7 +369,7 @@ impl AimdPolicy {
         assert!(min <= initial && initial <= max, "initial out of bounds");
         Box::new(Self {
             name: "aimd-bulkhead".into(),
-            knob: knob.into(),
+            knob,
             latency: None,
             target_latency_ns: f64::INFINITY,
             step,
@@ -420,7 +420,7 @@ impl Policy for AimdPolicy {
             return PolicyDecision::noop();
         }
         self.current = next;
-        PolicyDecision::set(self.knob.clone(), next)
+        PolicyDecision::set(self.knob, next)
     }
 }
 
@@ -430,7 +430,7 @@ impl Policy for AimdPolicy {
 /// would oscillate on a flat signal).
 pub struct BrownoutPolicy {
     name: String,
-    knob: KnobTarget,
+    knob: KnobId,
     latency: MetricId,
     raise_above_ns: f64,
     lower_below_ns: f64,
@@ -444,7 +444,7 @@ impl BrownoutPolicy {
     /// # Panics
     /// Panics unless `lower_below_ns < raise_above_ns`.
     pub fn new(
-        knob: impl Into<KnobTarget>,
+        knob: KnobId,
         latency: MetricId,
         raise_above_ns: f64,
         lower_below_ns: f64,
@@ -455,7 +455,7 @@ impl BrownoutPolicy {
         );
         Box::new(Self {
             name: "brownout".into(),
-            knob: knob.into(),
+            knob,
             latency,
             raise_above_ns,
             lower_below_ns,
@@ -502,7 +502,7 @@ impl Policy for BrownoutPolicy {
             return PolicyDecision::noop();
         }
         self.current = next;
-        PolicyDecision::set(self.knob.clone(), next)
+        PolicyDecision::set(self.knob, next)
     }
 }
 
@@ -661,27 +661,28 @@ mod tests {
         let lat = Arc::new(AtomicU64::new(50_000));
         let l = lat.clone();
         let id = intro.register_gauge("p99", move || l.load(Ordering::Relaxed) as f64);
-        let mut p = AimdPolicy::new("limit", 1, 100, 64, 4, 0.5).on_latency_above(id, 1_000_000.0);
+        let mut p =
+            AimdPolicy::new(KnobId(0), 1, 100, 64, 4, 0.5).on_latency_above(id, 1_000_000.0);
         // Healthy: additive increase.
         let d = p.evaluate(0, Trigger::Periodic, &intro.capture(0));
-        assert_eq!(d.sets, vec![(KnobTarget::Name("limit".into()), 68)]);
+        assert_eq!(d.sets, vec![(KnobId(0), 68)]);
         // Overloaded: halve.
         lat.store(5_000_000, Ordering::Relaxed);
         let d = p.evaluate(1, Trigger::Periodic, &intro.capture(1));
-        assert_eq!(d.sets, vec![(KnobTarget::Name("limit".into()), 34)]);
+        assert_eq!(d.sets, vec![(KnobId(0), 34)]);
         let d = p.evaluate(2, Trigger::Periodic, &intro.capture(2));
-        assert_eq!(d.sets, vec![(KnobTarget::Name("limit".into()), 17)]);
+        assert_eq!(d.sets, vec![(KnobId(0), 17)]);
         // Recovery: back to additive.
         lat.store(0, Ordering::Relaxed);
         let d = p.evaluate(3, Trigger::Periodic, &intro.capture(3));
-        assert_eq!(d.sets, vec![(KnobTarget::Name("limit".into()), 21)]);
+        assert_eq!(d.sets, vec![(KnobId(0), 21)]);
     }
 
     #[test]
     fn aimd_stays_in_bounds_and_noops_at_edges() {
         let intro = facade();
         let id = intro.register_gauge("p99", || 1e12);
-        let mut p = AimdPolicy::new("limit", 4, 8, 4, 1, 0.5).on_latency_above(id, 1.0);
+        let mut p = AimdPolicy::new(KnobId(0), 4, 8, 4, 1, 0.5).on_latency_above(id, 1.0);
         // Saturated overload: already at min, nothing to do.
         let d = p.evaluate(0, Trigger::Periodic, &intro.capture(0));
         assert_eq!(d, PolicyDecision::noop());
@@ -694,7 +695,7 @@ mod tests {
         let lat = Arc::new(AtomicU64::new(0));
         let l = lat.clone();
         let id = intro.register_gauge("p99", move || l.load(Ordering::Relaxed) as f64);
-        let mut p = BrownoutPolicy::new("shed_level", id, 10_000_000.0, 2_000_000.0);
+        let mut p = BrownoutPolicy::new(KnobId(0), id, 10_000_000.0, 2_000_000.0);
         // Healthy at level 0: no decision.
         let d = p.evaluate(0, Trigger::Periodic, &intro.capture(0));
         assert_eq!(d, PolicyDecision::noop());

@@ -492,17 +492,6 @@ impl Arbiter {
         inner.slots.get(id.0 as usize)?.as_ref().map(|s| s.alloc)
     }
 
-    /// Whether a tenant is currently quarantined.
-    pub fn is_quarantined(&self, id: TenantId) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .slots
-            .get(id.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.quarantine_left > 0)
-            .unwrap_or(false)
-    }
-
     /// Manually quarantines a tenant for `rounds` control rounds (testing
     /// and operator intervention). Takes effect at the next round.
     pub fn quarantine(&self, id: TenantId, rounds: u64) -> bool {
@@ -640,7 +629,7 @@ impl Arbiter {
         state.g_pressure.set(0.0);
         state.g_rate.set(0.0);
         state.g_width.set(0.0);
-        self.lg.knobs().deregister(&id.scoped("threads"));
+        self.lg.knobs().deregister(state.mirror_knob);
         self.rebalance_locked(&mut inner, t_ns);
         true
     }
@@ -963,7 +952,7 @@ pub fn replay_final_values(journal: &ActuationJournal) -> Vec<(String, i64)> {
 mod tests {
     use super::*;
     use crate::clock::{Clock, VirtualClock};
-    use crate::knob::AtomicKnob;
+    use crate::knob::{AtomicKnob, KnobRegistry};
 
     fn obs(weight: u32, slo: SloClass, min: i64, max: i64) -> TenantObs {
         TenantObs {
@@ -1131,6 +1120,12 @@ mod tests {
         LookingGlass::builder().clock(clock.clone()).build()
     }
 
+    /// The current value of the knob registered as `name` (mirror knobs
+    /// are named per tenant, so the tests look them up by name).
+    fn value_of(knobs: &KnobRegistry, name: &str) -> Option<i64> {
+        knobs.value_id(knobs.id(name)?)
+    }
+
     fn cap_knob(lg: &LookingGlass, max: i64) -> crate::knob::KnobId {
         lg.knobs().register(AtomicKnob::new(
             KnobSpec::new("thread_cap", 1, max).with_unit("workers"),
@@ -1152,7 +1147,7 @@ mod tests {
             "thread_cap",
         );
         assert_eq!(arb.allocation(ta), Some(32));
-        assert_eq!(a.knobs().value("thread_cap"), Some(32));
+        assert_eq!(value_of(a.knobs(), "thread_cap"), Some(32));
 
         let b = tenant_lg(&clock);
         cap_knob(&b, 32);
@@ -1164,14 +1159,14 @@ mod tests {
         // Fleet rebalanced: both halves, mirrors agree, budget held.
         assert_eq!(arb.allocation(ta), Some(16));
         assert_eq!(arb.allocation(tb), Some(16));
-        assert_eq!(a.knobs().value("thread_cap"), Some(16));
-        assert_eq!(arb.lg().knobs().value(&ta.scoped("threads")), Some(16));
-        assert_eq!(arb.lg().knobs().value(&tb.scoped("threads")), Some(16));
+        assert_eq!(value_of(a.knobs(), "thread_cap"), Some(16));
+        assert_eq!(value_of(arb.lg().knobs(), &ta.scoped("threads")), Some(16));
+        assert_eq!(value_of(arb.lg().knobs(), &tb.scoped("threads")), Some(16));
 
         // Evict returns capacity to the survivor.
         assert!(arb.evict(ta));
         assert_eq!(arb.allocation(tb), Some(32));
-        assert_eq!(b.knobs().value("thread_cap"), Some(32));
+        assert_eq!(value_of(b.knobs(), "thread_cap"), Some(32));
         assert_eq!(arb.lg().knobs().id(&ta.scoped("threads")), None);
     }
 
@@ -1254,8 +1249,8 @@ mod tests {
             "thread_cap",
         );
         clock.advance_by(1_000_000);
-        arb.control_round(clock.now_ns());
-        assert!(!arb.is_quarantined(tn));
+        let r = arb.control_round(clock.now_ns());
+        assert!(!r.quarantined.contains(&tn));
 
         // Simulate the tenant's watchdog undoing a local write.
         let j = noisy.knobs().journal();
@@ -1265,7 +1260,7 @@ mod tests {
 
         clock.advance_by(1_000_000);
         let r = arb.control_round(clock.now_ns());
-        assert!(arb.is_quarantined(tn));
+        assert!(r.quarantined.contains(&tn));
         assert_eq!(r.quarantined, vec![tn]);
         // Quarantined tenant pinned to floor; sibling absorbs the slack.
         assert_eq!(arb.allocation(tn), Some(2));
@@ -1277,8 +1272,8 @@ mod tests {
         clock.advance_by(1_000_000);
         arb.control_round(clock.now_ns());
         clock.advance_by(1_000_000);
-        arb.control_round(clock.now_ns());
-        assert!(!arb.is_quarantined(tn));
+        let r = arb.control_round(clock.now_ns());
+        assert!(!r.quarantined.contains(&tn));
         assert_eq!(arb.allocation(tn), Some(8));
         assert_eq!(arb.quarantine_entries(), 1);
     }
@@ -1291,7 +1286,7 @@ mod tests {
             tenant_lg(&clock),
         );
         let noisy = tenant_lg(&clock);
-        cap_knob(&noisy, 16);
+        let noisy_cap = cap_knob(&noisy, 16);
         let quiet = tenant_lg(&clock);
         cap_knob(&quiet, 16);
         let tn = arb.admit(
@@ -1310,20 +1305,20 @@ mod tests {
         let knob = j.intern("thread_cap");
         j.record_interned(clock.now_ns(), wd, knob, 16, 8, None);
         clock.advance_by(1_000_000);
-        arb.control_round(clock.now_ns());
-        assert!(arb.is_quarantined(tn));
-        assert_eq!(noisy.knobs().value("thread_cap"), Some(2));
+        let r = arb.control_round(clock.now_ns());
+        assert!(r.quarantined.contains(&tn));
+        assert_eq!(value_of(noisy.knobs(), "thread_cap"), Some(2));
 
         // A greedy tenant-local policy grabs threads back between rounds.
-        noisy.knobs().set("thread_cap", 12);
-        assert_eq!(noisy.knobs().value("thread_cap"), Some(12));
+        noisy.knobs().set_id(noisy_cap, 12);
+        assert_eq!(value_of(noisy.knobs(), "thread_cap"), Some(12));
         // The allocation hasn't moved (still pinned to the floor), but the
         // next round must re-assert it anyway: quarantine revokes knob
         // autonomy.
         clock.advance_by(1_000_000);
         arb.control_round(clock.now_ns());
         assert_eq!(arb.allocation(tn), Some(2));
-        assert_eq!(noisy.knobs().value("thread_cap"), Some(2));
+        assert_eq!(value_of(noisy.knobs(), "thread_cap"), Some(2));
     }
 
     #[test]
@@ -1503,7 +1498,7 @@ mod tests {
         for lg in [&a, &b] {
             for (knob, v) in replay_final_values(lg.knobs().journal()) {
                 assert_eq!(
-                    lg.knobs().value(&knob),
+                    value_of(lg.knobs(), &knob),
                     Some(v),
                     "replay mismatch on {knob}"
                 );

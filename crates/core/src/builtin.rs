@@ -6,13 +6,13 @@
 //! they read their input metric from the [`IntrospectionSnapshot`] each
 //! evaluation receives (resolve the [`MetricId`] once, up front, e.g. via
 //! [`crate::snapshot::Introspection::register_window_mean`]) and actuate
-//! through a [`KnobTarget`]:
+//! a [`KnobId`] resolved the same way:
 //!
 //! * [`PowerCapPolicy`] — RCR-style reactive governor: keep a sampled
 //!   power metric under a cap by stepping a knob down, with hysteresis
 //!   and a recovery watermark.
 
-use crate::knob::KnobTarget;
+use crate::knob::KnobId;
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{IntrospectionSnapshot, MetricId};
 
@@ -27,7 +27,7 @@ use crate::snapshot::{IntrospectionSnapshot, MetricId};
 /// * otherwise hold.
 pub struct PowerCapPolicy {
     metric: MetricId,
-    knob: KnobTarget,
+    knob: KnobId,
     cap_w: f64,
     recover_w: f64,
     decrease_factor: f64,
@@ -46,7 +46,7 @@ impl PowerCapPolicy {
     /// Panics on malformed thresholds (`cap_w <= recover_w`).
     pub fn new(
         metric: MetricId,
-        knob: impl Into<KnobTarget>,
+        knob: KnobId,
         cap_w: f64,
         recover_w: f64,
         initial: i64,
@@ -55,7 +55,7 @@ impl PowerCapPolicy {
         assert!(cap_w > recover_w, "cap must exceed the recovery watermark");
         Box::new(Self {
             metric,
-            knob: knob.into(),
+            knob,
             cap_w,
             recover_w,
             decrease_factor: 0.5,
@@ -89,11 +89,11 @@ impl Policy for PowerCapPolicy {
             let next = ((self.current as f64 * self.decrease_factor).floor() as i64).max(1);
             if next != self.current {
                 self.current = next;
-                return PolicyDecision::set(self.knob.clone(), next);
+                return PolicyDecision::set(self.knob, next);
             }
         } else if mean < self.recover_w && self.current < self.knob_max {
             self.current = (self.current + self.step).min(self.knob_max);
-            return PolicyDecision::set(self.knob.clone(), self.current);
+            return PolicyDecision::set(self.knob, self.current);
         }
         PolicyDecision::noop()
     }
@@ -118,13 +118,14 @@ mod tests {
         knobs: Arc<KnobRegistry>,
         engine: Arc<PolicyEngine>,
         power: MetricId,
+        cap: KnobId,
     }
 
     fn setup() -> Rig {
         let names = TaskNames::new();
         let history = Arc::new(SampleHistoryListener::new(names.clone(), 128));
         let knobs = Arc::new(KnobRegistry::new());
-        knobs.register(AtomicKnob::new(KnobSpec::new("thread_cap", 1, 32), 32));
+        let cap = knobs.register(AtomicKnob::new(KnobSpec::new("thread_cap", 1, 32), 32));
         let engine = PolicyEngine::new(knobs.clone());
         let intro = Arc::new(Introspection::new(
             Arc::new(ProfileListener::new(names.clone())),
@@ -138,6 +139,7 @@ mod tests {
             knobs,
             engine,
             power,
+            cap,
         }
     }
 
@@ -154,7 +156,7 @@ mod tests {
     fn power_cap_halves_until_under_cap() {
         let rig = setup();
         rig.engine.register_periodic(
-            PowerCapPolicy::new(rig.power, "thread_cap", 100.0, 40.0, 32, 32),
+            PowerCapPolicy::new(rig.power, rig.cap, 100.0, 40.0, 32, 32),
             1_000,
             0,
         );
@@ -163,44 +165,44 @@ mod tests {
             feed(&rig.names, &rig.history, i * 100, 150.0);
         }
         rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(16));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(16));
         rig.engine.step(2_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(8));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(8));
     }
 
     #[test]
     fn power_cap_recovers_below_watermark() {
         let rig = setup();
         rig.engine.register_periodic(
-            PowerCapPolicy::new(rig.power, "thread_cap", 100.0, 40.0, 4, 32),
+            PowerCapPolicy::new(rig.power, rig.cap, 100.0, 40.0, 4, 32),
             1_000,
             0,
         );
-        rig.knobs.set("thread_cap", 4);
+        rig.knobs.set_id(rig.cap, 4);
         for i in 0..5 {
             feed(&rig.names, &rig.history, i * 100, 20.0); // cool
         }
         rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(5));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(5));
         rig.engine.step(2_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(6));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(6));
     }
 
     #[test]
     fn power_cap_holds_in_deadband() {
         let rig = setup();
         rig.engine.register_periodic(
-            PowerCapPolicy::new(rig.power, "thread_cap", 100.0, 40.0, 8, 32),
+            PowerCapPolicy::new(rig.power, rig.cap, 100.0, 40.0, 8, 32),
             1_000,
             0,
         );
-        rig.knobs.set("thread_cap", 8);
+        rig.knobs.set_id(rig.cap, 8);
         for i in 0..5 {
             feed(&rig.names, &rig.history, i * 100, 70.0); // between watermarks
         }
         let before = rig.knobs.change_count();
         rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(8));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(8));
         assert_eq!(
             rig.knobs.change_count(),
             before,
@@ -212,12 +214,12 @@ mod tests {
     fn power_cap_noop_without_samples() {
         let rig = setup();
         rig.engine.register_periodic(
-            PowerCapPolicy::new(rig.power, "thread_cap", 100.0, 40.0, 32, 32),
+            PowerCapPolicy::new(rig.power, rig.cap, 100.0, 40.0, 32, 32),
             1_000,
             0,
         );
         rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(32));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(32));
     }
 
     #[test]
@@ -233,12 +235,12 @@ mod tests {
             feed(&rig.names, &rig.history, i * 100, 150.0);
         }
         rig.engine.step(1_000);
-        assert_eq!(rig.knobs.value("thread_cap"), Some(16));
+        assert_eq!(rig.knobs.value_id(rig.cap), Some(16));
     }
 
     #[test]
     #[should_panic(expected = "cap must exceed")]
     fn rejects_inverted_thresholds() {
-        let _ = PowerCapPolicy::new(MetricId(0), "k", 10.0, 20.0, 1, 8);
+        let _ = PowerCapPolicy::new(MetricId(0), KnobId(0), 10.0, 20.0, 1, 8);
     }
 }

@@ -42,6 +42,7 @@
 //! through the journaled knob plane.
 
 use crate::arbiter::{DemandClass, DemandProfile};
+use crate::knob::KnobId;
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{Introspection, IntrospectionSnapshot};
 use lg_metrics::stripe::{thread_stripe, TouchedStripes, STRIPE_COUNT};
@@ -210,17 +211,17 @@ impl DagStats {
 /// actuation journal records transitions, not steady-state re-asserts.
 pub struct CriticalPathPolicy {
     name: String,
-    bias_knob: crate::knob::KnobTarget,
+    bias_knob: KnobId,
     workers: i64,
     last_bias: Option<i64>,
 }
 
 impl CriticalPathPolicy {
     /// A policy steering `bias_knob` for a pool of `workers` threads.
-    pub fn new(bias_knob: impl Into<crate::knob::KnobTarget>, workers: usize) -> Self {
+    pub fn new(bias_knob: KnobId, workers: usize) -> Self {
         Self {
             name: "critical-path".to_string(),
-            bias_knob: bias_knob.into(),
+            bias_knob,
             workers: workers.max(1) as i64,
             last_bias: None,
         }
@@ -257,7 +258,7 @@ impl Policy for CriticalPathPolicy {
             return PolicyDecision::noop();
         }
         self.last_bias = Some(want_bias);
-        PolicyDecision::set(self.bias_knob.clone(), want_bias)
+        PolicyDecision::set(self.bias_knob, want_bias)
     }
 }
 
@@ -359,7 +360,7 @@ mod tests {
             s.on_release(1_000);
         }
         let snap = intro.capture(1);
-        let mut p = CriticalPathPolicy::new("dag.critical_bias", 8);
+        let mut p = CriticalPathPolicy::new(KnobId(0), 8);
         let d = p.evaluate(1, Trigger::Periodic, &snap);
         assert_eq!(d.sets.len(), 1);
         assert_eq!(d.sets[0].1, 1);
@@ -380,9 +381,9 @@ mod tests {
             s.on_release(8);
         }
         let snap = intro.capture(1);
-        let mut p = CriticalPathPolicy::new("dag.critical_bias", 2);
+        let mut p = CriticalPathPolicy::new(KnobId(3), 2);
         let d = p.evaluate(1, Trigger::Periodic, &snap);
-        assert_eq!(d.sets, vec![("dag.critical_bias".into(), 0)]);
+        assert_eq!(d.sets, vec![(KnobId(3), 0)]);
     }
 
     #[test]
@@ -411,7 +412,7 @@ mod tests {
     fn policy_noops_without_dag_gauges() {
         let intro = intro();
         let snap = intro.capture(1);
-        let mut p = CriticalPathPolicy::new("dag.critical_bias", 4);
+        let mut p = CriticalPathPolicy::new(KnobId(0), 4);
         assert_eq!(
             p.evaluate(1, Trigger::Periodic, &snap),
             PolicyDecision::noop()
@@ -422,7 +423,7 @@ mod tests {
     fn policy_writes_flow_through_engine_journal() {
         let knobs = Arc::new(KnobRegistry::new());
         let bias = AtomicKnob::new(KnobSpec::new("dag.critical_bias", 0, 1), 1);
-        knobs.register(bias.clone());
+        let bias_id = knobs.register(bias.clone());
         bias.set(0);
         let intro = Arc::new(intro());
         let s = DagStats::new();
@@ -430,13 +431,9 @@ mod tests {
         s.on_release(1_000);
         let engine = PolicyEngine::new(knobs.clone());
         engine.attach_introspection(intro);
-        engine.register_periodic(
-            Box::new(CriticalPathPolicy::new("dag.critical_bias", 8)),
-            1,
-            0,
-        );
+        engine.register_periodic(Box::new(CriticalPathPolicy::new(bias_id, 8)), 1, 0);
         engine.step(5);
-        assert_eq!(knobs.value("dag.critical_bias"), Some(1));
+        assert_eq!(knobs.value_id(bias_id), Some(1));
         assert!(knobs.change_count() >= 1);
     }
 }

@@ -445,12 +445,13 @@ mod tests {
         use crate::knob::{AtomicKnob, KnobSpec};
         use crate::policy::{FnPolicy, PolicyDecision, Trigger};
         let lg = LookingGlass::builder().build();
-        lg.knobs()
+        let k = lg
+            .knobs()
             .register(AtomicKnob::new(KnobSpec::new("k", 0, 10), 0));
         lg.policy_engine().register_triggered(
-            FnPolicy::new("phase-react", |_, trigger, _snapshot| {
+            FnPolicy::new("phase-react", move |_, trigger, _snapshot| {
                 if matches!(trigger, Trigger::Event(Event::PhaseBegin { .. })) {
-                    PolicyDecision::set("k", 7)
+                    PolicyDecision::set(k, 7)
                 } else {
                     PolicyDecision::noop()
                 }
@@ -458,7 +459,7 @@ mod tests {
             Box::new(|e| matches!(e, Event::PhaseBegin { .. })),
         );
         lg.phase_begin("compute");
-        assert_eq!(lg.knobs().value("k"), Some(7));
+        assert_eq!(lg.knobs().value_id(k), Some(7));
         lg.phase_end("compute");
     }
 

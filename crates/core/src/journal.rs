@@ -277,14 +277,9 @@ impl ActuationJournal {
             .collect()
     }
 
-    /// The most recent record for `knob` that is neither rolled back nor
-    /// itself a rollback — i.e. the newest write a rollback could undo.
-    pub fn latest_for(&self, knob: &str) -> Option<ActuationRecord> {
-        let id = self.names.lookup(knob)?;
-        self.latest_for_id(id).map(|r| self.resolve(r))
-    }
-
-    /// Id-based variant of [`ActuationJournal::latest_for`].
+    /// The most recent record for the interned `knob` that is neither
+    /// rolled back nor itself a rollback — i.e. the newest write a rollback
+    /// could undo.
     pub fn latest_for_id(&self, knob: TaskId) -> Option<RawActuationRecord> {
         let head = self.head.load(Ordering::Acquire);
         let oldest = self.oldest_seq()?;
@@ -377,10 +372,11 @@ mod tests {
     fn rollback_marking() {
         let j = ActuationJournal::new(4);
         let s = j.record(0, "p", "k", 3, 9);
-        assert_eq!(j.latest_for("k").unwrap().seq, s);
+        let k = j.names().lookup("k").unwrap();
+        assert_eq!(j.latest_for_id(k).unwrap().seq, s);
         assert!(j.mark_rolled_back(s));
         assert!(
-            j.latest_for("k").is_none(),
+            j.latest_for_id(k).is_none(),
             "rolled-back writes are not candidates"
         );
         assert!(j.records()[0].rolled_back);
@@ -393,7 +389,8 @@ mod tests {
         j.record(0, "p", "k", 0, 1);
         let b = j.record(1, "p", "k", 1, 2);
         j.record(2, "p", "other", 0, 1);
-        assert_eq!(j.latest_for("k").unwrap().seq, b);
+        let k = j.names().lookup("k").unwrap();
+        assert_eq!(j.latest_for_id(k).unwrap().seq, b);
     }
 
     #[test]
@@ -406,7 +403,7 @@ mod tests {
         j.record_interned(1, p, k, 1, 7, Some(s));
         assert!(j.mark_rolled_back(s));
         assert!(
-            j.latest_for("k").is_none(),
+            j.latest_for_id(k).is_none(),
             "neither the rolled-back write nor its undo is a candidate"
         );
         let rs = j.records();

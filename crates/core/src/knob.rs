@@ -14,8 +14,9 @@
 //! by-id traffic comes from control rounds (policy apply, arbiter
 //! rebalance, tuning sessions), never from worker threads — subsystems
 //! hold their own `Arc` to the knob they own — and measured end to end the
-//! cache bought nothing (DESIGN.md §4.1). Name-based accessors remain as
-//! thin shims that resolve the id first.
+//! cache bought nothing (DESIGN.md §4.1). A name is resolved once, at the
+//! edge ([`KnobRegistry::id`], [`KnobRegistry::register`],
+//! [`KnobRegistry::space_for`]); everything past it holds the id.
 //!
 //! Every set is clamped against the knob's declared bounds and journaled
 //! in the registry's single [`ActuationJournal`] — the same record the
@@ -159,7 +160,7 @@ pub trait Knob: Send + Sync {
     /// Current value.
     fn get(&self) -> i64;
     /// Sets the value. Implementations may clamp internally, but callers
-    /// going through [`KnobRegistry::set`] are bounds-checked first.
+    /// going through [`KnobRegistry::set_id`] are bounds-checked first.
     fn set(&self, value: i64);
 }
 
@@ -200,35 +201,6 @@ impl Knob for AtomicKnob {
 /// knob lands in the same slot, so held ids keep working).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KnobId(pub u32);
-
-/// A knob reference as carried by a policy decision: either a resolved id
-/// (steady-state, no lookup at apply time) or a name (resolved per apply —
-/// the compatibility shim).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KnobTarget {
-    /// Pre-resolved handle.
-    Id(KnobId),
-    /// Name to resolve at apply time.
-    Name(String),
-}
-
-impl From<KnobId> for KnobTarget {
-    fn from(id: KnobId) -> Self {
-        KnobTarget::Id(id)
-    }
-}
-
-impl From<&str> for KnobTarget {
-    fn from(name: &str) -> Self {
-        KnobTarget::Name(name.to_owned())
-    }
-}
-
-impl From<String> for KnobTarget {
-    fn from(name: String) -> Self {
-        KnobTarget::Name(name)
-    }
-}
 
 /// One recorded actuation (audit view; see [`ActuationJournal`] for the
 /// full who/when records).
@@ -360,15 +332,17 @@ impl KnobRegistry {
         KnobId(idx)
     }
 
-    /// Removes a knob by name; returns true if present. The name keeps its
-    /// slot index, so ids held across a deregister/re-register cycle stay
-    /// valid (and resolve to nothing in between).
-    pub fn deregister(&self, name: &str) -> bool {
+    /// Removes the knob behind `id`; returns true if one was registered.
+    /// The name keeps its slot index, so ids held across a
+    /// deregister/re-register cycle stay valid (and resolve to nothing in
+    /// between).
+    pub fn deregister(&self, id: KnobId) -> bool {
         let mut shared = self.shared.write();
-        let Some(i) = shared.by_name.get(name).copied() else {
-            return false;
-        };
-        shared.slots[i as usize].take().is_some()
+        shared
+            .slots
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .is_some()
     }
 
     /// Resolves a name to its id, if a knob is currently registered.
@@ -377,6 +351,18 @@ impl KnobRegistry {
         let i = shared.by_name.get(name).copied()?;
         shared.slots.get(i as usize)?.as_ref()?;
         Some(KnobId(i))
+    }
+
+    /// The id of the registered knob whose journal records carry `jname`:
+    /// how a journal consumer (the watchdog) gets from a record back to
+    /// the knob without a name.
+    pub(crate) fn id_of_journaled(&self, jname: TaskId) -> Option<KnobId> {
+        let shared = self.shared.read();
+        let i = shared
+            .slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|s| s.jname == jname))?;
+        Some(KnobId(i as u32))
     }
 
     /// Resolves an id back to the knob's name.
@@ -392,19 +378,9 @@ impl KnobRegistry {
         self.shared.read().slots.get(id.0 as usize)?.clone()
     }
 
-    /// Looks up a knob by name (shim over [`KnobRegistry::id`]).
-    pub fn get(&self, name: &str) -> Option<Arc<dyn Knob>> {
-        self.get_id(self.id(name)?)
-    }
-
     /// Looks up a knob by id.
     pub fn get_id(&self, id: KnobId) -> Option<Arc<dyn Knob>> {
         self.slot(id).map(|s| s.knob.clone())
-    }
-
-    /// Current value of a knob, if registered (name shim).
-    pub fn value(&self, name: &str) -> Option<i64> {
-        self.value_id(self.id(name)?)
     }
 
     /// Current value by id.
@@ -453,19 +429,13 @@ impl KnobRegistry {
         self.set_inner(id, value, actor, t_ns, None)
     }
 
-    /// Sets `name` to `value` after clamping (name shim over
-    /// [`KnobRegistry::set_id`]).
-    pub fn set(&self, name: &str, value: i64) -> Option<i64> {
-        self.set_id(self.id(name)?, value)
-    }
-
-    /// Undoes the most recent journaled write to `name` that is neither a
-    /// rollback itself nor already rolled back: restores the recorded
-    /// `from` value (journaled as a `rollback_of` record) and marks the
-    /// original record rolled back. Returns the restored value.
-    pub fn rollback_last_of(&self, name: &str) -> Option<i64> {
-        let rec = self.journal.latest_for(name)?;
-        let id = self.id(name)?;
+    /// Undoes the most recent journaled write to the knob behind `id` that
+    /// is neither a rollback itself nor already rolled back: restores the
+    /// recorded `from` value (journaled as a `rollback_of` record) and
+    /// marks the original record rolled back. Returns the restored value.
+    pub fn rollback_last_of(&self, id: KnobId) -> Option<i64> {
+        let slot = self.slot(id)?;
+        let rec = self.journal.latest_for_id(slot.jname)?;
         let restored =
             self.set_inner(id, rec.from, self.actor_rollback, self.now(), Some(rec.seq))?;
         self.journal.mark_rolled_back(rec.seq);
@@ -563,10 +533,10 @@ mod tests {
     #[test]
     fn registry_set_and_log() {
         let reg = KnobRegistry::new();
-        reg.register(knob("cap", 1, 32, 32));
-        assert_eq!(reg.set("cap", 8), Some(8));
-        assert_eq!(reg.set("cap", 1000), Some(32));
-        assert_eq!(reg.value("cap"), Some(32));
+        let cap = reg.register(knob("cap", 1, 32, 32));
+        assert_eq!(reg.set_id(cap, 8), Some(8));
+        assert_eq!(reg.set_id(cap, 1000), Some(32));
+        assert_eq!(reg.value_id(cap), Some(32));
         let log = reg.changes();
         assert_eq!(log.len(), 2);
         assert_eq!(
@@ -590,17 +560,20 @@ mod tests {
     #[test]
     fn unknown_knob_is_none() {
         let reg = KnobRegistry::new();
-        assert_eq!(reg.set("nope", 1), None);
-        assert_eq!(reg.value("nope"), None);
-        assert!(!reg.deregister("nope"));
+        let nope = KnobId(0);
+        assert_eq!(reg.id("nope"), None);
+        assert_eq!(reg.set_id(nope, 1), None);
+        assert_eq!(reg.value_id(nope), None);
+        assert_eq!(reg.rollback_last_of(nope), None);
+        assert!(!reg.deregister(nope));
     }
 
     #[test]
     fn reregistration_replaces() {
         let reg = KnobRegistry::new();
-        reg.register(knob("k", 0, 10, 3));
+        let k = reg.register(knob("k", 0, 10, 3));
         reg.register(knob("k", 0, 100, 50));
-        assert_eq!(reg.value("k"), Some(50));
+        assert_eq!(reg.value_id(k), Some(50));
         assert_eq!(reg.specs().len(), 1);
         assert_eq!(reg.specs()[0].max, 100);
     }
@@ -626,10 +599,11 @@ mod tests {
         let id = reg.register(knob("cap", 1, 64, 8));
         assert_eq!(reg.id("cap"), Some(id));
         assert_eq!(reg.name(id).as_deref(), Some("cap"));
-        assert_eq!(reg.value("cap"), reg.value_id(id));
+        let resolved = reg.id("cap").expect("registered");
+        assert_eq!(reg.value_id(resolved), reg.value_id(id));
         assert_eq!(reg.set_id(id, 16), Some(16));
-        assert_eq!(reg.value("cap"), Some(16));
-        assert_eq!(reg.set("cap", 24), Some(24));
+        assert_eq!(reg.value_id(resolved), Some(16));
+        assert_eq!(reg.set_id(resolved, 24), Some(24));
         assert_eq!(reg.value_id(id), Some(24));
     }
 
@@ -637,7 +611,7 @@ mod tests {
     fn ids_survive_reregistration() {
         let reg = KnobRegistry::new();
         let id = reg.register(knob("k", 0, 10, 3));
-        assert!(reg.deregister("k"));
+        assert!(reg.deregister(id));
         assert_eq!(reg.value_id(id), None, "deregistered slot is empty");
         assert_eq!(reg.id("k"), None);
         let id2 = reg.register(knob("k", 0, 100, 50));
@@ -682,7 +656,7 @@ mod tests {
         assert_eq!(reg.set_id(lead, 42), Some(42));
         assert_eq!(reg.value_id(lead), Some(42));
         assert_eq!(reg.value_id(sibling), Some(42));
-        assert_eq!(reg.value("spawned"), Some(42));
+        assert_eq!(reg.value_id(reg.id("spawned").unwrap()), Some(42));
         let chain: Vec<_> = reg.changes().into_iter().map(|c| c.name).collect();
         assert_eq!(chain, ["follow", "lead"], "inner set journals first");
     }
@@ -745,7 +719,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].policy, "test-policy");
         assert_eq!((recs[0].from, recs[0].to, recs[0].t_ns), (7, 42, 5));
-        assert_eq!(reg.rollback_last_of("k"), Some(7));
+        assert_eq!(reg.rollback_last_of(id), Some(7));
         assert_eq!(reg.value_id(id), Some(7));
         let recs = reg.journal().records();
         assert_eq!(recs.len(), 2);
@@ -753,7 +727,7 @@ mod tests {
         assert_eq!(recs[1].rollback_of, Some(recs[0].seq));
         assert_eq!(recs[1].policy, "rollback");
         assert_eq!(
-            reg.rollback_last_of("k"),
+            reg.rollback_last_of(id),
             None,
             "a rollback is consumed: neither record is a candidate"
         );

@@ -50,7 +50,7 @@
 //!   registry read lock to find the knob, then runs it with no registry
 //!   lock held (one per-knob mutex on the write side).
 //! * [`journal`] — THE actuation history: a single bounded lock-free
-//!   ring every [`knob::KnobRegistry::set`] appends to atomically (who
+//!   ring every [`knob::KnobRegistry::set_id`] appends to atomically (who
 //!   wrote which knob, from what, to what). Audit, rollback, and the
 //!   watchdog all consume the same records.
 //! * [`watchdog`] — a policy that detects post-actuation throughput
@@ -101,7 +101,7 @@ pub use dag::{CriticalPathPolicy, DagStats};
 pub use event::{Event, TaskId, TaskNames};
 pub use instance::{LookingGlass, LookingGlassBuilder, Timer};
 pub use journal::{ActuationJournal, ActuationRecord};
-pub use knob::{AtomicKnob, Knob, KnobId, KnobRegistry, KnobScale, KnobSpec, KnobTarget};
+pub use knob::{AtomicKnob, Knob, KnobId, KnobRegistry, KnobScale, KnobSpec};
 pub use listener::{flush_deferred, Dispatcher, Listener, DEFERRED_CAPACITY};
 pub use policy::{
     FnPolicy, Policy, PolicyDecision, PolicyEngine, PolicyHandle, ThresholdWatch, Trigger,

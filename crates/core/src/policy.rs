@@ -43,7 +43,7 @@
 use crate::clock::Clock;
 use crate::event::{Event, TaskId};
 use crate::journal::ActuationJournal;
-use crate::knob::{KnobRegistry, KnobTarget};
+use crate::knob::{KnobId, KnobRegistry};
 use crate::listener::Listener;
 use crate::snapshot::{Introspection, IntrospectionSnapshot};
 use lg_metrics::{CounterHandle, Welford};
@@ -57,7 +57,7 @@ use std::time::Instant;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PolicyDecision {
     /// Knob writes to apply, as `(knob, value)`.
-    pub sets: Vec<(KnobTarget, i64)>,
+    pub sets: Vec<(KnobId, i64)>,
     /// If true, the policy is finished and should be deregistered.
     pub retire: bool,
 }
@@ -68,10 +68,13 @@ impl PolicyDecision {
         Self::default()
     }
 
-    /// A decision setting a single knob (by [`crate::KnobId`] or name).
-    pub fn set(knob: impl Into<KnobTarget>, value: i64) -> Self {
+    /// A decision setting a single knob. Resolve the id once, when the
+    /// policy is built ([`KnobRegistry::id`] or the id
+    /// [`KnobRegistry::register`] returned); a write to an id with no
+    /// knob behind it is dropped and not counted as an actuation.
+    pub fn set(knob: KnobId, value: i64) -> Self {
         Self {
-            sets: vec![(knob.into(), value)],
+            sets: vec![(knob, value)],
             retire: false,
         }
     }
@@ -494,12 +497,6 @@ impl PolicyEngine {
         (!stats.is_empty()).then(|| stats.mean())
     }
 
-    /// Number of rounds that actuated at least one knob (and therefore
-    /// recorded a latency).
-    pub fn adaptation_rounds(&self) -> u64 {
-        self.latency_stats.lock().count()
-    }
-
     /// The stamp bumped whenever a new adaptation latency is recorded —
     /// register it with
     /// [`crate::snapshot::Introspection::register_gauge_stamped`] so the
@@ -546,29 +543,14 @@ impl PolicyEngine {
             .count()
     }
 
-    /// The actuation journal — the knob registry's single audit trail
-    /// (share it with a [`crate::watchdog::RegressionWatchdog`] to enable
-    /// rollback).
+    /// The actuation journal — the knob registry's single audit trail.
     pub fn journal(&self) -> &Arc<ActuationJournal> {
         &self.journal
     }
 
-    /// Rolls back the most recent non-rolled-back journalled write to
-    /// `knob`, restoring its pre-actuation value. Returns the restored
-    /// value, or `None` if no such write is retained. Delegates to the
-    /// registry so the undo is itself journaled and raceless.
-    pub fn rollback_last_of(&self, knob: &str) -> Option<i64> {
-        self.knobs.rollback_last_of(knob)
-    }
-
     fn apply(&self, now_ns: u64, actor: TaskId, decision: &PolicyDecision) {
-        for (target, value) in &decision.sets {
-            let id = match target {
-                KnobTarget::Id(id) => Some(*id),
-                KnobTarget::Name(name) => self.knobs.id(name),
-            };
-            let applied = id.and_then(|id| self.knobs.set_id_as(id, *value, actor, now_ns));
-            if applied.is_some() {
+        for &(id, value) in &decision.sets {
+            if self.knobs.set_id_as(id, value, actor, now_ns).is_some() {
                 self.actuations.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -826,15 +808,15 @@ mod tests {
     use super::*;
     use crate::knob::{AtomicKnob, KnobSpec};
 
-    fn registry_with(name: &str, min: i64, max: i64, init: i64) -> Arc<KnobRegistry> {
+    fn registry_with(name: &str, min: i64, max: i64, init: i64) -> (Arc<KnobRegistry>, KnobId) {
         let reg = Arc::new(KnobRegistry::new());
-        reg.register(AtomicKnob::new(KnobSpec::new(name, min, max), init));
-        reg
+        let id = reg.register(AtomicKnob::new(KnobSpec::new(name, min, max), init));
+        (reg, id)
     }
 
     #[test]
     fn periodic_policy_fires_on_schedule() {
-        let knobs = registry_with("cap", 1, 32, 32);
+        let (knobs, _) = registry_with("cap", 1, 32, 32);
         let engine = PolicyEngine::new(knobs.clone());
         let fired = Arc::new(AtomicU64::new(0));
         let fc = fired.clone();
@@ -855,15 +837,15 @@ mod tests {
 
     #[test]
     fn decisions_actuate_knobs() {
-        let knobs = registry_with("cap", 1, 32, 32);
+        let (knobs, cap) = registry_with("cap", 1, 32, 32);
         let engine = PolicyEngine::new(knobs.clone());
         engine.register_periodic(
-            FnPolicy::new("throttle", |_, _, _| PolicyDecision::set("cap", 8)),
+            FnPolicy::new("throttle", move |_, _, _| PolicyDecision::set(cap, 8)),
             10,
             0,
         );
         engine.step(10);
-        assert_eq!(knobs.value("cap"), Some(8));
+        assert_eq!(knobs.value_id(cap), Some(8));
         assert_eq!(engine.actuations(), 1);
     }
 
@@ -887,38 +869,42 @@ mod tests {
 
     #[test]
     fn out_of_bounds_sets_are_clamped() {
-        let knobs = registry_with("cap", 1, 16, 16);
+        let (knobs, cap) = registry_with("cap", 1, 16, 16);
         let engine = PolicyEngine::new(knobs.clone());
         engine.register_periodic(
-            FnPolicy::new("wild", |_, _, _| PolicyDecision::set("cap", 10_000)),
+            FnPolicy::new("wild", move |_, _, _| PolicyDecision::set(cap, 10_000)),
             10,
             0,
         );
         engine.step(10);
-        assert_eq!(knobs.value("cap"), Some(16));
+        assert_eq!(knobs.value_id(cap), Some(16));
     }
 
     #[test]
     fn unknown_knob_does_not_count_as_actuation() {
-        let knobs = registry_with("cap", 1, 16, 16);
-        let engine = PolicyEngine::new(knobs);
+        // A decision for an id whose knob was deregistered is dropped.
+        let (knobs, cap) = registry_with("cap", 1, 16, 16);
+        let engine = PolicyEngine::new(knobs.clone());
         engine.register_periodic(
-            FnPolicy::new("typo", |_, _, _| PolicyDecision::set("cpa", 2)),
+            FnPolicy::new("stale", move |_, _, _| PolicyDecision::set(cap, 2)),
             10,
             0,
         );
+        assert!(knobs.deregister(cap));
         engine.step(10);
+        assert_eq!(engine.evaluations(), 1);
         assert_eq!(engine.actuations(), 0);
+        assert!(engine.journal().is_empty(), "nothing journaled");
     }
 
     #[test]
     fn triggered_policy_filters_events() {
-        let knobs = registry_with("window", 1, 512, 1);
+        let (knobs, window) = registry_with("window", 1, 512, 1);
         let engine = PolicyEngine::new(knobs.clone());
         engine.register_triggered(
-            FnPolicy::new("on-phase", |_, trigger, _| {
+            FnPolicy::new("on-phase", move |_, trigger, _| {
                 if let Trigger::Event(Event::PhaseBegin { .. }) = trigger {
-                    PolicyDecision::set("window", 64)
+                    PolicyDecision::set(window, 64)
                 } else {
                     PolicyDecision::noop()
                 }
@@ -928,26 +914,28 @@ mod tests {
         let names = crate::event::TaskNames::new();
         let phase = names.intern("ph");
         engine.on_event(&Event::PeriodicTick { t_ns: 0 });
-        assert_eq!(knobs.value("window"), Some(1), "filter must gate");
+        assert_eq!(knobs.value_id(window), Some(1), "filter must gate");
         engine.on_event(&Event::PhaseBegin { phase, t_ns: 1 });
-        assert_eq!(knobs.value("window"), Some(64));
+        assert_eq!(knobs.value_id(window), Some(64));
         assert_eq!(engine.evaluations(), 1);
     }
 
     #[test]
     fn retire_removes_triggered_policy() {
-        let knobs = registry_with("k", 0, 10, 0);
+        let (knobs, k) = registry_with("k", 0, 10, 0);
         let engine = PolicyEngine::new(knobs.clone());
         engine.register_triggered(
-            FnPolicy::new("once", |_, _, _| PolicyDecision::set("k", 5).and_retire()),
+            FnPolicy::new("once", move |_, _, _| {
+                PolicyDecision::set(k, 5).and_retire()
+            }),
             Box::new(|_| true),
         );
         engine.on_event(&Event::PeriodicTick { t_ns: 0 });
         assert_eq!(engine.policy_count(), 0);
-        knobs.set("k", 0);
+        knobs.set_id(k, 0);
         engine.on_event(&Event::PeriodicTick { t_ns: 1 });
         assert_eq!(
-            knobs.value("k"),
+            knobs.value_id(k),
             Some(0),
             "retired policy must not fire again"
         );
@@ -955,7 +943,7 @@ mod tests {
 
     #[test]
     fn a_batch_runs_one_round_per_matching_event_in_order_until_retired() {
-        let knobs = registry_with("k", 0, 10, 0);
+        let (knobs, _) = registry_with("k", 0, 10, 0);
         let engine = PolicyEngine::new(knobs);
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = seen.clone();
@@ -982,7 +970,7 @@ mod tests {
 
     #[test]
     fn late_triggered_policy_sees_the_very_next_event() {
-        let knobs = registry_with("k", 0, 1_000, 0);
+        let (knobs, k) = registry_with("k", 0, 1_000, 0);
         let engine = PolicyEngine::new(knobs.clone());
         // A long run of events through the no-policy fast path first.
         for t in 0..1_000 {
@@ -990,17 +978,17 @@ mod tests {
         }
         assert_eq!(engine.triggered.load(Ordering::Relaxed), 0);
         engine.register_triggered(
-            FnPolicy::new("late", |now, _, _| PolicyDecision::set("k", now as i64)),
+            FnPolicy::new("late", move |now, _, _| PolicyDecision::set(k, now as i64)),
             Box::new(|_| true),
         );
         engine.on_event(&Event::PeriodicTick { t_ns: 777 });
-        assert_eq!(knobs.value("k"), Some(777));
+        assert_eq!(knobs.value_id(k), Some(777));
         assert_eq!(engine.evaluations(), 1);
     }
 
     #[test]
     fn last_triggered_policy_leaving_restores_the_event_fast_path() {
-        let knobs = registry_with("k", 0, 1_000, 0);
+        let (knobs, _) = registry_with("k", 0, 1_000, 0);
         let engine = PolicyEngine::new(knobs);
         let filtered = Arc::new(AtomicU64::new(0));
         let counting_filter = |n: &Arc<AtomicU64>| -> EventFilter {
@@ -1047,7 +1035,7 @@ mod tests {
 
     #[test]
     fn deregister_by_handle() {
-        let knobs = registry_with("k", 0, 10, 0);
+        let (knobs, _) = registry_with("k", 0, 10, 0);
         let engine = PolicyEngine::new(knobs);
         let h =
             engine.register_periodic(FnPolicy::new("p", |_, _, _| PolicyDecision::noop()), 10, 0);
@@ -1059,7 +1047,7 @@ mod tests {
 
     #[test]
     fn multiple_periodic_policies_independent_schedules() {
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, _) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs);
         let fast = Arc::new(AtomicU64::new(0));
         let slow = Arc::new(AtomicU64::new(0));
@@ -1093,7 +1081,7 @@ mod tests {
         use crate::event::TaskNames;
         use crate::profile::ProfileListener;
 
-        let knobs = registry_with("cap", 1, 32, 32);
+        let (knobs, _) = registry_with("cap", 1, 32, 32);
         let engine = PolicyEngine::new(knobs.clone());
         let names = TaskNames::new();
         let intro = Arc::new(Introspection::new(
@@ -1118,7 +1106,7 @@ mod tests {
 
     #[test]
     fn unattached_engine_hands_policies_an_empty_snapshot() {
-        let knobs = registry_with("k", 0, 10, 0);
+        let (knobs, _) = registry_with("k", 0, 10, 0);
         let engine = PolicyEngine::new(knobs);
         let seen = Arc::new(AtomicU64::new(u64::MAX));
         let sc = seen.clone();
@@ -1136,13 +1124,13 @@ mod tests {
 
     #[test]
     fn counter_watch_fires_once_per_crossing_and_rebaselines_at_the_check() {
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, k) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
         let c = reg.striped_counter("events");
         c.add(1_000); // before the watch is built: not counted
         engine.register_threshold(
-            FnPolicy::new("batch", |_, _, _| PolicyDecision::set("k", 7)),
+            FnPolicy::new("batch", move |_, _, _| PolicyDecision::set(k, 7)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
         assert_eq!(engine.step(0), 0);
@@ -1150,7 +1138,7 @@ mod tests {
         assert_eq!(engine.step(1), 0, "below delta");
         reg.counter("events").add(1); // another handle, same counter
         assert_eq!(engine.step(2), 1, "the next step sees the crossing");
-        assert_eq!(knobs.value("k"), Some(7));
+        assert_eq!(knobs.value_id(k), Some(7));
         assert_eq!(engine.step(3), 0, "edge-triggered: consumed");
         c.add(25);
         assert_eq!(engine.step(4), 1, "an overshoot fires once");
@@ -1305,12 +1293,12 @@ mod tests {
         // consecutive adds land on different stripes and the watch reads
         // a total spread over several of them.
         fn run(delta: u64, schedule: &[&[u64]]) {
-            let knobs = registry_with("k", 0, 1000, 0);
+            let (knobs, k) = registry_with("k", 0, 1000, 0);
             let engine = PolicyEngine::new(knobs.clone());
             let reg = lg_metrics::CounterRegistry::new();
             let c = reg.striped_counter("arm");
             engine.register_threshold(
-                FnPolicy::new("w", |now, _, _| PolicyDecision::set("k", now as i64)),
+                FnPolicy::new("w", move |now, _, _| PolicyDecision::set(k, now as i64)),
                 ThresholdWatch::counter_delta_armed(&c, delta),
             );
             let mut oracle = Accumulator { delta, last: 0 };
@@ -1333,7 +1321,7 @@ mod tests {
                     usize::from(expected),
                     "step {now}: rounds diverged from the accumulator"
                 );
-                assert_eq!(knobs.value("k"), Some(knob_value), "step {now}");
+                assert_eq!(knobs.value_id(k), Some(knob_value), "step {now}");
             }
             assert_eq!(engine.evaluations(), fires);
             assert_eq!(engine.actuations(), fires);
@@ -1374,32 +1362,32 @@ mod tests {
 
     #[test]
     fn deregistered_counter_watch_never_fires() {
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, k) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
         let c = reg.striped_counter("events");
         let h = engine.register_threshold(
-            FnPolicy::new("batch", |_, _, _| PolicyDecision::set("k", 7)),
+            FnPolicy::new("batch", move |_, _, _| PolicyDecision::set(k, 7)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
         assert!(engine.deregister(h));
         c.add(100);
         assert_eq!(engine.step(1), 0, "a deregistered watch is not checked");
-        assert_eq!(knobs.value("k"), Some(0));
+        assert_eq!(knobs.value_id(k), Some(0));
     }
 
     #[test]
     fn deregistering_a_counter_watch_leaves_its_siblings_checked() {
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, k) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let reg = lg_metrics::CounterRegistry::new();
         let c = reg.striped_counter("events");
         let gone = engine.register_threshold(
-            FnPolicy::new("gone", |_, _, _| PolicyDecision::set("k", 7)),
+            FnPolicy::new("gone", move |_, _, _| PolicyDecision::set(k, 7)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
         engine.register_threshold(
-            FnPolicy::new("kept", |_, _, _| PolicyDecision::set("k", 3)),
+            FnPolicy::new("kept", move |_, _, _| PolicyDecision::set(k, 3)),
             ThresholdWatch::counter_delta_armed(&c, 10),
         );
         c.add(2);
@@ -1407,12 +1395,12 @@ mod tests {
         c.add(100);
         assert_eq!(engine.step(1), 1, "the sibling on the same counter fires");
         assert_eq!(engine.evaluations(), 1, "only the sibling was evaluated");
-        assert_eq!(knobs.value("k"), Some(3));
+        assert_eq!(knobs.value_id(k), Some(3));
     }
 
     #[test]
     fn relative_change_watch_tracks_moves() {
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, _) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs);
         let p99 = Arc::new(Mutex::new(100.0f64));
         let reader = p99.clone();
@@ -1442,7 +1430,7 @@ mod tests {
 
     #[test]
     fn adaptation_latency_recorded_only_on_actuating_rounds() {
-        let knobs = registry_with("cap", 1, 32, 32);
+        let (knobs, cap) = registry_with("cap", 1, 32, 32);
         let engine = PolicyEngine::new(knobs);
         assert_eq!(engine.adaptation_latency_last_ns(), None);
         assert_eq!(engine.adaptation_latency_mean_ns(), None);
@@ -1460,14 +1448,18 @@ mod tests {
         let stamp = engine.latency_stamp();
         assert_eq!(stamp.load(Ordering::Relaxed), 0);
         engine.register_periodic(
-            FnPolicy::new("act", |_, _, _| PolicyDecision::set("cap", 8)),
+            FnPolicy::new("act", move |_, _, _| PolicyDecision::set(cap, 8)),
             10,
             10,
         );
         engine.step(20);
         assert!(engine.adaptation_latency_last_ns().is_some());
         assert!(engine.adaptation_latency_mean_ns().is_some());
-        assert_eq!(engine.adaptation_rounds(), 1);
+        assert_eq!(
+            engine.latency_stats.lock().count(),
+            1,
+            "one actuating round"
+        );
         assert_eq!(
             stamp.load(Ordering::Relaxed),
             1,
@@ -1481,7 +1473,7 @@ mod tests {
         use crate::event::TaskNames;
         use crate::profile::ProfileListener;
 
-        let knobs = registry_with("k", 0, 100, 0);
+        let (knobs, _) = registry_with("k", 0, 100, 0);
         let engine = PolicyEngine::new(knobs);
         engine.set_quarantine_threshold(1);
         engine.attach_introspection(Arc::new(Introspection::new(
@@ -1571,7 +1563,7 @@ mod tests {
     #[test]
     fn wall_clock_ticker_drives_steps() {
         use crate::clock::WallClock;
-        let knobs = registry_with("k", 0, 1000, 0);
+        let (knobs, _) = registry_with("k", 0, 1000, 0);
         let engine = PolicyEngine::new(knobs.clone());
         let count = Arc::new(AtomicU64::new(0));
         let c = count.clone();

@@ -58,12 +58,6 @@ impl SampleHistoryListener {
         self.series.lock().get(&id)?.mean_over_trailing(horizon_ns)
     }
 
-    /// Linear trend of `metric` (units/second) over the trailing window.
-    pub fn slope_over(&self, metric: &str, horizon_ns: u64) -> Option<f64> {
-        let id = self.names.lookup(metric)?;
-        self.series.lock().get(&id)?.slope_over_trailing(horizon_ns)
-    }
-
     /// Copies the retained history of `metric`.
     pub fn history(&self, metric: &str) -> Vec<(u64, f64)> {
         self.names
@@ -157,8 +151,9 @@ mod tests {
         }
         // Trailing 2.5 s from t=9 s: samples at 7, 8, 9 → mean 80.
         assert_eq!(h.mean_over("p", 2_500_000_000), Some(80.0));
-        // 10 units/second trend.
-        let slope = h.slope_over("p", u64::MAX).unwrap();
+        // 10 units/second trend, over the series the listener keeps.
+        let p = names.lookup("p").unwrap();
+        let slope = h.series.lock()[&p].slope_over_trailing(u64::MAX).unwrap();
         assert!((slope - 10.0).abs() < 1e-9);
     }
 

@@ -306,7 +306,11 @@ mod tests {
         // Objective: EDP-like bowl with minimum at cap = 12.
         let best = drive(&mut session, |p| ((p[0] - 12) * (p[0] - 12)) as f64 + 3.0).unwrap();
         assert_eq!(best.0, vec![12]);
-        assert_eq!(knobs.value("cap"), Some(12), "winner must be left applied");
+        assert_eq!(
+            knobs.value_id(knobs.id("cap").unwrap()),
+            Some(12),
+            "winner must be left applied"
+        );
         assert!(session.is_finished());
     }
 
@@ -320,14 +324,14 @@ mod tests {
         let mut now = 0;
         while let SessionStep::Measure { point, .. } = session.next(now) {
             assert_eq!(
-                knobs.value("cap"),
+                knobs.value_id(knobs.id("cap").unwrap()),
                 Some(point[0]),
                 "knob must track epoch config"
             );
             session.complete(point[0] as f64); // minimum at cap = 1
             now += 1;
         }
-        assert_eq!(knobs.value("cap"), Some(1));
+        assert_eq!(knobs.value_id(knobs.id("cap").unwrap()), Some(1));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! [`Introspection::capture`] materialises everything into one immutable
 //! [`IntrospectionSnapshot`]. Consumers query the snapshot — by id on hot
 //! paths, by name at the edges — and two snapshots diff cleanly (e.g.
-//! [`IntrospectionSnapshot::throughput_since`]), which is how the watchdog
-//! detects regressions and tuning sessions score epochs without touching
-//! any listener directly.
+//! completed tasks per second between two of them), which is how the
+//! watchdog detects regressions and tuning sessions score epochs without
+//! touching any listener directly.
 //!
 //! ## Incremental capture
 //!
@@ -578,21 +578,12 @@ impl IntrospectionSnapshot {
     pub fn profile(&self, name: &str) -> Option<&TaskProfile> {
         self.profiles.iter().find(|p| p.name == name)
     }
-
-    /// Completed tasks per second between `prev` and this snapshot —
-    /// the canonical regression-watchdog rate. `None` if no time passed.
-    pub fn throughput_since(&self, prev: &IntrospectionSnapshot) -> Option<f64> {
-        completed_rate(
-            (prev.t_ns, prev.total_completed),
-            (self.t_ns, self.total_completed),
-        )
-    }
 }
 
 /// Completed tasks per second between two `(t_ns, total_completed)`
-/// readings; `None` unless time advanced. The one definition behind
-/// [`IntrospectionSnapshot::throughput_since`], the regression watchdog's
-/// snapshot rate and the arbiter's `t<i>.rate` mirror.
+/// readings; `None` unless time advanced. The one definition behind the
+/// regression watchdog's snapshot rate and the arbiter's `t<i>.rate`
+/// mirror.
 pub(crate) fn completed_rate(prev: (u64, u64), now: (u64, u64)) -> Option<f64> {
     let dt_ns = now.0.checked_sub(prev.0).filter(|&d| d > 0)?;
     let done = now.1.saturating_sub(prev.1);
@@ -861,17 +852,11 @@ mod tests {
 
     #[test]
     fn throughput_diffs_consecutive_snapshots() {
-        let a = IntrospectionSnapshot {
-            total_completed: 100,
-            ..IntrospectionSnapshot::empty(1_000_000_000)
-        };
-        let b = IntrospectionSnapshot {
-            total_completed: 350,
-            ..IntrospectionSnapshot::empty(2_000_000_000)
-        };
-        assert_eq!(b.throughput_since(&a), Some(250.0));
-        assert_eq!(a.throughput_since(&b), None, "time must advance");
-        assert_eq!(a.throughput_since(&a), None, "zero dt is undefined");
+        let a = (1_000_000_000, 100);
+        let b = (2_000_000_000, 350);
+        assert_eq!(completed_rate(a, b), Some(250.0));
+        assert_eq!(completed_rate(b, a), None, "time must advance");
+        assert_eq!(completed_rate(a, a), None, "zero dt is undefined");
     }
 
     #[test]

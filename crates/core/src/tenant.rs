@@ -9,9 +9,8 @@
 //! the whole fleet without collisions.
 //!
 //! The namespace is purely textual: tenant 3's `thread_cap` mirror lives
-//! at `"t3.thread_cap"`. [`TenantId::scoped`] builds such names and
-//! [`TenantId::parse_scoped`] inverts them, so reporting code can walk a
-//! governor snapshot and group metrics back by tenant.
+//! at `"t3.thread_cap"`. [`TenantId::scoped`] builds such names, and
+//! [`TenantId::prefix`] is the part that names the tenant.
 
 use std::fmt;
 
@@ -30,20 +29,6 @@ impl TenantId {
     /// Scope a metric or knob name under this tenant: `"t3.thread_cap"`.
     pub fn scoped(&self, name: &str) -> String {
         format!("t{}.{name}", self.0)
-    }
-
-    /// Invert [`TenantId::scoped`]: split `"t3.thread_cap"` into
-    /// `(TenantId(3), "thread_cap")`. Returns `None` for names outside
-    /// any tenant namespace.
-    pub fn parse_scoped(scoped: &str) -> Option<(TenantId, &str)> {
-        let rest = scoped.strip_prefix('t')?;
-        let dot = rest.find('.')?;
-        let (digits, tail) = rest.split_at(dot);
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        let n: u32 = digits.parse().ok()?;
-        Some((TenantId(n), &tail[1..]))
     }
 }
 
@@ -92,22 +77,11 @@ mod tests {
         let id = TenantId(7);
         let name = id.scoped("serve.p99_window_ns");
         assert_eq!(name, "t7.serve.p99_window_ns");
-        assert_eq!(
-            TenantId::parse_scoped(&name),
-            Some((id, "serve.p99_window_ns"))
-        );
-    }
-
-    #[test]
-    fn parse_rejects_unscoped_names() {
-        assert_eq!(TenantId::parse_scoped("thread_cap"), None);
-        assert_eq!(TenantId::parse_scoped("tx.thread_cap"), None);
-        assert_eq!(TenantId::parse_scoped("t.thread_cap"), None);
-        assert_eq!(TenantId::parse_scoped("t12"), None);
-        // A bare "t<digits>." with an empty tail parses to an empty name;
-        // scoped() never produces one, so reject is not required — but the
-        // tenant id must still be right.
-        assert_eq!(TenantId::parse_scoped("t12.x"), Some((TenantId(12), "x")));
+        // The scoped name is the prefix, a dot, and the name.
+        let tail = name
+            .strip_prefix(&id.prefix())
+            .and_then(|t| t.strip_prefix('.'));
+        assert_eq!(tail, Some("serve.p99_window_ns"));
     }
 
     #[test]

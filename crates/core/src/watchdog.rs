@@ -13,11 +13,12 @@
 //! same clamping and journaling as any other actuation — and it is
 //! journalled under the watchdog's own (interned) actor id, which the
 //! watchdog ignores, so it never chases its own tail. Suspects are read
-//! from the journal's raw id-based records: the watchdog holds interned
-//! ids, not strings, and resolves a name only when emitting a rollback.
+//! from the raw id-based records of the registry's journal, and a rollback
+//! names the suspect's [`KnobId`](crate::KnobId): no string is built or
+//! looked up on the way.
 
 use crate::event::TaskId;
-use crate::journal::ActuationJournal;
+use crate::knob::KnobRegistry;
 use crate::policy::{Policy, PolicyDecision, Trigger};
 use crate::snapshot::{completed_rate, IntrospectionSnapshot};
 use std::sync::Arc;
@@ -46,7 +47,8 @@ pub struct RegressionWatchdog {
     name: String,
     /// Our actor id in the journal (records with this id are our own).
     self_id: TaskId,
-    journal: Arc<ActuationJournal>,
+    /// The registry whose journal is read and whose knobs are rolled back.
+    knobs: Arc<KnobRegistry>,
     rate: RateSource,
     drop_frac: f64,
     last_seen_seq: u64,
@@ -59,16 +61,16 @@ pub struct RegressionWatchdog {
 }
 
 impl RegressionWatchdog {
-    fn build(journal: Arc<ActuationJournal>, rate: RateSource, drop_frac: f64) -> Box<Self> {
+    fn build(knobs: Arc<KnobRegistry>, rate: RateSource, drop_frac: f64) -> Box<Self> {
         assert!(
             drop_frac > 0.0 && drop_frac < 1.0,
             "drop fraction must be in (0, 1)"
         );
-        let self_id = journal.intern("regression-watchdog");
+        let self_id = knobs.actor("regression-watchdog");
         Box::new(Self {
             name: "regression-watchdog".into(),
             self_id,
-            journal,
+            knobs,
             rate,
             drop_frac,
             last_seen_seq: 0,
@@ -85,23 +87,25 @@ impl RegressionWatchdog {
     /// baseline to the post-regression rate, masking the drop.
     #[must_use]
     pub fn with_ignored_actor(mut self: Box<Self>, actor: &str) -> Box<Self> {
-        self.ignored.push(self.journal.intern(actor));
+        self.ignored.push(self.knobs.actor(actor));
         self
     }
 
-    /// Creates a watchdog reading `rate` (higher = better) and rolling
-    /// back any journalled actuation followed by a drop of more than
-    /// `drop_frac` (e.g. `0.2` = 20%) relative to the rate observed when
-    /// the actuation was first seen.
+    /// Creates a watchdog over the writes journaled by `knobs`, reading
+    /// `rate` (higher = better) and rolling back any journalled actuation
+    /// followed by a drop of more than `drop_frac` (e.g. `0.2` = 20%)
+    /// relative to the rate observed when the actuation was first seen.
+    /// Register it on an engine that applies decisions to the same
+    /// registry.
     ///
     /// # Panics
     /// Panics unless `0 < drop_frac < 1`.
     pub fn new(
-        journal: Arc<ActuationJournal>,
+        knobs: Arc<KnobRegistry>,
         rate: impl FnMut() -> f64 + Send + 'static,
         drop_frac: f64,
     ) -> Box<Self> {
-        Self::build(journal, RateSource::Closure(Box::new(rate)), drop_frac)
+        Self::build(knobs, RateSource::Closure(Box::new(rate)), drop_frac)
     }
 
     /// Creates a watchdog whose rate is the completed-tasks-per-second
@@ -110,8 +114,8 @@ impl RegressionWatchdog {
     ///
     /// # Panics
     /// Panics unless `0 < drop_frac < 1`.
-    pub fn throughput(journal: Arc<ActuationJournal>, drop_frac: f64) -> Box<Self> {
-        Self::build(journal, RateSource::Snapshot { prev: None }, drop_frac)
+    pub fn throughput(knobs: Arc<KnobRegistry>, drop_frac: f64) -> Box<Self> {
+        Self::build(knobs, RateSource::Snapshot { prev: None }, drop_frac)
     }
 
     /// Rollbacks performed so far.
@@ -154,10 +158,12 @@ impl Policy for RegressionWatchdog {
         // period has elapsed, so `rate` reflects the post-actuation world.
         if let Some(p) = self.pending.take() {
             if rate < p.baseline * (1.0 - self.drop_frac) {
-                self.journal.mark_rolled_back(p.seq);
+                self.knobs.journal().mark_rolled_back(p.seq);
                 self.rollbacks += 1;
-                let knob = self.journal.names().resolve(p.knob).unwrap_or_default();
-                decision = PolicyDecision::set(knob, p.from);
+                // A knob deregistered since has nothing to restore.
+                if let Some(knob) = self.knobs.id_of_journaled(p.knob) {
+                    decision = PolicyDecision::set(knob, p.from);
+                }
             }
         }
         // Adopt the newest foreign actuation as the next suspect — skip
@@ -169,7 +175,7 @@ impl Policy for RegressionWatchdog {
         // the current rate on the first reading.
         let baseline = self.prev_rate.unwrap_or(rate);
         let mut newest: Option<Pending> = None;
-        for rec in self.journal.raw_records_since(self.last_seen_seq) {
+        for rec in self.knobs.journal().raw_records_since(self.last_seen_seq) {
             self.last_seen_seq = self.last_seen_seq.max(rec.seq);
             if rec.policy != self.self_id
                 && !self.ignored.contains(&rec.policy)
@@ -195,22 +201,38 @@ impl Policy for RegressionWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::ActuationJournal;
+    use crate::knob::{AtomicKnob, KnobId, KnobSpec};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn eval(w: &mut RegressionWatchdog, t: u64) -> PolicyDecision {
         w.evaluate(t, Trigger::Periodic, &IntrospectionSnapshot::empty(t))
     }
 
-    #[test]
-    fn rolls_back_regressing_actuation() {
-        let journal = Arc::new(ActuationJournal::new(16));
+    /// A registry holding one knob per name, and its journal.
+    fn registry(names: &[&str]) -> (Arc<KnobRegistry>, Arc<ActuationJournal>, Vec<KnobId>) {
+        let knobs = Arc::new(KnobRegistry::with_journal_capacity(16));
+        let ids = names
+            .iter()
+            .map(|n| knobs.register(AtomicKnob::new(KnobSpec::new(*n, 0, 64), 0)))
+            .collect();
+        let journal = knobs.journal().clone();
+        (knobs, journal, ids)
+    }
+
+    /// A watchdog over `knobs` reading the rate held in the returned cell.
+    fn watchdog(knobs: &Arc<KnobRegistry>) -> (Box<RegressionWatchdog>, Arc<AtomicU64>) {
         let rate = Arc::new(AtomicU64::new(1_000));
         let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let w =
+            RegressionWatchdog::new(knobs.clone(), move || r.load(Ordering::Relaxed) as f64, 0.2);
+        (w, rate)
+    }
+
+    #[test]
+    fn rolls_back_regressing_actuation() {
+        let (knobs, journal, ids) = registry(&["thread_cap"]);
+        let (mut w, rate) = watchdog(&knobs);
         assert_eq!(eval(&mut w, 0), PolicyDecision::noop());
         // A policy halves the cap; throughput craters.
         let seq = journal.record(10, "tuner", "thread_cap", 16, 2);
@@ -221,7 +243,7 @@ mod tests {
         );
         rate.store(400, Ordering::Relaxed);
         let d = eval(&mut w, 20);
-        assert_eq!(d, PolicyDecision::set("thread_cap", 16));
+        assert_eq!(d, PolicyDecision::set(ids[0], 16));
         assert_eq!(w.rollbacks(), 1);
         assert!(
             journal
@@ -235,14 +257,8 @@ mod tests {
 
     #[test]
     fn tolerates_benign_actuation() {
-        let journal = Arc::new(ActuationJournal::new(16));
-        let rate = Arc::new(AtomicU64::new(1_000));
-        let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let (knobs, journal, _) = registry(&["window"]);
+        let (mut w, rate) = watchdog(&knobs);
         eval(&mut w, 0);
         journal.record(10, "tuner", "window", 8, 32);
         eval(&mut w, 10);
@@ -253,14 +269,8 @@ mod tests {
 
     #[test]
     fn small_dip_within_tolerance_not_rolled_back() {
-        let journal = Arc::new(ActuationJournal::new(16));
-        let rate = Arc::new(AtomicU64::new(1_000));
-        let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let (knobs, journal, _) = registry(&["window"]);
+        let (mut w, rate) = watchdog(&knobs);
         eval(&mut w, 0);
         journal.record(10, "tuner", "window", 8, 32);
         eval(&mut w, 10);
@@ -270,19 +280,13 @@ mod tests {
 
     #[test]
     fn ignores_its_own_rollback_writes() {
-        let journal = Arc::new(ActuationJournal::new(16));
-        let rate = Arc::new(AtomicU64::new(1_000));
-        let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let (knobs, journal, ids) = registry(&["cap"]);
+        let (mut w, rate) = watchdog(&knobs);
         eval(&mut w, 0);
         journal.record(10, "tuner", "cap", 16, 2);
         eval(&mut w, 10);
         rate.store(100, Ordering::Relaxed);
-        assert_eq!(eval(&mut w, 20), PolicyDecision::set("cap", 16));
+        assert_eq!(eval(&mut w, 20), PolicyDecision::set(ids[0], 16));
         // The engine would journal that rollback under the watchdog's name:
         journal.record(20, "regression-watchdog", "cap", 2, 16);
         rate.store(90, Ordering::Relaxed);
@@ -297,21 +301,15 @@ mod tests {
 
     #[test]
     fn only_latest_foreign_actuation_is_suspect() {
-        let journal = Arc::new(ActuationJournal::new(16));
-        let rate = Arc::new(AtomicU64::new(1_000));
-        let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let (knobs, journal, ids) = registry(&["k1", "k2"]);
+        let (mut w, rate) = watchdog(&knobs);
         eval(&mut w, 0);
         journal.record(10, "a", "k1", 1, 2);
         journal.record(11, "b", "k2", 5, 9);
         eval(&mut w, 20);
         rate.store(1, Ordering::Relaxed);
         // Rolls back the most recent write only (k2).
-        assert_eq!(eval(&mut w, 30), PolicyDecision::set("k2", 5));
+        assert_eq!(eval(&mut w, 30), PolicyDecision::set(ids[1], 5));
     }
 
     #[test]
@@ -319,20 +317,12 @@ mod tests {
         // A rollback performed through KnobRegistry::rollback_last_of is
         // journalled with `rollback_of` set; the watchdog must not adopt
         // it as a suspect even though the actor ("rollback") is foreign.
-        let journal = Arc::new(ActuationJournal::new(16));
-        let rate = Arc::new(AtomicU64::new(1_000));
-        let r = rate.clone();
-        let mut w = RegressionWatchdog::new(
-            journal.clone(),
-            move || r.load(Ordering::Relaxed) as f64,
-            0.2,
-        );
+        let (knobs, _, ids) = registry(&["cap"]);
+        let (mut w, rate) = watchdog(&knobs);
         eval(&mut w, 0);
-        let s = journal.record(10, "tuner", "cap", 16, 2);
-        let actor = journal.intern("rollback");
-        let knob = journal.names().lookup("cap").unwrap();
-        journal.record_interned(11, actor, knob, 2, 16, Some(s));
-        journal.mark_rolled_back(s);
+        let tuner = knobs.actor("tuner");
+        knobs.set_id_as(ids[0], 2, tuner, 10);
+        assert_eq!(knobs.rollback_last_of(ids[0]), Some(0));
         eval(&mut w, 20);
         rate.store(1, Ordering::Relaxed);
         assert_eq!(
@@ -344,8 +334,8 @@ mod tests {
 
     #[test]
     fn snapshot_throughput_mode_diffs_consecutive_snapshots() {
-        let journal = Arc::new(ActuationJournal::new(16));
-        let mut w = RegressionWatchdog::throughput(journal.clone(), 0.2);
+        let (knobs, journal, ids) = registry(&["cap"]);
+        let mut w = RegressionWatchdog::throughput(knobs, 0.2);
         let snap = |t_s: u64, done: u64| IntrospectionSnapshot {
             total_completed: done,
             ..IntrospectionSnapshot::empty(t_s * 1_000_000_000)
@@ -364,7 +354,7 @@ mod tests {
         );
         // Next second only 100 tasks complete: 90% drop => rollback.
         let d = w.evaluate(0, Trigger::Periodic, &snap(3, 2100));
-        assert_eq!(d, PolicyDecision::set("cap", 16));
+        assert_eq!(d, PolicyDecision::set(ids[0], 16));
         assert_eq!(w.rollbacks(), 1);
     }
 }

@@ -158,21 +158,21 @@ proptest! {
         let initial = initial_raw.clamp(min, max);
         let lg = LookingGlass::builder().build();
         let bulkhead = Bulkhead::new("limit", min, max, initial);
-        lg.knobs().register(bulkhead.limit_knob().clone());
+        let limit = lg.knobs().register(bulkhead.limit_knob().clone());
 
         let latency = Arc::new(AtomicU64::new(0));
         let l = latency.clone();
         let id = lg
             .introspection()
             .register_gauge("p99", move || l.load(Ordering::Relaxed) as f64);
-        let policy = AimdPolicy::new("limit", min, max, initial, step, 0.5)
+        let policy = AimdPolicy::new(limit, min, max, initial, step, 0.5)
             .on_latency_above(id, 1_000_000.0);
         lg.policy_engine().register_periodic(policy, 1_000, 0);
 
         for (i, &hot) in overloaded.iter().enumerate() {
             latency.store(if hot == 1 { 5_000_000 } else { 0 }, Ordering::Relaxed);
             lg.policy_engine().step((i as u64 + 1) * 1_000);
-            let v = lg.knobs().value("limit").expect("registered knob");
+            let v = lg.knobs().value_id(limit).expect("registered knob");
             prop_assert!(
                 (min..=max).contains(&v),
                 "knob value {v} escaped [{min}, {max}] at step {i}"
@@ -189,7 +189,7 @@ proptest! {
             replayed = r.to;
         }
         prop_assert_eq!(
-            lg.knobs().value("limit"),
+            lg.knobs().value_id(limit),
             Some(replayed),
             "journal replay diverged from the live knob"
         );

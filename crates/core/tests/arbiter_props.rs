@@ -452,9 +452,10 @@ proptest! {
     ) {
         let (_clock, arb, live) = drive(&ops);
         for t in &live {
-            for (knob, v) in replay_final_values(t.lg.knobs().journal()) {
+            let knobs = t.lg.knobs();
+            for (knob, v) in replay_final_values(knobs.journal()) {
                 prop_assert_eq!(
-                    t.lg.knobs().value(&knob),
+                    knobs.id(&knob).and_then(|id| knobs.value_id(id)),
                     Some(v),
                     "tenant journal diverged on '{}'",
                     knob
@@ -463,8 +464,9 @@ proptest! {
         }
         // Governor journal: mirrors of evicted tenants are deregistered,
         // so only still-registered knobs are checked.
-        for (knob, v) in replay_final_values(arb.lg().knobs().journal()) {
-            if let Some(liv) = arb.lg().knobs().value(&knob) {
+        let knobs = arb.lg().knobs();
+        for (knob, v) in replay_final_values(knobs.journal()) {
+            if let Some(liv) = knobs.id(&knob).and_then(|id| knobs.value_id(id)) {
                 prop_assert_eq!(liv, v, "governor journal diverged on '{}'", knob);
             }
         }

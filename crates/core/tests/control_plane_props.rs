@@ -59,7 +59,7 @@ proptest! {
                 s.spawn(move || {
                     for &(k, v, kind) in ops {
                         if kind == 0 {
-                            reg.rollback_last_of(&format!("k{k}"));
+                            reg.rollback_last_of(ids[k as usize]);
                         } else {
                             reg.set_id(ids[k as usize], v);
                         }
@@ -110,14 +110,15 @@ proptest! {
             prop_assert_eq!(reg.id(&name), Some(id));
             prop_assert_eq!(reg.name(id).as_deref(), Some(name.as_str()));
             // …and writes through either are observationally identical.
+            let resolved = reg.id(&name).expect("registered");
             let (via, other) = if via_id == 0 {
-                (reg.set_id(id, v), reg.value(&name))
+                (reg.set_id(id, v), reg.value_id(resolved))
             } else {
-                (reg.set(&name, v), reg.value_id(id))
+                (reg.set_id(resolved, v), reg.value_id(id))
             };
             prop_assert_eq!(via, other);
             prop_assert_eq!(via, Some(v.clamp(MIN, MAX)));
-            prop_assert_eq!(reg.value(&name), reg.value_id(id));
+            prop_assert_eq!(reg.value_id(resolved), reg.value_id(id));
         }
     }
 

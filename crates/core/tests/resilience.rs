@@ -5,7 +5,7 @@ use lg_core::journal::ActuationJournal;
 use lg_core::knob::AtomicKnob;
 use lg_core::policy::Trigger;
 use lg_core::{
-    IntrospectionSnapshot, KnobRegistry, KnobSpec, Policy, PolicyDecision, PolicyEngine,
+    IntrospectionSnapshot, KnobId, KnobRegistry, KnobSpec, Policy, PolicyDecision, PolicyEngine,
     RegressionWatchdog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// and otherwise writes `knob = evals`.
 struct Flaky {
     name: &'static str,
-    knob: &'static str,
+    knob: KnobId,
     evals: u64,
     fail: fn(u64) -> bool,
 }
@@ -39,19 +39,28 @@ impl Policy for Flaky {
     }
 }
 
-fn engine_with_knob(name: &'static str, initial: i64) -> (Arc<PolicyEngine>, Arc<KnobRegistry>) {
+/// The value of the decoy knob `engine_with_knob` registers first.
+const DECOY: i64 = 42;
+
+fn engine_with_knob(
+    name: &'static str,
+    initial: i64,
+) -> (Arc<PolicyEngine>, Arc<KnobRegistry>, KnobId) {
     let knobs = Arc::new(KnobRegistry::new());
-    knobs.register(AtomicKnob::new(KnobSpec::new(name, 0, 1_000_000), initial));
-    (PolicyEngine::new(knobs.clone()), knobs)
+    // A decoy takes the first slot, so a write that lands on the wrong
+    // knob shows.
+    knobs.register(AtomicKnob::new(KnobSpec::new("decoy", 0, 1_000_000), DECOY));
+    let id = knobs.register(AtomicKnob::new(KnobSpec::new(name, 0, 1_000_000), initial));
+    (PolicyEngine::new(knobs.clone()), knobs, id)
 }
 
 #[test]
 fn panicking_policy_is_quarantined_and_never_fires_again() {
-    let (engine, knobs) = engine_with_knob("k", 0);
+    let (engine, knobs, k) = engine_with_knob("k", 0);
     engine.register_periodic(
         Box::new(Flaky {
             name: "bad",
-            knob: "k",
+            knob: k,
             evals: 0,
             fail: |_| true,
         }),
@@ -61,7 +70,7 @@ fn panicking_policy_is_quarantined_and_never_fires_again() {
     engine.register_periodic(
         Box::new(Flaky {
             name: "good",
-            knob: "k",
+            knob: k,
             evals: 0,
             fail: |_| false,
         }),
@@ -84,7 +93,7 @@ fn panicking_policy_is_quarantined_and_never_fires_again() {
     );
     // The healthy policy kept actuating right through its neighbour's
     // meltdown: 20 evaluations, each journalled.
-    assert_eq!(knobs.value("k"), Some(20));
+    assert_eq!(knobs.value_id(k), Some(20));
     // Many more steps: the quarantined policy stays silent for the rest of
     // the session.
     for i in 21..=60u64 {
@@ -94,18 +103,18 @@ fn panicking_policy_is_quarantined_and_never_fires_again() {
         engine.panics(),
         PolicyEngine::DEFAULT_QUARANTINE_THRESHOLD as u64
     );
-    assert_eq!(knobs.value("k"), Some(60));
+    assert_eq!(knobs.value_id(k), Some(60));
 }
 
 #[test]
 fn successful_evaluation_resets_the_panic_streak() {
-    let (engine, _knobs) = engine_with_knob("k", 0);
+    let (engine, _knobs, k) = engine_with_knob("k", 0);
     // Panics twice out of every three evaluations: never three in a row,
     // so it must never be quarantined.
     engine.register_periodic(
         Box::new(Flaky {
             name: "flappy",
-            knob: "k",
+            knob: k,
             evals: 0,
             fail: |n| n % 3 != 0,
         }),
@@ -121,12 +130,12 @@ fn successful_evaluation_resets_the_panic_streak() {
 
 #[test]
 fn quarantine_threshold_is_tunable() {
-    let (engine, _knobs) = engine_with_knob("k", 0);
+    let (engine, _knobs, k) = engine_with_knob("k", 0);
     engine.set_quarantine_threshold(1);
     engine.register_periodic(
         Box::new(Flaky {
             name: "bad",
-            knob: "k",
+            knob: k,
             evals: 0,
             fail: |_| true,
         }),
@@ -140,11 +149,11 @@ fn quarantine_threshold_is_tunable() {
 
 #[test]
 fn rollback_restores_the_pre_actuation_value() {
-    let (engine, knobs) = engine_with_knob("k", 7);
+    let (engine, knobs, k) = engine_with_knob("k", 7);
     engine.register_periodic(
         Box::new(Flaky {
             name: "writer",
-            knob: "k",
+            knob: k,
             evals: 0,
             fail: |_| false,
         }),
@@ -152,28 +161,29 @@ fn rollback_restores_the_pre_actuation_value() {
         0,
     );
     engine.step(100); // writes k = 1
-    assert_eq!(knobs.value("k"), Some(1));
-    assert_eq!(engine.rollback_last_of("k"), Some(7));
+    assert_eq!(knobs.value_id(k), Some(1));
+    assert_eq!(knobs.rollback_last_of(k), Some(7));
     assert_eq!(
-        knobs.value("k"),
+        knobs.value_id(k),
         Some(7),
         "rollback must restore the prior value"
     );
     // The record is consumed: a second rollback finds nothing newer.
-    assert_eq!(engine.rollback_last_of("k"), None);
-    assert_eq!(engine.rollback_last_of("no-such-knob"), None);
+    assert_eq!(knobs.rollback_last_of(k), None);
+    assert!(knobs.deregister(k));
+    assert_eq!(knobs.rollback_last_of(k), None, "no knob behind the id");
 }
 
 #[test]
 fn watchdog_rolls_back_a_regressing_actuation_end_to_end() {
     // Full loop through the engine: a policy actuates, throughput tanks,
     // and the watchdog (itself a registered policy) writes the knob back.
-    let (engine, knobs) = engine_with_knob("k", 10);
+    let (engine, knobs, k) = engine_with_knob("k", 10);
     let rate = Arc::new(AtomicU64::new(1_000));
     let rate_reader = rate.clone();
     engine.register_periodic(
         RegressionWatchdog::new(
-            engine.journal().clone(),
+            knobs.clone(),
             move || rate_reader.load(Ordering::Relaxed) as f64,
             0.2,
         ),
@@ -181,7 +191,7 @@ fn watchdog_rolls_back_a_regressing_actuation_end_to_end() {
         0,
     );
     // One harmful actuation, made outside the watchdog's name.
-    struct OneShot;
+    struct OneShot(KnobId);
     impl Policy for OneShot {
         fn name(&self) -> &str {
             "one-shot"
@@ -192,20 +202,22 @@ fn watchdog_rolls_back_a_regressing_actuation_end_to_end() {
             _trigger: Trigger<'_>,
             _snapshot: &IntrospectionSnapshot,
         ) -> PolicyDecision {
-            PolicyDecision::set("k", 999).and_retire()
+            PolicyDecision::set(self.0, 999).and_retire()
         }
     }
-    engine.register_periodic(Box::new(OneShot), 100, 0);
+    engine.register_periodic(Box::new(OneShot(k)), 100, 0);
     engine.step(100); // actuation lands (journalled after this step)
-    assert_eq!(knobs.value("k"), Some(999));
+    assert_eq!(knobs.value_id(k), Some(999));
     engine.step(200); // watchdog adopts the suspect at a healthy baseline
     rate.store(100, Ordering::Relaxed); // throughput collapses
     engine.step(300); // verdict: regression → rollback decision applied
     assert_eq!(
-        knobs.value("k"),
+        knobs.value_id(k),
         Some(10),
         "watchdog must restore the prior value"
     );
+    let decoy = knobs.id("decoy").expect("registered");
+    assert_eq!(knobs.value_id(decoy), Some(DECOY), "the decoy is untouched");
     let rolled: Vec<_> = engine
         .journal()
         .records_since(0)
@@ -226,6 +238,7 @@ fn journal_capacity_bounds_rollback_memory() {
     }
     assert_eq!(journal.len(), 4);
     assert!(journal.evicted() >= 6);
-    let latest = journal.latest_for("k").expect("newest record retained");
+    let k = journal.names().lookup("k").expect("interned");
+    let latest = journal.latest_for_id(k).expect("newest record retained");
     assert_eq!(latest.from, 9);
 }

@@ -58,8 +58,6 @@ pub struct Coalescer {
     window: Arc<AtomicKnob>,
     max_delay_ns: u64,
     buffers: HashMap<LocalityId, DestBuffer>,
-    window_flushes: u64,
-    deadline_flushes: u64,
 }
 
 impl Coalescer {
@@ -82,8 +80,6 @@ impl Coalescer {
             window,
             max_delay_ns,
             buffers: HashMap::new(),
-            window_flushes: 0,
-            deadline_flushes: 0,
         }
     }
 
@@ -96,21 +92,6 @@ impl Coalescer {
     /// Current window value.
     pub fn window(&self) -> usize {
         self.window.get().max(1) as usize
-    }
-
-    /// Configured delay bound.
-    pub fn max_delay_ns(&self) -> u64 {
-        self.max_delay_ns
-    }
-
-    /// Flushes triggered by window fill so far.
-    pub fn window_flushes(&self) -> u64 {
-        self.window_flushes
-    }
-
-    /// Flushes triggered by the deadline so far.
-    pub fn deadline_flushes(&self) -> u64 {
-        self.deadline_flushes
     }
 
     /// Parcels currently buffered across all destinations.
@@ -131,7 +112,6 @@ impl Coalescer {
         }
         buf.parcels.push(parcel);
         if buf.parcels.len() >= self.window() {
-            self.window_flushes += 1;
             let parcels = std::mem::take(&mut self.buffers.get_mut(&dest).unwrap().parcels);
             Some(WireMessage {
                 dest,
@@ -160,7 +140,6 @@ impl Coalescer {
         for dest in due {
             let buf = self.buffers.get_mut(&dest).unwrap();
             let parcels = std::mem::take(&mut buf.parcels);
-            self.deadline_flushes += 1;
             out.push(WireMessage {
                 dest,
                 parcels,
@@ -207,8 +186,6 @@ impl std::fmt::Debug for Coalescer {
         f.debug_struct("Coalescer")
             .field("window", &self.window())
             .field("buffered", &self.buffered())
-            .field("window_flushes", &self.window_flushes)
-            .field("deadline_flushes", &self.deadline_flushes)
             .finish()
     }
 }
@@ -231,7 +208,6 @@ mod tests {
         assert_eq!(msg.parcels.len(), 3);
         assert_eq!(msg.dest, 1);
         assert_eq!(c.buffered(), 0);
-        assert_eq!(c.window_flushes(), 1);
     }
 
     #[test]
@@ -253,7 +229,6 @@ mod tests {
         let msgs = c.poll(1_000);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].reason, FlushReason::Deadline);
-        assert_eq!(c.deadline_flushes(), 1);
     }
 
     #[test]

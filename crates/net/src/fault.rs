@@ -44,7 +44,6 @@ pub struct FaultPlan {
     /// Explicit half-open `[start, end)` outage windows.
     outages: Vec<(u64, u64)>,
     drops: u64,
-    flap_drops: u64,
     dups: u64,
 }
 
@@ -59,7 +58,6 @@ impl FaultPlan {
             flap: None,
             outages: Vec::new(),
             drops: 0,
-            flap_drops: 0,
             dups: 0,
         }
     }
@@ -134,7 +132,6 @@ impl FaultPlan {
     /// for replays to match (it is, under virtual time).
     pub fn decide(&mut self, depart_ns: u64) -> FaultAction {
         if self.link_down_at(depart_ns) {
-            self.flap_drops += 1;
             return FaultAction::Drop;
         }
         if self.drop_prob > 0.0 && self.rng.gen_bool(self.drop_prob) {
@@ -167,11 +164,6 @@ impl FaultPlan {
         self.drops
     }
 
-    /// Messages dropped because the link was down.
-    pub fn flap_drops(&self) -> u64 {
-        self.flap_drops
-    }
-
     /// Duplicated messages so far.
     pub fn duplicates(&self) -> u64 {
         self.dups
@@ -194,7 +186,7 @@ mod tests {
                 }
             );
         }
-        assert_eq!(p.drops() + p.flap_drops() + p.duplicates(), 0);
+        assert_eq!(p.drops() + p.duplicates(), 0);
     }
 
     #[test]
@@ -246,8 +238,7 @@ mod tests {
     fn flap_drops_and_counts() {
         let mut p = FaultPlan::new(0).flap(1_000, 1_000);
         assert_eq!(p.decide(1_500), FaultAction::Drop);
-        assert_eq!(p.flap_drops(), 1);
-        assert_eq!(p.drops(), 0);
+        assert_eq!(p.drops(), 0, "a flap drop is not a random drop");
     }
 
     #[test]

@@ -1048,11 +1048,11 @@ mod tests {
     fn knobs_are_live() {
         let rl = ReliableLink::new(TransportCost::cluster(), ReliableConfig::default(), 0);
         let reg = lg_core::KnobRegistry::new();
-        reg.register(rl.retry_budget_knob().clone());
-        assert_eq!(reg.value("retry_budget"), Some(32));
-        reg.set("retry_budget", 64);
+        let budget = reg.register(rl.retry_budget_knob().clone());
+        assert_eq!(reg.value_id(budget), Some(32));
+        reg.set_id(budget, 64);
         assert_eq!(rl.retry_budget_knob().get(), 64);
-        reg.set("retry_budget", 100_000); // clamped to spec max
+        reg.set_id(budget, 100_000); // clamped to spec max
         assert_eq!(rl.retry_budget_knob().get(), 4_096);
     }
 

@@ -234,8 +234,10 @@ mod tests {
     fn knob_is_registered_on_instance() {
         let p = pool(1);
         let _ = p.chunk_knob("my_chunk", 1, 100, 10);
-        assert_eq!(p.lg().knobs().value("my_chunk"), Some(10));
-        p.lg().knobs().set("my_chunk", 64);
+        let knobs = p.lg().knobs();
+        let chunk = knobs.id("my_chunk").expect("registered");
+        assert_eq!(knobs.value_id(chunk), Some(10));
+        knobs.set_id(chunk, 64);
     }
 
     #[test]

@@ -1072,8 +1072,10 @@ mod tests {
     #[test]
     fn thread_cap_knob_registered() {
         let p = pool(4);
-        assert_eq!(p.lg().knobs().value("thread_cap"), Some(4));
-        p.lg().knobs().set("thread_cap", 2);
+        let knobs = p.lg().knobs();
+        let cap = knobs.id("thread_cap").expect("registered");
+        assert_eq!(knobs.value_id(cap), Some(4));
+        knobs.set_id(cap, 2);
         assert_eq!(p.thread_cap().current(), 2);
     }
 

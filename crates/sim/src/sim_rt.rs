@@ -58,12 +58,6 @@ impl SimTask {
         }
     }
 
-    /// Sets the correlation tag (builder style).
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
-        self
-    }
-
     /// Bytes per op (traffic intensity).
     pub fn bytes_per_op(&self) -> f64 {
         self.bytes / self.ops
@@ -261,11 +255,6 @@ impl SimRuntime {
     /// The thread-cap knob (also registered as `"thread_cap"`).
     pub fn cap_knob(&self) -> &Arc<AtomicKnob> {
         &self.cap
-    }
-
-    /// The DVFS knob (also registered as `"freq_permille"`).
-    pub fn freq_knob(&self) -> &Arc<AtomicKnob> {
-        &self.freq
     }
 
     /// Convenience: sets the thread cap.
@@ -759,9 +748,15 @@ mod tests {
     #[test]
     fn run_until_event_stops_at_first_completion() {
         let mut sim = SimRuntime::new(machine(4, 1e9, 1e12));
-        sim.submit(SimTask::new("a", 1e6, 0.0).with_tag(1)); // 1 ms
-        sim.submit(SimTask::new("b", 3e6, 0.0).with_tag(2)); // 3 ms
-                                                             // First event well before the 10 ms boundary.
+        sim.submit(SimTask {
+            tag: 1,
+            ..SimTask::new("a", 1e6, 0.0)
+        }); // 1 ms
+        sim.submit(SimTask {
+            tag: 2,
+            ..SimTask::new("b", 3e6, 0.0)
+        }); // 3 ms
+            // First event well before the 10 ms boundary.
         assert!(sim.run_until_event(10_000_000));
         let done: Vec<_> = sim.take_completions().collect();
         assert_eq!(done.len(), 1);
@@ -778,8 +773,11 @@ mod tests {
     #[test]
     fn run_until_event_never_passes_the_boundary() {
         let mut sim = SimRuntime::new(machine(4, 1e9, 1e12));
-        sim.submit(SimTask::new("long", 5e6, 0.0).with_tag(7)); // 5 ms
-                                                                // The task would complete at 5 ms; the boundary is 2 ms.
+        sim.submit(SimTask {
+            tag: 7,
+            ..SimTask::new("long", 5e6, 0.0)
+        }); // 5 ms
+            // The task would complete at 5 ms; the boundary is 2 ms.
         assert!(!sim.run_until_event(2_000_000));
         assert_eq!(sim.clock().now_ns(), 2_000_000);
         assert!(sim.take_completions().as_slice().is_empty());
@@ -791,8 +789,10 @@ mod tests {
     #[test]
     fn knob_registered_on_instance() {
         let sim = SimRuntime::new(machine(8, 1e9, 1e9));
-        assert_eq!(sim.lg().knobs().value("thread_cap"), Some(8));
-        sim.lg().knobs().set("thread_cap", 3);
+        let knobs = sim.lg().knobs();
+        let cap = knobs.id("thread_cap").expect("registered");
+        assert_eq!(knobs.value_id(cap), Some(8));
+        knobs.set_id(cap, 3);
         assert_eq!(sim.cap_knob().get(), 3);
     }
 
@@ -838,9 +838,11 @@ mod tests {
     #[test]
     fn freq_knob_registered_and_bounded() {
         let sim = SimRuntime::new(machine(4, 1e9, 1e9));
-        assert_eq!(sim.lg().knobs().value("freq_permille"), Some(1000));
-        sim.lg().knobs().set("freq_permille", 100); // below min → clamped
-        assert_eq!(sim.freq_knob().get(), 200);
+        let knobs = sim.lg().knobs();
+        let freq = knobs.id("freq_permille").expect("registered");
+        assert_eq!(knobs.value_id(freq), Some(1000));
+        knobs.set_id(freq, 100); // below min → clamped
+        assert_eq!(sim.freq.get(), 200);
         sim.set_freq(0.75);
         assert!((sim.freq_fraction() - 0.75).abs() < 1e-9);
     }
@@ -884,9 +886,18 @@ mod tests {
         let mut sim = SimRuntime::new(machine(2, 1e9, 1e15));
         // 2 cores, 3 tasks: tags 7 and 8 run first (1 ms, 2 ms), tag 9
         // starts when 7 finishes and ends at 1 ms + 3 ms = 4 ms.
-        sim.submit(SimTask::new("a", 1e6, 0.0).with_tag(7));
-        sim.submit(SimTask::new("b", 2e6, 0.0).with_tag(8));
-        sim.submit(SimTask::new("c", 3e6, 0.0).with_tag(9));
+        sim.submit(SimTask {
+            tag: 7,
+            ..SimTask::new("a", 1e6, 0.0)
+        });
+        sim.submit(SimTask {
+            tag: 8,
+            ..SimTask::new("b", 2e6, 0.0)
+        });
+        sim.submit(SimTask {
+            tag: 9,
+            ..SimTask::new("c", 3e6, 0.0)
+        });
         while sim.step_boundary() {}
         let done: Vec<_> = sim.take_completions().collect();
         let tags: Vec<u64> = done.iter().map(|&(tag, _)| tag).collect();

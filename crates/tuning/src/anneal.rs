@@ -81,11 +81,6 @@ impl SimulatedAnnealing {
         }
     }
 
-    /// Current temperature.
-    pub fn temperature(&self) -> f64 {
-        self.temperature
-    }
-
     fn perturb(&mut self) -> Vec<usize> {
         let mut levels = self.current.clone();
         // Pick a dimension that can actually move.
@@ -260,17 +255,17 @@ mod tests {
     fn temperature_cools_monotonically() {
         let space = Space::new(vec![Dim::range("x", 0, 10, 1)]);
         let mut sa = SimulatedAnnealing::new(space, AnnealConfig::default(), 5);
-        let mut last_t = sa.temperature();
+        let mut last_t = sa.temperature;
         let mut first = true;
         while let Some(p) = sa.propose() {
             sa.report(&p, p[0] as f64);
             if first {
                 first = false; // seeding eval does not cool
-                last_t = sa.temperature();
+                last_t = sa.temperature;
                 continue;
             }
-            assert!(sa.temperature() <= last_t);
-            last_t = sa.temperature();
+            assert!(sa.temperature <= last_t);
+            last_t = sa.temperature;
         }
     }
 

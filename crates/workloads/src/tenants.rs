@@ -151,9 +151,13 @@ impl ServeTenant {
             .introspection()
             .metric_id("serve.p99_window_ns")
             .expect("serve gauges bound");
+        let shed = self
+            .lg
+            .knobs()
+            .id("serve.shed_level")
+            .expect("serve.shed_level is registered");
         self.lg.policy_engine().register_periodic(
-            BrownoutPolicy::new("serve.shed_level", e2e, shed_above_ns, shed_above_ns / 2.0)
-                .with_max_level(4),
+            BrownoutPolicy::new(shed, e2e, shed_above_ns, shed_above_ns / 2.0).with_max_level(4),
             self.control_period_ns,
             0,
         );
@@ -186,7 +190,6 @@ pub struct BatchTenant {
     calm_bpo: f64,
     storm_bpo: f64,
     next_job: u64,
-    jobs_done: Arc<AtomicU64>,
     /// f64 bits: total ops progressed (partial progress included). Ops
     /// are continuous where job completions are quantized (a storm job
     /// outlives many rounds), so the watchdog's efficiency signal diffs
@@ -232,7 +235,6 @@ impl BatchTenant {
             calm_bpo: 0.25,
             storm_bpo: 100.0,
             next_job: 0,
-            jobs_done: Arc::new(AtomicU64::new(0)),
             ops_done: Arc::new(AtomicU64::new(0f64.to_bits())),
             good_jobs: 0,
             power_w,
@@ -254,11 +256,6 @@ impl BatchTenant {
     /// The tenant's looking-glass instance.
     pub fn lg(&self) -> &Arc<LookingGlass> {
         self.rt.lg()
-    }
-
-    /// Jobs completed in total (shared counter, live).
-    pub fn jobs_done(&self) -> u64 {
-        self.jobs_done.load(Ordering::Relaxed)
     }
 
     /// Jobs completed while the authoritative clock was still inside the
@@ -300,7 +297,6 @@ impl BatchTenant {
             self.next_job += 1;
         }
         let r = self.rt.run_until(now_ns);
-        self.jobs_done.fetch_add(r.tasks, Ordering::Relaxed);
         self.ops_done
             .store(self.rt.total_ops_progressed().to_bits(), Ordering::Relaxed);
         if now_ns <= self.horizon_ns {
@@ -335,12 +331,18 @@ impl BatchTenant {
     pub fn install_greedy(&self, backlog_threshold: u64, period_ns: u64) {
         let backlog = self.backlog.clone();
         let cap = self.rt.cap_knob().clone();
+        let cap_id = self
+            .rt
+            .lg()
+            .knobs()
+            .id("thread_cap")
+            .expect("the simulator registers thread_cap");
         let max = self.rt.spec().cores as i64;
         self.rt.lg().policy_engine().register_periodic(
             FnPolicy::new("greedy-scale-up", move |_, _, _| {
                 let cur = cap.get();
                 if backlog.load(Ordering::Relaxed) > backlog_threshold && cur < max {
-                    PolicyDecision::set("thread_cap", (cur * 2).min(max))
+                    PolicyDecision::set(cap_id, (cur * 2).min(max))
                 } else {
                     PolicyDecision::noop()
                 }
@@ -362,7 +364,7 @@ impl BatchTenant {
         let lg = self.rt.lg();
         lg.policy_engine().register_periodic(
             RegressionWatchdog::new(
-                lg.policy_engine().journal().clone(),
+                lg.knobs().clone(),
                 move || {
                     let o = f64::from_bits(ops.load(Ordering::Relaxed));
                     let dops = (o - last).max(0.0);
@@ -532,8 +534,9 @@ mod tests {
         for k in 1..=20u64 {
             t.step(k * 5_000_000);
         }
-        // 100 ms × 4k/s = 400 jobs, minus at most a step of slack.
-        assert!(t.jobs_done() >= 380, "done {}", t.jobs_done());
+        // 100 ms × 4k/s = 400 jobs, minus at most a step of slack; every
+        // step is inside the horizon, so each finished job is a good one.
+        assert!(t.good_jobs() >= 380, "done {}", t.good_jobs());
         assert!(t.backlog() < 30, "backlog {}", t.backlog());
         assert_eq!(t.lg().clock().now_ns(), 100_000_000);
     }
@@ -546,7 +549,7 @@ mod tests {
         }
         // Bandwidth-bound: the slice's knee for 100 B/op sits far below
         // one core, so almost nothing completes.
-        assert!(t.jobs_done() < 40, "done {}", t.jobs_done());
+        assert!(t.good_jobs() < 40, "done {}", t.good_jobs());
         assert!(t.backlog() > 300, "backlog {}", t.backlog());
     }
 
@@ -563,7 +566,8 @@ mod tests {
     fn greedy_grows_cap_and_watchdog_rolls_it_back_in_storm() {
         let mut t =
             BatchTenant::new(slice(16), 8_000.0, 1_000_000_000).with_storm(0, 1_000_000_000);
-        t.lg().knobs().set("thread_cap", 4);
+        let knobs = t.lg().knobs();
+        knobs.set_id(knobs.id("thread_cap").unwrap(), 4);
         t.install_greedy(100, 10_000_000);
         t.install_watchdog(0.25, 10_000_000);
         let mut rolled_back = false;
@@ -594,7 +598,9 @@ mod tests {
     fn serve_tenant_exposes_arbitrable_knob_and_pressure() {
         let clock = Arc::new(VirtualClock::new());
         let t = ServeTenant::new(clock, 32, 7);
-        assert_eq!(t.lg().knobs().value("serve.bulkhead_limit"), Some(32));
+        let knobs = t.lg().knobs();
+        let limit = knobs.id("serve.bulkhead_limit").unwrap();
+        assert_eq!(knobs.value_id(limit), Some(32));
         assert!(t
             .lg()
             .introspection()

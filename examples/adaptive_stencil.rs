@@ -31,6 +31,11 @@ fn main() {
         search,
         sim.lg().knobs().clone(),
     );
+    let cap = sim
+        .lg()
+        .knobs()
+        .id("thread_cap")
+        .expect("the simulator registers thread_cap");
 
     println!("\nepoch  cap  time_ms  energy_j      edp");
     loop {
@@ -45,7 +50,7 @@ fn main() {
                 );
                 println!(
                     "knob left applied: thread_cap = {:?}",
-                    sim.lg().knobs().value("thread_cap")
+                    sim.lg().knobs().value_id(cap)
                 );
                 break;
             }

@@ -85,9 +85,14 @@ fn main() {
     let engine = PolicyEngine::new(pool.lg().knobs().clone());
     engine.attach_introspection(pool.lg().introspection().clone());
     // Bias starts off so the policy's first decision is a real actuation.
-    pool.lg().knobs().set("dag.critical_bias", 0);
+    let bias = pool
+        .lg()
+        .knobs()
+        .id("dag.critical_bias")
+        .expect("the pool registers dag.critical_bias");
+    pool.lg().knobs().set_id(bias, 0);
     engine.register_periodic(
-        Box::new(CriticalPathPolicy::new("dag.critical_bias", WORKERS)),
+        Box::new(CriticalPathPolicy::new(bias, WORKERS)),
         200_000,
         pool.lg().clock().now_ns(),
     );

@@ -67,7 +67,8 @@ fn main() {
 
     // 2. Panic containment + quarantine in the policy engine.
     let lg = LookingGlass::builder().build();
-    lg.knobs()
+    let cap = lg
+        .knobs()
         .register(AtomicKnob::new(KnobSpec::new("cap", 0, 100), 50));
     let engine = lg.policy_engine();
     engine.register_periodic(
@@ -76,7 +77,7 @@ fn main() {
         0,
     );
     engine.register_periodic(
-        FnPolicy::new("healthy", |_, _, _| PolicyDecision::set("cap", 60)),
+        FnPolicy::new("healthy", move |_, _, _| PolicyDecision::set(cap, 60)),
         1_000,
         0,
     );
@@ -87,7 +88,7 @@ fn main() {
         "policies: {} contained panics, quarantined = {:?}, cap = {:?}",
         engine.panics(),
         engine.quarantined(),
-        lg.knobs().value("cap")
+        lg.knobs().value_id(cap)
     );
     assert_eq!(engine.quarantined(), vec!["faulty".to_string()]);
 
@@ -96,7 +97,7 @@ fn main() {
     let r = rate.clone();
     engine.register_periodic(
         RegressionWatchdog::new(
-            engine.journal().clone(),
+            lg.knobs().clone(),
             move || r.load(Ordering::Relaxed) as f64,
             0.2,
         ),
@@ -104,8 +105,8 @@ fn main() {
         10_000,
     );
     engine.register_periodic(
-        FnPolicy::new("misguided", |_, _, _| {
-            PolicyDecision::set("cap", 5).and_retire()
+        FnPolicy::new("misguided", move |_, _, _| {
+            PolicyDecision::set(cap, 5).and_retire()
         }),
         1_000,
         10_000,
@@ -116,7 +117,7 @@ fn main() {
     engine.step(13_000); // watchdog rolls it back
     println!(
         "watchdog: cap restored to {:?} after the rate collapsed",
-        lg.knobs().value("cap")
+        lg.knobs().value_id(cap)
     );
-    assert_eq!(lg.knobs().value("cap"), Some(60));
+    assert_eq!(lg.knobs().value_id(cap), Some(60));
 }

@@ -49,12 +49,12 @@ fn run_phase(phase: &Phase) -> (PoolServeReport, usize) {
     let brownout = Brownout::new("serve.shed_level");
     lg.knobs().register(bulkhead.limit_knob().clone());
     lg.knobs().register(gate.rate_knob().clone());
-    lg.knobs().register(brownout.level_knob().clone());
+    let shed = lg.knobs().register(brownout.level_knob().clone());
 
     let server = PoolServer::new(pool, bulkhead, gate, brownout);
     // Actuate degradation through the registry: clamped + journaled.
     lg.knobs()
-        .set("serve.shed_level", phase.shed_level)
+        .set_id(shed, phase.shed_level)
         .expect("registered knob");
 
     for i in 0..REQUESTS {

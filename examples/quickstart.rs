@@ -64,26 +64,25 @@ fn main() {
     );
 
     // 4. Adaptation: a policy reacts to a phase marker by throttling the
-    //    pool through the knob registry (it knows nothing about the pool).
+    //    pool to one worker through the knob registry (it knows nothing
+    //    about the pool). The knob's name is resolved to its id once.
+    let cap = lg
+        .knobs()
+        .id("thread_cap")
+        .expect("the pool registers thread_cap");
     lg.policy_engine().register_triggered(
-        FnPolicy::new("throttle-on-phase", |_, trigger, _snapshot| {
+        FnPolicy::new("throttle-on-phase", move |_, trigger, _snapshot| {
             if matches!(trigger, Trigger::Event(Event::PhaseBegin { .. })) {
-                PolicyDecision::set("thread_cap", 2)
+                PolicyDecision::set(cap, 1)
             } else {
                 PolicyDecision::noop()
             }
         }),
         Box::new(|e| matches!(e, Event::PhaseBegin { .. })),
     );
-    println!(
-        "\nthread_cap before phase: {:?}",
-        lg.knobs().value("thread_cap")
-    );
+    println!("\nthread_cap before phase: {:?}", lg.knobs().value_id(cap));
     lg.phase_begin("memory-bound-phase");
-    println!(
-        "thread_cap after phase:  {:?}",
-        lg.knobs().value("thread_cap")
-    );
+    println!("thread_cap after phase:  {:?}", lg.knobs().value_id(cap));
     println!("knob actuations logged: {:?}", lg.knobs().changes());
 
     // The trace listener kept the most recent events for post-mortem use.

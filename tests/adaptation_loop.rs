@@ -19,11 +19,15 @@ fn policy_throttles_real_pool_on_sample_threshold() {
     let lg = LookingGlass::builder().build();
     let pool = ThreadPool::new(lg.clone(), PoolConfig::with_workers(4));
     // Policy: if a "power" sample exceeds 100 W, halve the thread cap.
+    let cap = lg
+        .knobs()
+        .id("thread_cap")
+        .expect("the pool registers thread_cap");
     lg.policy_engine().register_triggered(
-        FnPolicy::new("power-guard", |_, trigger, _snapshot| {
+        FnPolicy::new("power-guard", move |_, trigger, _snapshot| {
             if let Trigger::Event(Event::SampleValue { value, .. }) = trigger {
                 if *value > 100.0 {
-                    return PolicyDecision::set("thread_cap", 2);
+                    return PolicyDecision::set(cap, 2);
                 }
             }
             PolicyDecision::noop()
@@ -161,19 +165,20 @@ fn periodic_policy_ticks_under_virtual_time() {
     // Policies stepped manually with virtual timestamps — the simulation
     // path — fire on schedule without any wall-clock thread.
     let lg = LookingGlass::builder().build();
-    lg.knobs()
+    let k = lg
+        .knobs()
         .register(looking_glass::core::knob::AtomicKnob::new(
             looking_glass::core::KnobSpec::new("k", 0, 100),
             0,
         ));
     let engine = lg.policy_engine();
     engine.register_periodic(
-        FnPolicy::new("bump", |_, _, _| PolicyDecision::set("k", 7)),
+        FnPolicy::new("bump", move |_, _, _| PolicyDecision::set(k, 7)),
         1_000,
         0,
     );
     engine.step(500);
-    assert_eq!(lg.knobs().value("k"), Some(0));
+    assert_eq!(lg.knobs().value_id(k), Some(0));
     engine.step(1_000);
-    assert_eq!(lg.knobs().value("k"), Some(7));
+    assert_eq!(lg.knobs().value_id(k), Some(7));
 }

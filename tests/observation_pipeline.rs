@@ -157,10 +157,11 @@ fn two_pools_one_instance_share_observation() {
     assert_eq!(lg.profiles().get("from_b").unwrap().count, 20);
     // Knob names are per instance and the last registration wins: the
     // name now steers pool `b`; `a` keeps its own actuator.
-    lg.knobs().set("thread_cap", 1);
+    let knobs = lg.knobs();
+    knobs.set_id(knobs.id("thread_cap").unwrap(), 1);
     assert_eq!(b.thread_cap().current(), 1);
     assert_eq!(a.thread_cap().current(), 2);
-    lg.knobs().set("dag.critical_bias", 0);
+    knobs.set_id(knobs.id("dag.critical_bias").unwrap(), 0);
     assert_eq!(b.dag_bias_knob().get(), 0);
     assert_eq!(a.dag_bias_knob().get(), 1);
 }
