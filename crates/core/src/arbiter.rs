@@ -646,14 +646,16 @@ impl Arbiter {
             let snap = state.lg.introspection().capture(t_ns);
 
             // Noisy-neighbour signal: new watchdog rollback records in
-            // the tenant's journal since the last scan.
-            let journal = state.lg.knobs().journal();
-            let rollbacks = journal
-                .raw_records_since(state.last_seq)
+            // the tenant's journal since the last scan. The arbiter's own
+            // writes never match (its actor, no `rollback_of`). The mark
+            // advances only past the records this scan returned, so one
+            // appended after it is seen next round.
+            let fresh = state.lg.knobs().journal().raw_records_since(state.last_seq);
+            state.last_seq = fresh.last().map_or(state.last_seq, |r| r.seq);
+            let rollbacks = fresh
                 .iter()
                 .filter(|r| r.policy == state.watchdog_actor || r.rollback_of.is_some())
                 .count();
-            state.last_seq = journal.total_recorded();
             if rollbacks > 0 {
                 if state.quarantine_left == 0 {
                     inner.quarantine_entries += 1;
@@ -727,9 +729,6 @@ impl Arbiter {
                 state.alloc = alloc;
                 writes += 2;
             }
-            // Our own writes are not noise: advance the scan mark past
-            // them so the next round only sees tenant-side activity.
-            state.last_seq = state.lg.knobs().journal().total_recorded();
             out.push((state.id, alloc));
         }
         (out, quarantined, writes)
@@ -1276,6 +1275,31 @@ mod tests {
         assert!(!r.quarantined.contains(&tn));
         assert_eq!(arb.allocation(tn), Some(8));
         assert_eq!(arb.quarantine_entries(), 1);
+    }
+
+    #[test]
+    fn rollback_journaled_after_the_scan_is_seen_next_round() {
+        // A watchdog record that lands after a round's journal scan (here
+        // from the demand probe, which runs between the scan and the
+        // rebalance) quarantines the tenant on the next round.
+        let clock = Arc::new(VirtualClock::new());
+        let arb = Arbiter::with_instance(ArbiterConfig::new(16), tenant_lg(&clock));
+        let noisy = tenant_lg(&clock);
+        cap_knob(&noisy, 16);
+        let journal = noisy.knobs().journal().clone();
+        let calls = AtomicU64::new(0);
+        let spec = TenantSpec::new("noisy", SloClass::Batch, 16).with_demand_probe(move |_, _| {
+            // Call 0 is admission's; call 1 runs inside the first round.
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                journal.record(0, "regression-watchdog", "thread_cap", 16, 8);
+            }
+            DemandProfile::default()
+        });
+        let tn = arb.admit(noisy.clone(), spec, "thread_cap");
+        clock.advance_by(1_000_000);
+        assert!(!arb.control_round(clock.now_ns()).quarantined.contains(&tn));
+        clock.advance_by(1_000_000);
+        assert!(arb.control_round(clock.now_ns()).quarantined.contains(&tn));
     }
 
     #[test]

@@ -8,19 +8,27 @@
 //! of such records; when full, the oldest records fall off and are
 //! counted, never silently lost.
 //!
-//! The ring is lock-free on the write path so journaling never serialises
-//! actuators: a writer claims a slot with one `fetch_add` on the head
-//! ticket and publishes the record seqlock-style (the slot's `seq` field
-//! is zeroed while the payload is being written and set to the record's
-//! sequence number when it is complete). Readers validate `seq` before
-//! *and* after copying the payload and skip slots caught mid-write.
+//! The ring is one `parking_lot::Mutex` over a bounded `VecDeque` of
+//! [`RawActuationRecord`]s. Knob writes are rare (a few per arbiter
+//! round), so the lock costs a few ns per append and nothing end to end,
+//! and every reader sees every retained record, in order, with no gap.
+//! Beside the ring an atomic count of records ever written, stored while
+//! the lock is held, answers [`ActuationJournal::total_recorded`], `len`,
+//! `evicted` and a scan with nothing new without taking the lock.
+//!
+//! The journal lock is a leaf: nothing else is locked and no user code
+//! runs while it is held. Readers copy raw records out under it and
+//! resolve names only after releasing it, so a knob write takes the
+//! knob's write lock, then this one, and nothing else.
 //! Policy and knob names are interned into `u32` ids via a shared
 //! [`TaskNames`] table, so recording costs no allocation for names seen
 //! before; hot consumers (the watchdog) read the raw id-based records and
 //! only resolve ids to strings at the edge.
 
 use crate::event::{TaskId, TaskNames};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Journal capacity used when a registry or engine builds its own journal.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 256;
@@ -67,47 +75,17 @@ pub struct RawActuationRecord {
     pub rollback_of: Option<u64>,
 }
 
-/// One ring slot. `seq == 0` means empty or mid-write; otherwise it holds
-/// the record's 1-based sequence number, which doubles as the seqlock
-/// version: readers load it before and after the payload and discard the
-/// copy on mismatch.
-struct Slot {
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    policy: AtomicU64,
-    knob: AtomicU64,
-    from: AtomicI64,
-    to: AtomicI64,
-    rolled_back: AtomicBool,
-    /// 0 = not a rollback; otherwise the seq this record undoes.
-    rollback_of: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-            policy: AtomicU64::new(0),
-            knob: AtomicU64::new(0),
-            from: AtomicI64::new(0),
-            to: AtomicI64::new(0),
-            rolled_back: AtomicBool::new(false),
-            rollback_of: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Thread-safe bounded actuation history. Cheap to share via `Arc`.
 ///
-/// Writes are lock-free (one `fetch_add` plus plain atomic stores); reads
-/// never block writers. A record can momentarily be invisible to a reader
-/// racing the writer mid-publish — it becomes visible once the write
-/// completes, and sequence numbers stay gap-free either way.
+/// One lock guards the ring; it is a leaf (see the module docs). A record
+/// is visible to every reader from the moment its `record` call returns,
+/// and sequence numbers are gap-free.
 pub struct ActuationJournal {
-    slots: Vec<Slot>,
-    /// Next 0-based ticket; record `seq` is `ticket + 1`.
-    head: AtomicU64,
+    /// Retained records, oldest first, with consecutive `seq`s.
+    ring: Mutex<VecDeque<RawActuationRecord>>,
+    /// Records ever written, i.e. the newest record's `seq`. Stored only
+    /// while `ring` is locked.
+    total: AtomicU64,
     names: TaskNames,
     capacity: usize,
 }
@@ -120,8 +98,8 @@ impl ActuationJournal {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "journal capacity must be positive");
         Self {
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
-            head: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            total: AtomicU64::new(0),
             names: TaskNames::new(),
             capacity,
         }
@@ -166,89 +144,51 @@ impl ActuationJournal {
         to: i64,
         rollback_of: Option<u64>,
     ) -> u64 {
-        let ticket = self.head.fetch_add(1, Ordering::AcqRel);
-        let seq = ticket + 1;
-        let slot = &self.slots[(ticket % self.capacity as u64) as usize];
-        // Invalidate the slot, publish the payload, then publish the seq.
-        slot.seq.store(0, Ordering::Release);
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        slot.policy.store(policy.0 as u64, Ordering::Relaxed);
-        slot.knob.store(knob.0 as u64, Ordering::Relaxed);
-        slot.from.store(from, Ordering::Relaxed);
-        slot.to.store(to, Ordering::Relaxed);
-        slot.rolled_back.store(false, Ordering::Relaxed);
-        slot.rollback_of
-            .store(rollback_of.unwrap_or(0), Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        let mut ring = self.ring.lock();
+        let seq = self.total.load(Ordering::Relaxed) + 1;
+        if ring.len() == self.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(RawActuationRecord {
+            seq,
+            t_ns,
+            policy,
+            knob,
+            from,
+            to,
+            rolled_back: false,
+            rollback_of,
+        });
+        self.total.store(seq, Ordering::Release);
         seq
     }
 
-    /// Seqlock read of the slot that should hold `seq`. Returns `None` if
-    /// the record was evicted, is mid-write, or was torn by a wrapping
-    /// writer during the copy.
-    fn read_seq(&self, seq: u64) -> Option<RawActuationRecord> {
-        debug_assert!(seq >= 1);
-        let slot = &self.slots[((seq - 1) % self.capacity as u64) as usize];
-        if slot.seq.load(Ordering::Acquire) != seq {
-            return None;
-        }
-        let rec = RawActuationRecord {
-            seq,
-            t_ns: slot.t_ns.load(Ordering::Relaxed),
-            policy: TaskId(slot.policy.load(Ordering::Relaxed) as u32),
-            knob: TaskId(slot.knob.load(Ordering::Relaxed) as u32),
-            from: slot.from.load(Ordering::Relaxed),
-            to: slot.to.load(Ordering::Relaxed),
-            rolled_back: slot.rolled_back.load(Ordering::Relaxed),
-            rollback_of: match slot.rollback_of.load(Ordering::Relaxed) {
-                0 => None,
-                s => Some(s),
-            },
-        };
-        if slot.seq.load(Ordering::Acquire) != seq {
-            return None;
-        }
-        Some(rec)
-    }
-
-    /// Marks the record with `seq` rolled back; returns false if it has
-    /// already been evicted.
-    pub fn mark_rolled_back(&self, seq: u64) -> bool {
-        if seq == 0 || seq > self.head.load(Ordering::Acquire) {
+    /// Marks the record with `seq` rolled back; returns false if it is not
+    /// retained (evicted, or never written).
+    pub(crate) fn mark_rolled_back(&self, seq: u64) -> bool {
+        let mut ring = self.ring.lock();
+        let oldest = ring.front().map_or(1, |r| r.seq);
+        let Some(rec) = seq
+            .checked_sub(oldest)
+            .and_then(|i| ring.get_mut(i as usize))
+        else {
             return false;
-        }
-        let slot = &self.slots[((seq - 1) % self.capacity as u64) as usize];
-        if slot.seq.load(Ordering::Acquire) != seq {
-            return false; // evicted (or mid-overwrite, which implies evicted)
-        }
-        slot.rolled_back.store(true, Ordering::Release);
-        // If a wrapping writer reclaimed the slot between the check and the
-        // store, the flag landed on a *newer* record; report failure so the
-        // caller knows the target is gone. The stray flag is repaired by
-        // the writer protocol (every publish resets `rolled_back`), so this
-        // race can only mis-mark a record that is itself being evicted.
-        slot.seq.load(Ordering::Acquire) == seq
-    }
-
-    /// Oldest retained sequence number (1-based); `None` when empty.
-    fn oldest_seq(&self) -> Option<u64> {
-        let head = self.head.load(Ordering::Acquire);
-        if head == 0 {
-            return None;
-        }
-        Some(head.saturating_sub(self.capacity as u64 - 1).max(1))
+        };
+        rec.rolled_back = true;
+        true
     }
 
     /// Retained raw records with `seq > after`, oldest first. The
-    /// allocation-free view: names stay interned.
-    pub fn raw_records_since(&self, after: u64) -> Vec<RawActuationRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let Some(oldest) = self.oldest_seq() else {
+    /// allocation-free view: names stay interned. Takes no lock when
+    /// nothing was written since `after`.
+    pub(crate) fn raw_records_since(&self, after: u64) -> Vec<RawActuationRecord> {
+        if after >= self.total.load(Ordering::Acquire) {
             return Vec::new();
-        };
-        (oldest.max(after + 1)..=head)
-            .filter_map(|s| self.read_seq(s))
-            .collect()
+        }
+        let ring = self.ring.lock();
+        let oldest = ring.front().map_or(1, |r| r.seq);
+        let skip = ((after + 1).saturating_sub(oldest) as usize).min(ring.len());
+        ring.range(skip..).copied().collect()
     }
 
     fn resolve(&self, raw: RawActuationRecord) -> ActuationRecord {
@@ -281,17 +221,17 @@ impl ActuationJournal {
     /// rolled back nor itself a rollback — i.e. the newest write a rollback
     /// could undo.
     pub fn latest_for_id(&self, knob: TaskId) -> Option<RawActuationRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let oldest = self.oldest_seq()?;
-        (oldest..=head)
+        self.ring
+            .lock()
+            .iter()
             .rev()
-            .filter_map(|s| self.read_seq(s))
             .find(|r| r.knob == knob && !r.rolled_back && r.rollback_of.is_none())
+            .copied()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        (self.head.load(Ordering::Acquire) as usize).min(self.capacity)
+        (self.total_recorded() as usize).min(self.capacity)
     }
 
     /// True if nothing is retained.
@@ -301,14 +241,12 @@ impl ActuationJournal {
 
     /// Records evicted by the capacity bound so far.
     pub fn evicted(&self) -> u64 {
-        self.head
-            .load(Ordering::Acquire)
-            .saturating_sub(self.capacity as u64)
+        self.total_recorded().saturating_sub(self.capacity as u64)
     }
 
     /// Total records ever written (retained + evicted).
     pub fn total_recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.total.load(Ordering::Acquire)
     }
 
     /// The retention bound.

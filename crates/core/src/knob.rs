@@ -23,8 +23,10 @@
 //! audit trail shows is the one rollback and the watchdog consume. The
 //! read-of-`from` + set + journal append happens under a tiny per-knob
 //! mutex, so two racing writers can never both claim the same `from`
-//! value (the bug that used to make rollback restore the wrong state).
-//! Writers to *different* knobs never contend.
+//! value (the bug that used to make rollback restore the wrong state),
+//! and a rollback holds it from choosing its target through marking it.
+//! Under it a write takes only the journal's leaf lock. Writers to
+//! *different* knobs never contend.
 
 use crate::clock::Clock;
 use crate::event::TaskId;
@@ -365,22 +367,12 @@ impl KnobRegistry {
         Some(KnobId(i as u32))
     }
 
-    /// Resolves an id back to the knob's name.
-    pub fn name(&self, id: KnobId) -> Option<String> {
-        self.slot(id).map(|s| s.spec.name.clone())
-    }
-
     /// Clones the slot for `id` out under the registry's read lock, so the
     /// caller runs the knob's own `get`/`set` with no registry lock held —
     /// a knob may re-enter the registry (read, set or even register other
     /// knobs) or emit events from either.
     fn slot(&self, id: KnobId) -> Option<Arc<KnobSlot>> {
         self.shared.read().slots.get(id.0 as usize)?.clone()
-    }
-
-    /// Looks up a knob by id.
-    pub fn get_id(&self, id: KnobId) -> Option<Arc<dyn Knob>> {
-        self.slot(id).map(|s| s.knob.clone())
     }
 
     /// Current value by id.
@@ -393,51 +385,60 @@ impl KnobRegistry {
         self.slot(id).map(|s| s.spec.clone())
     }
 
-    /// The atomic write path: clamp, read `from`, set, journal — all under
-    /// the per-knob lock, so concurrent writers serialize per knob and the
-    /// journal's `from` chain is exact. Writers to different knobs never
-    /// contend, and the registry lock is released before the knob runs.
-    fn set_inner(
+    /// The atomic write path: takes the per-knob lock and writes under it,
+    /// so concurrent writers serialize per knob and the journal's `from`
+    /// chain is exact. Writers to different knobs never contend, and the
+    /// registry lock is released before the knob runs.
+    fn set_inner(&self, id: KnobId, value: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
+        let slot = self.slot(id)?;
+        let _write = slot.write.lock();
+        Some(self.write_locked(&slot, value, actor, t_ns, None))
+    }
+
+    /// Clamp, read `from`, set, journal. The caller holds `slot.write`.
+    fn write_locked(
         &self,
-        id: KnobId,
+        slot: &KnobSlot,
         value: i64,
         actor: TaskId,
         t_ns: u64,
         rollback_of: Option<u64>,
-    ) -> Option<i64> {
-        let slot = self.slot(id)?;
+    ) -> i64 {
         let clamped = value.clamp(slot.spec.min, slot.spec.max);
-        let _write = slot.write.lock();
         let from = slot.knob.get();
         slot.knob.set(clamped);
         self.journal
             .record_interned(t_ns, actor, slot.jname, from, clamped, rollback_of);
-        Some(clamped)
+        clamped
     }
 
     /// Sets a knob by id after clamping to its bounds. Returns the applied
     /// value, or `None` if the id resolves to nothing. Journaled under the
     /// registry's "direct" actor with the attached clock's timestamp.
     pub fn set_id(&self, id: KnobId, value: i64) -> Option<i64> {
-        self.set_inner(id, value, self.actor_direct, self.now(), None)
+        self.set_inner(id, value, self.actor_direct, self.now())
     }
 
     /// Sets a knob by id on behalf of `actor` at `t_ns` — the path the
     /// policy engine, tuning sessions, and the watchdog use so the journal
     /// records who actuated and when.
     pub fn set_id_as(&self, id: KnobId, value: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
-        self.set_inner(id, value, actor, t_ns, None)
+        self.set_inner(id, value, actor, t_ns)
     }
 
     /// Undoes the most recent journaled write to the knob behind `id` that
     /// is neither a rollback itself nor already rolled back: restores the
     /// recorded `from` value (journaled as a `rollback_of` record) and
     /// marks the original record rolled back. Returns the restored value.
+    ///
+    /// The knob's write lock is held from choosing the record through
+    /// marking it, so concurrent rollbacks undo distinct writes.
     pub fn rollback_last_of(&self, id: KnobId) -> Option<i64> {
         let slot = self.slot(id)?;
+        let t_ns = self.now();
+        let _write = slot.write.lock();
         let rec = self.journal.latest_for_id(slot.jname)?;
-        let restored =
-            self.set_inner(id, rec.from, self.actor_rollback, self.now(), Some(rec.seq))?;
+        let restored = self.write_locked(&slot, rec.from, self.actor_rollback, t_ns, Some(rec.seq));
         self.journal.mark_rolled_back(rec.seq);
         Some(restored)
     }
@@ -598,7 +599,7 @@ mod tests {
         let reg = KnobRegistry::new();
         let id = reg.register(knob("cap", 1, 64, 8));
         assert_eq!(reg.id("cap"), Some(id));
-        assert_eq!(reg.name(id).as_deref(), Some("cap"));
+        assert_eq!(reg.spec(id).map(|s| s.name).as_deref(), Some("cap"));
         let resolved = reg.id("cap").expect("registered");
         assert_eq!(reg.value_id(resolved), reg.value_id(id));
         assert_eq!(reg.set_id(id, 16), Some(16));
@@ -686,7 +687,7 @@ mod tests {
                         if top > 0 {
                             let id = KnobId(top);
                             assert_eq!(reg.value_id(id), Some(i64::from(top)));
-                            assert_eq!(reg.name(id), Some(format!("k{top}")));
+                            assert_eq!(reg.spec(id).map(|s| s.name), Some(format!("k{top}")));
                         }
                         if top == GROWTH {
                             break;

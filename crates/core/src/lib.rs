@@ -49,9 +49,9 @@
 //!   registration, and steady-state get/set by id takes one uncontended
 //!   registry read lock to find the knob, then runs it with no registry
 //!   lock held (one per-knob mutex on the write side).
-//! * [`journal`] — THE actuation history: a single bounded lock-free
-//!   ring every [`knob::KnobRegistry::set_id`] appends to atomically (who
-//!   wrote which knob, from what, to what). Audit, rollback, and the
+//! * [`journal`] — THE actuation history: a single bounded ring behind
+//!   one leaf lock that every [`knob::KnobRegistry::set_id`] appends to
+//!   (who wrote which knob, from what, to what). Audit, rollback, and the
 //!   watchdog all consume the same records.
 //! * [`watchdog`] — a policy that detects post-actuation throughput
 //!   regressions and rolls back the offending knob write.

@@ -108,7 +108,7 @@ proptest! {
             let id = ids[k as usize];
             // The two handles are the same binding…
             prop_assert_eq!(reg.id(&name), Some(id));
-            prop_assert_eq!(reg.name(id).as_deref(), Some(name.as_str()));
+            prop_assert_eq!(reg.spec(id).map(|s| s.name).as_deref(), Some(name.as_str()));
             // …and writes through either are observationally identical.
             let resolved = reg.id(&name).expect("registered");
             let (via, other) = if via_id == 0 {

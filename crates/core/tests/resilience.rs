@@ -5,11 +5,12 @@ use lg_core::journal::ActuationJournal;
 use lg_core::knob::AtomicKnob;
 use lg_core::policy::Trigger;
 use lg_core::{
-    IntrospectionSnapshot, KnobId, KnobRegistry, KnobSpec, Policy, PolicyDecision, PolicyEngine,
-    RegressionWatchdog,
+    IntrospectionSnapshot, Knob, KnobId, KnobRegistry, KnobSpec, Policy, PolicyDecision,
+    PolicyEngine, RegressionWatchdog,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Periodic policy that panics on evaluations where `fail(evals)` says so,
 /// and otherwise writes `knob = evals`.
@@ -172,6 +173,59 @@ fn rollback_restores_the_pre_actuation_value() {
     assert_eq!(knobs.rollback_last_of(k), None);
     assert!(knobs.deregister(k));
     assert_eq!(knobs.rollback_last_of(k), None, "no knob behind the id");
+}
+
+/// A knob whose `set` takes a while, so one rollback's restore spans the
+/// moment a racing rollback chooses its target. The sleep only widens the
+/// window a rollback that chooses without the knob's write lock needs; a
+/// correct rollback passes under every interleaving.
+struct SlowKnob(AtomicI64);
+
+impl Knob for SlowKnob {
+    fn spec(&self) -> KnobSpec {
+        KnobSpec::new("slow", 0, 10)
+    }
+    fn get(&self) -> i64 {
+        self.0.load(Ordering::Acquire)
+    }
+    fn set(&self, value: i64) {
+        self.0.store(value, Ordering::Release);
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
+#[test]
+fn concurrent_rollbacks_undo_distinct_writes() {
+    // Two rollbacks racing on one knob must undo its two newest writes,
+    // one each. A pair that picks the same record restores 1 twice and
+    // leaves the 0 -> 1 write in force.
+    const TRIALS: usize = 200;
+    let mut failures = Vec::new();
+    for trial in 0..TRIALS {
+        let knobs = KnobRegistry::new();
+        let k = knobs.register(Arc::new(SlowKnob(AtomicI64::new(0))));
+        knobs.set_id(k, 1);
+        knobs.set_id(k, 2);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    knobs.rollback_last_of(k);
+                });
+            }
+        });
+        let recs = knobs.journal().records();
+        if knobs.value_id(k) != Some(0) || !recs[..2].iter().all(|r| r.rolled_back) {
+            failures.push((trial, knobs.value_id(k), recs));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {TRIALS} trials undid one write twice; first: {:?}",
+        failures.len(),
+        failures[0]
+    );
 }
 
 #[test]

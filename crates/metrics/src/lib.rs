@@ -12,7 +12,7 @@
 //!   Hot counters updated from many threads can opt into striped storage
 //!   ([`stripe::StripedCounter`]) so updates never share a cache line.
 //! * **Time series** — [`timeseries::TimeSeries`], bounded append-only
-//!   series of `(t, value)` samples with trailing-window mean and slope —
+//!   series of `(t, value)` samples with a trailing-window mean —
 //!   the windows the introspection layer publishes as gauges.
 //! * **Power and energy** — [`power::PowerModel`] (an analytic package
 //!   power model parameterised by idle and per-core dynamic power) and

@@ -131,34 +131,6 @@ impl TimeSeries {
         }
     }
 
-    /// Linear-regression slope (value units per second) over the trailing
-    /// `horizon_ns` window. Returns `None` with fewer than two points.
-    /// Policies use this for trend detection (e.g. rising power).
-    pub fn slope_over_trailing(&self, horizon_ns: u64) -> Option<f64> {
-        let (newest, _) = *self.samples.last()?;
-        let cutoff = newest.saturating_sub(horizon_ns);
-        let pts: Vec<(f64, f64)> = self
-            .samples
-            .iter()
-            .rev()
-            .take_while(|&&(t, _)| t >= cutoff)
-            .map(|&(t, v)| ((t as f64) * 1e-9, v))
-            .collect();
-        if pts.len() < 2 {
-            return None;
-        }
-        let n = pts.len() as f64;
-        let sx: f64 = pts.iter().map(|p| p.0).sum();
-        let sy: f64 = pts.iter().map(|p| p.1).sum();
-        let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-        let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-        let denom = n * sxx - sx * sx;
-        if denom.abs() < 1e-18 {
-            return None;
-        }
-        Some((n * sxy - sx * sy) / denom)
-    }
-
     /// Clears all retained samples and resets decimation state.
     pub fn clear(&mut self) {
         self.samples.clear();
@@ -224,34 +196,6 @@ mod tests {
     fn mean_empty_is_none() {
         let ts = TimeSeries::new(8);
         assert!(ts.mean_over_trailing(1_000).is_none());
-    }
-
-    #[test]
-    fn slope_detects_linear_trend() {
-        let mut ts = TimeSeries::new(64);
-        for i in 0..20u64 {
-            // value rises 3 per second
-            ts.push(i * 1_000_000_000, 3.0 * i as f64 + 10.0);
-        }
-        let s = ts.slope_over_trailing(u64::MAX).unwrap();
-        assert!((s - 3.0).abs() < 1e-9, "slope {s}");
-    }
-
-    #[test]
-    fn slope_of_flat_series_is_zero() {
-        let mut ts = TimeSeries::new(64);
-        for i in 0..10u64 {
-            ts.push(i * 1_000_000, 42.0);
-        }
-        let s = ts.slope_over_trailing(u64::MAX).unwrap();
-        assert!(s.abs() < 1e-9);
-    }
-
-    #[test]
-    fn slope_single_point_is_none() {
-        let mut ts = TimeSeries::new(8);
-        ts.push(0, 1.0);
-        assert!(ts.slope_over_trailing(u64::MAX).is_none());
     }
 
     #[test]
