@@ -146,7 +146,7 @@ impl Histogram {
         if q >= 1.0 {
             return self.max;
         }
-        let target = ((q * self.total as f64).ceil() as u64).max(1);
+        let target = crate::ceil_u64(q * self.total as f64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;

@@ -37,7 +37,7 @@ impl TransportCost {
 
     /// Link occupancy of an `n`-byte wire message.
     pub fn occupancy_ns(&self, bytes: usize) -> u64 {
-        self.per_msg_ns + (self.per_byte_ns * bytes as f64).ceil() as u64
+        self.per_msg_ns + lg_metrics::ceil_u64(self.per_byte_ns * bytes as f64)
     }
 }
 

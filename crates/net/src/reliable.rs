@@ -46,16 +46,20 @@ use crate::cost::TransportCost;
 use crate::fault::FaultPlan;
 use crate::intmap::{IntMap, IntSet};
 use crate::link::{Delivery, LinkReport, SimLink};
-use crate::parcel::LocalityId;
+use crate::parcel::{LocalityId, Parcel};
 use lg_core::knob::{AtomicKnob, KnobSpec};
 use lg_core::snapshot::Introspection;
 use lg_core::Knob;
-use lg_metrics::{CounterHandle, CounterRegistry, Histogram};
+use lg_metrics::{ceil_u64, CounterHandle, CounterRegistry, Histogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+
+/// Parcel buffers kept for [`ReliableLink::spare_parcels`]; the rest are
+/// freed, so the link's memory still follows what is in flight.
+const SPARE_BUFFERS: usize = 256;
 
 /// Static configuration for the reliability layer. `retry_budget` seeds
 /// the knob of the same name; every other field is a plain value.
@@ -310,7 +314,7 @@ impl TokenBucket {
         } else if refill_per_ns <= 0.0 {
             u64::MAX
         } else {
-            now_ns + ((1.0 - self.tokens) / refill_per_ns).ceil() as u64
+            now_ns + ceil_u64((1.0 - self.tokens) / refill_per_ns)
         }
     }
 }
@@ -394,6 +398,8 @@ pub struct ReliableLink {
     delivered_seqs: IntSet,
     /// The buffer every transmission fills; empty between attempts.
     transmitted: Vec<Delivery>,
+    /// Emptied parcel buffers of resolved messages, lent to new ones.
+    spare_parcels: Vec<Vec<Parcel>>,
     /// Indexed by destination: locality ids are dense node indices.
     dests: Vec<DestState>,
     latency_hist: Histogram,
@@ -440,6 +446,7 @@ impl ReliableLink {
             offer_times: IntMap::default(),
             delivered_seqs: IntSet::default(),
             transmitted: Vec::new(),
+            spare_parcels: Vec::new(),
             dests: Vec::new(),
             latency_hist: Histogram::new(),
             latency_sum: 0.0,
@@ -537,6 +544,13 @@ impl ReliableLink {
             deadline_ns,
         });
         self.schedule(t, EventKind::Attempt { entry });
+    }
+
+    /// An empty parcel buffer for the caller's next message: one a
+    /// resolved message gave back, or a new one. Building the message in
+    /// it saves the allocator call a fresh `Vec` makes per send.
+    pub fn spare_parcels(&mut self) -> Vec<Parcel> {
+        self.spare_parcels.pop().unwrap_or_default()
     }
 
     /// Records `msg` as shed by an admission layer above the link. The
@@ -663,18 +677,24 @@ impl ReliableLink {
     }
 
     /// Marks `entry` resolved, releasing its parcels (stale events read
-    /// `resolved` and `attempts` only) and the offer times of delivered
-    /// seqs (`Arrive` drops a late copy's). Returns the parcel count.
+    /// `resolved` and `attempts` only; the emptied buffer is kept as a
+    /// spare) and the offer times of delivered seqs (`Arrive` drops a
+    /// late copy's). Returns the parcel count.
     fn resolve(&mut self, entry: usize) -> u64 {
         let p = &mut self.pending[entry];
         p.resolved = true;
-        let parcels = std::mem::take(&mut p.msg.parcels);
+        let mut parcels = std::mem::take(&mut p.msg.parcels);
         for parcel in &parcels {
             if self.delivered_seqs.contains(&parcel.seq) {
                 self.offer_times.remove(&parcel.seq);
             }
         }
-        parcels.len() as u64
+        let n = parcels.len() as u64;
+        if parcels.capacity() > 0 && self.spare_parcels.len() < SPARE_BUFFERS {
+            parcels.clear();
+            self.spare_parcels.push(parcels);
+        }
+        n
     }
 
     /// Resolves a pending message as abandoned (fault-driven give-up).
@@ -1320,6 +1340,10 @@ mod tests {
                 "a resolved entry still holds its parcels"
             );
             assert!(rl.offer_times.is_empty(), "{}", rl.offer_times.len());
+            // The emptied buffers are kept for reuse, up to the cap.
+            assert_eq!(rl.spare_parcels.len(), SPARE_BUFFERS);
+            let lent = rl.spare_parcels();
+            assert!(lent.is_empty() && lent.capacity() >= 2);
         }
     }
 

@@ -21,7 +21,7 @@
 use crate::machine::{alloc_rates_into, MachineSpec, RateScratch};
 use lg_core::knob::{AtomicKnob, KnobScale, KnobSpec};
 use lg_core::{Clock, Event, Knob, LookingGlass, TaskId, VirtualClock};
-use lg_metrics::EnergyMeter;
+use lg_metrics::{ceil_u64, EnergyMeter};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -425,7 +425,7 @@ impl SimRuntime {
             }
         }
         assert!(dt_s.is_finite(), "no task can make progress");
-        let dt_ns = ((dt_s * 1e9).ceil().max(1.0) as u64).min(max_dt_ns.max(1));
+        let dt_ns = ceil_u64(dt_s * 1e9).clamp(1, max_dt_ns.max(1));
         self.clock.advance_by(dt_ns);
         let now = self.clock.now_ns();
         let actual_dt_s = dt_ns as f64 * 1e-9;

@@ -30,10 +30,25 @@
 //! and calls the caller's `on_round` hook, which typically advances a
 //! virtual clock and steps a [`lg_core::PolicyEngine`] so AIMD, brownout,
 //! and watchdog policies actuate the knobs mid-run.
+//!
+//! ## Event order
+//!
+//! Control rounds, service completions and request deadlines run in
+//! `(time, seq)` order, where every scheduled event takes the next `seq`.
+//! Deadlines are half of all events and seldom act (a served request's
+//! deadline finds it resolved), and they are born sorted: requests
+//! arrive in time order, so `arrival + budget` never falls within one
+//! budget. So they skip the heap: each budget appends to a FIFO run of
+//! its own (four at most) and the next event is the least of the run
+//! heads and the heap top. The heap keeps what is not born sorted —
+//! completions and rounds, about the in-service count — plus any
+//! deadline that finds no run or would break its run's order. Every
+//! source is sorted by `(time, seq)` and the merge takes the least key,
+//! so the order is the one a single heap gives, for any input.
 
 use super::request::Request;
 use lg_core::{AdmissionGate, Brownout, Bulkhead, BulkheadPermit, Introspection};
-use lg_metrics::{CounterHandle, CounterRegistry, Histogram};
+use lg_metrics::{ceil_u64, CounterHandle, CounterRegistry, Histogram};
 use lg_net::coalesce::{FlushReason, WireMessage};
 use lg_net::link::Delivery;
 use lg_net::parcel::Parcel;
@@ -176,7 +191,7 @@ struct Entry {
     phase: Phase,
 }
 
-#[derive(PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EvKind {
     /// Control round: refresh gauges, run the `on_round` hook, dispatch.
     Round,
@@ -213,6 +228,103 @@ impl Ord for Ev {
     }
 }
 
+/// Deadline runs beside the heap; the stock arrival streams have two
+/// budgets.
+const DEADLINE_RUNS: usize = 4;
+
+/// One budget's deadlines (`Expire` events), in `(t_ns, seq)` order.
+struct Run {
+    budget_ns: u64,
+    deadlines: VecDeque<Ev>,
+}
+
+/// The engine's pending events, popped in `(t_ns, seq)` order (see the
+/// module docs): a heap plus up to [`DEADLINE_RUNS`] deadline runs.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Ev>,
+    runs: Vec<Run>,
+    /// `(t_ns, seq, run)` of the least run head, while any run is live.
+    first: Option<(u64, u64, usize)>,
+    next_seq: u64,
+}
+
+impl Events {
+    /// `kind` at `t_ns`, taking the next `seq`.
+    fn ev(&mut self, t_ns: u64, kind: EvKind) -> Ev {
+        self.next_seq += 1;
+        Ev {
+            t_ns,
+            seq: self.next_seq - 1,
+            kind,
+        }
+    }
+
+    fn push(&mut self, t_ns: u64, kind: EvKind) {
+        let ev = self.ev(t_ns, kind);
+        self.heap.push(ev);
+    }
+
+    /// Schedules `Expire { slot }` at `t_ns` in `budget_ns`'s run, made
+    /// on first use while fewer than [`DEADLINE_RUNS`] exist. Without a
+    /// run, or when `t_ns` precedes the run's tail, it goes to the heap.
+    fn push_deadline(&mut self, t_ns: u64, budget_ns: u64, slot: usize) {
+        let ev = self.ev(t_ns, EvKind::Expire { slot });
+        let mut run = self.runs.iter().position(|r| r.budget_ns == budget_ns);
+        if run.is_none() && self.runs.len() < DEADLINE_RUNS {
+            self.runs.push(Run {
+                budget_ns,
+                deadlines: VecDeque::new(),
+            });
+            run = Some(self.runs.len() - 1);
+        }
+        match run {
+            Some(i) if self.runs[i].deadlines.back().is_none_or(|b| b.t_ns <= t_ns) => {
+                // Appending moves a head only when the run was empty.
+                if self.runs[i].deadlines.is_empty() {
+                    self.offer_first(t_ns, ev.seq, i);
+                }
+                self.runs[i].deadlines.push_back(ev);
+            }
+            _ => self.heap.push(ev),
+        }
+    }
+
+    /// The next event's time and source (`None`: the heap, `Some(i)`:
+    /// run `i`), or `None` when nothing is pending.
+    fn next(&self) -> Option<(u64, Option<usize>)> {
+        let heap = self.heap.peek();
+        match self.first {
+            Some((t, seq, i)) if heap.is_none_or(|h| (t, seq) < (h.t_ns, h.seq)) => {
+                Some((t, Some(i)))
+            }
+            _ => heap.map(|h| (h.t_ns, None)),
+        }
+    }
+
+    /// Removes the head of `source`, as [`Events::next`] named it.
+    fn pop(&mut self, source: Option<usize>) -> Ev {
+        let Some(i) = source else {
+            return self.heap.pop().expect("peeked");
+        };
+        let ev = self.runs[i].deadlines.pop_front().expect("peeked");
+        self.first = None;
+        for j in 0..self.runs.len() {
+            if let Some(&Ev { t_ns, seq, .. }) = self.runs[j].deadlines.front() {
+                self.offer_first(t_ns, seq, j);
+            }
+        }
+        ev
+    }
+
+    /// Caches run `i`'s head at `(t_ns, seq)` if it is the least so far.
+    fn offer_first(&mut self, t_ns: u64, seq: u64, i: usize) {
+        if self.first.is_none_or(|(t, s, _)| (t_ns, seq) < (t, s)) {
+            self.first = Some((t_ns, seq, i));
+        }
+    }
+}
+
 #[derive(Default)]
 struct Counters {
     arrivals: Option<CounterHandle>,
@@ -232,8 +344,7 @@ pub struct ServeEngine {
     brownout: Brownout,
     gauges: Arc<ServeGauges>,
     counters: Counters,
-    events: BinaryHeap<Ev>,
-    next_seq: u64,
+    events: Events,
     queue: VecDeque<usize>,
     /// The current run's requests, the one with id `first_id + i` at
     /// slot `i`; a shed request is born `Phase::Resolved`.
@@ -274,8 +385,7 @@ impl ServeEngine {
             brownout,
             gauges: Arc::new(ServeGauges::default()),
             counters: Counters::default(),
-            events: BinaryHeap::new(),
-            next_seq: 0,
+            events: Events::default(),
             queue: VecDeque::new(),
             entries: Vec::new(),
             first_id: 0,
@@ -339,12 +449,6 @@ impl ServeEngine {
         self.link.bind_metrics(reg);
     }
 
-    fn schedule(&mut self, t_ns: u64, kind: EvKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Ev { t_ns, seq, kind });
-    }
-
     fn bump(c: &Option<CounterHandle>) {
         if let Some(c) = c {
             c.inc();
@@ -373,11 +477,12 @@ impl ServeEngine {
         let max_budget = arrivals.iter().map(|r| r.budget_ns()).max().unwrap_or(0);
         let mut next_round = self.config.control_period_ns;
         let rounds_end = horizon + max_budget + self.config.control_period_ns;
-        self.schedule(next_round, EvKind::Round);
+        self.events.push(next_round, EvKind::Round);
         let mut ai = 0usize;
         loop {
             let next_arrival = arrivals.get(ai).map_or(u64::MAX, |r| r.arrival_ns);
-            let next_event = self.events.peek().map_or(u64::MAX, |e| e.t_ns);
+            let next = self.events.next();
+            let next_event = next.map_or(u64::MAX, |(t, _)| t);
             if next_arrival == u64::MAX && next_event == u64::MAX {
                 break;
             }
@@ -386,7 +491,7 @@ impl ServeEngine {
                 ai += 1;
                 self.pump_and_dispatch(next_arrival);
             } else {
-                let ev = self.events.pop().expect("peeked");
+                let ev = self.events.pop(next.expect("an event is due").1);
                 let t = ev.t_ns;
                 match ev.kind {
                     EvKind::Round => {
@@ -394,7 +499,7 @@ impl ServeEngine {
                         on_round(self, t);
                         next_round = t + self.config.control_period_ns;
                         if next_round <= rounds_end || self.unresolved > 0 {
-                            self.schedule(next_round, EvKind::Round);
+                            self.events.push(next_round, EvKind::Round);
                         }
                     }
                     EvKind::Expire { slot } => self.expire(slot),
@@ -440,16 +545,19 @@ impl ServeEngine {
             Self::bump(&self.counters.admitted);
             self.unresolved += 1;
             self.queue.push_back(slot);
-            self.schedule(req.deadline_ns, EvKind::Expire { slot });
+            self.events
+                .push_deadline(req.deadline_ns, req.budget_ns(), slot);
             Phase::Queued
         };
         self.entries.push(Entry { req, phase });
     }
 
-    fn wire(req: &Request, t_ns: u64) -> WireMessage {
+    /// The request's one-parcel message, built in a buffer the link lent.
+    fn wire(req: &Request, t_ns: u64, mut parcels: Vec<Parcel>) -> WireMessage {
+        parcels.push(Parcel::new(0, req.dest, 0, req.id, Vec::new()));
         WireMessage {
             dest: req.dest,
-            parcels: vec![Parcel::new(0, req.dest, 0, req.id, Vec::new())],
+            parcels,
             reason: FlushReason::Window,
             t_ns,
         }
@@ -470,7 +578,7 @@ impl ServeEngine {
             };
             self.queue.pop_front();
             entry.phase = Phase::Flight(permit);
-            let msg = Self::wire(&entry.req, now);
+            let msg = Self::wire(&entry.req, now, self.link.spare_parcels());
             let deadline = entry.req.deadline_ns;
             self.link.send_with_deadline(msg, deadline, |_| now);
         }
@@ -503,9 +611,9 @@ impl ServeEngine {
             let x = in_service as f64 / knee;
             x * x
         };
-        let eff = (entry.req.service_ns as f64 * factor).ceil() as u64;
+        let eff = ceil_u64(entry.req.service_ns as f64 * factor);
         let done_at = now + eff + self.config.response_ns;
-        self.schedule(done_at, EvKind::Done { slot });
+        self.events.push(done_at, EvKind::Done { slot });
     }
 
     /// Service finished: account the response and free the permit.
@@ -761,5 +869,64 @@ mod tests {
         assert_eq!(resolved, r.offered);
         assert!(r.goodput_frac() > 0.8, "got {}", r.goodput_frac());
         assert!(e.link_report().retransmissions > 0);
+    }
+
+    /// Pops `events` and `reference` once each and checks they agree.
+    fn pop_both(events: &mut Events, reference: &mut BinaryHeap<Ev>) -> Option<()> {
+        let next = events.next();
+        assert_eq!(next.map(|n| n.0), reference.peek().map(|e| e.t_ns));
+        let (got, want) = (events.pop(next?.1), reference.pop()?);
+        assert_eq!(
+            (got.t_ns, got.seq, got.kind),
+            (want.t_ns, want.seq, want.kind)
+        );
+        Some(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// `Events` pops in the order of one `BinaryHeap` over
+        /// `(t_ns, seq)`. Deadlines come from 1-6 budgets (past four,
+        /// they fall back to the heap), arrivals step back now and then
+        /// (a deadline behind its run's tail), completions and rounds
+        /// land anywhere, and pops interleave with the pushes.
+        #[test]
+        fn event_order_matches_one_heap(
+            budgets in 1usize..7,
+            ops in proptest::collection::vec((0u8..10, 0u64..5_000, 0usize..6), 1..400),
+        ) {
+            const BUDGETS_NS: [u64; 6] = [50_000, 25_000, 10_000, 80_000, 5_000, 33_000];
+            let (mut events, mut reference) = (Events::default(), BinaryHeap::new());
+            let mut arrival = 10_000u64;
+            for (slot, &(op, dt, class)) in ops.iter().enumerate() {
+                let seq = events.next_seq;
+                let (t_ns, kind) = match op {
+                    // Op 3 arrives out of order.
+                    0..=3 => {
+                        arrival = if op == 3 { arrival.saturating_sub(dt) } else { arrival + dt };
+                        let budget = BUDGETS_NS[class % budgets];
+                        events.push_deadline(arrival + budget, budget, slot);
+                        (arrival + budget, EvKind::Expire { slot })
+                    }
+                    4 | 5 => {
+                        let kind = if op == 4 { EvKind::Done { slot } } else { EvKind::Round };
+                        let t_ns = (arrival + dt).saturating_sub(2_500);
+                        events.push(t_ns, kind);
+                        (t_ns, kind)
+                    }
+                    _ => {
+                        pop_both(&mut events, &mut reference);
+                        continue;
+                    }
+                };
+                reference.push(Ev { t_ns, seq, kind });
+            }
+            while pop_both(&mut events, &mut reference).is_some() {}
+            proptest::prop_assert!(reference.is_empty());
+        }
     }
 }

@@ -4,16 +4,17 @@
 //! 0.6 s horizon — the ledger's `simserve` storm without its faults and
 //! policies), clean link, metrics bound.
 //!
-//! The engine's request slab is sized once per run and the link
-//! transmits into a buffer it keeps, so what is left is about one
-//! allocator call per sent request — the caller's one-parcel
-//! `WireMessage` — plus amortised growth of the engine's and the link's
-//! tables: 3 065 calls for 5 965 requests, 3 018 of them sent. The gate
-//! is that count.
+//! The engine's request slab is sized once per run, the link transmits
+//! into a buffer it keeps, and each one-parcel `WireMessage` is built in
+//! a parcel buffer the link lent back from a resolved message. What is
+//! left is amortised growth of the engine's and the link's tables and
+//! one fresh parcel buffer per message in flight at the peak: 63 calls
+//! for 5 965 requests, 3 018 of them sent. The gate is that count.
 //!
-//! Before the slab and the transmit buffer the same run made 6 093
-//! calls: the request `IntMap` grew by rehashing, and every transmission
-//! returned a fresh delivery vector.
+//! Before the lent buffers the same run made 3 065 calls, one per sent
+//! request plus 47 of growth; before the slab and the transmit buffer it
+//! made 6 093: the request `IntMap` grew by rehashing, and every
+//! transmission returned a fresh delivery vector.
 //!
 //! This file deliberately holds a single `#[test]` — the allocator count
 //! is process-global, so concurrent sibling tests would pollute it.
@@ -58,10 +59,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const HORIZON_NS: u64 = 600_000_000;
 /// The count for this stream; the run is deterministic.
-const GATE: u64 = 3_065;
+const GATE: u64 = 63;
 
 #[test]
-fn one_storm_run_allocates_about_once_per_sent_request() {
+fn one_storm_run_allocates_only_to_grow() {
     let requests = ArrivalGen {
         pattern: ArrivalPattern::Spike {
             base_per_sec: 8_000.0,
@@ -98,10 +99,8 @@ fn one_storm_run_allocates_about_once_per_sent_request() {
         requests.len()
     );
     assert_eq!(report.offered, requests.len() as u64);
-    assert!(
-        sent > 0 && calls >= sent,
-        "every sent request builds a message"
-    );
+    assert!(sent > 0, "the storm reaches the wire");
+    assert!(calls > 0, "the counting allocator saw the run (its slab)");
     assert!(
         calls <= GATE,
         "one run made {calls} allocator calls (gate {GATE}, {sent} requests sent)"
