@@ -111,11 +111,11 @@ impl ConcurrencyListener {
     pub fn history(&self) -> Vec<(u64, f64)> {
         let mut points: Vec<(u64, usize, f64)> = Vec::new();
         for (i, stripe) in self.touched() {
-            let state = stripe.lock();
-            let Some(h) = &state.history else { continue };
-            points.extend(h.series.iter().map(|(t, v)| (t, i, v)));
-            if h.last != h.series.last() {
-                points.extend(h.last.map(|(t, v)| (t, i, v)));
+            if let Some(h) = &stripe.lock().state.history {
+                points.extend(h.series.iter().map(|(t, v)| (t, i, v)));
+                if h.last != h.series.last() {
+                    points.extend(h.last.map(|(t, v)| (t, i, v)));
+                }
             }
         }
         points.sort_by_key(|&(t, ..)| t);

@@ -511,8 +511,8 @@ mod tests {
     fn dropping_the_instance_frees_engine_and_facade() {
         let lg = LookingGlass::builder().trace(8).build();
         // Used from a thread that has fully exited (a plain `join` waits
-        // for its thread-locals to be destroyed; a scope does not), so no
-        // thread-local listener snapshot outlives the instance.
+        // for its thread-locals to be destroyed; a scope does not), so
+        // nothing the thread kept in a thread-local outlives the instance.
         let user = lg.clone();
         std::thread::spawn(move || {
             drop(user.timer("probe"));

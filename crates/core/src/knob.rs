@@ -289,7 +289,7 @@ impl KnobRegistry {
 
     /// Attaches the clock used to timestamp convenience sets. The first
     /// attach wins; later calls are ignored (one registry, one clock).
-    pub fn attach_clock(&self, clock: Arc<dyn Clock>) {
+    pub(crate) fn attach_clock(&self, clock: Arc<dyn Clock>) {
         let _ = self.clock.set(clock);
     }
 
@@ -305,7 +305,7 @@ impl KnobRegistry {
 
     /// Interns `name` as an actor id for [`KnobRegistry::set_id_as`], so
     /// repeated sets by the same actor journal allocation-free.
-    pub fn actor(&self, name: &str) -> TaskId {
+    pub(crate) fn actor(&self, name: &str) -> TaskId {
         self.journal.intern(name)
     }
 
@@ -385,14 +385,16 @@ impl KnobRegistry {
         self.slot(id).map(|s| s.spec.clone())
     }
 
-    /// The atomic write path: takes the per-knob lock and writes under it,
-    /// so concurrent writers serialize per knob and the journal's `from`
-    /// chain is exact. Writers to different knobs never contend, and the
-    /// registry lock is released before the knob runs.
-    fn set_inner(&self, id: KnobId, value: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
+    /// Sets a knob by id on behalf of `actor` at `t_ns` — the path the
+    /// policy engine, tuning sessions, and the watchdog use so the journal
+    /// records who actuated and when. Takes the per-knob lock and writes
+    /// under it, so concurrent writers serialize per knob and the journal's
+    /// `from` chain is exact. Writers to different knobs never contend, and
+    /// the registry lock is released before the knob runs.
+    pub(crate) fn set_id_as(&self, id: KnobId, v: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
         let slot = self.slot(id)?;
         let _write = slot.write.lock();
-        Some(self.write_locked(&slot, value, actor, t_ns, None))
+        Some(self.write_locked(&slot, v, actor, t_ns, None))
     }
 
     /// Clamp, read `from`, set, journal. The caller holds `slot.write`.
@@ -416,14 +418,7 @@ impl KnobRegistry {
     /// value, or `None` if the id resolves to nothing. Journaled under the
     /// registry's "direct" actor with the attached clock's timestamp.
     pub fn set_id(&self, id: KnobId, value: i64) -> Option<i64> {
-        self.set_inner(id, value, self.actor_direct, self.now())
-    }
-
-    /// Sets a knob by id on behalf of `actor` at `t_ns` — the path the
-    /// policy engine, tuning sessions, and the watchdog use so the journal
-    /// records who actuated and when.
-    pub fn set_id_as(&self, id: KnobId, value: i64, actor: TaskId, t_ns: u64) -> Option<i64> {
-        self.set_inner(id, value, actor, t_ns)
+        self.set_id_as(id, value, self.actor_direct, self.now())
     }
 
     /// Undoes the most recent journaled write to the knob behind `id` that

@@ -21,11 +21,10 @@
 //! * [`event::Event`] — the observation vocabulary (task lifecycle, samples,
 //!   worker lifecycle, phases, custom).
 //! * [`listener::Listener`] + [`listener::Dispatcher`] — the fan-out
-//!   pipeline; registration is dynamic, dispatch revalidates a
-//!   generation-stamped thread-local snapshot with one atomic load and
-//!   takes **one lock per event**: the emitting thread's own stripe of the
-//!   state the profiler, concurrency tracker and tracer of an instance
-//!   share. Everything else — the policy engine, custom listeners — runs
+//!   pipeline; registration is dynamic and publishes the listener list to
+//!   every stripe, and dispatch takes **one lock per event**: the emitting
+//!   thread's own stripe, holding that list and the state the profiler,
+//!   concurrency tracker and tracer of an instance share. Everything else — the policy engine, custom listeners — runs
 //!   after that lock is released (no shared-cache-line write either way).
 //!   Deferred events (the runtime's per-task pair) are delivered in
 //!   batches of up to 64 under one lock, in emission order.

@@ -1,13 +1,10 @@
 //! Listener trait and fan-out dispatcher.
 //!
 //! Every event flows through the dispatcher, so its hot path touches no
-//! shared mutable cache line. The listener list is an
-//! [`lg_metrics::stripe::Versioned`] value each emitting thread caches,
-//! revalidated per delivery by one load of a generation that registration
-//! bumps. A steady-state delivery is one `enabled` load, a look at the
-//! thread's deferred buffer, one generation load, a thread-local lookup,
-//! **one lock of the emitting thread's own stripe**, and one call per
-//! listener.
+//! shared mutable cache line: a steady-state delivery is one `enabled`
+//! load, a look at the thread's deferred buffer, **one lock of the
+//! emitting thread's own stripe**, under which it reads the stripe's copy
+//! of the listener list, and one call per listener.
 //!
 //! ## One lock, two phases, one call per listener
 //!
@@ -18,11 +15,15 @@
 //! — one event from `dispatch`, or a deferred batch — runs in two phases,
 //! each listener called once with the whole slice:
 //!
-//! 1. lock the emitter's stripe, bump the counters, and hand the events
-//!    and the locked state to every listener built on these stripes;
+//! 1. lock the emitter's stripe, read its listener list, bump the
+//!    counters, and hand the events and the locked state to every listener
+//!    built on these stripes;
 //! 2. **release the lock**, then call every other listener's
 //!    [`Listener::on_batch`]: the policy engine, the sample history,
-//!    custom listeners, a stock listener on stripes of its own.
+//!    custom listeners, a stock listener on stripes of its own — unless
+//!    all are idle, as an engine without event-triggered policies is.
+//!    The list goes past the unlock in a clone of the stripe's own handle
+//!    on it, so no two stripes' emitters write one refcount line.
 //!
 //! Phase 2 is outside the lock because a triggered policy captures a
 //! snapshot, which locks every stripe. The invariant — *no listener runs
@@ -52,21 +53,17 @@
 //!
 //! ## Grace-period semantics of `deregister`
 //!
-//! Removing a listener bumps the generation, so any dispatch that *begins*
-//! after [`Dispatcher::deregister`] returns does not deliver to the
-//! removed listener; one already inside finishes its delivery to the old
-//! snapshot. Staleness is bounded by **one in-flight delivery per emitting
-//! thread**, which passive listeners already tolerate; the same holds for
-//! [`Dispatcher::set_enabled`].
-//!
-//! A thread's snapshot cache pins the listeners of up to
-//! [`SNAPSHOT_CACHE_MAX`] dispatchers (evicted FIFO) until it dispatches
-//! again, evicts, or exits.
+//! [`Dispatcher::deregister`] publishes the new list to every stripe, under
+//! its lock, before it returns: a dispatch that *begins* after that does
+//! not reach the removed listener, and one already inside finishes on the
+//! list it read. Staleness is bounded by **one in-flight delivery per
+//! emitting thread**, which passive listeners already tolerate; the same
+//! holds for [`Dispatcher::set_enabled`] and for `register`.
 
 use crate::event::Event;
 use crate::stripe::{Stripe, StripeState, Stripes};
-pub use lg_metrics::stripe::SNAPSHOT_CACHE_MAX;
-use lg_metrics::stripe::{thread_stripe, Versioned};
+use lg_metrics::stripe::{thread_stripe, CacheAligned};
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,6 +102,12 @@ pub trait Listener: Send + Sync {
     fn on_batch_locked(&self, _events: &[Event], _stripe: &Stripe, _state: &mut StripeState) {
         unreachable!("a listener that names its stripes handles events under their lock")
     }
+
+    /// True if `on_batch` would ignore a batch now. Must not run user code.
+    #[doc(hidden)]
+    fn idle(&self, _stripe: &Stripe) -> bool {
+        false
+    }
 }
 
 /// Handle returned by [`Dispatcher::register`]; pass to
@@ -118,7 +121,7 @@ type ListenerEntry = (u64, Arc<dyn Listener>);
 /// The registered listeners, split by delivery phase (module docs), each
 /// half in registration order.
 #[derive(Clone, Default)]
-struct Listeners {
+pub(crate) struct Listeners {
     /// Built on the dispatcher's stripes: run inside the stripe lock.
     inside: Vec<ListenerEntry>,
     /// Everyone else: run after it is released.
@@ -131,15 +134,11 @@ impl Listeners {
     }
 }
 
-/// Generation-snapshot fan-out of events to registered listeners.
-///
-/// Registration is copy-on-write under a lock and bumps the list's
-/// generation; dispatch validates a thread-local snapshot against it,
-/// takes the emitting thread's stripe lock once for its counters and the
-/// listeners that share its stripes, and runs every other listener with
-/// no lock held.
+/// Fan-out of events to registered listeners: one stripe lock per
+/// delivery, with the listener list read under it (module docs).
 pub struct Dispatcher {
-    listeners: Versioned<Listeners>,
+    /// The registered listeners; every stripe holds one shared copy.
+    listeners: Mutex<Listeners>,
     next_id: AtomicU64,
     enabled: AtomicBool,
     /// Per-stripe state: the `events` / `deliveries` counters, and the
@@ -157,7 +156,7 @@ impl Dispatcher {
     /// Creates a dispatcher with no listeners, enabled.
     pub fn new() -> Self {
         Self {
-            listeners: Versioned::new(Listeners::default()),
+            listeners: Mutex::default(),
             next_id: AtomicU64::new(1),
             enabled: AtomicBool::new(true),
             stripes: Stripes::new(),
@@ -177,14 +176,12 @@ impl Dispatcher {
         let inside = listener
             .stripes()
             .is_some_and(|s| Arc::ptr_eq(s, &self.stripes));
-        self.listeners.update(|current| {
-            let mut next = current.clone();
+        self.update(|list| {
             if inside {
-                next.inside.push((id, listener));
+                list.inside.push((id, listener));
             } else {
-                next.outside.push((id, listener));
+                list.outside.push((id, listener));
             }
-            (next, ())
         });
         ListenerHandle(id)
     }
@@ -193,13 +190,32 @@ impl Dispatcher {
     /// Deliveries already under way may still reach it; none that begins
     /// after this returns does (module docs).
     pub fn deregister(&self, handle: ListenerHandle) -> bool {
-        self.listeners.update(|current| {
-            let mut next = current.clone();
-            next.inside.retain(|(id, _)| *id != handle.0);
-            next.outside.retain(|(id, _)| *id != handle.0);
-            let removed = next.len() != current.len();
-            (next, removed)
+        self.update(|list| {
+            let before = list.len();
+            list.inside.retain(|(id, _)| *id != handle.0);
+            list.outside.retain(|(id, _)| *id != handle.0);
+            list.len() != before
         })
+    }
+
+    /// Applies `f` to the list and publishes one copy of the result,
+    /// holding the list's lock so updates publish in order.
+    fn update<R>(&self, f: impl FnOnce(&mut Listeners) -> R) -> R {
+        let mut list = self.listeners.lock();
+        let out = f(&mut list);
+        self.publish(Some(Arc::new(list.clone())));
+        out
+    }
+
+    /// Puts `list` in every stripe in turn. What it replaces is dropped
+    /// unlocked: dropping a listener may run user code.
+    fn publish(&self, list: Option<Arc<Listeners>>) {
+        for stripe in self.stripes.iter() {
+            let mut locked = stripe.lock();
+            let _old = (locked.carried.take(), locked.listeners.take());
+            locked.listeners = list.clone();
+            drop(locked);
+        }
     }
 
     /// Globally enables or disables dispatch (the "observation off" switch;
@@ -210,28 +226,25 @@ impl Dispatcher {
 
     /// Number of registered listeners.
     pub fn listener_count(&self) -> usize {
-        self.listeners.load().len()
+        self.listeners.lock().len()
     }
 
     /// Events accepted by [`Dispatcher::dispatch`] while enabled,
     /// regardless of how many listeners (possibly zero) received them.
     /// Folds the stripes under their locks: exact once emitters quiesce.
     pub fn events_dispatched(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().events).sum()
+        self.stripes.iter().map(|s| s.lock().state.events).sum()
     }
 
     /// Listener invocations: each event counts once per listener it was
     /// delivered to. With `L` listeners registered throughout,
     /// `deliveries == events_dispatched × L`.
     pub fn deliveries(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().deliveries).sum()
+        self.stripes.iter().map(|s| s.lock().state.deliveries).sum()
     }
 
     /// Delivers `event` to every registered listener as a batch of one
-    /// (module docs), after the thread's deferred events, if any. A
-    /// listener that itself dispatches is served from the shared list
-    /// under its read lock instead of the thread-local snapshot — slower,
-    /// still correct.
+    /// (module docs), after the thread's deferred events, if any.
     #[inline]
     pub fn dispatch(&self, event: &Event) {
         if !self.enabled.load(Ordering::Acquire) {
@@ -261,26 +274,38 @@ impl Dispatcher {
         })
     }
 
-    /// Delivers `events` in order as one batch: one listener-list read, one
-    /// stripe lock, and one call per listener (module docs).
-    #[inline]
+    /// Delivers `events` in order as one batch: one stripe lock, and one
+    /// call per listener (module docs). Kept out of line so a disabled
+    /// `dispatch` inlines to its `enabled` load.
+    #[inline(never)]
     fn deliver(&self, events: &[Event]) {
         let stripe = self.stripes.get(thread_stripe());
-        self.listeners.read(|listeners| {
-            {
-                let mut guard = stripe.lock();
-                let state = &mut *guard;
-                let n = events.len() as u64;
-                state.events += n;
-                state.deliveries += n * listeners.len() as u64;
-                for (_, l) in &listeners.inside {
-                    l.on_batch_locked(events, stripe, state);
-                }
-            }
-            for (_, l) in &listeners.outside {
-                l.on_batch(events);
-            }
-        });
+        let mut guard = stripe.lock();
+        let locked = &mut *guard;
+        let (n, state) = (events.len() as u64, &mut locked.state);
+        state.events += n;
+        let Some(listeners) = &locked.listeners else {
+            return;
+        };
+        state.deliveries += n * listeners.len() as u64;
+        for (_, l) in &listeners.inside {
+            l.on_batch_locked(events, stripe, state);
+        }
+        // Carries the list past the unlock, only if phase 2 has work.
+        let busy = listeners.outside.iter().any(|(_, l)| !l.idle(stripe));
+        let own = || Arc::new(CacheAligned(listeners.clone()));
+        let outside = busy.then(|| locked.carried.get_or_insert_with(own).clone());
+        drop(guard);
+        for (_, l) in outside.iter().flat_map(|own| &own.0.outside) {
+            l.on_batch(events);
+        }
+    }
+}
+
+impl Drop for Dispatcher {
+    /// Breaks the cycle of stripes holding the stock listeners that hold them.
+    fn drop(&mut self) {
+        self.publish(None);
     }
 }
 
@@ -441,6 +466,28 @@ mod tests {
     }
 
     #[test]
+    fn a_deregister_replaces_the_list_a_stripe_carried() {
+        // The first delivery makes the stripe's carried handle on the
+        // list; the deregister must replace it, not leave it running.
+        let d = Dispatcher::new();
+        let (a, b) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (ac, bc) = (a.clone(), b.clone());
+        let ha = d.register(Arc::new(FnListener::new("a", move |_| {
+            ac.fetch_add(1, Ordering::Relaxed);
+        })));
+        d.register(Arc::new(FnListener::new("b", move |_| {
+            bc.fetch_add(1, Ordering::Relaxed);
+        })));
+        d.dispatch(&tick(1));
+        assert!(d.deregister(ha));
+        d.dispatch(&tick(2));
+        assert_eq!(
+            (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)),
+            (1, 2)
+        );
+    }
+
+    #[test]
     fn disabled_dispatch_is_a_noop() {
         let d = Dispatcher::new();
         let n = Arc::new(AtomicUsize::new(0));
@@ -527,8 +574,8 @@ mod tests {
     #[test]
     fn reentrant_dispatch_falls_back_and_delivers() {
         // A listener that dispatches to a second dispatcher from inside
-        // the first's delivery: the inner dispatch must still deliver
-        // (via the uncached slow path) and count correctly.
+        // the first's delivery, after its stripe lock is released: the
+        // inner dispatch must still deliver and count correctly.
         let inner = Arc::new(Dispatcher::new());
         let hits = Arc::new(AtomicUsize::new(0));
         let hc = hits.clone();
@@ -728,11 +775,11 @@ mod tests {
     }
 
     #[test]
-    fn many_dispatchers_on_one_thread_stay_correct_past_cache_capacity() {
-        // More live dispatchers than SNAPSHOT_CACHE_MAX: eviction must
-        // only cost a refresh, never misdeliver or miscount.
+    fn many_dispatchers_on_one_thread_stay_correct() {
+        // One thread interleaving deliveries to twenty dispatchers: each
+        // reaches only its own listener and counts only its own events.
         let hits = Arc::new(AtomicUsize::new(0));
-        let ds: Vec<Dispatcher> = (0..SNAPSHOT_CACHE_MAX + 4)
+        let ds: Vec<Dispatcher> = (0..20)
             .map(|_| {
                 let d = Dispatcher::new();
                 let hc = hits.clone();
@@ -752,5 +799,33 @@ mod tests {
             assert_eq!(d.events_dispatched(), 3);
             assert_eq!(d.deliveries(), 3);
         }
+    }
+
+    #[test]
+    fn a_registration_reaches_a_thread_already_dispatching() {
+        use std::time::{Duration, Instant};
+        // The emitter delivers once (to an empty list) before the
+        // registration, then dispatches until the new listener is hit.
+        let d = Arc::new(Dispatcher::new());
+        let hits = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let emitter = {
+            let (d, hits, started) = (d.clone(), hits.clone(), started.clone());
+            std::thread::spawn(move || {
+                d.dispatch(&tick(0));
+                started.wait();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while hits.load(Ordering::Relaxed) == 0 {
+                    assert!(Instant::now() < deadline, "registration not seen in 10 s");
+                    d.dispatch(&tick(1));
+                }
+            })
+        };
+        started.wait();
+        let hc = hits.clone();
+        d.register(Arc::new(FnListener::new("late", move |_| {
+            hc.fetch_add(1, Ordering::Relaxed);
+        })));
+        emitter.join().unwrap();
     }
 }

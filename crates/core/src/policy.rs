@@ -35,7 +35,7 @@
 //! Rounds that actuate at least one knob record their **adaptation
 //! latency** — wall-clock time from trigger detection to the last
 //! journaled knob write — exposed via
-//! [`PolicyEngine::adaptation_latency_last_ns`] /
+//! `PolicyEngine::adaptation_latency_last_ns` /
 //! [`PolicyEngine::adaptation_latency_mean_ns`] and surfaced in snapshots
 //! as the stamped `policy.adaptation_latency_ns` gauge (wired by the
 //! instance builder).
@@ -367,7 +367,7 @@ impl PolicyEngine {
     }
 
     /// Attaches the introspection facade whose snapshots evaluations
-    /// receive. Until attached, policies see [`IntrospectionSnapshot::empty`].
+    /// receive. Until attached, policies see `IntrospectionSnapshot::empty`.
     pub fn attach_introspection(&self, introspection: Arc<Introspection>) {
         *self.introspection.write() = Some(introspection);
     }
@@ -484,7 +484,7 @@ impl PolicyEngine {
     /// Adaptation latency of the most recent round that actuated a knob:
     /// wall-clock nanoseconds from trigger detection to the last journaled
     /// write. `None` until a round actuates.
-    pub fn adaptation_latency_last_ns(&self) -> Option<u64> {
+    pub(crate) fn adaptation_latency_last_ns(&self) -> Option<u64> {
         match self.last_latency_ns.load(Ordering::Relaxed) {
             u64::MAX => None,
             ns => Some(ns),
@@ -501,7 +501,7 @@ impl PolicyEngine {
     /// register it with
     /// [`crate::snapshot::Introspection::register_gauge_stamped`] so the
     /// latency gauge only re-evaluates after actuating rounds.
-    pub fn latency_stamp(&self) -> Arc<AtomicU64> {
+    pub(crate) fn latency_stamp(&self) -> Arc<AtomicU64> {
         self.latency_stamp.clone()
     }
 
@@ -648,7 +648,7 @@ impl PolicyEngine {
     /// after [`PolicyEngine::set_quarantine_threshold`] consecutive panics
     /// it is quarantined: registered but never evaluated again. Rounds that
     /// actuate a knob record their adaptation latency (see
-    /// [`PolicyEngine::adaptation_latency_last_ns`]), timed from the scan
+    /// `PolicyEngine::adaptation_latency_last_ns`), timed from the scan
     /// that detected the crossing. Returns the number of evaluations
     /// (panicked evaluations included).
     pub fn step(&self, now_ns: u64) -> usize {
@@ -708,10 +708,14 @@ impl Listener for PolicyEngine {
         self.on_batch(std::slice::from_ref(event));
     }
 
+    fn idle(&self, _: &crate::stripe::Stripe) -> bool {
+        self.triggered.load(Ordering::Acquire) == 0
+    }
+
     fn on_batch(&self, events: &[Event]) {
-        // Every delivered batch flows through here; with no live
-        // event-triggered policy it stops at this load. Acquire pairs with
-        // the Release store in `recount_triggers`, made under the policies
+        // With no live event-triggered policy (`idle`, which the dispatcher
+        // asks first) it stops at this load. Acquire pairs with the
+        // Release store in `recount_triggers`, made under the policies
         // lock: a registration that returned is seen by the next batch.
         if self.triggered.load(Ordering::Acquire) == 0 {
             return;

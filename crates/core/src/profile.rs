@@ -162,13 +162,11 @@ impl SnapCache {
 /// Sharded per emitting thread (see the module docs): per-event work is a
 /// table index and a Welford update under the stripe lock; queries merge
 /// the stripes on demand. Each stripe carries a generation stamp bumped
-/// after every mutation, and [`snapshot_shared`] keeps a persistent
+/// after every mutation, and `snapshot_shared` keeps a persistent
 /// merged base: a clean call returns the previous `Arc` with zero merges,
 /// a dirty call re-copies only the stripes whose stamp moved and re-folds
 /// the cached copies in fixed stripe order — bitwise-identical to a
 /// from-scratch merge once writers quiesce.
-///
-/// [`snapshot_shared`]: ProfileListener::snapshot_shared
 pub struct ProfileListener {
     names: TaskNames,
     stripes: Arc<Stripes>,
@@ -200,7 +198,7 @@ impl ProfileListener {
     fn merged(&self) -> CellTable {
         let mut out = CellTable::new();
         for stripe in self.stripes.iter() {
-            merge_table(&mut out, &stripe.lock().cells);
+            merge_table(&mut out, &stripe.lock().state.cells);
         }
         out
     }
@@ -233,7 +231,7 @@ impl ProfileListener {
     /// and folds every stripe. Kept as the verification oracle (the delta
     /// path must produce field-for-field identical output) and as the
     /// benchmark baseline.
-    pub fn snapshot_uncached(&self) -> ProfileSnapshot {
+    pub(crate) fn snapshot_uncached(&self) -> ProfileSnapshot {
         let mut out: Vec<TaskProfile> = seen(&self.merged())
             .map(|(id, c)| {
                 c.to_profile(
@@ -256,7 +254,7 @@ impl ProfileListener {
     /// can only over-refresh, never miss a write. When no stamp moved, the
     /// previous `Arc` is returned untouched: zero locks on stripes, zero
     /// Welford merges, zero allocation.
-    pub fn snapshot_shared(&self) -> (Arc<ProfileSnapshot>, u64, usize, usize) {
+    pub(crate) fn snapshot_shared(&self) -> (Arc<ProfileSnapshot>, u64, usize, usize) {
         let mut cache = self.cache.lock();
         let cache = &mut *cache;
         let mut dirty = 0usize;
@@ -266,7 +264,7 @@ impl ProfileListener {
                 continue;
             }
             cache.gens[i] = gen;
-            cache.copies[i] = stripe.lock().cells.clone();
+            cache.copies[i] = stripe.lock().state.cells.clone();
             dirty += 1;
         }
         if dirty > 0 || !cache.valid {
@@ -300,7 +298,7 @@ impl ProfileListener {
         let id = self.names.lookup(name)?;
         let mut merged: Option<ProfileCell> = None;
         for stripe in self.stripes.iter() {
-            if let Some(Some(cell)) = stripe.lock().cells.get(id.0 as usize) {
+            if let Some(Some(cell)) = stripe.lock().state.cells.get(id.0 as usize) {
                 merged.get_or_insert_with(ProfileCell::default).merge(cell);
             }
         }
@@ -308,14 +306,12 @@ impl ProfileListener {
     }
 
     /// Total completed tasks across all types (live fold of every stripe;
-    /// [`snapshot_shared`] carries a cached total coherent with its merge).
-    ///
-    /// [`snapshot_shared`]: ProfileListener::snapshot_shared
+    /// `snapshot_shared` carries a cached total coherent with its merge).
     pub fn total_completed(&self) -> u64 {
         self.stripes
             .iter()
             .map(|s| {
-                seen(&s.lock().cells)
+                seen(&s.lock().state.cells)
                     .map(|(_, c)| c.stats.count())
                     .sum::<u64>()
             })
@@ -326,8 +322,8 @@ impl ProfileListener {
     /// every stripe's generation so cached merges notice the clear.
     pub fn reset(&self) {
         for stripe in self.stripes.iter() {
-            let mut state = stripe.lock();
-            state.cells.clear();
+            let mut locked = stripe.lock();
+            locked.state.cells.clear();
             bump_gen(stripe);
         }
     }

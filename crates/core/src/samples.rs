@@ -41,7 +41,7 @@ impl SampleHistoryListener {
 
     /// The write-generation stamp: unchanged between two reads ⇔ no sample
     /// arrived in between.
-    pub fn write_stamp(&self) -> Arc<AtomicU64> {
+    pub(crate) fn write_stamp(&self) -> Arc<AtomicU64> {
         self.write_gen.clone()
     }
 
@@ -53,7 +53,7 @@ impl SampleHistoryListener {
 
     /// Mean of `metric` over the trailing `horizon_ns` (relative to its
     /// newest sample).
-    pub fn mean_over(&self, metric: &str, horizon_ns: u64) -> Option<f64> {
+    pub(crate) fn mean_over(&self, metric: &str, horizon_ns: u64) -> Option<f64> {
         let id = self.names.lookup(metric)?;
         self.series.lock().get(&id)?.mean_over_trailing(horizon_ns)
     }

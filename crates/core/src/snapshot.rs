@@ -495,7 +495,7 @@ pub struct IntrospectionSnapshot {
 impl IntrospectionSnapshot {
     /// A snapshot with no metrics, no counters, and no profiles — what a
     /// policy sees before any introspection facade is attached.
-    pub fn empty(t_ns: u64) -> Self {
+    pub(crate) fn empty(t_ns: u64) -> Self {
         Self {
             t_ns,
             seq: 0,

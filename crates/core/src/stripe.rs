@@ -1,10 +1,10 @@
 //! The per-stripe state the stock listeners share, behind one lock.
 //!
-//! Everything a delivery writes on a stock instance — the dispatcher's two
-//! counters, the profiler's cells, the concurrency history, the trace ring
-//! — belongs to the emitting thread's stripe, so it lives in **one** struct
-//! per stripe behind **one** mutex, and the listeners built on the same
-//! [`Stripes`] are views over their field of the locked [`StripeState`].
+//! Everything a delivery touches on a stock instance — the listener list,
+//! the dispatcher's counters, the profiler's cells, the concurrency
+//! history, the trace ring — belongs to the emitting thread's stripe, so it
+//! lives in **one** struct per stripe behind **one** mutex, and the stock
+//! listeners are views over their field of the locked [`StripeState`].
 //! What readers poll without the lock (the profile generation, the
 //! concurrency level and peak) sits beside it as atomics only lock holders
 //! write.
@@ -17,7 +17,7 @@
 
 use crate::concurrency::StripeHistory;
 use crate::event::Event;
-use crate::listener::Listener;
+use crate::listener::{Listener, Listeners};
 use crate::profile::CellTable;
 use crate::trace::Ring;
 use lg_metrics::stripe::{thread_stripe, CacheAligned, STRIPE_COUNT};
@@ -41,6 +41,17 @@ pub struct StripeState {
     pub(crate) ring: Option<Ring>,
 }
 
+/// What a stripe's lock guards, split so a delivery can lend out `state`.
+#[derive(Default)]
+pub(crate) struct Locked {
+    /// The dispatcher's listeners, one copy shared by every stripe.
+    pub(crate) listeners: Option<Arc<Listeners>>,
+    /// This stripe's own handle on `listeners`, made by its first phase 2
+    /// after a publish; aligned so its refcount shares no cache line.
+    pub(crate) carried: Option<Arc<CacheAligned<Arc<Listeners>>>>,
+    pub(crate) state: StripeState,
+}
+
 /// One emitting thread's share of an instance: the locked state plus the
 /// values readers poll without the lock. Only a thread holding `state`
 /// writes the atomics, so each write is a plain load and store.
@@ -53,7 +64,7 @@ pub struct Stripe {
     pub(crate) level: AtomicI64,
     /// Highest `level` reached.
     pub(crate) peak: AtomicI64,
-    state: Mutex<StripeState>,
+    locked: Mutex<Locked>,
 }
 
 #[cfg(test)]
@@ -72,10 +83,10 @@ impl Stripe {
     /// Locks the stripe's state — the only way to it, so the test-build
     /// acquisition count misses nothing.
     #[inline]
-    pub(crate) fn lock(&self) -> MutexGuard<'_, StripeState> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Locked> {
         #[cfg(test)]
         ACQUISITIONS.with(|c| c.set(c.get() + 1));
-        self.state.lock()
+        self.locked.lock()
     }
 }
 
@@ -104,7 +115,11 @@ impl Stripes {
     /// for it.
     pub(crate) fn deliver(&self, listener: &impl Listener, event: &Event) {
         let stripe = self.get(thread_stripe());
-        listener.on_batch_locked(std::slice::from_ref(event), stripe, &mut stripe.lock());
+        listener.on_batch_locked(
+            std::slice::from_ref(event),
+            stripe,
+            &mut stripe.lock().state,
+        );
     }
 
     /// Every stripe, in index order.

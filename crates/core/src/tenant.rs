@@ -9,7 +9,7 @@
 //! the whole fleet without collisions.
 //!
 //! The namespace is purely textual: tenant 3's `thread_cap` mirror lives
-//! at `"t3.thread_cap"`. [`TenantId::scoped`] builds such names, and
+//! at `"t3.thread_cap"`. `TenantId::scoped` builds such names, and
 //! [`TenantId::prefix`] is the part that names the tenant.
 
 use std::fmt;
@@ -27,7 +27,7 @@ impl TenantId {
     }
 
     /// Scope a metric or knob name under this tenant: `"t3.thread_cap"`.
-    pub fn scoped(&self, name: &str) -> String {
+    pub(crate) fn scoped(&self, name: &str) -> String {
         format!("t{}.{name}", self.0)
     }
 }

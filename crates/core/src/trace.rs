@@ -128,7 +128,7 @@ impl TraceListener {
     fn rings<'a, T>(&'a self, mut f: impl FnMut(&Ring) -> T + 'a) -> impl Iterator<Item = T> + 'a {
         self.stripes
             .iter()
-            .filter_map(move |s| s.lock().ring.as_ref().map(&mut f))
+            .filter_map(move |s| s.lock().state.ring.as_ref().map(&mut f))
     }
 
     /// Copies the retained records oldest → newest: the rings merged by
@@ -176,7 +176,7 @@ impl TraceListener {
     /// measurement epochs.
     pub fn clear(&self) {
         for stripe in self.stripes.iter() {
-            if let Some(ring) = &mut stripe.lock().ring {
+            if let Some(ring) = &mut stripe.lock().state.ring {
                 ring.clear();
             }
         }
@@ -280,7 +280,7 @@ mod tests {
         let reserved = |tr: &TraceListener| -> Vec<Option<usize>> {
             tr.stripes
                 .iter()
-                .map(|s| s.lock().ring.as_ref().map(|r| r.buf.capacity()))
+                .map(|s| s.lock().state.ring.as_ref().map(|r| r.buf.capacity()))
                 .collect()
         };
         assert!(reserved(&tr).iter().all(Option::is_none));

@@ -37,7 +37,7 @@ fn post_deregister_deliveries_bounded_by_one_per_thread() {
             })
         })
         .collect();
-    // Let the emitters get going so their snapshot caches are warm.
+    // Let the emitters get going before the listener is removed.
     while d.events_dispatched() < 10_000 {
         std::hint::spin_loop();
     }

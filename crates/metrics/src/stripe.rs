@@ -1,5 +1,4 @@
-//! Contention-free striped counters, the per-thread stripe index, and the
-//! generation-stamped thread-local snapshot ([`Versioned`]).
+//! Contention-free striped counters and the per-thread stripe index.
 //!
 //! A shared `AtomicU64` that every thread RMWs is a scalability bug: the
 //! cache line holding it ping-pongs between cores, and at high event rates
@@ -21,11 +20,8 @@
 //! between worker 0 of two pools) are benign: colliding threads share a
 //! stripe and pay some line sharing, never lose updates.
 
-use parking_lot::RwLock;
-use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Number of stripes in every striped structure (power of two).
 ///
@@ -171,159 +167,6 @@ impl StripedCounter {
     }
 }
 
-/// Max [`Versioned`] values a thread keeps snapshots of (FIFO eviction
-/// beyond; an evicted value only costs its next reader a refresh).
-pub const SNAPSHOT_CACHE_MAX: usize = 16;
-
-/// One thread's cached view of one [`Versioned`] value.
-struct CachedSnapshot {
-    owner: u64,
-    generation: u64,
-    value: Arc<dyn Any + Send + Sync>,
-}
-
-/// One thread's snapshots: at most [`SNAPSHOT_CACHE_MAX`], found by linear
-/// scan (a thread reads a handful of versioned values at most).
-struct SnapshotCache {
-    entries: Vec<CachedSnapshot>,
-    /// Once full, the oldest entry — the next one replaced.
-    oldest: usize,
-}
-
-thread_local! {
-    /// `RefCell` so a reader that reenters [`Versioned::read`] from inside
-    /// its closure falls back to the shared value instead of aliasing the
-    /// cache.
-    static SNAPSHOTS: RefCell<SnapshotCache> = const {
-        RefCell::new(SnapshotCache {
-            entries: Vec::new(),
-            oldest: 0,
-        })
-    };
-}
-
-static NEXT_VERSIONED_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A rarely-written value read through a **generation-stamped
-/// thread-local snapshot** — the one copy of the protocol, behind the
-/// dispatcher's listener list.
-///
-/// Writers replace the value copy-on-write under a lock and bump
-/// `generation` (`Release`, still holding the lock). Each reading thread
-/// caches an `Arc` of the value and revalidates it per read with one
-/// `Acquire` load of `generation`; in steady state (no writes) a read
-/// takes no lock and writes no shared cache line — not even a refcount.
-///
-/// ## Grace period
-///
-/// A read that *begins* after [`Versioned::update`] returns sees the new
-/// value. A thread already inside [`Versioned::read`] (its generation
-/// load happened before the bump) finishes on the old snapshot, so
-/// staleness is bounded by **one in-flight read per thread**. Snapshots
-/// also pin the old value's memory until the caching threads read again,
-/// evict (past [`SNAPSHOT_CACHE_MAX`] values per thread), or exit.
-pub struct Versioned<T> {
-    /// Process-unique id keying the thread-local snapshot cache.
-    id: u64,
-    /// The current value (slow path; read under lock only on refresh).
-    shared: RwLock<Arc<T>>,
-    /// Bumped (under the write lock) by every update.
-    generation: AtomicU64,
-}
-
-impl<T: Send + Sync + 'static> Versioned<T> {
-    /// Wraps `value` at generation zero.
-    pub fn new(value: T) -> Self {
-        Self {
-            id: NEXT_VERSIONED_ID.fetch_add(1, Ordering::Relaxed),
-            shared: RwLock::new(Arc::new(value)),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Replaces the value with `f(&current).0` and returns `f`'s second
-    /// result. `f` runs under the write lock, so updates are serialized.
-    pub fn update<R>(&self, f: impl FnOnce(&T) -> (T, R)) -> R {
-        let mut guard = self.shared.write();
-        let (next, out) = f(&guard);
-        *guard = Arc::new(next);
-        // Published while holding the write lock, so a refresh that reads
-        // this generation under the read lock pairs it with this value.
-        self.generation.fetch_add(1, Ordering::Release);
-        out
-    }
-
-    /// The current value, read under the lock (the slow path).
-    pub fn load(&self) -> Arc<T> {
-        self.shared.read().clone()
-    }
-
-    /// Runs `f` against the calling thread's snapshot of the value,
-    /// refreshed first if an update happened since the thread last looked.
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        // Acquire pairs with the Release bump in `update`, so a fresh
-        // generation is never observed with a stale value.
-        let generation = self.generation.load(Ordering::Acquire);
-        let mut f = Some(f);
-        let cached = SNAPSHOTS.try_with(|cell| {
-            // A reader reentered from inside another read's closure (of
-            // this or any other value) finds the cache borrowed and takes
-            // the slow path; the outer snapshot stays pinned meanwhile.
-            let mut cache = cell.try_borrow_mut().ok()?;
-            let SnapshotCache { entries, oldest } = &mut *cache;
-            let i = match entries.iter().position(|s| s.owner == self.id) {
-                Some(i) => {
-                    if entries[i].generation != generation {
-                        entries[i] = self.load_snapshot();
-                    }
-                    i
-                }
-                None if entries.len() < SNAPSHOT_CACHE_MAX => {
-                    entries.push(self.load_snapshot());
-                    entries.len() - 1
-                }
-                None => {
-                    let i = *oldest;
-                    entries[i] = self.load_snapshot();
-                    *oldest = (i + 1) % SNAPSHOT_CACHE_MAX;
-                    i
-                }
-            };
-            let value = entries[i]
-                .value
-                .downcast_ref::<T>()
-                .expect("snapshot ids are unique to one Versioned<T>");
-            f.take().map(|f| f(value))
-        });
-        match cached {
-            Ok(Some(out)) => out,
-            // Reentered, or called from another thread-local's destructor
-            // after this thread's cache was destroyed.
-            _ => f.take().expect("not yet called")(&self.load()),
-        }
-    }
-
-    /// Reads a consistent (generation, value) pair under the read lock:
-    /// `update` bumps the generation while holding the write lock, so the
-    /// pair cannot interleave with an update.
-    fn load_snapshot(&self) -> CachedSnapshot {
-        let guard = self.shared.read();
-        CachedSnapshot {
-            owner: self.id,
-            generation: self.generation.load(Ordering::Acquire),
-            value: guard.clone(),
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Versioned<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Versioned")
-            .field("generation", &self.generation)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,62 +196,6 @@ mod tests {
             t.mark(i);
         }
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![0, 9, STRIPE_COUNT - 1]);
-    }
-
-    #[test]
-    fn versioned_reads_follow_updates() {
-        let v = Versioned::new(vec![1]);
-        assert_eq!(v.read(|x| x.clone()), vec![1]);
-        let len = v.update(|x| {
-            let mut next = x.clone();
-            next.push(2);
-            let len = next.len();
-            (next, len)
-        });
-        assert_eq!(len, 2);
-        // The very next read on a thread with a warm snapshot revalidates.
-        assert_eq!(v.read(|x| x.clone()), vec![1, 2]);
-        assert_eq!(*v.load(), vec![1, 2]);
-    }
-
-    #[test]
-    fn versioned_reentrant_read_sees_the_current_value() {
-        let outer = Versioned::new(1u32);
-        let inner = Versioned::new(2u32);
-        // The inner read finds the thread's cache borrowed by the outer
-        // one and is served from the shared value.
-        assert_eq!(outer.read(|a| inner.read(|b| a + b)), 3);
-        inner.update(|_| (5, ()));
-        assert_eq!(outer.read(|a| inner.read(|b| a + b)), 6);
-    }
-
-    #[test]
-    fn versioned_values_past_the_cache_capacity_stay_correct() {
-        let values: Vec<Versioned<usize>> =
-            (0..SNAPSHOT_CACHE_MAX + 4).map(Versioned::new).collect();
-        for round in 0..3 {
-            for (i, v) in values.iter().enumerate() {
-                assert_eq!(v.read(|x| *x), i + round);
-                v.update(|x| (x + 1, ()));
-            }
-        }
-    }
-
-    #[test]
-    fn versioned_update_is_visible_to_a_spinning_reader() {
-        let v = Arc::new(Versioned::new(0u64));
-        let reader = {
-            let v = v.clone();
-            std::thread::spawn(move || {
-                // Warm snapshot first, then wait for the update through it.
-                while v.read(|x| *x) == 0 {
-                    std::hint::spin_loop();
-                }
-                v.read(|x| *x)
-            })
-        };
-        v.update(|_| (7, ()));
-        assert_eq!(reader.join().unwrap(), 7);
     }
 
     #[test]
