@@ -1,9 +1,10 @@
 //! Regenerates the tables and figures of the reconstructed evaluation.
 //!
-//! Usage: `experiments <fig1|fig2|fig3|fig4|fig5|fig6|fig7|tbl1|tbl2|tbl3|all> [--fast]`
+//! Usage: `experiments [fig1..fig11 | tbl1..tbl3 | abl1 | abl2 | all]... [--fast]`
+//! (no id runs them all).
 
 #![forbid(unsafe_code)]
 
-fn main() {
-    lg_bench::experiments::main();
+fn main() -> std::io::Result<()> {
+    lg_bench::experiments::main()
 }

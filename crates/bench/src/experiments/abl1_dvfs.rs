@@ -11,6 +11,7 @@
 
 use crate::report::{fmt_f, write_csv, Table};
 use lg_sim::{MachineSpec, SimRuntime, SimWorkload};
+use std::io::{self, Write};
 
 /// Measures EDP for one (cap, freq) cell.
 pub fn measure(
@@ -35,7 +36,7 @@ pub fn measure(
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let spec = MachineSpec::server32();
     let ops = if fast { 5e7 } else { 5e8 };
     let steps = if fast { 2 } else { 10 };
@@ -61,13 +62,14 @@ pub fn run(fast: bool) {
         }
     }
     let (bc, bf, bedp) = best.unwrap();
-    println!("{}", table.render());
-    println!(
+    writeln!(out, "{}", table.render())?;
+    writeln!(
+        out,
         "joint optimum: cap={bc}, freq={bf:.2} (edp {})",
         fmt_f(bedp)
-    );
-    let path = write_csv(&table, "abl1_dvfs");
-    println!("wrote {}\n", path.display());
+    )?;
+    write_csv(out, &table, "abl1_dvfs")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -102,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("abl1");
     }
 }

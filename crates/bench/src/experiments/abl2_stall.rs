@@ -9,11 +9,12 @@
 //! all the adaptation results need — holds for every nonzero floor.
 
 use crate::experiments::common::{best_static_cap, measure_cap};
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_sim::{MachineSpec, SimWorkload};
+use std::io::{self, Write};
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let ops = if fast { 5e7 } else { 5e8 };
     let steps = if fast { 1 } else { 4 };
     let w = SimWorkload::stencil(ops, 64);
@@ -40,9 +41,8 @@ pub fn run(fast: bool) {
             format!("{:+.0}%", (m32.edp() / edp_opt - 1.0) * 100.0),
         ]);
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "abl2_stall");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "abl2_stall")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -71,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("abl2");
     }
 }

@@ -35,20 +35,7 @@ pub fn measure_cap(
 ) -> CapMeasurement {
     let mut sim = SimRuntime::new(*spec);
     sim.set_cap(cap);
-    let mut agg = SimRunReport {
-        elapsed_ns: 0,
-        energy_j: 0.0,
-        tasks: 0,
-        ops: 0.0,
-    };
-    for _ in 0..steps {
-        sim.submit_all(workload.step_batch());
-        let r = sim.run_until_idle();
-        agg.elapsed_ns += r.elapsed_ns;
-        agg.energy_j += r.energy_j;
-        agg.tasks += r.tasks;
-        agg.ops += r.ops;
-    }
+    let agg = run_steps(&mut sim, workload, steps);
     CapMeasurement {
         cap,
         time_s: agg.elapsed_s(),
@@ -61,12 +48,7 @@ pub fn measure_cap(
 /// Runs `steps` timesteps on an *existing* simulator (sharing energy and
 /// clock state), returning the window's report.
 pub fn run_steps(sim: &mut SimRuntime, workload: &SimWorkload, steps: usize) -> SimRunReport {
-    let mut agg = SimRunReport {
-        elapsed_ns: 0,
-        energy_j: 0.0,
-        tasks: 0,
-        ops: 0.0,
-    };
+    let mut agg = SimRunReport::default();
     for _ in 0..steps {
         sim.submit_all(workload.step_batch());
         let r = sim.run_until_idle();
@@ -80,13 +62,7 @@ pub fn run_steps(sim: &mut SimRuntime, workload: &SimWorkload, steps: usize) -> 
 
 /// Finds the EDP-optimal cap by exhaustive sweep (ground truth).
 pub fn best_static_cap(spec: &MachineSpec, workload: &SimWorkload, steps: usize) -> (usize, f64) {
-    (1..=spec.cores)
-        .map(|cap| {
-            let m = measure_cap(spec, workload, cap, steps);
-            (cap, m.edp())
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("at least one cap")
+    best_cap_of(spec, workload, steps, 1..=spec.cores)
 }
 
 /// Power-of-two caps up to the core count — the space online throttling
@@ -94,23 +70,26 @@ pub fn best_static_cap(spec: &MachineSpec, workload: &SimWorkload, steps: usize)
 /// range a staircase full of spurious local minima; power-of-two steps are
 /// the standard remedy (and shrink the search to a handful of epochs).
 pub fn pow2_caps(cores: usize) -> Vec<i64> {
-    let mut v = Vec::new();
-    let mut c = 1usize;
-    while c <= cores {
-        v.push(c as i64);
-        c *= 2;
-    }
-    v
+    std::iter::successors(Some(1usize), |c| Some(c * 2))
+        .take_while(|&c| c <= cores)
+        .map(|c| c as i64)
+        .collect()
 }
 
 /// EDP-optimal cap restricted to the power-of-two lattice.
 pub fn best_pow2_cap(spec: &MachineSpec, workload: &SimWorkload, steps: usize) -> (usize, f64) {
-    pow2_caps(spec.cores)
-        .into_iter()
-        .map(|cap| {
-            let m = measure_cap(spec, workload, cap as usize, steps);
-            (cap as usize, m.edp())
-        })
+    let caps = pow2_caps(spec.cores).into_iter().map(|c| c as usize);
+    best_cap_of(spec, workload, steps, caps)
+}
+
+/// The cap of `caps` with the least EDP, and that EDP.
+fn best_cap_of(
+    spec: &MachineSpec,
+    workload: &SimWorkload,
+    steps: usize,
+    caps: impl Iterator<Item = usize>,
+) -> (usize, f64) {
+    caps.map(|cap| (cap, measure_cap(spec, workload, cap, steps).edp()))
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
         .expect("at least one cap")
 }

@@ -47,12 +47,13 @@
 //! Deterministic: both tenants run in virtual time from seeded RNGs, so
 //! a `(mix, policy, storm, seed)` tuple replays bit-for-bit.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::{Arbiter, ArbiterConfig, Clock, RoundReport, SloClass, TenantSpec, VirtualClock};
 use lg_sim::{MachineShares, MachineSpec};
 use lg_workloads::dag::{generate, CostModel, DagConfig, DagPattern};
 use lg_workloads::serve::{ArrivalGen, ArrivalPattern, ServeReport};
 use lg_workloads::{BatchTenant, DagTenant, ServeTenant};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// How the machine is split between the tenants.
@@ -456,7 +457,7 @@ pub fn static_partitions() -> Vec<i64> {
 
 /// Runs the experiment. `LG_CHAOS=1` adds the noisy-neighbor storm and
 /// the no-quarantine baseline.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let horizon: u64 = if fast { 400_000_000 } else { 1_200_000_000 };
     let storm = if std::env::var("LG_CHAOS").is_ok_and(|v| v == "1") {
         Storm::Chaos
@@ -501,9 +502,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig10_tenancy");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig10_tenancy")?;
+    writeln!(out)?;
 
     let mut mixed = Table::new(
         "Figure 10b: mixed serve+DAG tenancy — pressure-only vs demand-aware arbitration",
@@ -532,9 +532,8 @@ pub fn run(fast: bool) {
             r.rounds.to_string(),
         ]);
     }
-    println!("{}", mixed.render());
-    let path = write_csv(&mixed, "fig10_mixed");
-    println!("wrote {}\n", path.display());
+    write_table(out, &mixed, "fig10_mixed")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -700,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("fig10");
     }
 }

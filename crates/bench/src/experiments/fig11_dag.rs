@@ -32,7 +32,7 @@
 //! their successors on drop), which is the property that makes DAG
 //! scheduling safe to compose with the fault harness.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::{CriticalPathPolicy, DagStats, LookingGlass, PolicyEngine};
 use lg_metrics::PowerModel;
 use lg_runtime::{FaultConfig, PoolConfig, ThreadPool};
@@ -41,6 +41,7 @@ use lg_workloads::dag::{
     expected_checksum, generate, run_on_pool_observed, run_on_pool_traced, run_on_sim, CostModel,
     DagConfig, DagPattern, DagSched, DagSpec, DagTrace,
 };
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -252,7 +253,7 @@ pub fn chaos_smoke() -> (usize, bool) {
 }
 
 /// Runs the experiment. `LG_CHAOS=1` appends the fault-injection smoke.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let mut table = Table::new(
         "Figure 11: DAG matrix — makespan by ready policy, 8 simulated cores",
         &[
@@ -279,9 +280,7 @@ pub fn run(fast: bool) {
             fmt_f(r.gain_pct),
         ]);
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig11_dag");
-    println!("wrote {}", path.display());
+    write_table(out, &table, "fig11_dag")?;
 
     let lr = closed_loop(fast);
     let mut loop_table = Table::new(
@@ -305,9 +304,8 @@ pub fn run(fast: bool) {
         lr.priority_pushes.to_string(),
         lr.boxed_tasks.to_string(),
     ]);
-    println!("{}", loop_table.render());
-    let path = write_csv(&loop_table, "fig11_dag_loop");
-    println!("wrote {}\n", path.display());
+    write_table(out, &loop_table, "fig11_dag_loop")?;
+    writeln!(out)?;
 
     if std::env::var("LG_CHAOS").is_ok_and(|v| v == "1") {
         let (nodes, at_most_once) = chaos_smoke();
@@ -315,8 +313,9 @@ pub fn run(fast: bool) {
             at_most_once,
             "a node ran twice under fault injection — exactly-once broken"
         );
-        println!("chaos smoke: {nodes}-node sweep under 5% panic injection — scope joined, every node ran at most once\n");
+        writeln!(out, "chaos smoke: {nodes}-node sweep under 5% panic injection — scope joined, every node ran at most once\n")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -406,6 +405,6 @@ mod tests {
 
     #[test]
     fn runs_fast() {
-        run(true);
+        run(true, &mut std::io::sink()).unwrap();
     }
 }

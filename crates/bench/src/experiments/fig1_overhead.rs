@@ -10,10 +10,11 @@
 //! list read and listener calls off the per-event bill; the full profiled
 //! timer stays well under a microsecond per event.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::listener::FnListener;
 use lg_core::profile::ProfileListener;
 use lg_core::{flush_deferred, Dispatcher, Event, LookingGlass, TaskNames, DEFERRED_CAPACITY};
+use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ fn ns_per_event(iters: u64, f: impl Fn()) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let iters: u64 = if fast { 50_000 } else { 2_000_000 };
     let names = TaskNames::new();
     let task = names.intern("bench");
@@ -151,7 +152,8 @@ pub fn run(fast: bool) {
     });
     record("full Timer (begin+end, profiled)", ns_timer);
 
-    println!("{}", table.render());
+    write_table(out, &table, "fig1_overhead")?;
+    writeln!(out)?;
     // Shape gates (lenient, CI-safe): the disabled path must stay a small
     // fraction of a live dispatch — it is one atomic load, so if it ever
     // approaches the enabled cost the early-out broke. The full timer is
@@ -170,14 +172,13 @@ pub fn run(fast: bool) {
         ns_policy_pair / 2.0,
         ns_pair / 2.0
     );
-    let path = write_csv(&table, "fig1_overhead");
-    println!("wrote {}\n", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn runs_fast() {
-        super::run(true);
+        super::run(true, &mut std::io::sink()).unwrap();
     }
 }

@@ -13,11 +13,12 @@
 //!   throttling exploits.
 
 use crate::experiments::common::measure_cap;
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_sim::{MachineSpec, SimWorkload};
+use std::io::{self, Write};
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let spec = MachineSpec::server32();
     let steps = if fast { 2 } else { 10 };
     let (stencil, compute) = workloads(fast);
@@ -51,9 +52,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig2_concurrency");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig2_concurrency")?;
+    writeln!(out)
 }
 
 fn workloads(fast: bool) -> (SimWorkload, SimWorkload) {
@@ -83,7 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("fig2");
     }
 }

@@ -8,13 +8,12 @@
 //! bandwidth knee) within a few dozen epochs, and the session leaves the
 //! winner applied.
 
-#[cfg(test)]
-use crate::experiments::common::best_pow2_cap;
 use crate::experiments::common::{best_static_cap, pow2_caps, run_steps};
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::{Clock as _, SessionConfig, SessionStep, TuningSession};
 use lg_sim::{MachineSpec, SimRuntime, SimWorkload};
 use lg_tuning::{Dim, HillClimb, Space};
+use std::io::{self, Write};
 
 /// One epoch of the convergence trace.
 #[derive(Clone, Debug)]
@@ -62,7 +61,7 @@ pub fn converge_from(
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let spec = MachineSpec::server32();
     let ops = if fast { 5e7 } else { 5e8 };
     let workload = SimWorkload::stencil(ops, 64);
@@ -84,20 +83,21 @@ pub fn run(fast: bool) {
                 fmt_f(t.edp),
             ]);
         }
-        println!(
+        writeln!(
+            out,
             "start cap {start}: converged to cap {final_cap} in {} epochs (oracle: cap {oracle_cap}, edp {})",
             trace.len(),
             fmt_f(oracle_edp)
-        );
+        )?;
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig3_convergence");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig3_convergence")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::best_pow2_cap;
 
     #[test]
     fn converges_near_oracle_from_both_sides() {
@@ -144,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("fig3");
     }
 }

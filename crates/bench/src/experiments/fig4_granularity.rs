@@ -16,13 +16,14 @@
 //! [`scaling_gate`] — at the finest grain the ledger measures, a second
 //! worker must not make a pass slower.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::Knob;
 use lg_core::{SessionConfig, SessionStep, TuningSession};
 use lg_runtime::{PoolConfig, ThreadPool};
 use lg_sim::{MachineSpec, SimRuntime, SimTask};
 use lg_tuning::{Dim, HillClimb, Space};
 use lg_workloads::ComputeKernel;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
@@ -96,34 +97,35 @@ pub fn flood_scaling(reps: u32) -> (f64, f64) {
 /// than one (1.4–2.0× before the per-task path stopped writing shared
 /// lines). Two workers may cost at most 1.25× one worker's pass time.
 /// Skipped on a single-CPU host, where the second worker only time-slices.
-pub fn scaling_gate() {
+pub fn scaling_gate(out: &mut dyn Write) -> io::Result<()> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cpus < 2 {
-        println!("scaling gate: skipped ({cpus} CPU)");
-        return;
+        return writeln!(out, "scaling gate: skipped ({cpus} CPU)");
     }
     let (one, two) = flood_scaling(15);
-    println!(
+    writeln!(
+        out,
         "scaling gate: flood pass {} us on 1 worker, {} us on 2 workers ({}x, limit 1.25x, {cpus} CPUs)",
         fmt_f(one * 1e6),
         fmt_f(two * 1e6),
         fmt_f(two / one)
-    );
+    )?;
     assert!(
         two <= one * 1.25,
         "scaling gate: a fine-grain pass takes {:.0} us on 2 workers vs {:.0} us on 1",
         two * 1e6,
         one * 1e6
     );
+    Ok(())
 }
 
 /// Runs the experiment and its gates.
-pub fn run(fast: bool) {
-    figure(fast);
-    scaling_gate();
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
+    figure(fast, out)?;
+    scaling_gate(out)
 }
 
-fn figure(fast: bool) {
+fn figure(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     // --- Simulated sweep ---
     let spec = MachineSpec::server32();
     let total_ops = if fast { 1e8 } else { 1e9 };
@@ -136,9 +138,7 @@ fn figure(fast: bool) {
         let t = sim_time_for_decomposition(&spec, total_ops, n);
         table.push(&[n.to_string(), fmt_f(t * 1e3)]);
     }
-    println!("{}", table.render());
-    let p = write_csv(&table, "fig4a_granularity_sim");
-    println!("wrote {}", p.display());
+    write_table(out, &table, "fig4a_granularity_sim")?;
 
     // --- Real sweep + online tuner ---
     let lg = lg_core::LookingGlass::builder().build();
@@ -155,9 +155,7 @@ fn figure(fast: bool) {
         let t = real_time_for_chunk(&pool, &mut kernel, chunk);
         table.push(&[chunk.to_string(), fmt_f(t * 1e3)]);
     }
-    println!("{}", table.render());
-    let p = write_csv(&table, "fig4b_granularity_real");
-    println!("wrote {}", p.display());
+    write_table(out, &table, "fig4b_granularity_real")?;
 
     // Online tuning of the chunk knob.
     let knob = pool.chunk_knob("chunk", 1, 1 << 14, 1);
@@ -177,7 +175,12 @@ fn figure(fast: bool) {
         match session.next(lg.now_ns()) {
             SessionStep::Done { best } => {
                 if let Some((point, t)) = best {
-                    println!("tuned chunk = {} ({} ms/pass)", point[0], fmt_f(t * 1e3));
+                    writeln!(
+                        out,
+                        "tuned chunk = {} ({} ms/pass)",
+                        point[0],
+                        fmt_f(t * 1e3)
+                    )?;
                 }
                 break;
             }
@@ -190,9 +193,8 @@ fn figure(fast: bool) {
             }
         }
     }
-    println!("{}", table.render());
-    let p = write_csv(&table, "fig4c_granularity_tuned");
-    println!("wrote {}\n", p.display());
+    write_table(out, &table, "fig4c_granularity_tuned")?;
+    writeln!(out)?;
 
     // --- Accounting gate ---
     // The experiment's entire task volume went through the zero-allocation
@@ -215,9 +217,10 @@ fn figure(fast: bool) {
         batches > 0,
         "accounting gate: parallel_for must use batched submission"
     );
-    println!(
+    writeln!(
+        out,
         "accounting gate: spawned == executed == {spawned}, boxed = 0, batch_spawns = {batches}\n"
-    );
+    )
 }
 
 #[cfg(test)]
@@ -244,7 +247,7 @@ mod tests {
     fn runs_fast() {
         // Without the scaling gate: its limit is for a release build on
         // otherwise idle CPUs (CI runs it through `experiments fig4`).
-        figure(true);
+        figure(true, &mut std::io::sink()).unwrap();
     }
 
     #[test]

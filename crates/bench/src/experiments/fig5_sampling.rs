@@ -6,10 +6,11 @@
 //! Expected shape: application slowdown falls monotonically as the period
 //! grows, with a knee around 1 ms after which overhead is noise.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_metrics::{procfs, FnSource, Sampled, Sampler, SamplerConfig};
 use lg_runtime::{PoolConfig, ThreadPool};
 use lg_workloads::ComputeKernel;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,7 +33,7 @@ fn sources() -> Vec<Arc<dyn Sampled>> {
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let lg = lg_core::LookingGlass::builder().build();
     let pool = ThreadPool::new(lg, PoolConfig::default());
     let n = if fast { 20_000 } else { 100_000 };
@@ -86,15 +87,14 @@ pub fn run(fast: bool) {
             samples.to_string(),
         ]);
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig5_sampling");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig5_sampling")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn runs_fast() {
-        super::run(true);
+        super::run(true, &mut std::io::sink()).unwrap();
     }
 }

@@ -23,11 +23,12 @@
 //! and clearly beats the best static configuration.
 
 use crate::experiments::common::{best_pow2_cap, run_steps};
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_csv, write_table, Table};
 use lg_core::{Clock as _, SessionConfig, SessionStep, ThresholdWatch, TuningSession};
 use lg_sim::workload_model::PhasedSimWorkload;
 use lg_sim::{MachineSpec, SimRuntime, SimWorkload};
 use lg_tuning::HillClimb;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -274,7 +275,7 @@ pub fn mean_reaction_steps(reactions: &[usize]) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let spec = MachineSpec::server32();
     let (w, period, phases) = phased(fast);
     let total_steps = period * phases;
@@ -312,9 +313,7 @@ pub fn run(fast: bool) {
             react.map_or_else(|| "-".into(), fmt_f),
         ]);
     }
-    println!("{}", table.render());
-    let p = write_csv(&table, "fig6_phases_summary");
-    println!("wrote {}", p.display());
+    write_table(out, &table, "fig6_phases_summary")?;
 
     let mut trace_table = Table::new(
         "Fig 6: adaptive-watch cap trace (step, cap)",
@@ -323,12 +322,11 @@ pub fn run(fast: bool) {
     for (step, cap) in &trace {
         trace_table.push(&[step.to_string(), cap.to_string()]);
     }
-    println!("{} rows in cap trace", trace_table.len());
-    let p = write_csv(&trace_table, "fig6_phases_trace");
-    println!("wrote {}", p.display());
+    writeln!(out, "{} rows in cap trace", trace_table.len())?;
+    write_csv(out, &trace_table, "fig6_phases_trace")?;
 
     // Final state of the adaptive run, rendered from the snapshot.
-    println!("{}", crate::report::snapshot_table(&snapshot).render());
+    writeln!(out, "{}", crate::report::snapshot_table(&snapshot).render())
 }
 
 #[cfg(test)]
@@ -426,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("fig6");
     }
 }

@@ -15,9 +15,10 @@
 //! interesting signal is that per-event cost stays bounded (no lock
 //! convoy collapse) rather than wall-clock scaling; `run` asserts both.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::profile::ProfileListener;
 use lg_core::{Dispatcher, Event, LookingGlass, TaskId, TaskNames};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,7 +125,7 @@ pub fn throughput(threads: usize, events_per_thread: u64, pipeline: Pipeline) ->
 /// of 1-emitter (contention-free it halves; emitters bouncing one shared
 /// line between two cores roughly double it). Each cell is the fastest of
 /// a few alternating repetitions, so one preempted burst cannot trip it.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let events: u64 = if fast { 50_000 } else { 1_000_000 };
     let reps = if fast { 5 } else { 3 };
     let mut table = Table::new(
@@ -152,7 +153,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
+    write_table(out, &table, "fig7_dispatch")?;
+    writeln!(out)?;
     for pipeline in Pipeline::ALL {
         let one = ns_at[&(1, pipeline)];
         let eight = ns_at[&(8, pipeline)];
@@ -173,8 +175,7 @@ pub fn run(fast: bool) {
              on {cpus} CPUs"
         );
     }
-    let path = write_csv(&table, "fig7_dispatch");
-    println!("wrote {}\n", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -210,6 +211,6 @@ mod tests {
 
     #[test]
     fn runs_fast() {
-        run(true);
+        run(true, &mut std::io::sink()).unwrap();
     }
 }

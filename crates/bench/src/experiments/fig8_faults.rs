@@ -18,12 +18,13 @@
 //! Everything runs in virtual time from seeded RNGs, so a given
 //! `(seed, policy)` pair replays bit-for-bit.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::Knob;
 use lg_net::coalesce::{FlushReason, WireMessage};
 use lg_net::parcel::Parcel;
 use lg_net::{FaultPlan, ReliableConfig, ReliableLink, TransportCost};
 use lg_workloads::ParcelStorm;
+use std::io::{self, Write};
 
 /// How the retry budget is chosen during the run.
 #[derive(Clone, Copy, Debug)]
@@ -193,7 +194,7 @@ pub fn policies() -> Vec<RetryPolicy> {
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let count = if fast { 30_000 } else { 150_000 };
     let loads = [
         (
@@ -233,9 +234,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig8_faults");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig8_faults")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -315,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("fig8");
     }
 }

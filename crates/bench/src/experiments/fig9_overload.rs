@@ -28,7 +28,7 @@
 //! Everything runs in virtual time from seeded RNGs, so a given
 //! `(load, policy, seed)` triple replays bit-for-bit.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::snapshot::IntrospectionSnapshot;
 use lg_core::{
     AdmissionGate, AimdPolicy, Brownout, BrownoutPolicy, Bulkhead, LookingGlass, Policy,
@@ -37,6 +37,7 @@ use lg_core::{
 use lg_metrics::CounterRegistry;
 use lg_net::{FaultPlan, ReliableConfig, ReliableLink, ReliableReport, TransportCost};
 use lg_workloads::serve::{ArrivalGen, ArrivalPattern, ServeConfig, ServeEngine, ServeReport};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -417,7 +418,7 @@ pub fn retry_budget_bound(makespan_ns: u64) -> f64 {
 
 /// Runs the experiment. `LG_CHAOS=1` in the environment intensifies the
 /// fault storm to the chaos-job profile.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let horizon: u64 = if fast { 400_000_000 } else { 1_200_000_000 };
     let storm = if std::env::var("LG_CHAOS").is_ok_and(|v| v == "1") {
         Storm::Chaos
@@ -467,9 +468,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "fig9_overload");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "fig9_overload")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -609,6 +609,6 @@ mod tests {
 
     #[test]
     fn runs_fast() {
-        run(true);
+        run(true, &mut std::io::sink()).unwrap();
     }
 }

@@ -12,10 +12,11 @@
 //!   memory-bound workload.
 
 use crate::experiments::common::{measure_cap, pow2_caps, run_steps};
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::{Clock as _, SessionConfig, SessionStep, TuningSession};
 use lg_sim::{MachineSpec, SimRuntime, SimWorkload};
 use lg_tuning::{Dim, HillClimb, Space};
+use std::io::{self, Write};
 
 /// Outcome of one (workload, policy) cell.
 #[derive(Clone, Debug)]
@@ -75,7 +76,7 @@ pub fn run_adaptive_cell(spec: &MachineSpec, workload: &SimWorkload, total_steps
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let spec = MachineSpec::server32();
     let ops = if fast { 5e7 } else { 5e8 };
     let total_steps = if fast { 60 } else { 200 };
@@ -123,9 +124,8 @@ pub fn run(fast: bool) {
             ]);
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "tbl1_static_vs_adaptive");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "tbl1_static_vs_adaptive")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -177,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("tbl1");
     }
 }

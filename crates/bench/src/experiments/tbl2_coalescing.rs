@@ -12,12 +12,13 @@
 //!   adds latency);
 //! * adaptive tracks the regime it is offered without being told.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_core::Knob;
 use lg_net::parcel::Parcel;
 use lg_net::{Coalescer, SimLink, TransportCost};
 use lg_tuning::{Dim, HillClimb, Search, Space};
 use lg_workloads::ParcelStorm;
+use std::io::{self, Write};
 
 /// Result of one (load, policy) run.
 #[derive(Clone, Debug)]
@@ -122,7 +123,7 @@ pub fn simulate(schedule: &[u64], window: usize, adaptive: bool) -> CoalesceResu
 }
 
 /// Runs the experiment.
-pub fn run(fast: bool) {
+pub fn run(fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let count = if fast { 20_000 } else { 200_000 };
     let loads = [
         (
@@ -171,9 +172,8 @@ pub fn run(fast: bool) {
             fmt_f(r.makespan_ms),
         ]);
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "tbl2_coalescing");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "tbl2_coalescing")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -252,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("tbl2");
     }
 }

@@ -11,13 +11,14 @@
 //! ruggedness; random is the floor; Nelder–Mead is cheap but brittle on
 //! quantized surfaces.
 
-use crate::report::{fmt_f, write_csv, Table};
+use crate::report::{fmt_f, write_table, Table};
 use lg_tuning::anneal::AnnealConfig;
 use lg_tuning::genetic::GeneticConfig;
 use lg_tuning::{
     landscape, minimize, Dim, Exhaustive, Genetic, HillClimb, NelderMead, Point, RandomSearch,
     Search, SimulatedAnnealing, Space,
 };
+use std::io::{self, Write};
 
 /// A named objective over a space.
 pub struct Landscape {
@@ -107,7 +108,7 @@ pub fn true_optimum(l: &Landscape) -> (Point, f64) {
 }
 
 /// Runs the experiment.
-pub fn run(_fast: bool) {
+pub fn run(_fast: bool, out: &mut dyn Write) -> io::Result<()> {
     let mut table = Table::new(
         "Table 3: search strategies × landscapes (regret vs exhaustive optimum)",
         &[
@@ -135,9 +136,8 @@ pub fn run(_fast: bool) {
             }
         }
     }
-    println!("{}", table.render());
-    let path = write_csv(&table, "tbl3_search");
-    println!("wrote {}\n", path.display());
+    write_table(out, &table, "tbl3_search")?;
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -180,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_fast() {
-        run(true);
+    fn fast_output_matches_golden() {
+        crate::experiments::golden::check("tbl3");
     }
 }

@@ -1,10 +1,10 @@
 //! Aligned-text tables and CSV output for the experiment harness.
 //!
 //! Deliberately tiny: the evaluation's presentation layer is plain text
-//! (stdout) plus CSV files under `target/experiments/` that external
-//! plotting tools can consume.
+//! (to the caller's writer) plus CSV files under `target/experiments/`
+//! that external plotting tools can consume.
 
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// A simple column-aligned table.
@@ -108,14 +108,19 @@ pub fn output_dir() -> PathBuf {
     dir
 }
 
-/// Writes a table's CSV form to `target/experiments/<name>.csv` and
-/// returns the path.
-pub fn write_csv(table: &Table, name: &str) -> PathBuf {
+/// Prints `table` to `out`, then [`write_csv`]: how an experiment reports
+/// a table.
+pub fn write_table(out: &mut dyn Write, table: &Table, name: &str) -> io::Result<()> {
+    writeln!(out, "{}", table.render())?;
+    write_csv(out, table, name)
+}
+
+/// Writes a table's CSV form to `target/experiments/<name>.csv` and prints
+/// `wrote <path>` to `out`.
+pub fn write_csv(out: &mut dyn Write, table: &Table, name: &str) -> io::Result<()> {
     let path = output_dir().join(format!("{name}.csv"));
-    let mut f = std::fs::File::create(&path).expect("failed to create CSV file");
-    f.write_all(table.to_csv().as_bytes())
-        .expect("failed to write CSV");
-    path
+    std::fs::write(&path, table.to_csv())?;
+    writeln!(out, "wrote {}", path.display())
 }
 
 /// Renders an [`lg_core::IntrospectionSnapshot`] as a table: concurrency gauges,
@@ -130,26 +135,14 @@ pub fn snapshot_table(snap: &lg_core::IntrospectionSnapshot) -> Table {
         ),
         &["kind", "name", "value"],
     );
-    t.push(&[
-        "gauge".to_string(),
-        "active_tasks".into(),
-        snap.active_tasks.to_string(),
-    ]);
-    t.push(&[
-        "gauge".to_string(),
-        "online_workers".into(),
-        snap.online_workers.to_string(),
-    ]);
-    t.push(&[
-        "gauge".to_string(),
-        "peak_tasks".into(),
-        snap.peak_tasks.to_string(),
-    ]);
-    t.push(&[
-        "gauge".to_string(),
-        "total_completed".into(),
-        snap.total_completed.to_string(),
-    ]);
+    for (name, value) in [
+        ("active_tasks", snap.active_tasks.to_string()),
+        ("online_workers", snap.online_workers.to_string()),
+        ("peak_tasks", snap.peak_tasks.to_string()),
+        ("total_completed", snap.total_completed.to_string()),
+    ] {
+        t.push(&["gauge".to_string(), name.into(), value]);
+    }
     for (name, value) in snap.metrics() {
         let v = value.map_or_else(|| "-".into(), fmt_f);
         t.push(&["metric".to_string(), name.to_string(), v]);
@@ -228,8 +221,10 @@ mod tests {
     fn write_csv_creates_file() {
         let mut t = Table::new("w", &["c"]);
         t.push(&[7]);
-        let p = write_csv(&t, "unit_test_report");
-        assert!(p.exists());
+        let mut out = Vec::new();
+        write_csv(&mut out, &t, "unit_test_report").unwrap();
+        let p = Path::new("target/experiments/unit_test_report.csv");
+        assert_eq!(out, format!("wrote {}\n", p.display()).as_bytes());
         let content = std::fs::read_to_string(p).unwrap();
         assert_eq!(content, "c\n7\n");
     }

@@ -71,22 +71,16 @@ impl LookingGlassBuilder {
         // dispatcher's stripes, so one lock per event covers all of them.
         let stripes = dispatcher.stripes();
         let profiles = Arc::new(ProfileListener::on(names.clone(), stripes.clone()));
-        dispatcher.register(profiles.clone());
         let concurrency = Arc::new(ConcurrencyListener::on(
             CONCURRENCY_HISTORY,
             stripes.clone(),
         ));
-        dispatcher.register(concurrency.clone());
-        let trace = self.trace_capacity.map(|cap| {
-            let t = Arc::new(TraceListener::on(cap, stripes.clone()));
-            dispatcher.register(t.clone());
-            t
-        });
-        let samples = self.sample_history.map(|cap| {
-            let s = Arc::new(SampleHistoryListener::new(names.clone(), cap));
-            dispatcher.register(s.clone());
-            s
-        });
+        let trace = self
+            .trace_capacity
+            .map(|cap| Arc::new(TraceListener::on(cap, stripes.clone())));
+        let samples = self
+            .sample_history
+            .map(|cap| Arc::new(SampleHistoryListener::new(names.clone(), cap)));
         let knobs = Arc::new(KnobRegistry::new());
         knobs.attach_clock(clock.clone());
         let introspection = Arc::new(Introspection::new(profiles.clone(), concurrency.clone()));
@@ -109,9 +103,14 @@ impl LookingGlassBuilder {
                     .map_or(f64::NAN, |ns| ns as f64)
             },
         );
-        // Always a listener: with no event-triggered policy registered a
-        // delivered batch costs the engine one atomic load.
-        dispatcher.register(policy_engine.clone());
+        // Registered together, so the list is published to the stripes
+        // once. The engine is always a listener: with no event-triggered
+        // policy registered a delivered batch costs it one atomic load.
+        let mut listeners: Vec<Arc<dyn Listener>> = vec![profiles.clone(), concurrency.clone()];
+        listeners.extend(trace.iter().map(|t| t.clone() as Arc<dyn Listener>));
+        listeners.extend(samples.iter().map(|s| s.clone() as Arc<dyn Listener>));
+        listeners.push(policy_engine.clone());
+        dispatcher.register_all(listeners);
         Arc::new(LookingGlass {
             clock,
             names,
@@ -355,6 +354,23 @@ impl Drop for Timer {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+
+    #[test]
+    fn build_publishes_the_listener_list_once() {
+        use crate::stripe::acquisitions;
+        use lg_metrics::stripe::STRIPE_COUNT;
+        // The count is per thread, so tests running beside this one do
+        // not show in it. One publish locks each stripe once.
+        for (builder, listeners) in [
+            (LookingGlass::builder(), 3),
+            (LookingGlass::builder().trace(64).sample_history(16), 5),
+        ] {
+            let before = acquisitions();
+            let lg = builder.build();
+            assert_eq!(acquisitions() - before, STRIPE_COUNT as u64);
+            assert_eq!(lg.dispatcher().listener_count(), listeners);
+        }
+    }
 
     #[test]
     fn timer_produces_profile() {

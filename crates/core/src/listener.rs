@@ -172,18 +172,22 @@ impl Dispatcher {
 
     /// Registers a listener; events are delivered from this call onward.
     pub fn register(&self, listener: Arc<dyn Listener>) -> ListenerHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let inside = listener
-            .stripes()
-            .is_some_and(|s| Arc::ptr_eq(s, &self.stripes));
+        self.register_all(vec![listener])[0]
+    }
+
+    /// Registers `listeners` in order with one publish of the list.
+    pub(crate) fn register_all(&self, listeners: Vec<Arc<dyn Listener>>) -> Vec<ListenerHandle> {
         self.update(|list| {
-            if inside {
-                list.inside.push((id, listener));
-            } else {
-                list.outside.push((id, listener));
-            }
-        });
-        ListenerHandle(id)
+            let add = |listener: Arc<dyn Listener>| {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                match listener.stripes() {
+                    Some(s) if Arc::ptr_eq(s, &self.stripes) => list.inside.push((id, listener)),
+                    _ => list.outside.push((id, listener)),
+                }
+                ListenerHandle(id)
+            };
+            listeners.into_iter().map(add).collect()
+        })
     }
 
     /// Removes a previously registered listener. Returns true if found.

@@ -92,7 +92,7 @@ struct Running {
 }
 
 /// Summary of one [`SimRuntime::run_until_idle`] call.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimRunReport {
     /// Virtual time elapsed during the run (ns).
     pub elapsed_ns: u64,
